@@ -2,7 +2,8 @@
 
 Subcommands: gen, apply, testing, norm, decompose, verify. Exit code 0 means
 all checks passed, 1 means an exact-direction check failed, 2 means the
-configuration was invalid.
+configuration or an input file was invalid (including a grid over the leaf
+budget and a malformed instance file).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .extremal import (
     strong_norm_lower,
     weak_norm_lower,
 )
-from .grid import Measure
+from .grid import GridSizeError, Measure
 from .harness import (
     ConfigError,
     GeneratorConfig,
@@ -237,10 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, GridSizeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,21 @@ summation restricted inside the cube; the global variant restricts it outside.
 Both come with duals obtained by swapping the measure pair and conjugating the
 exponents. At p = q = 2 the quadratic indicator-testing constants coincide
 with the local constants, which the test-suite asserts as an identity.
+
+Every constant is a sup over all cubes R, and each is computed for all R at
+once from the tree identity T = T^in_R + T^out_R (summands inside R, and
+containing R), never by evaluating the operator once per cube. With
+c_Q = tau_Q mu(Q)/|Q| for the tested measure mu and A = down_sum(tau/|Q|):
+
+* the in-parts (local constants, C1/C2, the inside of the strengthened
+  constant) are sums over x in R of (sum_{x in Q <= R} c_Q)^e, gathered level
+  by level from the leaves up (``_inner_power_sums``);
+* the out-parts equal mu(R) A at the deepest common ancestor of x and R, so
+  two ``down_sum`` passes give them for every R (``_outer_sums``).
+
+That is O(N * depth) time and O(N) memory for N cubes, so the constants scale
+to the full grid budget. The per-cube enumerations remain in the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -20,6 +35,12 @@ from .grid import CubeRef, Exponents, Measure
 from .operators import CubeWeights
 
 WeightedCarlesonResult = namedtuple("WeightedCarlesonResult", "value argmax degenerate")
+
+# Relative gap below which two testing values count as tied (see ``_sup``).
+# The sweeps round differently from a per-cube evaluation by a few ulps (under
+# 1e-15 relative on the test corpus), so cubes that test the same function
+# must not be told apart by less than this.
+_TIE_RTOL = 1e-13
 
 
 def carleson_norm(tau: CubeWeights):
@@ -54,18 +75,17 @@ def weighted_carleson_norm(tau: CubeWeights, omega: Measure) -> WeightedCarleson
     return WeightedCarlesonResult(float(vals[best]), grid.cube(best), False)
 
 
-def _restricted_in_function(grid, contrib, subtree_mask):
-    masked = np.where(subtree_mask, contrib, 0.0)
-    return _kernels.down_sum(masked, grid.parent, grid.level_offsets)[grid.leaf_start :]
-
-
 def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
     """sup_R omega(R)^(-1/q') * || T^in_R(omega 1_R) ||_{L^p'(sigma)}.
 
     Returns (value, argmax cube). Cubes with omega(R) == 0 contribute 0 and
     are skipped; the sup of an empty family is 0 with argmax None.
     """
-    return _testing_sweep(tau, sigma, omega, exps, mode="in")
+    grid = tau.grid
+    pc = exps.p_conj
+    contrib = tau.tau * omega.cube_mass / grid.volumes
+    power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc)
+    return _sup(grid, power, omega.cube_mass, pc, exps.q_conj)
 
 
 def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
@@ -73,65 +93,46 @@ def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expon
 
     Equivalence with the norm is only claimed for p < q; at p == q the value
     is still well-defined and reported (callers may attach an advisory).
+
+    For x in R the summands are the cubes containing R, so the value is
+    omega(R) A(R) with A = down_sum(tau/|Q|); for x outside R only the cubes
+    containing both survive, giving omega(R) A(P) at their deepest common
+    ancestor P. Two tree scans therefore cover every R (see ``_outer_sums``).
     """
-    return _testing_sweep(tau, sigma, omega, exps, mode="out")
-
-
-def _testing_sweep(tau, sigma, omega, exps, mode):
     grid = tau.grid
     pc = exps.p_conj
-    qc = exps.q_conj
-    # E_Q(omega 1_R) = omega(Q)/|Q| for Q <= R, and omega(R)/|Q| for Q >= R
-    contrib_in = tau.tau * omega.cube_mass / grid.volumes
-    best_val = 0.0
-    best_cube = None
-    for r in range(grid.n_cubes):
-        w_r = float(omega.cube_mass[r])
-        if w_r <= 0.0:
-            continue
-        if mode == "in":
-            t = _restricted_in_function(grid, contrib_in, grid.subtree_cube_mask(r))
-        else:
-            chain = grid.ancestor_indices(r)
-            masked = np.zeros(grid.n_cubes)
-            masked[chain] = tau.tau[chain] * w_r / grid.volumes[chain]
-            t = _kernels.down_sum(masked, grid.parent, grid.level_offsets)[grid.leaf_start :]
-        norm = float(np.sum(t**pc * sigma.leaf_mass) ** (1.0 / pc))
-        val = w_r ** (-1.0 / qc) * norm
-        if val > best_val:
-            best_val = val
-            best_cube = grid.cube(r)
-    return best_val, best_cube
+    avg, outside = _outer_sums(tau, sigma, pc)
+    w = omega.cube_mass
+    power = w**pc * (sigma.cube_mass * avg**pc + outside)
+    return _sup(grid, power, w, pc, exps.q_conj)
 
 
 def strengthened_local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
     """Variant with the full operator: sup_R omega(R)^(-1/q') ||T(omega 1_R)||_{L^p'(sigma)}.
 
     Dominates the local constant term by term (the in-localization drops
-    nonnegative summands).
+    nonnegative summands). Inside R the full operator is the local sum
+    shifted by omega(R) A(parent R); outside R it is the global operator's
+    outside part.
     """
     grid = tau.grid
-    pc, qc = exps.p_conj, exps.q_conj
-    best_val, best_cube = 0.0, None
-    for r in range(grid.n_cubes):
-        w_r = float(omega.cube_mass[r])
-        if w_r <= 0.0:
-            continue
-        restricted = omega.with_leaf_mask(grid.subtree_leaf_mask(r))
-        contrib = tau.tau * restricted.cube_mass / grid.volumes
-        t = _kernels.down_sum(contrib, grid.parent, grid.level_offsets)[grid.leaf_start :]
-        val = w_r ** (-1.0 / qc) * float(np.sum(t**pc * sigma.leaf_mass) ** (1.0 / pc))
-        if val > best_val:
-            best_val, best_cube = val, grid.cube(r)
-    return best_val, best_cube
+    pc = exps.p_conj
+    avg, outside = _outer_sums(tau, sigma, pc)
+    w = omega.cube_mass
+    shift = np.zeros(grid.n_cubes)
+    shift[1:] = w[1:] * avg[grid.parent[1:]]
+    contrib = tau.tau * w / grid.volumes
+    power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift) + w**pc * outside
+    return _sup(grid, power, w, pc, exps.q_conj)
 
 
 def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
     """The two quadratic indicator-testing constants (C1, C2).
 
     C1^2 = sup_R sigma(R)^-1 int_R [sum_{Q <= R} tau_Q 1_Q E_Q(sigma)]^2 domega
-    and C2 swaps sigma and omega. Computed by direct enumeration; equals the
-    corresponding local testing constant at p = q = 2.
+    and C2 swaps sigma and omega. Both come from one leaf-to-root pass each
+    (``_inner_power_sums`` with exponent 2), O(n_leaves * (depth+1)); they
+    equal the corresponding local testing constants at p = q = 2.
     """
     c1 = _quadratic_sweep(tau, sigma, omega)
     c2 = _quadratic_sweep(tau, omega, sigma)
@@ -141,16 +142,65 @@ def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
 def _quadratic_sweep(tau, inner: Measure, against: Measure) -> float:
     grid = tau.grid
     contrib = tau.tau * inner.cube_mass / grid.volumes
-    best = 0.0
-    for r in range(grid.n_cubes):
-        m_r = float(inner.cube_mass[r])
-        if m_r <= 0.0:
-            continue
-        t = _restricted_in_function(grid, contrib, grid.subtree_cube_mask(r))
-        val = float(np.sum(t * t * against.leaf_mass) / m_r)
-        if val > best:
-            best = val
-    return math.sqrt(best)
+    sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0)
+    ok = inner.cube_mass > 0
+    return math.sqrt(float(np.max(sums[ok] / inner.cube_mass[ok], initial=0.0)))
+
+
+def _inner_power_sums(grid, contrib, weight, e, shift=None):
+    """For every cube R: sum_{x in R} (shift_R + sum_{x in Q <= R} contrib_Q)^e * weight(x).
+
+    Walks from the leaves to the root one level per step, carrying for each
+    leaf the running sum of ``contrib`` over its ancestors up to the current
+    level, so it costs O(n_leaves * (depth+1)) time and O(n_leaves) memory.
+    The sums are built from nonnegative terms, so nothing cancels.
+    """
+    out = np.empty(grid.n_cubes)
+    anc = np.arange(grid.leaf_start, grid.n_cubes)
+    run = np.zeros(grid.n_leaves)
+    for lev in range(grid.depth, -1, -1):
+        lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
+        run += contrib[anc]
+        t = run if shift is None else run + shift[anc]
+        out[lo:hi] = np.bincount(anc - lo, weights=t**e * weight, minlength=hi - lo)
+        anc = grid.parent[anc]
+    return out
+
+
+def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float):
+    """A = down_sum(tau/|Q|) and F with F(R) = sum_{x not in R} A(x ^ R)^p' sigma(x).
+
+    x ^ R is the deepest common ancestor. The leaves whose common ancestor
+    with R is a strict ancestor P of R are those of P outside its child on the
+    way to R, so F = down_sum(ring) with ring[Q] = (sigma(parent Q) -
+    sigma(Q)) A(parent Q)^p'. The difference is never negative. Its rounding
+    error, at most eps sigma(Q) A(parent Q)^p', stays at the eps level
+    relative to the tested sum, which is at least sigma(Q) A(Q)^p' for every
+    Q containing R (A only grows down the tree).
+    """
+    grid = tau.grid
+    avg = _kernels.down_sum(tau.tau / grid.volumes, grid.parent, grid.level_offsets)
+    par = grid.parent[1:]
+    ring = np.zeros(grid.n_cubes)
+    ring[1:] = (sigma.cube_mass[par] - sigma.cube_mass[1:]) * avg[par] ** pc
+    return avg, _kernels.down_sum(ring, grid.parent, grid.level_offsets)
+
+
+def _sup(grid, power, mass, pc: float, qc: float):
+    """sup over cubes with mass(R) > 0 of mass(R)^(-1/q') * power(R)^(1/p'), with its cube.
+
+    Returns (0.0, None) when no value is positive. Ties break to the smallest
+    canonical index, where values within ``_TIE_RTOL`` of the maximum count
+    as tied: two cubes whose tested functions coincide (all of the mass of R
+    sits in one child) have equal values that these sums may round apart.
+    """
+    ok = mass > 0
+    vals = np.where(ok, np.where(ok, mass, 1.0) ** (-1.0 / qc) * power ** (1.0 / pc), -np.inf)
+    top = float(np.max(vals))
+    if not top > 0.0:
+        return 0.0, None
+    best = int(np.argmax(vals >= top * (1.0 - _TIE_RTOL)))
+    return float(vals[best]), grid.cube(best)
 
 
 @dataclass

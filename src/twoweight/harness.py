@@ -112,10 +112,22 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
+        """Rebuild an instance; a missing key, wrong shape or invalid value raises ConfigError."""
+        try:
+            return cls._from_json_dict(data)
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _from_json_dict(cls, data: dict) -> "Instance":
         grid = build_grid(int(data["d"]), int(data["depth"]))
         sigma = Measure(grid, np.array(data["sigma"], dtype=np.float64))
         omega = Measure(grid, np.array(data["omega"], dtype=np.float64))
         t = data["tau"]
+        if not isinstance(t, dict):
+            raise ConfigError(f"tau must be an object, got {type(t).__name__}")
         if "values" in t:
             tau = CubeWeights(grid, np.array(t["values"], dtype=np.float64), rule=t.get("rule", "explicit"))
         elif t.get("rule") == "fractional":
@@ -134,7 +146,11 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"instance is not valid JSON: {exc}") from exc
+        return cls.from_json_dict(data)
 
 
 def _draw_masses(rng: np.random.Generator, style: str, grid: DyadicGrid, allow_zero: bool) -> np.ndarray:
@@ -236,6 +252,12 @@ class SuiteReport:
 
 
 def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
+    """One suite row with its violations.
+
+    Besides ``time_total`` the row carries per-stage wall times: the testing
+    constants (report and, at p = q = 2, C1/C2), the Carleson embedding,
+    the norm estimates and the decomposition audit.
+    """
     t0 = time.perf_counter()
     row: dict = {
         "seed": inst.seed,
@@ -255,6 +277,10 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["local_dual"] = rep.loc_dual
     row["global"] = rep.glo
     row["global_dual"] = rep.glo_dual
+    if inst.exps.is_l2:
+        c1, c2 = testing_constants_22(inst.tau, inst.sigma, inst.omega)
+    t_cet = time.perf_counter()
+    row["time_testing"] = t_cet - t0
 
     car, _ = carleson_norm(inst.tau)
     row["carleson"] = car
@@ -267,6 +293,8 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
             "cet-lower",
             f"carleson^(1/p)={car ** (1.0 / inst.exps.p)!r} exceeds C_p={cet.value!r}",
         )
+    t_norm = time.perf_counter()
+    row["time_cet"] = t_norm - t_cet
 
     strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
@@ -277,7 +305,6 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         flag("weak-le-strong", f"weak={weak.value!r} exceeds strong={strong.value!r}")
 
     if inst.exps.is_l2:
-        c1, c2 = testing_constants_22(inst.tau, inst.sigma, inst.omega)
         c3 = exact_norm_22(inst.tau, inst.sigma, inst.omega).value
         row["c1"] = c1
         row["c2"] = c2
@@ -292,6 +319,8 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         for name in ("local", "local_dual", "global", "global_dual"):
             if row[name] > c3 * (1 + 1e-8):
                 flag("testing-le-norm", f"{name}={row[name]!r} exceeds C3={c3!r}")
+    t_audit = time.perf_counter()
+    row["time_norm"] = t_audit - t_norm
 
     if cfg.run_audits:
         f = instance_f(inst)
@@ -313,8 +342,9 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         row["carleson_principal_ratio"] = audit.carleson_ratio
         for v in audit.violations:
             flag("prooflab", v)
-
-    row["time_total"] = time.perf_counter() - t0
+    t_end = time.perf_counter()
+    row["time_audit"] = t_end - t_audit
+    row["time_total"] = t_end - t0
     return row, violations
 
 

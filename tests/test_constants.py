@@ -1,8 +1,8 @@
 """Carleson norms and testing constants.
 
 Frozen values below were derived by hand on tiny grids (the depth-2 interval
-grid with its 7 cubes) and double-checked against the brute-force localization
-oracle in the operators module.
+grid with its 7 cubes). The closed-form sweeps are checked against per-cube
+enumeration oracles built on the operator module's localized evaluators.
 """
 
 import math
@@ -20,7 +20,7 @@ from twoweight.constants import (
 )
 from twoweight.constants import testing_constants_22 as quadratic_constants_22
 from twoweight.grid import Exponents, Measure, build_grid, lp_norm
-from twoweight.operators import CubeWeights, apply_T_restricted
+from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
 
 def _random_instance(d, depth, seed):
@@ -116,37 +116,136 @@ def test_quadratic_constants_match_local_testing():
     assert c2 == pytest.approx(loc, rel=1e-10)
 
 
-def test_local_testing_against_localization_oracle():
-    # recompute the sweep through the operator module's restricted evaluator
-    g, tau, sigma, omega = _random_instance(2, 2, seed=3)
-    exps = Exponents(1.5, 2.5)
+# -- per-cube enumeration oracles ---------------------------------------------
+#
+# The library computes every testing constant in closed form with a few
+# whole-grid passes. These oracles enumerate the cubes R one at a time and
+# evaluate the tested function through the operator module, one tree scan per
+# cube; ties keep the first (smallest-index) cube, as the library does.
+
+
+def _oracle_testing(tau, sigma, omega, exps, image):
+    """sup_R omega(R)^(-1/q') ||image(omega 1_R, R)||_{L^p'(sigma)} by enumeration."""
+    g = tau.grid
     pc, qc = exps.p_conj, exps.q_conj
-    best = 0.0
+    best, arg = 0.0, None
     for r in range(g.n_cubes):
         w_r = omega.cube_mass[r]
         if w_r <= 0:
             continue
         restricted = omega.with_leaf_mask(g.subtree_leaf_mask(r))
-        t_in = apply_T_restricted(tau, restricted, r, "in")
-        best = max(best, w_r ** (-1.0 / qc) * lp_norm(t_in, sigma, pc))
-    loc, _ = local_testing(tau, sigma, omega, exps)
-    assert loc == pytest.approx(best, rel=1e-12)
+        val = w_r ** (-1.0 / qc) * lp_norm(image(tau, restricted, r), sigma, pc)
+        if val > best:
+            best, arg = val, g.cube(r)
+    return best, arg
+
+
+def _in_image(tau, nu, r):
+    return apply_T_restricted(tau, nu, r, "in")
+
+
+def _out_image(tau, nu, r):
+    return apply_T_restricted(tau, nu, r, "out")
+
+
+def _full_image(tau, nu, r):
+    return apply_T(tau, nu)
+
+
+def _oracle_quadratic(tau, inner, against):
+    """sqrt(sup_R inner(R)^-1 int_R T^in_R(inner 1_R)^2 d(against)) by enumeration."""
+    g = tau.grid
+    best = 0.0
+    for r in range(g.n_cubes):
+        m_r = inner.cube_mass[r]
+        if m_r <= 0:
+            continue
+        t = _in_image(tau, inner.with_leaf_mask(g.subtree_leaf_mask(r)), r)
+        best = max(best, float(np.sum(t * t * against.leaf_mass) / m_r))
+    return math.sqrt(best)
+
+
+def _spiky(rng, g, hot):
+    """A measure on ``hot`` random leaves, exactly zero elsewhere."""
+    mass = np.zeros(g.n_leaves)
+    mass[rng.choice(g.n_leaves, size=hot, replace=False)] = rng.lognormal(size=hot)
+    return Measure(g, mass)
+
+
+def _assert_matches(name, got, want):
+    (val, arg), (oval, oarg) = got, want
+    assert val == pytest.approx(oval, rel=1e-12, abs=0.0), name
+    assert arg == oarg, name
+
+
+def test_local_testing_against_localization_oracle():
+    g, tau, sigma, omega = _random_instance(2, 2, seed=3)
+    exps = Exponents(1.5, 2.5)
+    _assert_matches(
+        "local",
+        local_testing(tau, sigma, omega, exps),
+        _oracle_testing(tau, sigma, omega, exps, _in_image),
+    )
 
 
 def test_global_testing_against_localization_oracle():
     g, tau, sigma, omega = _random_instance(1, 4, seed=4)
     exps = Exponents(2.0, 3.0)
-    pc, qc = exps.p_conj, exps.q_conj
-    best = 0.0
-    for r in range(g.n_cubes):
-        w_r = omega.cube_mass[r]
-        if w_r <= 0:
-            continue
-        restricted = omega.with_leaf_mask(g.subtree_leaf_mask(r))
-        t_out = apply_T_restricted(tau, restricted, r, "out")
-        best = max(best, w_r ** (-1.0 / qc) * lp_norm(t_out, sigma, pc))
-    glo, _ = global_testing(tau, sigma, omega, exps)
-    assert glo == pytest.approx(best, rel=1e-12)
+    _assert_matches(
+        "global",
+        global_testing(tau, sigma, omega, exps),
+        _oracle_testing(tau, sigma, omega, exps, _out_image),
+    )
+
+
+ORACLE_TAU_STYLES = ("random", "sparse", "root_only")
+
+
+@pytest.mark.parametrize("tau_style", ORACLE_TAU_STYLES)
+@pytest.mark.parametrize("pq", [(2.0, 2.0), (1.5, 3.0)])
+@pytest.mark.parametrize("d, depth", [(1, 5), (2, 3), (3, 2)])
+def test_closed_forms_match_enumeration(d, depth, pq, tau_style):
+    # spiky measures leave many cubes with zero tested mass, and a single hot
+    # leaf makes whole chains of cubes test the same function (exact ties)
+    g = build_grid(d, depth)
+    rng = np.random.default_rng([d, depth, int(10 * pq[0]), ORACLE_TAU_STYLES.index(tau_style)])
+    if tau_style == "random":
+        tau = CubeWeights(g, rng.exponential(size=g.n_cubes))
+    elif tau_style == "sparse":
+        tau = CubeWeights(
+            g, np.where(rng.random(g.n_cubes) < 0.3, rng.exponential(size=g.n_cubes), 0.0)
+        )
+    else:
+        tau = CubeWeights.root_only(g)
+    exps = Exponents(*pq)
+    dual = exps.dual()
+    for hot in (1, 3, g.n_leaves // 4):
+        sigma, omega = _spiky(rng, g, hot), _spiky(rng, g, hot)
+        rep = compute_testing_report(tau, sigma, omega, exps)
+        _assert_matches(
+            "local", (rep.loc, rep.loc_argmax), _oracle_testing(tau, sigma, omega, exps, _in_image)
+        )
+        _assert_matches(
+            "local_dual",
+            (rep.loc_dual, rep.loc_dual_argmax),
+            _oracle_testing(tau, omega, sigma, dual, _in_image),
+        )
+        _assert_matches(
+            "global", (rep.glo, rep.glo_argmax), _oracle_testing(tau, sigma, omega, exps, _out_image)
+        )
+        _assert_matches(
+            "global_dual",
+            (rep.glo_dual, rep.glo_dual_argmax),
+            _oracle_testing(tau, omega, sigma, dual, _out_image),
+        )
+        _assert_matches(
+            "strengthened",
+            strengthened_local_testing(tau, sigma, omega, exps),
+            _oracle_testing(tau, sigma, omega, exps, _full_image),
+        )
+        c1, c2 = quadratic_constants_22(tau, sigma, omega)
+        assert c1 == pytest.approx(_oracle_quadratic(tau, sigma, omega), rel=1e-12, abs=0.0)
+        assert c2 == pytest.approx(_oracle_quadratic(tau, omega, sigma), rel=1e-12, abs=0.0)
 
 
 # -- structural properties -----------------------------------------------------

@@ -116,6 +116,16 @@ def test_rows_digest_ignores_timing():
     assert rows_digest(rows_a) != rows_digest(rows_c)
 
 
+def test_stage_timings_in_rows_stay_out_of_digest():
+    report = run_suite(_small_suite(n=1, threads=1))
+    stages = ("time_testing", "time_cet", "time_norm", "time_audit")
+    for row in report.rows:
+        assert all(row[k] >= 0.0 for k in stages)
+        assert sum(row[k] for k in stages) == pytest.approx(row["time_total"])
+    shifted = [{**row, **{k: row[k] + 1.0 for k in stages}} for row in report.rows]
+    assert rows_digest(shifted) == report.digest
+
+
 # -- suites ------------------------------------------------------------------------
 
 
@@ -305,3 +315,33 @@ def test_cli_config_error_exit_code(capsys):
 def test_cli_missing_instance_file(tmp_path, capsys):
     assert main(["norm", "--instance", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_grid_over_budget_exit_code(capsys):
+    assert main(["gen", "--depth", "30"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_instance_missing_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"d": 1}))
+    assert main(["testing", "--instance", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_instance_not_json_exit_code(tmp_path, capsys):
+    path = tmp_path / "garbage.json"
+    path.write_text("this is not json {")
+    assert main(["testing", "--instance", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_instance_wrong_shape_is_config_error():
+    data = gen_instance(GeneratorConfig(), seed=4).to_json_dict()
+    data["sigma"] = data["sigma"][:-1]
+    with pytest.raises(ConfigError):
+        Instance.from_json_dict(data)
+    data = gen_instance(GeneratorConfig(), seed=4).to_json_dict()
+    data["tau"] = [1.0, 2.0]
+    with pytest.raises(ConfigError):
+        Instance.from_json_dict(data)
