@@ -85,7 +85,7 @@ def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expone
     pc = exps.p_conj
     contrib = tau.tau * omega.cube_mass / grid.volumes
     power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc)
-    return _sup(grid, power, omega.cube_mass, pc, exps.q_conj)
+    return _sup(grid, _values(power, omega.cube_mass, pc, exps.q_conj))
 
 
 def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
@@ -104,16 +104,26 @@ def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expon
     avg, outside = _outer_sums(tau, sigma, pc)
     w = omega.cube_mass
     power = w**pc * (sigma.cube_mass * avg**pc + outside)
-    return _sup(grid, power, w, pc, exps.q_conj)
+    return _sup(grid, _values(power, w, pc, exps.q_conj))
 
 
 def strengthened_local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
     """Variant with the full operator: sup_R omega(R)^(-1/q') ||T(omega 1_R)||_{L^p'(sigma)}.
 
     Dominates the local constant term by term (the in-localization drops
-    nonnegative summands). Inside R the full operator is the local sum
-    shifted by omega(R) A(parent R); outside R it is the global operator's
-    outside part.
+    nonnegative summands). The per-cube values are
+    ``strengthened_local_values``.
+    """
+    return _sup(tau.grid, strengthened_local_values(tau, sigma, omega, exps))
+
+
+def strengthened_local_values(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
+    """omega(R)^(-1/q') ||T(omega 1_R)||_{L^p'(sigma)} for every cube R; -inf where omega(R) == 0.
+
+    Inside R the full operator is the local sum shifted by omega(R) A(parent
+    R); outside R it is the global operator's outside part. With the measures
+    swapped and the dual exponents this is the strong-norm objective at each
+    normalized cube indicator, sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}.
     """
     grid = tau.grid
     pc = exps.p_conj
@@ -123,7 +133,7 @@ def strengthened_local_testing(tau: CubeWeights, sigma: Measure, omega: Measure,
     shift[1:] = w[1:] * avg[grid.parent[1:]]
     contrib = tau.tau * w / grid.volumes
     power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift) + w**pc * outside
-    return _sup(grid, power, w, pc, exps.q_conj)
+    return _values(power, w, pc, exps.q_conj)
 
 
 def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
@@ -186,16 +196,20 @@ def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float):
     return avg, _kernels.down_sum(ring, grid.parent, grid.level_offsets)
 
 
-def _sup(grid, power, mass, pc: float, qc: float):
-    """sup over cubes with mass(R) > 0 of mass(R)^(-1/q') * power(R)^(1/p'), with its cube.
+def _values(power, mass, pc: float, qc: float):
+    """mass(R)^(-1/q') * power(R)^(1/p') per cube, -inf where mass(R) <= 0."""
+    ok = mass > 0
+    return np.where(ok, np.where(ok, mass, 1.0) ** (-1.0 / qc) * power ** (1.0 / pc), -np.inf)
+
+
+def _sup(grid, vals):
+    """The largest of the per-cube ``vals`` (see ``_values``), with its cube.
 
     Returns (0.0, None) when no value is positive. Ties break to the smallest
     canonical index, where values within ``_TIE_RTOL`` of the maximum count
     as tied: two cubes whose tested functions coincide (all of the mass of R
     sits in one child) have equal values that these sums may round apart.
     """
-    ok = mass > 0
-    vals = np.where(ok, np.where(ok, mass, 1.0) ** (-1.0 / qc) * power ** (1.0 / pc), -np.inf)
     top = float(np.max(vals))
     if not top > 0.0:
         return 0.0, None

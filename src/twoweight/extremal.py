@@ -4,9 +4,13 @@ At p = q = 2 the norm is the top singular value of a weighted kernel matrix
 that is never materialized: each matrix-vector product is one application of
 the dyadic operator. Away from the diagonal the module reports honest lower
 bounds found by projected gradient ascent over the nonnegative part of the
-L^p(sigma) sphere, seeded with cube indicators and Dirichlet-like restarts.
-Every estimate carries the extremal function that attains it, so values can be
-re-evaluated independently.
+L^p(sigma) sphere, seeded with Dirichlet-like restarts and the best cube
+indicators. The objective at every normalized cube indicator has a closed form
+of a few tree scans (``_cet_scores``; ``strengthened_local_values`` for the
+strong norm), so all cubes are ranked without building their indicators, and
+only the top ``restarts`` of them join the pool: the ascent holds O(restarts *
+n_cubes) numbers. Every estimate carries the extremal function that attains
+it, so values can be re-evaluated independently.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .constants import strengthened_local_values
 from .grid import DyadicGrid, Exponents, GridSizeError, Measure
 from .operators import CubeWeights
 
@@ -175,21 +180,32 @@ def dense_norm_22(
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
-def _indicator_seeds(grid: DyadicGrid) -> np.ndarray:
-    """One row per cube: the indicator of its leaves."""
-    anc = grid.leaf_ancestor_matrix()
-    seeds = np.zeros((grid.n_cubes, grid.n_leaves))
-    cols = np.arange(grid.n_leaves)
-    for lev in range(grid.depth + 1):
-        seeds[anc[lev], cols] = 1.0
-    return seeds
+def _indicator_rows(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
+    """One row per given cube: the indicator of its leaves."""
+    onehot = np.zeros((cubes.size, grid.n_cubes))
+    onehot[np.arange(cubes.size), cubes] = 1.0
+    return _kernels.down_sum_batch(onehot, grid.parent, grid.level_offsets)[
+        :, grid.leaf_start :
+    ]
 
 
-def _seed_pool(grid: DyadicGrid, opts: AscentOptions) -> np.ndarray:
+def _top_cubes(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k best-scored cubes in canonical order; ties go to the smaller index."""
+    return np.sort(np.argsort(-scores, kind="stable")[:k])
+
+
+def _seed_pool(grid: DyadicGrid, opts: AscentOptions, scores) -> np.ndarray:
+    """Random restarts, then the indicators of the ``opts.restarts`` best cubes.
+
+    ``scores()`` gives the objective at every cube's normalized indicator; it
+    is only evaluated when indicators are included, and then at least the
+    best indicator is.
+    """
     rng = np.random.default_rng(opts.seed)
     parts = [rng.exponential(1.0, size=(opts.restarts, grid.n_leaves))]
     if opts.include_indicators:
-        parts.append(_indicator_seeds(grid))
+        top = _top_cubes(scores(), max(1, opts.restarts))
+        parts.append(_indicator_rows(grid, top))
     return np.concatenate(parts, axis=0)
 
 
@@ -206,33 +222,36 @@ def _project_lp_sphere(f: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
 def _ascend(pool, project, objective, proposals, opts: AscentOptions):
     """Monotone ascent over restart rows: gradient steps plus fixed-point steps.
 
-    ``proposals(f)`` returns (gradient rows, fixed-point rows); per iteration
-    each row tries the projected gradient step at its adaptive step size and
-    the projected fixed-point candidate, keeping whichever improves its
-    objective. Rejected gradient steps halve the step; the loop exits after a
-    few rounds with no improvement anywhere.
+    ``objective(f)`` returns the row values and the rows' images, and
+    ``proposals(f, images)`` returns (gradient rows, fixed-point rows); the
+    images of accepted candidates are kept, so they are never recomputed.
+    Per iteration each row tries the projected gradient step at its adaptive
+    step size and the projected fixed-point candidate, keeping whichever
+    improves its objective. Rejected gradient steps halve the step; the loop
+    exits after a few rounds with no improvement anywhere.
     """
     f = project(pool.copy())
-    j = objective(f)
+    j, img = objective(f)
     step = np.full(f.shape[0], opts.step0)
     iterations = 0
     stall = 0
     for iterations in range(1, opts.max_iter + 1):
-        g, fp = proposals(f)
+        g, fp = proposals(f, img)
         gn = np.linalg.norm(g, axis=1)
         live = (gn > 0) & (step > opts.min_step)
         d = np.zeros_like(g)
         d[live] = g[live] / gn[live, None]
         cand1 = project(f + step[:, None] * d)
-        j1 = objective(cand1)
+        j1, img1 = objective(cand1)
         cand2 = project(fp)
-        j2 = objective(cand2)
+        j2, img2 = objective(cand2)
 
         take2 = j2 > j1
         jc = np.where(take2, j2, j1)
         accept = jc > j
         rows = np.flatnonzero(accept)
         f[rows] = np.where(take2[rows, None], cand2[rows], cand1[rows])
+        img[rows] = np.where(take2[rows, None], img2[rows], img1[rows])
         j[rows] = jc[rows]
         step[accept & ~take2] *= 1.3
         step[live & (j1 <= j)] *= 0.5
@@ -244,6 +263,16 @@ def _ascend(pool, project, objective, proposals, opts: AscentOptions):
             stall = 0
     best = int(np.argmax(j))
     return f[best], float(j[best]), iterations, float(step.max())
+
+
+def _strong_scores(tau, sigma, omega, exps) -> np.ndarray:
+    """sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)} for every cube R; 0 where sigma(R) == 0."""
+    return np.maximum(strengthened_local_values(tau, omega, sigma, exps.dual()), 0.0)
+
+
+def _strong_pool(tau, sigma, omega, exps, opts: AscentOptions) -> np.ndarray:
+    """The seed pool shared by the strong and weak bounds, ranked by the strong score."""
+    return _seed_pool(tau.grid, opts, lambda: _strong_scores(tau, sigma, omega, exps))
 
 
 def strong_norm_lower(
@@ -258,8 +287,10 @@ def strong_norm_lower(
     """Lower bound for ||T(f sigma)||_{L^q(omega)} over the unit L^p(sigma) sphere.
 
     Projected gradient ascent (clip, then renormalize) from Dirichlet-like
-    restarts plus the indicator of every cube. At p = q = 2 the exact
-    singular-value routine is used instead unless ``route_exact=False``.
+    restarts plus the indicators of the ``opts.restarts`` cubes R with the
+    largest sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}, scored in closed
+    form for every cube. At p = q = 2 the exact singular-value routine is used
+    instead unless ``route_exact=False``.
     """
     if exps.is_l2 and route_exact:
         return exact_norm_22(tau, sigma, omega)
@@ -272,16 +303,15 @@ def strong_norm_lower(
 
     def objective(f):
         h = _t_leafmass_batch(grid, tau.tau, f * s_lm)
-        return np.sum(h**q * w_lm, axis=1) ** (1.0 / q)
+        return np.sum(h**q * w_lm, axis=1) ** (1.0 / q), h
 
-    def proposals(f):
-        h = _t_leafmass_batch(grid, tau.tau, f * s_lm)
+    def proposals(f, h):
         path = _t_leafmass_batch(grid, tau.tau, h ** (q - 1.0) * w_lm)
         # the stationarity condition reads f^(p-1) proportional to `path` on
         # the support of sigma, so path**(1/(p-1)) is the fixed-point proposal
         return s_lm * path, path**dual_pow
 
-    pool = _seed_pool(grid, opts)
+    pool = _strong_pool(tau, sigma, omega, exps, opts)
     f, value, iterations, residual = _ascend(
         pool, lambda x: _project_lp_sphere(x, s_lm, exps.p), objective, proposals, opts
     )
@@ -297,14 +327,15 @@ def weak_norm_lower(
 ) -> NormEstimate:
     """Lower bound for the weak-type quasinorm sup_l l * omega(T(f sigma) > l)^(1/q).
 
-    For each candidate f in the seed pool the supremum over l is computed
-    exactly by scanning the sorted distinct leaf values of T(f sigma), each
-    nudged down by 2**-40 times the value scale so the strict inequality is
-    unambiguous in floating point.
+    The candidates f are the rows of the strong bound's seed pool, so the
+    result is at most the strong bound of the same options. For each f the
+    supremum over l is computed exactly by scanning the distinct leaf values
+    of T(f sigma), each nudged down by 2**-40 times the value scale so the
+    strict inequality is unambiguous in floating point.
     """
     opts = opts or AscentOptions()
     grid = tau.grid
-    pool = _project_lp_sphere(_seed_pool(grid, opts), sigma.leaf_mass, exps.p)
+    pool = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), sigma.leaf_mass, exps.p)
     h = _t_leafmass_batch(grid, tau.tau, pool * sigma.leaf_mass)
     best_val = 0.0
     best_row = 0
@@ -317,22 +348,27 @@ def weak_norm_lower(
 
 
 def _weak_scan(h: np.ndarray, w_lm: np.ndarray, q: float) -> float:
+    """max(0, max over distinct values v > 0 of h of l * omega(h > l)^(1/q)), l = v - nudge.
+
+    All thresholds go through one ``searchsorted``. numpy's vectorized power
+    may differ from the C library's in the last bit, so the few candidates
+    near the top are re-evaluated with Python floats: the result is the value
+    a scalar scan over the thresholds returns, bit for bit.
+    """
     scale = float(h.max(initial=0.0))
     if scale <= 0.0:
         return 0.0
-    offset = scale * 2.0**-40
     order = np.argsort(h)
     hs = h[order]
-    suffix = np.cumsum(w_lm[order][::-1])[::-1]
-    best = 0.0
-    for v in np.unique(hs[hs > 0]):
-        lam = float(v) - offset
-        i = int(np.searchsorted(hs, lam, side="right"))
-        mass = float(suffix[i]) if i < hs.size else 0.0
-        cand = lam * mass ** (1.0 / q)
-        if cand > best:
-            best = cand
-    return best
+    suffix = np.append(np.cumsum(w_lm[order][::-1])[::-1], 0.0)
+    lam = np.unique(hs[hs > 0]) - scale * 2.0**-40
+    mass = suffix[np.searchsorted(hs, lam, side="right")]
+    cand = lam * mass ** (1.0 / q)
+    top = float(cand.max())
+    if not top > 0.0:
+        return 0.0
+    near = np.flatnonzero(cand >= top * (1.0 - 1e-9))
+    return max(float(lam[i]) * float(mass[i]) ** (1.0 / q) for i in near)
 
 
 def carleson_embedding_constant(
@@ -344,9 +380,11 @@ def carleson_embedding_constant(
     """Lower bound for the Carleson embedding constant at exponent p.
 
     C_p = sup over unit-norm f >= 0 of (sum_Q tau_Q |E_Q f|^p)^(1/p), with
-    averages and norms against ``mu`` (Lebesgue when omitted). The indicator
-    seeds make the estimate at least the p-th root of the (weighted) Carleson
-    norm of tau; cubes with mu(Q) == 0 contribute nothing.
+    averages and norms against ``mu`` (Lebesgue when omitted). The pool holds
+    the indicators of the ``opts.restarts`` cubes whose normalized indicators
+    score best (``_cet_scores``, every cube in closed form). The best of them
+    makes the estimate at least the p-th root of the (weighted) Carleson norm
+    of tau; cubes with mu(Q) == 0 contribute nothing.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
@@ -366,20 +404,36 @@ def carleson_embedding_constant(
 
     def objective(f):
         avg = averages(f)
-        return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p)
+        return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p), avg
 
     dual_pow = 1.0 / (p - 1.0)
 
-    def proposals(f):
-        avg = averages(f)
+    def proposals(f, avg):
         coeff = tau.tau * avg ** (p - 1.0) * inv_mass
         path = _kernels.down_sum_batch(coeff, grid.parent, grid.level_offsets)[
             :, grid.leaf_start :
         ]
         return m_lm * path, path**dual_pow
 
-    pool = _seed_pool(grid, opts)
+    pool = _seed_pool(grid, opts, lambda: _cet_scores(grid, tau.tau, mass, p))
     f, value, iterations, residual = _ascend(
         pool, lambda x: _project_lp_sphere(x, m_lm, p), objective, proposals, opts
     )
     return NormEstimate(value, "lower-bound", f, None, iterations, residual)
+
+
+def _cet_scores(grid: DyadicGrid, tau: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
+    """The embedding objective at f = 1_R / mu(R)^(1/p) for every cube R; 0 where mu(R) == 0.
+
+    E_Q f is mu(R)^(-1/p) for Q inside R and mu(R)^(1 - 1/p) / mu(Q) for Q
+    strictly containing R, so objective^p = up_sum(tau [mu > 0])(R) / mu(R)
+    + mu(R)^(p-1) down_sum(tau mu^-p [mu > 0])(parent R): two tree scans.
+    """
+    ok = mass > 0
+    live = np.where(ok, tau, 0.0)
+    safe = np.where(ok, mass, 1.0)
+    inside = _kernels.up_sum(live, grid.child_order, grid.level_offsets) / safe
+    above = _kernels.down_sum(live * safe**-p, grid.parent, grid.level_offsets)
+    outside = np.zeros(grid.n_cubes)
+    outside[1:] = mass[1:] ** (p - 1.0) * above[grid.parent[1:]]
+    return np.where(ok, (inside + outside) ** (1.0 / p), 0.0)

@@ -256,7 +256,10 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
 
     Besides ``time_total`` the row carries per-stage wall times: the testing
     constants (report and, at p = q = 2, C1/C2), the Carleson embedding,
-    the norm estimates and the decomposition audit.
+    the norm estimates and the decomposition audit. ``cet_iterations`` and
+    ``strong_iterations`` count the solver iterations behind ``cet`` and
+    ``strong`` (ascent steps, or power iterations when the strong norm is
+    exact).
     """
     t0 = time.perf_counter()
     row: dict = {
@@ -288,6 +291,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     opts = cfg.ascent or AscentOptions(restarts=8, max_iter=120, seed=inst.seed)
     cet = carleson_embedding_constant(inst.tau, inst.exps.p, opts=opts)
     row["cet"] = cet.value
+    row["cet_iterations"] = cet.iterations
     if car ** (1.0 / inst.exps.p) > cet.value * (1 + 1e-12):
         flag(
             "cet-lower",
@@ -299,6 +303,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     row["strong"] = strong.value
+    row["strong_iterations"] = strong.iterations
     row["weak"] = weak.value
     row["strong_kind"] = strong.kind
     if weak.value > strong.value * (1 + 1e-12):

@@ -1,13 +1,21 @@
 """Norm estimation: exact L2 routine, dense oracle, and ascent lower bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twoweight import _kernels
 from twoweight.extremal import (
     AscentOptions,
     NormEstimate,
+    _cet_scores,
+    _indicator_rows,
+    _project_lp_sphere,
+    _strong_scores,
+    _top_cubes,
+    _weak_scan,
     carleson_embedding_constant,
     dense_norm_22,
     exact_norm_22,
@@ -257,3 +265,175 @@ def test_embedding_rejects_bad_exponent():
     g = build_grid(1, 1)
     with pytest.raises(ValueError):
         carleson_embedding_constant(CubeWeights(g, np.ones(3)), 1.0)
+
+
+# -- closed-form indicator scores against the dense indicator pool ---------------
+
+
+def _indicator_seeds(grid):
+    """Oracle: one row per cube, the indicator of its leaves (n_cubes x n_leaves)."""
+    anc = grid.leaf_ancestor_matrix()
+    seeds = np.zeros((grid.n_cubes, grid.n_leaves))
+    cols = np.arange(grid.n_leaves)
+    for lev in range(grid.depth + 1):
+        seeds[anc[lev], cols] = 1.0
+    return seeds
+
+
+def _oracle_cet(grid, tau, mu, p):
+    """The embedding objective evaluated on every normalized indicator row."""
+    f = _project_lp_sphere(_indicator_seeds(grid), mu.leaf_mass, p)
+    full = np.zeros((grid.n_cubes, grid.n_cubes))
+    full[:, grid.leaf_start :] = f * mu.leaf_mass
+    sums = _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets)
+    ok = mu.cube_mass > 0
+    avg = sums * np.where(ok, 1.0 / np.where(ok, mu.cube_mass, 1.0), 0.0)
+    return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p)
+
+
+def _oracle_strong(grid, tau, sigma, omega, exps):
+    """||T(f sigma)||_{L^q(omega)} on every normalized indicator row."""
+    f = _project_lp_sphere(_indicator_seeds(grid), sigma.leaf_mass, exps.p)
+    return np.array([
+        np.sum(apply_T(tau, Measure.product(row, sigma)) ** exps.q * omega.leaf_mass)
+        ** (1.0 / exps.q)
+        for row in f
+    ])
+
+
+def _score_instance(d, tau_style, weighted, seed):
+    g = build_grid(d, {1: 5, 2: 3, 3: 2}[d])
+    rng = np.random.default_rng(seed)
+    if tau_style == "root_only":
+        tau = CubeWeights.root_only(g)
+    else:
+        t = rng.exponential(size=g.n_cubes)
+        if tau_style == "sparse":
+            t[rng.random(g.n_cubes) < 0.7] = 0.0
+        tau = CubeWeights(g, t)
+
+    def measure():
+        if not weighted:
+            return Measure.lebesgue(g)
+        m = rng.lognormal(size=g.n_leaves)
+        m[g.subtree_leaf_mask(1)] = 0.0  # a whole child of the root is dead
+        m[rng.random(g.n_leaves) < 0.3] = 0.0
+        return Measure(g, m)
+
+    return g, tau, measure(), measure()
+
+
+def _assert_top_holds_argmax(scores, oracle, k):
+    top = _top_cubes(scores, k)
+    peak = oracle.max()
+    # cubes whose indicators test the same function tie in the oracle and may
+    # round apart in closed form; all of them make the cut when they fit
+    tied = np.flatnonzero(oracle >= peak * (1 - 1e-12))
+    assert oracle[top].max() >= peak * (1 - 1e-12)
+    if tied.size <= k:
+        assert int(np.argmax(oracle)) in top
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 2.0), (3.0, 4.0)])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("tau_style", ["random", "sparse", "root_only"])
+def test_closed_form_scores_match_indicator_pool(d, p, q, weighted, tau_style):
+    seed = 100 * d + 10 * int(p) + (5 if weighted else 0) + len(tau_style)
+    g, tau, sigma, omega = _score_instance(d, tau_style, weighted, seed)
+    if weighted:
+        assert sigma.cube_mass[1] == 0 and omega.cube_mass[1] == 0
+    exps = Exponents(p, q)
+
+    cet = _cet_scores(g, tau.tau, sigma.cube_mass, p)
+    oracle = _oracle_cet(g, tau, sigma, p)
+    np.testing.assert_allclose(cet, oracle, rtol=1e-12, atol=0.0)
+    _assert_top_holds_argmax(cet, oracle, 4)
+
+    strong = _strong_scores(tau, sigma, omega, exps)
+    oracle = _oracle_strong(g, tau, sigma, omega, exps)
+    np.testing.assert_allclose(strong, oracle, rtol=1e-12, atol=0.0)
+    _assert_top_holds_argmax(strong, oracle, 4)
+
+
+def test_indicator_rows_match_dense_pool():
+    for d, depth in ((1, 4), (2, 3), (3, 2)):
+        g = build_grid(d, depth)
+        cubes = np.array([0, 1, g.n_cubes // 3, g.leaf_start, g.n_cubes - 1])
+        np.testing.assert_array_equal(_indicator_rows(g, cubes), _indicator_seeds(g)[cubes])
+
+
+def test_top_cubes_stable_ties():
+    scores = np.array([1.0, 3.0, 2.0, 3.0, 0.0, 3.0])
+    assert _top_cubes(scores, 2).tolist() == [1, 3]
+    assert _top_cubes(scores, 4).tolist() == [1, 2, 3, 5]
+    assert _top_cubes(scores, 10).tolist() == list(range(6))
+
+
+def test_pool_holds_best_indicator_without_restarts():
+    # restarts=0 still seeds the best indicator, keeping car^(1/p) <= C_p
+    g, tau, _, _ = _random_instance(1, 4, seed=13)
+    car, _ = carleson_norm(tau)
+    est = carleson_embedding_constant(tau, 2.0, opts=AscentOptions(restarts=0))
+    assert est.value >= math.sqrt(car) * (1 - 1e-12)
+
+
+# -- the weak scan against its per-threshold loop --------------------------------
+
+
+def _weak_scan_loop(h, w_lm, q):
+    """Oracle: one searchsorted and one Python-float power per distinct value."""
+    scale = float(h.max(initial=0.0))
+    if scale <= 0.0:
+        return 0.0
+    offset = scale * 2.0**-40
+    order = np.argsort(h)
+    hs = h[order]
+    suffix = np.cumsum(w_lm[order][::-1])[::-1]
+    best = 0.0
+    for v in np.unique(hs[hs > 0]):
+        lam = float(v) - offset
+        i = int(np.searchsorted(hs, lam, side="right"))
+        mass = float(suffix[i]) if i < hs.size else 0.0
+        cand = lam * mass ** (1.0 / q)
+        if cand > best:
+            best = cand
+    return best
+
+
+def test_weak_scan_bit_identical_to_loop():
+    rng = np.random.default_rng(17)
+    for i in range(400):
+        m = int(rng.integers(1, 200))
+        h = rng.exponential(size=m) * (rng.random(m) < 0.8)
+        if i % 3 == 0:
+            h = np.round(h, 2)  # repeated values
+        w = rng.exponential(size=m) * (rng.random(m) < 0.9)
+        for q in (4.0 / 3.0, 1.5, 2.0, 3.0, 4.0):
+            assert _weak_scan(h, w, q) == _weak_scan_loop(h, w, q)
+    assert _weak_scan(np.zeros(5), np.ones(5), 2.0) == 0.0
+
+
+# -- memory ------------------------------------------------------------------------
+
+
+def test_ascent_memory_bounded_at_depth_12():
+    # the dense indicator pool alone would be 8191 x 4096 doubles = 268 MB
+    g = build_grid(1, 12)
+    rng = np.random.default_rng(19)
+    tau = CubeWeights(g, rng.exponential(size=g.n_cubes))
+    sigma = Measure(g, rng.lognormal(size=g.n_leaves))
+    omega = Measure(g, rng.lognormal(size=g.n_leaves))
+    exps = Exponents(1.5, 3.0)
+    for run in (
+        lambda: carleson_embedding_constant(tau, 1.5),
+        lambda: strong_norm_lower(tau, sigma, omega, exps),
+        lambda: weak_norm_lower(tau, sigma, omega, exps),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from twoweight.cli import main
-from twoweight.extremal import AscentOptions
+from twoweight.extremal import (
+    AscentOptions,
+    carleson_embedding_constant,
+    exact_norm_22,
+    strong_norm_lower,
+)
 from twoweight.harness import (
     THREADS_ENV,
     ConfigError,
@@ -205,6 +210,22 @@ def test_suite_off_diagonal_rows():
     for row in report.rows:
         assert "c3" not in row  # the L2 block is diagonal-only
         assert row["weak"] <= row["strong"] * (1 + 1e-12)
+
+
+def test_suite_rows_carry_solver_iterations():
+    gens = [GeneratorConfig(d=1, depth=3, p=1.5, q=3.0), GeneratorConfig(d=1, depth=3)]
+    report = run_suite(SuiteConfig(generators=gens, n=1, seed=5, ascent=FAST_ASCENT, run_audits=False))
+    seeds = np.random.SeedSequence(5).generate_state(2, dtype=np.uint64)
+    for row, cfg, seed in zip(report.rows, gens, seeds):
+        inst = gen_instance(cfg, int(seed))
+        cet = carleson_embedding_constant(inst.tau, inst.exps.p, opts=FAST_ASCENT)
+        if inst.exps.is_l2:
+            strong = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+        else:
+            strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, FAST_ASCENT)
+        assert (row["cet"], row["cet_iterations"]) == (cet.value, cet.iterations)
+        assert (row["strong"], row["strong_iterations"]) == (strong.value, strong.iterations)
+        assert row["cet_iterations"] >= 1 and row["strong_iterations"] >= 1
 
 
 def test_resolve_threads(monkeypatch):
