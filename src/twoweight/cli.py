@@ -3,7 +3,7 @@
 Subcommands: gen, apply, testing, norm, decompose, verify. Exit code 0 means
 all checks passed, 1 means an exact-direction check failed, 2 means the
 configuration or an input file was invalid (including a grid over the leaf
-budget and a malformed instance file).
+budget and an unreadable or malformed instance or --f file).
 """
 
 from __future__ import annotations
@@ -36,13 +36,20 @@ from .operators import apply_T
 from .prooflab import classify_cubes, principal_cubes, whitney_layers
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="master random seed")
-    sub.add_argument("--tol", type=float, default=1e-8, help="relative tolerance for checks")
-    sub.add_argument("--eta", type=float, default=0.25, help="classification mass fraction")
-    sub.add_argument("--rho", type=int, default=1, help="margin levels in the cube layers")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads for suites")
-    sub.add_argument("--out", default=None, help="output file or directory")
+_FLAGS = {
+    "seed": dict(type=int, default=0, help="master random seed"),
+    "tol": dict(type=float, default=1e-8, help="relative tolerance for checks"),
+    "eta": dict(type=float, default=0.25, help="classification mass fraction"),
+    "rho": dict(type=int, default=1, help="margin levels in the cube layers"),
+    "threads": dict(type=int, default=None, help="worker threads for suites"),
+    "out": dict(default=None, help="output file or directory"),
+}
+
+
+def _flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand exactly the shared flags it reads."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _gen_flags(sub: argparse.ArgumentParser) -> None:
@@ -78,7 +85,10 @@ def _load_f(inst: Instance, path: str | None) -> np.ndarray:
     if path is None:
         return instance_f(inst)
     with open(path) as fh:
-        f = np.array(json.load(fh), dtype=np.float64)
+        try:
+            f = np.asarray_chkfinite(json.load(fh), dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"f must be a JSON array of finite numbers: {exc}") from exc
     if f.shape != (inst.grid.n_leaves,):
         raise ConfigError(f"f must have {inst.grid.n_leaves} leaf values, got {f.shape}")
     return f
@@ -196,35 +206,35 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate an instance as canonical JSON")
-    _common_flags(gen)
+    _flags(gen, "seed", "out")
     _gen_flags(gen)
     gen.set_defaults(func=_cmd_gen)
 
     apply_p = subs.add_parser("apply", help="apply the operator to f on an instance")
-    _common_flags(apply_p)
+    _flags(apply_p, "out")
     apply_p.add_argument("--instance", required=True, help="instance JSON file")
     apply_p.add_argument("--f", default=None, help="file with a JSON array of leaf values")
     apply_p.set_defaults(func=_cmd_apply)
 
     testing = subs.add_parser("testing", help="testing constants and Carleson data")
-    _common_flags(testing)
+    _flags(testing, "seed", "tol", "out")
     testing.add_argument("--instance", required=True)
     testing.set_defaults(func=_cmd_testing)
 
     norm = subs.add_parser("norm", help="norm estimates (exact at p=q=2, bounds otherwise)")
-    _common_flags(norm)
+    _flags(norm, "seed", "tol", "out")
     norm.add_argument("--instance", required=True)
     norm.add_argument("--extremals", action="store_true", help="include extremal functions")
     norm.set_defaults(func=_cmd_norm)
 
     deco = subs.add_parser("decompose", help="layer/classification/principal JSON")
-    _common_flags(deco)
+    _flags(deco, "eta", "rho", "out")
     deco.add_argument("--instance", required=True)
     deco.add_argument("--f", default=None, help="file with a JSON array of leaf values")
     deco.set_defaults(func=_cmd_decompose)
 
     verify = subs.add_parser("verify", help="run the verification suite")
-    _common_flags(verify)
+    _flags(verify, "seed", "eta", "rho", "threads", "out")
     _gen_flags(verify)
     verify.add_argument("--n", type=int, default=50, help="instances per generator")
     verify.add_argument("--ratio-cap", type=float, default=16.0)
@@ -238,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridSizeError, FileNotFoundError) as exc:
+    except (ConfigError, GridSizeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

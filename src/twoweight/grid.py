@@ -182,6 +182,21 @@ class DyadicGrid:
         within = index - int(self.level_offsets[lev])
         return self.child_order[lo + within * self.arity : lo + (within + 1) * self.arity]
 
+    def ancestor(self, index, j):
+        """The j-fold parent of a cube index, -1 above the root; ``index`` and ``j``
+        are ints (giving an int) or int arrays, broadcast against each other."""
+        a = np.asarray(index, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        if a.size and (a.min() < 0 or a.max() >= self.n_cubes):
+            raise ValueError("cube index out of range")
+        if j.size and j.min() < 0:
+            raise ValueError("parent order must be >= 0")
+        a = a + 0 * j  # broadcast, and a fresh array
+        # after depth + 1 steps every cube is above the root
+        for step in range(min(int(j.max(initial=0)), self.depth + 1)):
+            a = np.where((step < j) & (a >= 0), self.parent[a], a)
+        return int(a) if a.ndim == 0 else a
+
     def ancestor_indices(self, index: int, include_self: bool = True) -> list:
         """Chain from the cube up to the root, deepest first."""
         chain = []

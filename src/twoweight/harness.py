@@ -39,8 +39,6 @@ from .prooflab import audit_decomposition
 SIGMA_STYLES = ("lognormal", "spikes", "uniform")
 TAU_STYLES = ("random", "fractional", "sparse", "root_only")
 
-THREADS_ENV = "TWOWEIGHT_THREADS"
-
 
 class ConfigError(ValueError):
     """Raised when a generator or suite configuration is invalid."""
@@ -226,12 +224,6 @@ class SuiteConfig:
     def resolve_threads(self) -> int:
         if self.threads is not None:
             return max(1, self.threads)
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
         return min(8, os.cpu_count() or 1)
 
 

@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .grid import (
-    CubeRef,
-    DyadicGrid,
-    Measure,
-    lp_norm,
-    parent as cube_parent,
-    weighted_avg,
-)
+from .grid import CubeRef, DyadicGrid, Measure, cube_integrals, lp_norm
 from .operators import CubeWeights, apply_T, apply_T_restricted, maximal
 
 DEFAULT_M = 5
@@ -74,6 +67,60 @@ def _full_cube_mask(grid: DyadicGrid, leaf_mask: np.ndarray) -> np.ndarray:
     return counts == totals
 
 
+def _maximal_mask(grid: DyadicGrid, full: np.ndarray) -> np.ndarray:
+    """Boolean per cube: in ``full`` while its parent is not."""
+    keep = full.copy()
+    keep[1:] &= ~full[grid.parent[1:]]
+    return keep
+
+
+def _counts(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
+    """How often each cube occurs in ``cubes``, as one float per cube."""
+    return np.bincount(cubes, minlength=grid.n_cubes).astype(np.float64)
+
+
+def _below(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
+    """Per cube, how many entries of ``cubes`` contain it (itself included)."""
+    return _kernels.down_sum(_counts(grid, cubes), grid.parent, grid.level_offsets)
+
+
+def _handle(c: int):
+    """A cube index as the operators take it; -1 becomes a virtual cube."""
+    return c if c >= 0 else CubeRef(-1)
+
+
+def _leaf_mask(grid: DyadicGrid, c: int) -> np.ndarray:
+    """Leaf mask of cube ``c``; every leaf for -1, the cube above the root."""
+    if c < 0:
+        return np.ones(grid.n_leaves, dtype=bool)
+    leaves = np.arange(grid.leaf_start, grid.n_cubes)
+    return grid.ancestor(leaves, grid.depth - int(grid.levels[c])) == c
+
+
+def _leaves_under(grid: DyadicGrid, cubes: np.ndarray, leaves: np.ndarray) -> dict:
+    """Cube index -> the sorted positions of ``leaves`` inside it, for every cube of ``cubes``."""
+    groups = {}
+    for lev in np.unique(grid.levels[cubes]):
+        owner = grid.ancestor(grid.leaf_start + leaves, grid.depth - int(lev))
+        hit = np.isin(owner, cubes)
+        order = np.argsort(owner[hit], kind="stable")
+        keys, starts = np.unique(owner[hit][order], return_index=True)
+        groups.update(zip(keys.tolist(), np.split(leaves[hit][order], starts[1:])))
+    empty = np.empty(0, dtype=np.int64)
+    return {int(c): groups.get(int(c), empty) for c in cubes}
+
+
+def _meets(grid: DyadicGrid, cubes: np.ndarray, u: int) -> np.ndarray:
+    """Which of ``cubes`` meet cube ``u``; -1, the cube above the root, meets all.
+
+    Two dyadic cubes meet when they have the same ancestor at the coarser level of the two.
+    """
+    if u < 0:
+        return np.ones(len(cubes), dtype=bool)
+    gap = grid.levels[cubes] - grid.levels[u]
+    return grid.ancestor(cubes, np.maximum(gap, 0)) == grid.ancestor(u, np.maximum(-gap, 0))
+
+
 def superlevel_maximal_cubes(
     grid: DyadicGrid, v, lam: float, *, require_double: bool = False
 ) -> np.ndarray:
@@ -85,16 +132,9 @@ def superlevel_maximal_cubes(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (grid.n_leaves,):
         raise ValueError(f"expected {grid.n_leaves} leaf values, got shape {v.shape}")
-    full = _full_cube_mask(grid, v > lam)
-    keep = full.copy()
-    keep[1:] &= ~full[grid.parent[1:]]
+    keep = _maximal_mask(grid, _full_cube_mask(grid, v > lam))
     if require_double:
-        hits = _kernels.up_sum(
-            grid.embed_leaf_values((v > 2 * lam).astype(np.float64)),
-            grid.child_order,
-            grid.level_offsets,
-        )
-        keep &= hits > 0
+        keep &= ~_full_cube_mask(grid, ~(v > 2 * lam))
     return np.flatnonzero(keep).astype(np.int64)
 
 
@@ -181,8 +221,10 @@ def whitney_layers(
     k_lo = _largest_k_below(base, float(positive.min()))
     k_hi = _largest_k_below(base, float(positive.max()))
 
-    anc = grid.leaf_ancestor_matrix()
-    cols = np.arange(grid.n_leaves)
+    # A Whitney cube lies rho levels below a maximal cube of Omega_k; a leaf
+    # fewer than rho levels below one is its own, clamped, Whitney cube.
+    up = grid.ancestor(np.arange(grid.n_cubes), rho)
+    real = up >= 0
     for k in range(k_lo, k_hi + 1):
         thr = _power(base, k)
         in_mask = v > thr
@@ -194,14 +236,10 @@ def whitney_layers(
             )
             continue
         full = _full_cube_mask(grid, in_mask)
-        full_anc = full[anc]  # (depth+1, n_leaves), monotone down each column
-        j = np.argmax(full_anc, axis=0)  # topmost contained level per leaf
-        w_level = np.minimum(j + rho, grid.depth)
-        w_idx = anc[w_level, cols]
-        sel = np.flatnonzero(in_mask)
-        cubes, first = np.unique(w_idx[sel], return_index=True)
-        clamped = (j[sel][first] + rho) > grid.depth
-        deco.layers.append(WhitneyLayer(k, thr, cubes.astype(np.int64), clamped, False))
+        clamped = np.zeros(grid.n_cubes, dtype=bool)
+        clamped[grid.leaf_start :] = in_mask & ~(real & full[up])[grid.leaf_start :]
+        cubes = np.flatnonzero((real & _maximal_mask(grid, full)[up]) | clamped)
+        deco.layers.append(WhitneyLayer(k, thr, cubes.astype(np.int64), clamped[cubes], False))
 
     _audit_whitney(deco)
     return deco
@@ -217,78 +255,66 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
     for lay in deco.layers:
         in_mask = deco.omega_mask(lay.k)
         full = _full_cube_mask(grid, in_mask)
+        cnt = _counts(grid, lay.cubes)
+        below = _kernels.down_sum(cnt, grid.parent, grid.level_offsets)
 
         # disjoint cover
-        cover = np.zeros(grid.n_leaves, dtype=np.int64)
-        masks = []
-        for c in lay.cubes:
-            m = grid.subtree_leaf_mask(int(c))
-            masks.append(m)
-            cover += m
+        cover = below[grid.leaf_start :]
         if not (np.all(cover[in_mask] == 1) and np.all(cover[~in_mask] == 0)):
             deco.violations.append(f"disjoint-cover k={lay.k}: cubes do not disjointly cover the set")
 
         # margin condition: rho-fold parent inside, (rho+1)-fold escapes
+        up = grid.ancestor(lay.cubes, rho)
+        real = up >= 0
         if not lay.saturated:
-            for c, fl in zip(lay.cubes, lay.clamped):
-                if fl:
-                    continue
-                lev = int(grid.levels[c])
-                up = cube_parent(grid, grid.cube(int(c)), rho)
-                if up.is_virtual or not full[grid.index_of(up)]:
+            up2 = grid.ancestor(lay.cubes, rho + 1)
+            outside = ~(real & full[up]) & ~lay.clamped
+            stuck = (up2 >= 0) & full[up2] & ~lay.clamped
+            for i in np.flatnonzero(outside | stuck):
+                c = int(lay.cubes[i])
+                if outside[i]:
+                    deco.violations.append(f"margin k={lay.k} cube {c}: {rho}-fold parent not inside")
+                if stuck[i]:
                     deco.violations.append(
-                        f"margin k={lay.k} cube {int(c)}: {rho}-fold parent not inside"
-                    )
-                up2 = cube_parent(grid, grid.cube(int(c)), rho + 1)
-                if not up2.is_virtual and full[grid.index_of(up2)]:
-                    deco.violations.append(
-                        f"margin k={lay.k} cube {int(c)}: {rho + 1}-fold parent fails to escape"
+                        f"margin k={lay.k} cube {c}: {rho + 1}-fold parent fails to escape"
                     )
 
-        # finite overlap of rho-fold parents on the set
-        overlap = np.zeros(grid.n_leaves, dtype=np.int64)
-        parent_masks = []
-        for c in lay.cubes:
-            up = cube_parent(grid, grid.cube(int(c)), rho)
-            pm = (
-                np.ones(grid.n_leaves, dtype=bool)
-                if up.is_virtual
-                else grid.subtree_leaf_mask(grid.index_of(up))
-            )
-            parent_masks.append(pm)
-            overlap += pm
+        # finite overlap of rho-fold parents on the set; a parent above the
+        # root covers every leaf
+        overlap = _below(grid, up[real])[grid.leaf_start :] + np.count_nonzero(~real)
         if in_mask.any():
             fo = int(overlap[in_mask].max())
             deco.fo_max = max(deco.fo_max, fo)
             if fo > fo_cap:
                 deco.violations.append(f"finite-overlap k={lay.k}: overlap {fo} exceeds cap {fo_cap}")
 
-        # crowding: same-layer cubes meeting each rho-fold parent
-        for pm in parent_masks:
-            crowd = sum(1 for m in masks if np.any(m & pm))
-            deco.crowd_max = max(deco.crowd_max, crowd)
-            if crowd > crowd_cap:
-                deco.violations.append(
-                    f"crowding k={lay.k}: {crowd} neighbors exceed cap {crowd_cap}"
-                )
+        # crowding: same-layer cubes meeting each rho-fold parent, i.e. inside
+        # it or containing it
+        meeting = _kernels.up_sum(cnt, grid.child_order, grid.level_offsets) + below - cnt
+        crowd = np.where(real, meeting[up], len(lay.cubes)).astype(np.int64)
+        deco.crowd_max = max(deco.crowd_max, int(crowd.max(initial=0)))
+        for n in crowd[crowd > crowd_cap]:
+            deco.violations.append(f"crowding k={lay.k}: {n} neighbors exceed cap {crowd_cap}")
 
-    # nestedness: strict containment only ever points from deeper layers down
-    for a in deco.layers:
-        for b in deco.layers:
+    # nestedness: strict containment only ever points from deeper layers down;
+    # layer b's count pass, read at q's parent, counts the b-cubes strictly containing q
+    layers = deco.layers
+    parents = [grid.ancestor(lay.cubes, 1) for lay in layers]
+    hits = []
+    for bi, b in enumerate(layers):
+        around = _below(grid, b.cubes)
+        for ai, a in enumerate(layers):
             if a.k > b.k:
                 continue  # violation requires k <= l
-            for q in a.cubes:
-                lev_q = int(grid.levels[q])
-                for qp in b.cubes:
-                    lev_p = int(grid.levels[qp])
-                    if lev_q <= lev_p:
-                        continue
-                    anc_q = grid.ancestor_indices(int(q))
-                    if anc_q[lev_q - lev_p] == int(qp):
-                        deco.violations.append(
-                            f"nestedness cube {int(q)} in k={a.k} strictly inside "
-                            f"cube {int(qp)} of k={b.k}"
-                        )
+            inside = (parents[ai] >= 0) & (around[parents[ai]] > 0)
+            hits += [(ai, bi, int(q)) for q in a.cubes[inside]]
+    for ai, bi, q in sorted(hits, key=lambda h: h[:2]):
+        a, b = layers[ai], layers[bi]
+        gap = grid.levels[q] - grid.levels[b.cubes]
+        for qp in b.cubes[(gap > 0) & (grid.ancestor(q, np.maximum(gap, 0)) == b.cubes)]:
+            deco.violations.append(
+                f"nestedness cube {q} in k={a.k} strictly inside cube {int(qp)} of k={b.k}"
+            )
 
 
 @dataclass
@@ -311,11 +337,9 @@ def corridor_sets(deco: WhitneyDecomposition, m: int = DEFAULT_M) -> CorridorSet
     out = CorridorSets(deco, m, {})
     for lay in deco.layers:
         band = deco.omega_mask(lay.k + m - 1) & ~deco.omega_mask(lay.k + m)
-        seen = np.zeros(grid.n_leaves, dtype=np.int64)
-        for c in lay.cubes:
-            mask = grid.subtree_leaf_mask(int(c)) & band
-            seen += mask
-            out.sets[(lay.k, int(c))] = np.flatnonzero(mask).astype(np.int64)
+        seen = np.where(band, _below(grid, lay.cubes)[grid.leaf_start :], 0.0)
+        groups = _leaves_under(grid, lay.cubes, np.flatnonzero(band))
+        out.sets.update(((lay.k, c), leaves) for c, leaves in groups.items())
         target = band & deco.omega_mask(lay.k)
         if not (np.all(seen[target] == 1) and np.all(seen[~target] == 0)):
             out.violations.append(
@@ -344,12 +368,6 @@ class ClassifiedDecomposition:
     entries: list[ClassifiedCube]
     violations: list[str] = field(default_factory=list)
     key_margin_min: float = math.inf  # min (alpha+beta)/(thr * omega(E)) observed
-
-    def entry(self, k: int, cube: int) -> ClassifiedCube | None:
-        for e in self.entries:
-            if e.k == k and e.cube == cube:
-                return e
-        return None
 
     def to_json_dict(self) -> dict:
         grid = self.whitney.grid
@@ -415,13 +433,9 @@ def classify_cubes(
             w_e = float(omega.leaf_mass[leaves].sum())
             w_q = float(omega.cube_mass[c])
 
-            up = cube_parent(grid, grid.cube(c), 1)
-            dom = (
-                np.ones(grid.n_leaves, dtype=bool)
-                if up.is_virtual
-                else grid.subtree_leaf_mask(grid.index_of(up))
-            )
-            t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), up, "in")
+            up = grid.ancestor(c, 1)
+            dom = _leaf_mask(grid, up)
+            t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
             integrand = f * t_in * sigma.leaf_mass
             alpha = float(integrand[dom & ~above].sum())
             beta = float(integrand[dom & above].sum())
@@ -451,10 +465,8 @@ def classify_cubes(
         by_cube.setdefault(e.cube, []).append(e)
     many_cap = math.ceil(1.0 / eta)
     for c, entries in by_cube.items():
-        seen = np.zeros(grid.n_leaves, dtype=np.int64)
-        for e in entries:
-            seen[e.corridor] += 1
-        if seen.max(initial=0) > 1:
+        leaves = np.concatenate([e.corridor for e in entries])
+        if np.unique(leaves).size < leaves.size:
             out.violations.append(f"corridors of cube {c} overlap across layers")
         hot = sum(1 for e in entries if e.cls != 1)
         if hot > many_cap:
@@ -491,19 +503,13 @@ def neighbor_sets(
     grid = deco.grid
     lay = deco.layer(k)
     q = grid.index_of(cube)
-    if lay is None or q not in set(int(c) for c in lay.cubes):
+    if lay is None or not np.any(lay.cubes == q):
         raise ValueError(f"cube {q} is not in layer k={k}")
-    up = cube_parent(grid, grid.cube(q), 1)
-    up_mask = (
-        np.ones(grid.n_leaves, dtype=bool)
-        if up.is_virtual
-        else grid.subtree_leaf_mask(grid.index_of(up))
-    )
-    out = NeighborSets(k, q, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    up = grid.ancestor(q, 1)
+    nbr = np.sort(lay.cubes[_meets(grid, lay.cubes, up)])
+    out = NeighborSets(k, q, nbr, np.empty(0, dtype=np.int64))
 
     crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * grid.d)
-    nbr = [int(c) for c in lay.cubes if np.any(grid.subtree_leaf_mask(int(c)) & up_mask)]
-    out.neighbors = np.array(sorted(nbr), dtype=np.int64)
     if out.neighbors.size > crowd_cap:
         out.violations.append(
             f"neighbor count {out.neighbors.size} exceeds cap {crowd_cap} at k={k}"
@@ -511,24 +517,21 @@ def neighbor_sets(
 
     lay_hi = deco.layer(k + m)
     if lay_hi is not None:
-        ref = [
-            int(c)
-            for c in lay_hi.cubes
-            if np.any(grid.subtree_leaf_mask(int(c)) & up_mask)
-        ]
-        out.refined = np.array(sorted(ref), dtype=np.int64)
+        out.refined = np.sort(lay_hi.cubes[_meets(grid, lay_hi.cubes, up)])
         for r in out.refined:
-            if not np.all(up_mask[grid.subtree_leaf_mask(int(r))]):
+            # a refinement cube meeting the parent but not inside it contains it
+            if up >= 0 and grid.levels[r] < grid.levels[up]:
                 out.violations.append(
                     f"refinement cube {int(r)} at k+m={k + m} is not inside the parent of {q}"
                 )
 
     if tau is not None and omega is not None and out.refined.size:
         band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
-        e_mask = grid.subtree_leaf_mask(q) & band
-        t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), up, "in")
+        e_mask = _leaf_mask(grid, q) & band
+        t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
+        groups = _leaves_under(grid, out.refined, np.arange(grid.n_leaves))
         for r in out.refined:
-            vals = t_in[grid.subtree_leaf_mask(int(r))]
+            vals = t_in[groups[int(r)]]
             if vals.size and not np.all(vals == vals[0]):
                 out.violations.append(
                     f"refinement-constant localization not constant on refinement cube {int(r)}"
@@ -615,70 +618,60 @@ def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
     seed_idx = sorted({grid.index_of(s) for s in seeds})
     skipped = [i for i in seed_idx if sigma.cube_mass[i] == 0]
     usable = [i for i in seed_idx if sigma.cube_mass[i] > 0]
-    forest = PrincipalForest(grid, f.copy(), sigma, np.empty(0, dtype=np.int64), {}, {})
-    forest.skipped = skipped
+    forest = PrincipalForest(grid, f.copy(), sigma, np.empty(0, dtype=np.int64), {}, {}, skipped)
     if not usable:
         return forest
 
-    seed_set = set(usable)
-    avg = {i: weighted_avg(f, sigma, i) for i in usable}
+    cubes = np.array(usable, dtype=np.int64)
+    averages = cube_integrals(f, sigma)[cubes] / sigma.cube_mass[cubes]
+    avg = dict(zip(usable, averages.tolist()))
 
-    def strict_seed_ancestors(i: int):
-        return [a for a in grid.ancestor_indices(i, include_self=False) if a in seed_set]
-
-    maximal_seeds = [i for i in usable if not strict_seed_ancestors(i)]
     family: list[int] = []
-    queue = list(maximal_seeds)
+    queue = _outermost(grid, cubes).tolist()
     while queue:
         g = queue.pop()
         family.append(g)
-        bar = 2.0 * avg[g]
-        inside = [
-            i
-            for i in usable
-            if i != g
-            and int(grid.levels[i]) > int(grid.levels[g])
-            and grid.ancestor_indices(i)[int(grid.levels[i]) - int(grid.levels[g])] == g
-            and avg[i] > bar
-        ]
-        chosen = [
-            i
-            for i in inside
-            if not any(a in inside for a in grid.ancestor_indices(i, include_self=False))
-        ]
-        queue.extend(chosen)
+        gap = grid.levels[cubes] - grid.levels[g]
+        inside = (gap > 0) & (grid.ancestor(cubes, np.maximum(gap, 0)) == g)
+        queue.extend(_outermost(grid, cubes[inside & (averages > 2.0 * avg[g])]).tolist())
 
-    fam_set = set(family)
     forest.cubes = np.array(sorted(family), dtype=np.int64)
     forest.averages = {i: avg[i] for i in family}
-    for i in usable:
-        for a in grid.ancestor_indices(i):
-            if a in fam_set:
-                forest.gamma[i] = a
-                break
+    marks = np.full(grid.n_cubes, -1.0)
+    marks[family] = family
+    # the deepest member containing a seed has the largest index on its line
+    governing = _kernels.down_max(marks, grid.parent, grid.level_offsets)[cubes]
+    forest.gamma = {i: int(g) for i, g in zip(usable, governing) if g >= 0}
+    forest.violations = _principal_violations(grid, usable, avg, family, forest.gamma)
+    return forest
 
+
+def _outermost(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
+    """The entries of ``cubes`` with no strict ancestor among ``cubes``."""
+    above = grid.ancestor(cubes[:, None], np.arange(1, grid.depth + 1))
+    return cubes[~np.isin(above, cubes).any(axis=1)]
+
+
+def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[str]:
+    """Audit of a principal family: every seed governed and dominated, averages doubling."""
+    out = []
     for i in usable:
-        g = forest.gamma.get(i)
+        g = gamma.get(i)
         if g is None:
-            forest.violations.append(f"seed {i} has no governing principal cube")
+            out.append(f"seed {i} has no governing principal cube")
             continue
         if avg[i] > 2.0 * avg[g] * (1 + 1e-12):
-            forest.violations.append(
+            out.append(
                 f"principal-domination seed {i}: average {avg[i]!r} exceeds twice that of {g}"
             )
-    fam_sorted = sorted(family, key=lambda i: int(grid.levels[i]))
-    for gi in fam_sorted:
-        for gj in fam_sorted:
-            li, lj = int(grid.levels[gi]), int(grid.levels[gj])
-            if lj <= li:
-                continue
-            if grid.ancestor_indices(gj)[lj - li] != gi:
-                continue
-            if not (2.0 * avg[gi] < avg[gj]):
-                forest.violations.append(
-                    f"principal-doubling chain {gj} inside {gi}: averages fail to double"
-                )
-    return forest
+    fam = np.array(sorted(family, key=lambda i: int(grid.levels[i])), dtype=np.int64)
+    fam_avg = np.array([avg[int(i)] for i in fam])
+    for gi in fam:
+        gap = grid.levels[fam] - grid.levels[gi]
+        chain = (gap > 0) & (grid.ancestor(fam, np.maximum(gap, 0)) == gi)
+        for gj in fam[chain & ~(2.0 * avg[int(gi)] < fam_avg)]:
+            out.append(f"principal-doubling chain {gj} inside {gi}: averages fail to double")
+    return out
 
 
 def geometric_sum_audit(forest: PrincipalForest) -> float:
@@ -690,9 +683,10 @@ def geometric_sum_audit(forest: PrincipalForest) -> float:
     grid = forest.grid
     if forest.cubes.size == 0:
         return 0.0
-    numer = np.zeros(grid.n_leaves)
-    for c in forest.cubes:
-        numer[grid.subtree_leaf_mask(int(c))] += forest.averages[int(c)]
+    # each leaf adds the averages root first, as a loop over ascending indices would
+    placed = np.zeros(grid.n_cubes)
+    placed[forest.cubes] = [forest.averages[int(c)] for c in forest.cubes]
+    numer = _kernels.down_sum(placed, grid.parent, grid.level_offsets)[grid.leaf_start :]
     mx = maximal(forest.f, forest.sigma)
     bad = (numer > 0) & (mx == 0)
     if np.any(bad):
@@ -729,26 +723,15 @@ def halving_chain(omega: Measure, x, q0) -> list[int]:
     if int(grid.levels[xi]) != grid.depth:
         raise ValueError("x must be a leaf cube")
     q0i = grid.index_of(q0)
-    line = grid.ancestor_indices(xi)  # deepest first
-    if q0i not in line:
+    height = grid.depth - int(grid.levels[q0i])
+    if grid.ancestor(xi, height) != q0i:
         raise ValueError("x does not lie in the starting cube")
     if omega.cube_mass[q0i] == 0:
         raise ValueError("starting cube has zero mass")
-    start = line.index(q0i)
-    line = line[: start + 1][::-1]  # q0 first, leaf last
     chain = [q0i]
-    pos = 0
-    while pos < len(line) - 1:
-        cur_mass = float(omega.cube_mass[line[pos]])
-        nxt = None
-        for t in range(pos + 1, len(line)):
-            if float(omega.cube_mass[line[t]]) <= 0.5 * cur_mass:
-                nxt = t
-                break
-        if nxt is None:
-            break
-        chain.append(line[nxt])
-        pos = nxt
+    for c in grid.ancestor(xi, np.arange(height - 1, -1, -1)).tolist():  # down to the leaf
+        if omega.cube_mass[c] <= 0.5 * omega.cube_mass[chain[-1]]:
+            chain.append(c)
     return chain
 
 
@@ -782,15 +765,13 @@ def max_principle_audit(
         thr = lay.threshold
         for c in lay.cubes:
             c = int(c)
-            q_leaves = np.flatnonzero(grid.subtree_leaf_mask(c))
-            up1 = cube_parent(grid, grid.cube(c), 1)
-            up2 = cube_parent(grid, grid.cube(c), 2)
-            up2_mask = (
-                np.ones(grid.n_leaves, dtype=bool)
-                if up2.is_virtual
-                else grid.subtree_leaf_mask(grid.index_of(up2))
+            q_leaves = np.flatnonzero(_leaf_mask(grid, c))
+            up1 = grid.ancestor(c, 1)
+            up2 = grid.ancestor(c, 2)
+            up2_mask = _leaf_mask(grid, up2)
+            out_local = apply_T_restricted(
+                tau, fs.with_leaf_mask(up2_mask), _handle(up2), "out"
             )
-            out_local = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), up2, "out")
             out_far = apply_T(tau, fs.with_leaf_mask(~up2_mask))
             for leaf in q_leaves:
                 if out_local[leaf] > thr * (1 + rtol):
@@ -807,7 +788,7 @@ def max_principle_audit(
                     )
             corridor = corridors.sets[(lay.k, c)]
             if corridor.size:
-                t_in = apply_T_restricted(tau, fs, up1, "in")
+                t_in = apply_T_restricted(tau, fs, _handle(up1), "in")
                 for leaf in corridor:
                     if t_in[leaf] < thr * (1 - rtol):
                         violations.append(

@@ -14,7 +14,6 @@ from twoweight.extremal import (
     strong_norm_lower,
 )
 from twoweight.harness import (
-    THREADS_ENV,
     ConfigError,
     GeneratorConfig,
     Instance,
@@ -228,15 +227,9 @@ def test_suite_rows_carry_solver_iterations():
         assert row["cet_iterations"] >= 1 and row["strong_iterations"] >= 1
 
 
-def test_resolve_threads(monkeypatch):
+def test_resolve_threads():
     assert SuiteConfig(threads=5).resolve_threads() == 5
     assert SuiteConfig(threads=-2).resolve_threads() == 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert SuiteConfig().resolve_threads() == 3
-    monkeypatch.setenv(THREADS_ENV, "lots")
-    with pytest.raises(ConfigError):
-        SuiteConfig().resolve_threads()
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     assert SuiteConfig().resolve_threads() >= 1
 
 
@@ -279,6 +272,38 @@ def test_cli_apply(tmp_path, capsys):
 
     f_path.write_text(json.dumps([1.0] * 5))
     assert main(["apply", "--instance", str(inst_path), "--f", str(f_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["apply", "decompose"])
+@pytest.mark.parametrize(
+    "content",
+    ["not json [", json.dumps(["a"] + [1.0] * 7), "[NaN, 1, 1, 1, 1, 1, 1, 1]", None],
+    ids=["not-json", "not-numeric", "not-finite", "directory"],
+)
+def test_cli_malformed_f_exit_code(tmp_path, capsys, command, content):
+    inst_path = _gen_file(tmp_path)
+    f_path = tmp_path / "f"
+    if content is None:
+        f_path.mkdir()
+    else:
+        f_path.write_text(content)
+    assert main([command, "--instance", str(inst_path), "--f", str(f_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("gen", "--tol"), ("apply", "--seed"), ("testing", "--eta"), ("norm", "--rho"),
+     ("decompose", "--threads"), ("verify", "--tol")],
+)
+def test_cli_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    argv = [command, flag, "5"]
+    if command not in ("gen", "verify"):
+        argv += ["--instance", str(_gen_file(tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_testing(tmp_path, capsys):

@@ -3,6 +3,8 @@
 The frozen examples on the depth-2 interval grid were worked out by hand
 (leaf values, thresholds, and the resulting cube families) and serve as
 ground truth; the randomized tests assert the built-in audits stay silent.
+The oracles at the end are the per-cube definitions the tree-scan audits must
+reproduce exactly, on random and on deliberately corrupted decompositions.
 """
 
 import json
@@ -11,9 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from twoweight.grid import Measure, build_grid
-from twoweight.operators import CubeWeights, apply_T, maximal
+from twoweight.grid import Measure, build_grid, parent as cube_parent, weighted_avg
+from twoweight.harness import GeneratorConfig, gen_instance, instance_f
+from twoweight.operators import CubeWeights, apply_T, apply_T_restricted, maximal
 from twoweight.prooflab import (
+    DEFAULT_M,
+    WhitneyDecomposition,
+    WhitneyLayer,
+    _audit_whitney,
+    _principal_violations,
     audit_decomposition,
     carleson_of_principal,
     classify_cubes,
@@ -101,6 +109,8 @@ def test_whitney_saturated_layer():
     lay = deco.layers[0]
     assert lay.saturated and list(lay.cubes) == [0]
     assert deco.violations == []
+    # the root's parent lies above the root and still covers every leaf once
+    assert deco.fo_max == deco.crowd_max == 1
 
 
 def test_whitney_leaf_clamp_flagged():
@@ -424,3 +434,332 @@ def test_full_audit_report_fields():
     for key in ("n_layers", "class_counts", "key_margin_min", "occurrence_cap",
                 "geometric_ratio", "carleson_ratio", "violations"):
         assert key in d
+
+
+# -- oracles: the per-cube audits, one subtree mask or ancestor walk per cube ------------
+#
+# The library answers every containment question with tree scans over a layer's
+# cube counts and with ``DyadicGrid.ancestor``. These are the direct
+# definitions they replace; the tests below demand identical output, violation
+# strings and their order included.
+
+
+def _full_oracle(g, in_mask):
+    return np.array([in_mask[g.subtree_leaf_mask(c)].all() for c in range(g.n_cubes)])
+
+
+def _whitney_cubes_oracle(g, in_mask, rho):
+    """Each leaf's topmost ancestor inside the set, rho levels further down."""
+    anc = g.leaf_ancestor_matrix()
+    j = np.argmax(_full_oracle(g, in_mask)[anc], axis=0)
+    w_idx = anc[np.minimum(j + rho, g.depth), np.arange(g.n_leaves)]
+    sel = np.flatnonzero(in_mask)
+    cubes, first = np.unique(w_idx[sel], return_index=True)
+    return cubes, (j[sel][first] + rho) > g.depth
+
+
+def _audit_whitney_oracle(deco):
+    """(violations, fo_max, crowd_max) of the Whitney audits, cube by cube."""
+    g, rho = deco.grid, deco.rho
+    fo_cap = 8 * 2 ** ((rho + 1) * g.d)
+    crowd_cap = 2 ** (rho + 2) * 2 ** (rho * g.d)
+    out, fo_max, crowd_max = [], 0, 0
+    for lay in deco.layers:
+        in_mask = deco.omega_mask(lay.k)
+        full = _full_oracle(g, in_mask)
+        masks = [g.subtree_leaf_mask(int(c)) for c in lay.cubes]
+        cover = np.sum(masks, axis=0) if masks else np.zeros(g.n_leaves)
+        if not (np.all(cover[in_mask] == 1) and np.all(cover[~in_mask] == 0)):
+            out.append(f"disjoint-cover k={lay.k}: cubes do not disjointly cover the set")
+        if not lay.saturated:
+            for c, fl in zip(lay.cubes, lay.clamped):
+                if fl:
+                    continue
+                up = cube_parent(g, g.cube(int(c)), rho)
+                if up.is_virtual or not full[g.index_of(up)]:
+                    out.append(f"margin k={lay.k} cube {int(c)}: {rho}-fold parent not inside")
+                up2 = cube_parent(g, g.cube(int(c)), rho + 1)
+                if not up2.is_virtual and full[g.index_of(up2)]:
+                    out.append(
+                        f"margin k={lay.k} cube {int(c)}: {rho + 1}-fold parent fails to escape"
+                    )
+        parent_masks = []
+        for c in lay.cubes:
+            up = cube_parent(g, g.cube(int(c)), rho)
+            parent_masks.append(
+                np.ones(g.n_leaves, dtype=bool)
+                if up.is_virtual
+                else g.subtree_leaf_mask(g.index_of(up))
+            )
+        overlap = np.sum(parent_masks, axis=0) if parent_masks else np.zeros(g.n_leaves)
+        if in_mask.any():
+            fo = int(overlap[in_mask].max())
+            fo_max = max(fo_max, fo)
+            if fo > fo_cap:
+                out.append(f"finite-overlap k={lay.k}: overlap {fo} exceeds cap {fo_cap}")
+        for pm in parent_masks:
+            crowd = sum(1 for m in masks if np.any(m & pm))
+            crowd_max = max(crowd_max, crowd)
+            if crowd > crowd_cap:
+                out.append(f"crowding k={lay.k}: {crowd} neighbors exceed cap {crowd_cap}")
+    for a in deco.layers:
+        for b in deco.layers:
+            if a.k > b.k:
+                continue
+            for q in a.cubes:
+                lev_q = int(g.levels[q])
+                for qp in b.cubes:
+                    lev_p = int(g.levels[qp])
+                    if lev_q > lev_p and g.ancestor_indices(int(q))[lev_q - lev_p] == int(qp):
+                        out.append(
+                            f"nestedness cube {int(q)} in k={a.k} strictly inside "
+                            f"cube {int(qp)} of k={b.k}"
+                        )
+    return out, fo_max, crowd_max
+
+
+def _corridor_sets_oracle(deco, m):
+    g = deco.grid
+    sets, out = {}, []
+    for lay in deco.layers:
+        band = deco.omega_mask(lay.k + m - 1) & ~deco.omega_mask(lay.k + m)
+        seen = np.zeros(g.n_leaves, dtype=np.int64)
+        for c in lay.cubes:
+            mask = g.subtree_leaf_mask(int(c)) & band
+            seen += mask
+            sets[(lay.k, int(c))] = np.flatnonzero(mask)
+        target = band & deco.omega_mask(lay.k)
+        if not (np.all(seen[target] == 1) and np.all(seen[~target] == 0)):
+            out.append(f"corridor k={lay.k}: union of E_k(Q) differs from the clipped band")
+    return sets, out
+
+
+def _neighbor_sets_oracle(deco, q, k, m, tau=None, omega=None):
+    """(neighbors, refined, violations) with one leaf mask per layer cube."""
+    g = deco.grid
+    up = cube_parent(g, g.cube(q), 1)
+    up_mask = (
+        np.ones(g.n_leaves, dtype=bool) if up.is_virtual else g.subtree_leaf_mask(g.index_of(up))
+    )
+    out = []
+    crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * g.d)
+
+    def meeting(lay):
+        return sorted(int(c) for c in lay.cubes if np.any(g.subtree_leaf_mask(int(c)) & up_mask))
+
+    neighbors = meeting(deco.layer(k))
+    if len(neighbors) > crowd_cap:
+        out.append(f"neighbor count {len(neighbors)} exceeds cap {crowd_cap} at k={k}")
+    lay_hi = deco.layer(k + m)
+    refined = [] if lay_hi is None else meeting(lay_hi)
+    for r in refined:
+        if not np.all(up_mask[g.subtree_leaf_mask(r)]):
+            out.append(f"refinement cube {r} at k+m={k + m} is not inside the parent of {q}")
+    if tau is not None and omega is not None and refined:
+        band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
+        e_mask = g.subtree_leaf_mask(q) & band
+        t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), up, "in")
+        for r in refined:
+            vals = t_in[g.subtree_leaf_mask(r)]
+            if vals.size and not np.all(vals == vals[0]):
+                out.append(
+                    f"refinement-constant localization not constant on refinement cube {r}"
+                )
+    return neighbors, refined, out
+
+
+def _principal_violations_oracle(g, usable, avg, family, gamma):
+    out = []
+    for i in usable:
+        gov = gamma.get(i)
+        if gov is None:
+            out.append(f"seed {i} has no governing principal cube")
+            continue
+        if avg[i] > 2.0 * avg[gov] * (1 + 1e-12):
+            out.append(
+                f"principal-domination seed {i}: average {avg[i]!r} exceeds twice that of {gov}"
+            )
+    fam_sorted = sorted(family, key=lambda i: int(g.levels[i]))
+    for gi in fam_sorted:
+        for gj in fam_sorted:
+            li, lj = int(g.levels[gi]), int(g.levels[gj])
+            if lj > li and g.ancestor_indices(gj)[lj - li] == gi and not (2.0 * avg[gi] < avg[gj]):
+                out.append(f"principal-doubling chain {gj} inside {gi}: averages fail to double")
+    return out
+
+
+def _principal_cubes_oracle(f, sigma, seeds):
+    """(cubes, gamma, averages, violations), walking ancestor lists per seed."""
+    g = sigma.grid
+    usable = [i for i in sorted({g.index_of(s) for s in seeds}) if sigma.cube_mass[i] > 0]
+    if not usable:
+        return [], {}, {}, []
+    avg = {i: weighted_avg(f, sigma, i) for i in usable}
+
+    def strict_ancestors_in(i, pool):
+        return [a for a in g.ancestor_indices(i, include_self=False) if a in pool]
+
+    family = []
+    queue = [i for i in usable if not strict_ancestors_in(i, set(usable))]
+    while queue:
+        gov = queue.pop()
+        family.append(gov)
+        lev = int(g.levels[gov])
+        inside = [
+            i
+            for i in usable
+            if int(g.levels[i]) > lev
+            and g.ancestor_indices(i)[int(g.levels[i]) - lev] == gov
+            and avg[i] > 2.0 * avg[gov]
+        ]
+        queue.extend(i for i in inside if not strict_ancestors_in(i, set(inside)))
+    gamma = {}
+    for i in usable:
+        for a in g.ancestor_indices(i):
+            if a in family:
+                gamma[i] = a
+                break
+    return (
+        sorted(family),
+        gamma,
+        {i: avg[i] for i in family},
+        _principal_violations_oracle(g, usable, avg, family, gamma),
+    )
+
+
+def _geometric_sum_oracle(forest):
+    g = forest.grid
+    numer = np.zeros(g.n_leaves)
+    for c in forest.cubes:
+        numer[g.subtree_leaf_mask(int(c))] += forest.averages[int(c)]
+    mx = maximal(forest.f, forest.sigma)
+    ok = mx > 0
+    return float((numer[ok] / mx[ok]).max()) if np.any(ok) else 0.0
+
+
+# -- new audits against the oracles ---------------------------------------------------------
+
+
+def _spiky_case(d, depth, seed):
+    inst = gen_instance(GeneratorConfig(d=d, depth=depth, sigma="spikes", tau="sparse"), seed)
+    return inst.grid, inst.tau, inst.sigma, inst.omega, instance_f(inst)
+
+
+def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M)):
+    """Every layer audit of ``deco`` against its oracle; returns the Whitney violations."""
+    fresh = WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, deco.layers)
+    _audit_whitney(fresh)
+    assert (fresh.violations, fresh.fo_max, fresh.crowd_max) == _audit_whitney_oracle(deco)
+    for m in ms:
+        cor = corridor_sets(deco, m)
+        sets, viol = _corridor_sets_oracle(deco, m)
+        assert cor.violations == viol
+        assert list(cor.sets) == list(sets)
+        for key, leaves in sets.items():
+            np.testing.assert_array_equal(cor.sets[key], leaves)
+        for lay in deco.layers:
+            for c in lay.cubes:
+                ns = neighbor_sets(deco, int(c), lay.k, m, tau=tau, omega=omega)
+                got = (ns.neighbors.tolist(), ns.refined.tolist(), ns.violations)
+                assert got == _neighbor_sets_oracle(deco, int(c), lay.k, m, tau, omega)
+    return fresh.violations
+
+
+@pytest.mark.parametrize("rho", [1, 2])
+@pytest.mark.parametrize(
+    "d,depth,seed",
+    [(1, 6, 0), (1, 6, 1), (1, 7, 2), (2, 1, 8), (2, 3, 0), (2, 3, 1), (2, 4, 3), (3, 2, 0),
+     (3, 2, 4)],
+)
+def test_layer_audits_match_oracles(d, depth, seed, rho):
+    g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
+    v = apply_T(tau, Measure.product(f, sigma))
+    deco = whitney_layers(g, v, rho=rho)
+    for lay in deco.layers:
+        if not lay.saturated:
+            cubes, clamped = _whitney_cubes_oracle(g, deco.omega_mask(lay.k), rho)
+            np.testing.assert_array_equal(lay.cubes, cubes)
+            np.testing.assert_array_equal(lay.clamped, clamped)
+    assert _assert_matches_oracles(deco, tau, omega) == deco.violations == []
+
+    cls = classify_cubes(deco, f, sigma, omega, tau, m=2)
+    counts = {}
+    for e in cls.entries:
+        if e.cls == 3:
+            for r in _neighbor_sets_oracle(deco, e.cube, e.k, 2)[1]:
+                counts[r] = counts.get(r, 0) + 1
+    assert occurrence_audit(cls).counts == counts
+
+    seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
+    forest = principal_cubes(f, sigma, seeds)
+    cubes, gamma, averages, viol = _principal_cubes_oracle(f, sigma, seeds)
+    assert forest.cubes.tolist() == cubes and forest.gamma == gamma
+    assert forest.averages == averages and forest.violations == viol
+    assert geometric_sum_audit(forest) == _geometric_sum_oracle(forest)
+
+
+def _corrupt(deco, idx, cubes):
+    """A copy of ``deco`` whose layer ``idx`` holds ``cubes`` (clamped flags dropped)."""
+    layers = list(deco.layers)
+    old = layers[idx]
+    cubes = np.asarray(cubes, dtype=np.int64)
+    layers[idx] = WhitneyLayer(old.k, old.threshold, cubes, np.zeros(cubes.size, bool), False)
+    return WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, layers)
+
+
+@pytest.mark.parametrize("d,depth,seed", [(1, 6, 1), (2, 3, 1), (3, 2, 4)])
+def test_corrupted_layers_fire_the_same_violations(d, depth, seed):
+    g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
+    deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
+    mid = len(deco.layers) // 2
+    cubes = deco.layers[mid].cubes
+    assert len(deco.layers) >= 3 and cubes.size >= 2
+    # the top layer takes in the parent of a cube two layers down
+    top = len(deco.layers) - 1
+    nested = np.union1d(deco.layers[top].cubes, g.parent[deco.layers[1].cubes[:1]])
+    cases = {
+        "dropped": (_corrupt(deco, mid, np.delete(cubes, 1)), "disjoint-cover"),
+        "duplicated": (_corrupt(deco, mid, np.insert(cubes, 1, cubes[1])), "disjoint-cover"),
+        "parent": (
+            _corrupt(deco, mid, np.where(cubes == cubes[-1], g.parent[cubes[-1]], cubes)),
+            "margin",
+        ),
+        "nested": (_corrupt(deco, top, nested), "nestedness"),
+    }
+    for name, (bad, kind) in cases.items():
+        viol = _assert_matches_oracles(bad, tau, omega, ms=(2,))
+        assert any(s.startswith(kind) for s in viol), name
+
+
+def test_non_doubling_chain_fires_the_same_violations():
+    g = build_grid(1, 3)
+    usable = [0, 1, 3, 4, 7]
+    avg = {0: 1.0, 1: 1.5, 3: 3.0, 4: 0.5, 7: 2.5}
+    family = [0, 3, 1, 7]  # 1 fails to double 0, 3 only ties with twice 1, 7 fails 1 and 3
+    gamma = {0: 0, 1: 1, 3: 3, 7: 7}  # seed 4 is left ungoverned
+    viol = _principal_violations(g, usable, avg, family, gamma)
+    assert viol == _principal_violations_oracle(g, usable, avg, family, gamma)
+    kinds = [s.split()[0] for s in viol]
+    assert kinds == ["seed"] + ["principal-doubling"] * 4
+
+    avg[4], gamma[4] = 3.5, 1  # more than twice the average of its governor
+    viol = _principal_violations(g, usable, avg, family, gamma)
+    assert viol == _principal_violations_oracle(g, usable, avg, family, gamma)
+    assert viol[0].startswith("principal-domination seed 4")
+
+
+def test_ancestor_by_index():
+    g = build_grid(2, 3)
+    for c in range(g.n_cubes):
+        chain = g.ancestor_indices(c)
+        for j in range(g.depth + 3):
+            assert g.ancestor(c, j) == (chain[j] if j < len(chain) else -1)
+    every = np.arange(g.n_cubes)
+    np.testing.assert_array_equal(g.ancestor(every, 1), g.parent)
+    np.testing.assert_array_equal(g.ancestor(every, 0), every)
+    leaf = g.n_cubes - 1
+    assert g.ancestor(leaf, np.arange(4)).tolist() == g.ancestor_indices(leaf)
+    with pytest.raises(ValueError):
+        g.ancestor(g.n_cubes, 1)
+    with pytest.raises(ValueError):
+        g.ancestor(0, -1)
