@@ -28,6 +28,7 @@ from .harness import (
     GeneratorConfig,
     Instance,
     SuiteConfig,
+    check_decomposition_params,
     gen_instance,
     instance_f,
     run_suite,
@@ -41,7 +42,7 @@ _FLAGS = {
     "tol": dict(type=float, default=1e-8, help="relative tolerance for checks"),
     "eta": dict(type=float, default=0.25, help="classification mass fraction"),
     "rho": dict(type=int, default=1, help="margin levels in the cube layers"),
-    "threads": dict(type=int, default=None, help="worker threads for suites"),
+    "threads": dict(type=int, default=1, help="worker processes for suites (default 1: in-process)"),
     "out": dict(default=None, help="output file or directory"),
 }
 
@@ -159,6 +160,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    check_decomposition_params(args.eta, args.rho)
     inst = _load_instance(args.instance)
     f = _load_f(inst, args.f)
     v = apply_T(inst.tau, Measure.product(f, inst.sigma))

@@ -57,7 +57,6 @@ class AscentOptions:
     step0: float = 0.5
     min_step: float = 1e-10
     seed: int = 0
-    include_indicators: bool = True
 
 
 def _t_leafmass(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
@@ -194,19 +193,16 @@ def _top_cubes(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
-def _seed_pool(grid: DyadicGrid, opts: AscentOptions, scores) -> np.ndarray:
+def _seed_pool(grid: DyadicGrid, opts: AscentOptions, scores: np.ndarray) -> np.ndarray:
     """Random restarts, then the indicators of the ``opts.restarts`` best cubes.
 
-    ``scores()`` gives the objective at every cube's normalized indicator; it
-    is only evaluated when indicators are included, and then at least the
-    best indicator is.
+    ``scores`` holds the objective at every cube's normalized indicator; at
+    least the best indicator is always included.
     """
     rng = np.random.default_rng(opts.seed)
-    parts = [rng.exponential(1.0, size=(opts.restarts, grid.n_leaves))]
-    if opts.include_indicators:
-        top = _top_cubes(scores(), max(1, opts.restarts))
-        parts.append(_indicator_rows(grid, top))
-    return np.concatenate(parts, axis=0)
+    restarts = rng.exponential(1.0, size=(opts.restarts, grid.n_leaves))
+    top = _top_cubes(scores, max(1, opts.restarts))
+    return np.concatenate([restarts, _indicator_rows(grid, top)], axis=0)
 
 
 def _project_lp_sphere(f: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
@@ -272,7 +268,7 @@ def _strong_scores(tau, sigma, omega, exps) -> np.ndarray:
 
 def _strong_pool(tau, sigma, omega, exps, opts: AscentOptions) -> np.ndarray:
     """The seed pool shared by the strong and weak bounds, ranked by the strong score."""
-    return _seed_pool(tau.grid, opts, lambda: _strong_scores(tau, sigma, omega, exps))
+    return _seed_pool(tau.grid, opts, _strong_scores(tau, sigma, omega, exps))
 
 
 def strong_norm_lower(
@@ -415,7 +411,7 @@ def carleson_embedding_constant(
         ]
         return m_lm * path, path**dual_pow
 
-    pool = _seed_pool(grid, opts, lambda: _cet_scores(grid, tau.tau, mass, p))
+    pool = _seed_pool(grid, opts, _cet_scores(grid, tau.tau, mass, p))
     f, value, iterations, residual = _ascend(
         pool, lambda x: _project_lp_sphere(x, m_lm, p), objective, proposals, opts
     )

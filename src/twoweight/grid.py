@@ -12,7 +12,7 @@ any subset of the root. They exist so that boundary cases of the decomposition
 machinery (parents of the root) have a well-defined handle.
 
 Grids and measures are immutable after construction; their arrays are marked
-read-only so they can be shared freely across worker threads.
+read-only so they can be shared freely by everything that reads them.
 """
 
 from __future__ import annotations

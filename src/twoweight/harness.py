@@ -216,15 +216,31 @@ class SuiteConfig:
     rho: int = 1
     m: int = 5
     ratio_cap: float = 16.0
-    threads: int | None = None
+    threads: int = 1
     out_dir: str | None = None
     ascent: AscentOptions | None = None
     run_audits: bool = True
 
-    def resolve_threads(self) -> int:
-        if self.threads is not None:
-            return max(1, self.threads)
-        return min(8, os.cpu_count() or 1)
+    def validate(self) -> None:
+        for g in self.generators:
+            g.validate()
+        if self.n < 0:
+            raise ConfigError(f"instances per generator must be >= 0, got n={self.n}")
+        check_decomposition_params(self.eta, self.rho)
+        if self.m < 1:
+            raise ConfigError(f"m must be >= 1, got {self.m}")
+        if not self.ratio_cap > 0:
+            raise ConfigError(f"ratio cap must be > 0, got {self.ratio_cap}")
+        if self.threads < 1:
+            raise ConfigError(f"worker processes must be >= 1, got threads={self.threads}")
+
+
+def check_decomposition_params(eta: float, rho: int) -> None:
+    """Raise ConfigError unless 0 < eta < 1 and rho >= 1."""
+    if not 0.0 < eta < 1.0:
+        raise ConfigError(f"eta must be in (0, 1), got {eta}")
+    if rho < 1:
+        raise ConfigError(f"rho must be >= 1, got {rho}")
 
 
 @dataclass
@@ -345,26 +361,36 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     return row, violations
 
 
+def _suite_row(generator: GeneratorConfig, seed: int, cfg: SuiteConfig) -> tuple[dict, list]:
+    """Generate one instance and compute its row where the row is computed.
+
+    A worker process thus receives a generator config and a seed, never a
+    grid, and every instance it computes holds a single grid object.
+    """
+    return _row_for_instance(gen_instance(generator, seed), cfg)
+
+
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run every generator n times, assert the exact directions, write reports.
 
-    Rows are computed in parallel worker threads but assembled in instance
-    order, so reports are deterministic for a fixed config and seed (timing
-    fields excluded from the digest).
+    With ``cfg.threads == 1`` the rows are computed in-process, one after the
+    other; with more, each row is generated and computed in one of that many
+    worker processes. Either way the rows are assembled in instance order, so
+    reports are deterministic for a fixed config and seed (timing fields
+    excluded from the digest) and independent of the worker count.
     """
-    for g in cfg.generators:
-        g.validate()
+    cfg.validate()
     total = cfg.n * len(cfg.generators)
     report = SuiteReport([], [], {}, "")
     if total:
-        seeds = np.random.SeedSequence(cfg.seed).generate_state(total, dtype=np.uint64)
-        instances = [
-            gen_instance(g, int(seeds[i * cfg.n + j]))
-            for i, g in enumerate(cfg.generators)
-            for j in range(cfg.n)
-        ]
-        with concurrent.futures.ThreadPoolExecutor(cfg.resolve_threads()) as pool:
-            results = list(pool.map(lambda inst: _row_for_instance(inst, cfg), instances))
+        seeds = np.random.SeedSequence(cfg.seed).generate_state(total, dtype=np.uint64).tolist()
+        generators = [g for g in cfg.generators for _ in range(cfg.n)]
+        cfgs = [cfg] * total
+        if cfg.threads == 1:
+            results = list(map(_suite_row, generators, seeds, cfgs))
+        else:
+            with concurrent.futures.ProcessPoolExecutor(min(cfg.threads, total)) as pool:
+                results = list(pool.map(_suite_row, generators, seeds, cfgs))
         for row, viol in results:
             report.rows.append(row)
             report.violations.extend(viol)

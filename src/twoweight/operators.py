@@ -101,34 +101,17 @@ def _leaf_function(grid: DyadicGrid, f) -> np.ndarray:
     return f
 
 
-def apply_T(tau: CubeWeights, nu: Measure, *, brute_force: bool = False) -> GridFunction:
+def apply_T(tau: CubeWeights, nu: Measure) -> GridFunction:
     """Evaluate T(nu) at every leaf.
 
-    The fast path is a single top-down prefix pass over per-cube contributions
-    tau_Q * E_Q(nu). ``brute_force=True`` selects the independent test oracle,
-    an explicit ancestor-walk per leaf.
+    A single top-down prefix pass over per-cube contributions tau_Q * E_Q(nu).
     """
     grid = tau.grid
     if nu.grid is not grid:
         raise ValueError("weights and measure live on different grids")
-    if brute_force:
-        return _apply_T_brute(tau, nu)
     contrib = tau.tau * nu.cube_mass / grid.volumes
     path = _kernels.down_sum(contrib, grid.parent, grid.level_offsets)
     return path[grid.leaf_start :].copy()
-
-
-def _apply_T_brute(tau: CubeWeights, nu: Measure) -> GridFunction:
-    grid = tau.grid
-    out = np.zeros(grid.n_leaves)
-    for leaf_pos in range(grid.n_leaves):
-        i = grid.leaf_start + leaf_pos
-        acc = 0.0
-        while i >= 0:
-            acc += tau.tau[i] * nu.cube_mass[i] / grid.volumes[i]
-            i = int(grid.parent[i])
-        out[leaf_pos] = acc
-    return out
 
 
 def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunction:

@@ -3,9 +3,11 @@
 Each test prints a summary line with the measured margins, so a verbose run
 shows one verdict per criterion and the numbers behind it. The shared
 200-instance suite (p = q = 2, mixed grids/styles) backs criteria 1-3 and
-8-10; the remaining criteria draw their own corpora at desk scale.
+8-10 and a last test that pins its digest at two worker processes; the
+remaining criteria draw their own corpora at desk scale.
 """
 
+import dataclasses
 import json
 import math
 
@@ -30,6 +32,8 @@ from twoweight.prooflab import (
     whitney_layers,
 )
 
+from test_operators import _apply_T_brute
+
 SUITE_GENERATORS = [
     GeneratorConfig(d=1, depth=3),
     GeneratorConfig(d=1, depth=4, omega="spikes", tau="sparse"),
@@ -42,6 +46,9 @@ SUITE_GENERATORS = [
     GeneratorConfig(d=2, depth=3, sigma="uniform", omega="uniform", tau="fractional", alpha=1.0),
     GeneratorConfig(d=1, depth=6, tau="root_only"),
 ]
+
+
+SUITE_DIGEST = "bcce6a8a758e9783ea3fef9e1408c300d97ad6eb1501375d1eab70a9115e3212"
 
 
 def _suite_config():
@@ -201,7 +208,7 @@ def test_criterion_06_operator_matches_brute_force_and_localization_split():
         for style in (0, 1):
             g, tau, sigma, _, _ = _random_l2_instance(8000 + 10 * j + style, d, depth, style)
             fast = apply_T(tau, sigma)
-            slow = apply_T(tau, sigma, brute_force=True)
+            slow = _apply_T_brute(tau, sigma)
             rel = float(np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-300)))
             parity_worst = max(parity_worst, rel)
     assert parity_worst <= 1e-12
@@ -375,3 +382,16 @@ def test_criterion_10_suite_rerun_reproduces_identical_rows(l2_suite):
                      f"{'matches' if same_digest else 'DIFFERS'}; canonical rows "
                      f"{'byte-identical' if same_bytes else 'DIFFER'}")
     assert same_digest and same_bytes
+
+
+def test_suite_digest_pinned_and_independent_of_worker_processes(l2_suite):
+    # the same suite in two worker processes: the recorded digest, and every
+    # row equal to the in-process run's, timing fields aside
+    parallel = run_suite(dataclasses.replace(_suite_config(), threads=2))
+
+    def untimed(rows):
+        return [{k: v for k, v in row.items() if not k.startswith("time_")} for row in rows]
+
+    assert l2_suite.digest == SUITE_DIGEST
+    assert parallel.digest == SUITE_DIGEST
+    assert untimed(parallel.rows) == untimed(l2_suite.rows)

@@ -1,7 +1,10 @@
 """Instance generation, canonical serialization, suites, and the CLI."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +175,19 @@ def test_suite_digest_reproducible_across_thread_counts():
     ] == [{k: v for k, v in row.items() if not k.startswith("time_")} for row in r2.rows]
 
 
+def test_serial_suite_starts_no_worker(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    threads = threading.active_count()
+    report = run_suite(_small_suite(n=1))
+    assert report.ok and len(report.rows) == 2
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
+
+
 def test_suite_seed_changes_digest():
     r1 = run_suite(_small_suite())
     r2 = run_suite(_small_suite(seed=12))
@@ -227,10 +243,26 @@ def test_suite_rows_carry_solver_iterations():
         assert row["cet_iterations"] >= 1 and row["strong_iterations"] >= 1
 
 
-def test_resolve_threads():
-    assert SuiteConfig(threads=5).resolve_threads() == 5
-    assert SuiteConfig(threads=-2).resolve_threads() == 1
-    assert SuiteConfig().resolve_threads() >= 1
+def test_suite_config_validation():
+    SuiteConfig(threads=5).validate()
+    assert SuiteConfig().threads == 1
+    for bad in (
+        dict(threads=0),
+        dict(threads=-2),
+        dict(n=-1),
+        dict(eta=0.0),
+        dict(eta=1.0),
+        dict(eta=float("nan")),
+        dict(rho=0),
+        dict(m=0),
+        dict(ratio_cap=0.0),
+        dict(ratio_cap=-1.0),
+        dict(generators=[GeneratorConfig(tau="dense")]),
+    ):
+        with pytest.raises(ConfigError):
+            SuiteConfig(**bad).validate()
+    with pytest.raises(ConfigError):
+        run_suite(SuiteConfig(threads=0))
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -351,6 +383,20 @@ def test_cli_verify(tmp_path, capsys):
     assert summary["ok"] is True and summary["n_rows"] == 2
     assert (out_dir / "rows.jsonl").exists()
     assert (out_dir / "aggregates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [("verify", "--n", "-1"), ("verify", "--eta", "2"), ("verify", "--rho", "0"),
+     ("verify", "--ratio-cap", "-1"), ("verify", "--threads", "0"),
+     ("decompose", "--eta", "0"), ("decompose", "--rho", "0")],
+)
+def test_cli_out_of_range_flag_exit_code(tmp_path, capsys, command, flag, value):
+    argv = [command, flag, value]
+    if command == "decompose":
+        argv += ["--instance", str(_gen_file(tmp_path))]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(capsys):
