@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -95,6 +96,12 @@ def _load_f(inst: Instance, path: str | None) -> np.ndarray:
     return f
 
 
+def _check_tol(tol: float) -> None:
+    """A negative or non-finite tolerance would turn a passing check into a failure."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol}")
+
+
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
@@ -123,6 +130,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_testing(args) -> int:
+    _check_tol(args.tol)
     inst = _load_instance(args.instance)
     rep = compute_testing_report(inst.tau, inst.sigma, inst.omega, inst.exps)
     car, car_arg = carleson_norm(inst.tau)
@@ -142,6 +150,7 @@ def _cmd_testing(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    _check_tol(args.tol)
     inst = _load_instance(args.instance)
     opts = AscentOptions(seed=args.seed)
     payload = {}

@@ -264,7 +264,8 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
 
     Besides ``time_total`` the row carries per-stage wall times: the testing
     constants (report and, at p = q = 2, C1/C2), the Carleson embedding,
-    the norm estimates and the decomposition audit. ``cet_iterations`` and
+    the norm estimates and the decomposition audit, which ``time_audit_*``
+    breaks down by audit stage. ``cet_iterations`` and
     ``strong_iterations`` count the solver iterations behind ``cet`` and
     ``strong`` (ascent steps, or power iterations when the strong norm is
     exact).
@@ -353,6 +354,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         row["occurrence_max"] = audit.occurrence_max
         row["geometric_ratio"] = audit.geometric_ratio
         row["carleson_principal_ratio"] = audit.carleson_ratio
+        row.update({f"time_audit_{stage}": t for stage, t in audit.timings.items()})
         for v in audit.violations:
             flag("prooflab", v)
     t_end = time.perf_counter()

@@ -26,6 +26,7 @@ Conventions, fixed once and used consistently:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,16 @@ from .operators import CubeWeights, apply_T, apply_T_restricted, maximal
 DEFAULT_M = 5
 DEFAULT_ETA = 0.25
 DEFAULT_RHO = 1
+
+# A batched audit value and the per-cube operator evaluation it stands for add
+# the same terms in different orders. Both are sums of like-signed terms, so
+# they differ by a few dozen ulps of the sum of the terms' magnitudes (under
+# 1e-13 relative at the grid budget's depth). A decision whose batched value
+# lies closer than this margin to its bound, or that fails, is taken again with
+# the per-cube formula, and that value is the one reported.
+_MARGIN = 1e-10
+
+_NO_LEAVES = np.empty(0, dtype=np.int64)
 
 
 def _power(base: float, k: int) -> float:
@@ -58,11 +69,7 @@ def _largest_k_below(base: float, x: float) -> int:
 
 def _full_cube_mask(grid: DyadicGrid, leaf_mask: np.ndarray) -> np.ndarray:
     """Boolean per cube: every leaf of the cube lies in ``leaf_mask``."""
-    counts = _kernels.up_sum(
-        grid.embed_leaf_values(leaf_mask.astype(np.float64)),
-        grid.child_order,
-        grid.level_offsets,
-    )
+    counts = _cube_mass(grid, leaf_mask.astype(np.float64))
     totals = grid.volumes * grid.n_leaves
     return counts == totals
 
@@ -82,6 +89,34 @@ def _counts(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
 def _below(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
     """Per cube, how many entries of ``cubes`` contain it (itself included)."""
     return _kernels.down_sum(_counts(grid, cubes), grid.parent, grid.level_offsets)
+
+
+def _meeting(grid: DyadicGrid, cubes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per entry of ``targets``, how many entries of ``cubes`` meet it: those inside
+    it plus those containing it. -1, the cube above the root, meets them all."""
+    cnt = _counts(grid, cubes)
+    meet = (
+        _kernels.up_sum(cnt, grid.child_order, grid.level_offsets)
+        + _kernels.down_sum(cnt, grid.parent, grid.level_offsets)
+        - cnt
+    )
+    return np.where(targets >= 0, meet[np.maximum(targets, 0)], len(cubes)).astype(np.int64)
+
+
+def _at(values: np.ndarray, cubes: np.ndarray) -> np.ndarray:
+    """``values`` read at ``cubes``, 0 at -1, the cube above the root."""
+    return np.where(cubes >= 0, values[np.maximum(cubes, 0)], 0.0)
+
+
+def _cube_mass(grid: DyadicGrid, leaf_values: np.ndarray) -> np.ndarray:
+    """Subtree sums of leaf values, one per cube."""
+    full = grid.embed_leaf_values(leaf_values)
+    return _kernels.up_sum(full, grid.child_order, grid.level_offsets)
+
+
+def _near(value, bound, scale):
+    """Where a batched value lies too close to its bound to decide by it."""
+    return np.abs(value - bound) < _MARGIN * scale
 
 
 def _handle(c: int):
@@ -157,6 +192,7 @@ class WhitneyDecomposition:
     violations: list[str] = field(default_factory=list)
     fo_max: int = 0
     crowd_max: int = 0
+    checks: int = 0  # comparisons made by the structural audits
 
     def layer(self, k: int) -> WhitneyLayer | None:
         for lay in self.layers:
@@ -255,10 +291,10 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
     for lay in deco.layers:
         in_mask = deco.omega_mask(lay.k)
         full = _full_cube_mask(grid, in_mask)
-        cnt = _counts(grid, lay.cubes)
-        below = _kernels.down_sum(cnt, grid.parent, grid.level_offsets)
+        below = _below(grid, lay.cubes)
 
         # disjoint cover
+        deco.checks += 1 + len(lay.cubes) + int(in_mask.any())  # cover, crowding, overlap
         cover = below[grid.leaf_start :]
         if not (np.all(cover[in_mask] == 1) and np.all(cover[~in_mask] == 0)):
             deco.violations.append(f"disjoint-cover k={lay.k}: cubes do not disjointly cover the set")
@@ -267,6 +303,7 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
         up = grid.ancestor(lay.cubes, rho)
         real = up >= 0
         if not lay.saturated:
+            deco.checks += 2 * int(np.count_nonzero(~lay.clamped))
             up2 = grid.ancestor(lay.cubes, rho + 1)
             outside = ~(real & full[up]) & ~lay.clamped
             stuck = (up2 >= 0) & full[up2] & ~lay.clamped
@@ -288,10 +325,8 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
             if fo > fo_cap:
                 deco.violations.append(f"finite-overlap k={lay.k}: overlap {fo} exceeds cap {fo_cap}")
 
-        # crowding: same-layer cubes meeting each rho-fold parent, i.e. inside
-        # it or containing it
-        meeting = _kernels.up_sum(cnt, grid.child_order, grid.level_offsets) + below - cnt
-        crowd = np.where(real, meeting[up], len(lay.cubes)).astype(np.int64)
+        # crowding: same-layer cubes meeting each rho-fold parent
+        crowd = _meeting(grid, lay.cubes, up)
         deco.crowd_max = max(deco.crowd_max, int(crowd.max(initial=0)))
         for n in crowd[crowd > crowd_cap]:
             deco.violations.append(f"crowding k={lay.k}: {n} neighbors exceed cap {crowd_cap}")
@@ -306,6 +341,7 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
         for ai, a in enumerate(layers):
             if a.k > b.k:
                 continue  # violation requires k <= l
+            deco.checks += len(a.cubes)
             inside = (parents[ai] >= 0) & (around[parents[ai]] > 0)
             hits += [(ai, bi, int(q)) for q in a.cubes[inside]]
     for ai, bi, q in sorted(hits, key=lambda h: h[:2]):
@@ -323,6 +359,7 @@ class CorridorSets:
     m: int
     sets: dict  # (k, cube index) -> sorted np.ndarray of leaf indices
     violations: list[str] = field(default_factory=list)
+    checks: int = 0  # one union check per layer
 
 
 def corridor_sets(deco: WhitneyDecomposition, m: int = DEFAULT_M) -> CorridorSets:
@@ -345,6 +382,7 @@ def corridor_sets(deco: WhitneyDecomposition, m: int = DEFAULT_M) -> CorridorSet
             out.violations.append(
                 f"corridor k={lay.k}: union of E_k(Q) differs from the clipped band"
             )
+    out.checks = len(deco.layers)
     return out
 
 
@@ -368,6 +406,8 @@ class ClassifiedDecomposition:
     entries: list[ClassifiedCube]
     violations: list[str] = field(default_factory=list)
     key_margin_min: float = math.inf  # min (alpha+beta)/(thr * omega(E)) observed
+    checks: int = 0  # key inequalities, corridor-overlap and layer-count checks
+    reevaluated: int = 0  # cubes decided by the per-cube formula
 
     def to_json_dict(self) -> dict:
         grid = self.whitney.grid
@@ -415,54 +455,87 @@ def classify_cubes(
     exceeds alpha + beta, corridors for a fixed cube are disjoint across
     layers, and a fixed cube is non-class-1 in at most ceil(1/eta) layers.
     """
+    return _classify(corridor_sets(deco, m), f, sigma, omega, tau, eta)
+
+
+def _classify(corridors, f, sigma, omega, tau, eta) -> ClassifiedDecomposition:
+    """``classify_cubes`` on corridors already built.
+
+    alpha + beta of a cube Q is sum over P <= parent(Q) of
+    tau_P * omega_E(P) * f sigma(P) / |P|, and omega_E vanishes on every P
+    that does not meet Q. Below Q, omega_E agrees with omega_k, omega
+    restricted to the union of the layer's corridors (every corridor is its
+    cube cut with the band), so one subtree sum per layer gives the part
+    below Q for every cube at once, and the parent adds its own term. alpha
+    and beta take f sigma off and on Omega_{k+m}. The class decision and the
+    key inequality are taken again with the per-cube formula (``_pairing``)
+    where they lie within the rounding margin or the inequality fails.
+    """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must be in (0,1), got {eta}")
+    deco = corridors.whitney
     grid = deco.grid
+    m = corridors.m
     f = np.asarray(f, dtype=np.float64)
-    corridors = corridor_sets(deco, m)
     out = ClassifiedDecomposition(deco, eta, m, [])
     out.violations.extend(corridors.violations)
+    fs_leaf = f * sigma.leaf_mass
+    size = _cube_mass(grid, np.abs(fs_leaf))  # |f sigma|, the scale of rounding
+    weight = tau.tau / grid.volumes
 
     for lay in deco.layers:
         above = deco.omega_mask(lay.k + m)
-        for c in lay.cubes:
-            c = int(c)
-            leaves = corridors.sets[(lay.k, c)]
-            e_mask = np.zeros(grid.n_leaves, dtype=bool)
-            e_mask[leaves] = True
-            w_e = float(omega.leaf_mass[leaves].sum())
-            w_q = float(omega.cube_mass[c])
+        corridor = [corridors.sets[(lay.k, int(c))] for c in lay.cubes]
+        in_corridor = np.zeros(grid.n_leaves, dtype=bool)
+        in_corridor[np.concatenate([_NO_LEAVES, *corridor])] = True
+        w_k = _cube_mass(grid, np.where(in_corridor, omega.leaf_mass, 0.0))
+        # rows: f sigma off Omega_{k+m} (alpha), on it (beta), and the scale
+        fs_mass = np.stack([
+            _cube_mass(grid, np.where(above, 0.0, fs_leaf)),
+            _cube_mass(grid, np.where(above, fs_leaf, 0.0)),
+            size,
+        ])
+        below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid.child_order, grid.level_offsets)
+        up = grid.ancestor(lay.cubes, 1)
+        real = up >= 0
+        top = np.where(real, up, 0)
+        own = np.where(real, weight[top] * w_k[lay.cubes] * fs_mass[:, top], 0.0)
+        alpha, beta, scale = below[:, lay.cubes] + own
 
-            up = grid.ancestor(c, 1)
-            dom = _leaf_mask(grid, up)
-            t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
-            integrand = f * t_in * sigma.leaf_mass
-            alpha = float(integrand[dom & ~above].sum())
-            beta = float(integrand[dom & above].sum())
+        w_e = np.array([float(omega.leaf_mass[leaves].sum()) for leaves in corridor])
+        w_q = omega.cube_mass[lay.cubes]
+        lhs = lay.threshold * w_e
+        bound = (alpha + beta) * (1 + 1e-9)
+        redo = (lhs > bound) | _near(lhs, bound, scale)
+        redo |= ~(w_e <= eta * w_q) & _near(alpha, beta, scale)
 
-            if w_e <= eta * w_q:
+        for i, c in enumerate(lay.cubes.tolist()):
+            a, b = float(alpha[i]), float(beta[i])
+            if redo[i]:
+                a, b = _pairing(grid, f, sigma, omega, tau, c, corridor[i], above)
+                out.reevaluated += 1
+            if w_e[i] <= eta * w_q[i]:
                 cls = 1
-            elif alpha > beta:
+            elif a > b:
                 cls = 2
             else:
                 cls = 3
             out.entries.append(
-                ClassifiedCube(lay.k, c, cls, leaves, alpha, beta, w_e, w_q)
+                ClassifiedCube(lay.k, c, cls, corridor[i], a, b, float(w_e[i]), float(w_q[i]))
             )
-
-            lhs = lay.threshold * w_e
-            rhs = alpha + beta
-            if lhs > rhs * (1 + 1e-9):
+            rhs = a + b
+            if lhs[i] > rhs * (1 + 1e-9):
                 out.violations.append(
-                    f"key inequality k={lay.k} cube {c}: {lhs!r} > alpha+beta={rhs!r}"
+                    f"key inequality k={lay.k} cube {c}: {float(lhs[i])!r} > alpha+beta={rhs!r}"
                 )
-            if lhs > 0:
-                out.key_margin_min = min(out.key_margin_min, rhs / lhs)
+            if lhs[i] > 0:
+                out.key_margin_min = min(out.key_margin_min, rhs / float(lhs[i]))
 
     # corridor disjointness in k for a fixed cube, and the occurrence bound
     by_cube: dict[int, list[ClassifiedCube]] = {}
     for e in out.entries:
         by_cube.setdefault(e.cube, []).append(e)
+    out.checks = len(out.entries) + 2 * len(by_cube)
     many_cap = math.ceil(1.0 / eta)
     for c, entries in by_cube.items():
         leaves = np.concatenate([e.corridor for e in entries])
@@ -474,6 +547,17 @@ def classify_cubes(
                 f"layer-count cube {c}: non-class-1 in {hot} layers, cap {many_cap}"
             )
     return out
+
+
+def _pairing(grid, f, sigma, omega, tau, c, leaves, above) -> tuple[float, float]:
+    """(alpha, beta) of cube ``c`` by one inward localization: the per-cube formula."""
+    e_mask = np.zeros(grid.n_leaves, dtype=bool)
+    e_mask[leaves] = True
+    up = grid.ancestor(c, 1)
+    dom = _leaf_mask(grid, up)
+    t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
+    integrand = f * t_in * sigma.leaf_mass
+    return float(integrand[dom & ~above].sum()), float(integrand[dom & above].sum())
 
 
 @dataclass
@@ -498,7 +582,8 @@ def neighbor_sets(
     Audited: every refinement cube sits inside the parent; the neighbor count
     respects the crowding cap; and, when ``tau`` and ``omega`` are supplied,
     the inward localization of the corridor's omega mass is exactly constant
-    on every refinement cube.
+    on every refinement cube. The violations are the cube's entry in the
+    audit of the whole layer (``_layer_neighbors``).
     """
     grid = deco.grid
     lay = deco.layer(k)
@@ -506,37 +591,79 @@ def neighbor_sets(
     if lay is None or not np.any(lay.cubes == q):
         raise ValueError(f"cube {q} is not in layer k={k}")
     up = grid.ancestor(q, 1)
-    nbr = np.sort(lay.cubes[_meets(grid, lay.cubes, up)])
-    out = NeighborSets(k, q, nbr, np.empty(0, dtype=np.int64))
-
-    crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * grid.d)
-    if out.neighbors.size > crowd_cap:
-        out.violations.append(
-            f"neighbor count {out.neighbors.size} exceeds cap {crowd_cap} at k={k}"
-        )
-
+    out = NeighborSets(k, q, np.sort(lay.cubes[_meets(grid, lay.cubes, up)]), _NO_LEAVES)
     lay_hi = deco.layer(k + m)
     if lay_hi is not None:
         out.refined = np.sort(lay_hi.cubes[_meets(grid, lay_hi.cubes, up)])
-        for r in out.refined:
-            # a refinement cube meeting the parent but not inside it contains it
-            if up >= 0 and grid.levels[r] < grid.levels[up]:
-                out.violations.append(
+    out.violations = _layer_neighbors(deco, k, m, tau, omega)[0][int(np.argmax(lay.cubes == q))]
+    return out
+
+
+def _layer_neighbors(
+    deco: WhitneyDecomposition,
+    k: int,
+    m: int,
+    tau: CubeWeights | None = None,
+    omega: Measure | None = None,
+) -> tuple[list[list[str]], int, int]:
+    """The ``neighbor_sets`` audits of every cube of layer k at once.
+
+    Returns each cube's violation strings (aligned with the layer's cubes), the
+    number of checks run and the number of cubes re-evaluated. Neighbor and
+    refinement counts come from count passes over the layers. A refinement
+    cube that does not lie inside the parent contains the parent's parent.
+    The localization is constant on a refinement cube R whenever the omega
+    mass of the band inside R is zero, which always holds for a refinement
+    cube inside Omega_{k+m}: every summand strictly inside R is then an exact
+    zero. Only cubes whose parent meets a refinement cube with band mass get
+    the per-cube evaluation.
+    """
+    grid = deco.grid
+    lay = deco.layer(k)
+    up = grid.ancestor(lay.cubes, 1)
+    crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * grid.d)
+    count = _meeting(grid, lay.cubes, up)
+    out = [
+        [f"neighbor count {n} exceeds cap {crowd_cap} at k={k}"] if n > crowd_cap else []
+        for n in count.tolist()
+    ]
+    checks = len(lay.cubes)
+    lay_hi = deco.layer(k + m)
+    if lay_hi is None:
+        return out, checks, 0
+
+    n_refined = _meeting(grid, lay_hi.cubes, up)
+    checks += int(n_refined.sum())
+    outside = (up >= 0) & (_at(_below(grid, lay_hi.cubes), grid.ancestor(np.maximum(up, 0), 1)) > 0)
+    loaded = np.zeros(len(lay.cubes), dtype=bool)
+    band = None
+    if tau is not None and omega is not None:
+        checks += int(n_refined.sum())
+        band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
+        heavy = _cube_mass(grid, np.where(band, omega.leaf_mass, 0.0))[lay_hi.cubes] > 0
+        loaded = _meeting(grid, lay_hi.cubes[heavy], up) > 0
+
+    reevaluated = 0
+    for i in np.flatnonzero(outside | loaded):
+        q, u = int(lay.cubes[i]), int(up[i])
+        refined = np.sort(lay_hi.cubes[_meets(grid, lay_hi.cubes, u)])
+        if outside[i]:
+            for r in refined[grid.levels[refined] < grid.levels[u]]:
+                out[i].append(
                     f"refinement cube {int(r)} at k+m={k + m} is not inside the parent of {q}"
                 )
-
-    if tau is not None and omega is not None and out.refined.size:
-        band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
-        e_mask = _leaf_mask(grid, q) & band
-        t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
-        groups = _leaves_under(grid, out.refined, np.arange(grid.n_leaves))
-        for r in out.refined:
-            vals = t_in[groups[int(r)]]
-            if vals.size and not np.all(vals == vals[0]):
-                out.violations.append(
-                    f"refinement-constant localization not constant on refinement cube {int(r)}"
-                )
-    return out
+        if loaded[i]:
+            reevaluated += 1
+            e_mask = _leaf_mask(grid, q) & band
+            t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(u), "in")
+            groups = _leaves_under(grid, refined, np.arange(grid.n_leaves))
+            for r in refined:
+                vals = t_in[groups[int(r)]]
+                if vals.size and not np.all(vals == vals[0]):
+                    out[i].append(
+                        f"refinement-constant localization not constant on refinement cube {int(r)}"
+                    )
+    return out, checks, reevaluated
 
 
 @dataclass
@@ -545,6 +672,7 @@ class OccurrenceAudit:
     cap: float
     max_count: int
     violations: list[str] = field(default_factory=list)
+    checks: int = 0  # refinement cubes counted
 
 
 def occurrence_audit(
@@ -552,8 +680,9 @@ def occurrence_audit(
 ) -> OccurrenceAudit:
     """How often each refinement cube is hit by class-3 pairs, against the cap.
 
-    The cap is cap_constant / eta with cap_constant defaulting to
-    64 * 2**(rho*d) * (m+2).
+    A class-3 cube Q of layer k hits every layer-(k+m) cube meeting its
+    parent, so each layer pair is one count pass over the parents. The cap is
+    cap_constant / eta with cap_constant defaulting to 64 * 2**(rho*d) * (m+2).
     """
     deco = classified.whitney
     grid = deco.grid
@@ -561,14 +690,20 @@ def occurrence_audit(
     if cap_constant is None:
         cap_constant = 64.0 * 2 ** (deco.rho * grid.d) * (m + 2)
     cap = cap_constant / classified.eta
-    counts: dict[int, int] = {}
+    hit: dict[int, list[int]] = {}
     for e in classified.entries:
-        if e.cls != 3:
+        if e.cls == 3:
+            hit.setdefault(e.k, []).append(e.cube)
+    total = np.zeros(grid.n_cubes, dtype=np.int64)
+    for k, cubes in hit.items():
+        lay_hi = deco.layer(k + m)
+        if lay_hi is None:
             continue
-        ns = neighbor_sets(deco, e.cube, e.k, m)
-        for r in ns.refined:
-            counts[int(r)] = counts.get(int(r), 0) + 1
-    out = OccurrenceAudit(counts, cap, max(counts.values(), default=0))
+        up = grid.ancestor(np.array(cubes, dtype=np.int64), 1)
+        real = up[up >= 0]
+        np.add.at(total, lay_hi.cubes, _meeting(grid, real, lay_hi.cubes) + (up.size - real.size))
+    counts = {int(r): int(total[r]) for r in np.flatnonzero(total)}
+    out = OccurrenceAudit(counts, cap, max(counts.values(), default=0), checks=len(counts))
     if out.max_count > cap:
         out.violations.append(f"occurrence count {out.max_count} exceeds cap {cap}")
     return out
@@ -584,6 +719,7 @@ class PrincipalForest:
     averages: dict  # principal index -> sigma-average of f
     skipped: list[int] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
+    checks: int = 0  # seeds checked for domination plus member pairs checked for doubling
 
     def to_json_dict(self) -> dict:
         return {
@@ -643,6 +779,8 @@ def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
     governing = _kernels.down_max(marks, grid.parent, grid.level_offsets)[cubes]
     forest.gamma = {i: int(g) for i, g in zip(usable, governing) if g >= 0}
     forest.violations = _principal_violations(grid, usable, avg, family, forest.gamma)
+    # each member is checked against every member strictly above it
+    forest.checks = len(usable) + int(_below(grid, forest.cubes)[forest.cubes].sum()) - len(family)
     return forest
 
 
@@ -756,47 +894,108 @@ def max_principle_audit(
     """On each layer cube: both outward contributions stay below the threshold,
     and the inward localization clears it on the corridor. Empty list expected.
     """
+    return _max_principle(corridor_sets(deco, m), f, sigma, tau, rtol)[0]
+
+
+def _max_principle(
+    corridors: CorridorSets, f, sigma: Measure, tau: CubeWeights, rtol: float
+) -> tuple[list[MaxPrincipleViolation], int, int]:
+    """``max_principle_audit`` on corridors already built; also returns the number
+    of comparisons made and of per-cube re-evaluations.
+
+    Let A = down_sum(tau/|Q|), D = down_sum(tau * f sigma(Q)/|Q|) and P1, P2
+    the parent and grandparent of a layer cube. By T = T^in_R + T^out_parent(R),
+    on the cube the local outward part is the constant f sigma(P2) * A(P2); the
+    far outward part is the sum over P strictly above P2 of
+    tau_P * f sigma(P minus P2)/|P|, which regroups ring by ring into
+    down_sum(f sigma(siblings) * A(parent)) at P2, a sum of like-signed terms;
+    and the inward part is v - D(P2) on the corridor leaves, v = T(f sigma) = D
+    at the leaves. A comparison within the rounding margin, or one that fails,
+    is made again with the per-cube operator call.
+    """
+    deco = corridors.whitney
     grid = deco.grid
     f = np.asarray(f, dtype=np.float64)
     fs = Measure.product(f, sigma)
-    corridors = corridor_sets(deco, m)
+    size = _cube_mass(grid, np.abs(fs.leaf_mass))  # |f sigma|, the scale of rounding
+
+    def path(values):
+        return _kernels.down_sum(values, grid.parent, grid.level_offsets)
+
+    reach = path(tau.tau / grid.volumes)
+    local = fs.cube_mass * reach
+    far = path(_sibling_mass(grid, fs.cube_mass) * _at(reach, grid.parent))
+    far_scale = path(_sibling_mass(grid, size) * _at(reach, grid.parent))
+    inner = path(tau.tau * fs.cube_mass / grid.volumes)
+    inner_scale = path(tau.tau * size / grid.volumes)[grid.leaf_start :]
+
     violations: list[MaxPrincipleViolation] = []
+    checks = reevaluated = 0
     for lay in deco.layers:
         thr = lay.threshold
-        for c in lay.cubes:
-            c = int(c)
-            q_leaves = np.flatnonzero(_leaf_mask(grid, c))
-            up1 = grid.ancestor(c, 1)
-            up2 = grid.ancestor(c, 2)
-            up2_mask = _leaf_mask(grid, up2)
-            out_local = apply_T_restricted(
-                tau, fs.with_leaf_mask(up2_mask), _handle(up2), "out"
-            )
-            out_far = apply_T(tau, fs.with_leaf_mask(~up2_mask))
-            for leaf in q_leaves:
-                if out_local[leaf] > thr * (1 + rtol):
-                    violations.append(
-                        MaxPrincipleViolation(
-                            lay.k, c, int(leaf), "out-local", float(out_local[leaf]), thr
-                        )
-                    )
-                if out_far[leaf] > thr * (1 + rtol):
-                    violations.append(
-                        MaxPrincipleViolation(
-                            lay.k, c, int(leaf), "out-far", float(out_far[leaf]), thr
-                        )
-                    )
-            corridor = corridors.sets[(lay.k, c)]
-            if corridor.size:
-                t_in = apply_T_restricted(tau, fs, _handle(up1), "in")
-                for leaf in corridor:
-                    if t_in[leaf] < thr * (1 - rtol):
-                        violations.append(
-                            MaxPrincipleViolation(
-                                lay.k, c, int(leaf), "in-lower", float(t_in[leaf]), thr
-                            )
-                        )
-    return violations
+        hi, lo = thr * (1 + rtol), thr * (1 - rtol)
+        p1 = grid.ancestor(lay.cubes, 1)
+        p2 = grid.ancestor(lay.cubes, 2)
+        out_local = _at(local, p2)
+        out_far = _at(far, p2)
+        redo_local = (out_local > hi) | _near(out_local, hi, np.abs(out_local))
+        redo_far = (out_far > hi) | _near(out_far, hi, _at(far_scale, p2))
+
+        corridor = [corridors.sets[(lay.k, int(c))] for c in lay.cubes]
+        leaves = np.concatenate([_NO_LEAVES, *corridor])
+        owner = np.repeat(np.arange(len(corridor)), [x.size for x in corridor])
+        t_in = inner[grid.leaf_start + leaves] - _at(inner, p2)[owner]
+        shaky = (t_in < lo) | _near(t_in, lo, inner_scale[leaves])
+        redo_in = np.zeros(len(lay.cubes), dtype=bool)
+        redo_in[owner[shaky]] = True
+        checks += 2 * int(np.rint(grid.n_leaves * grid.volumes[lay.cubes]).sum()) + leaves.size
+
+        for i in np.flatnonzero(redo_local | redo_far | redo_in):
+            c, up1, up2 = int(lay.cubes[i]), int(p1[i]), int(p2[i])
+            outward = []
+            if redo_local[i] or redo_far[i]:
+                up2_mask = _leaf_mask(grid, up2)
+            if redo_local[i]:
+                vals = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), _handle(up2), "out")
+                outward.append(("out-local", vals))
+            if redo_far[i]:
+                # T(f sigma off P2): the in-localization above the root keeps every
+                # summand, as apply_T does
+                vals = apply_T_restricted(tau, fs.with_leaf_mask(~up2_mask), CubeRef(-1), "in")
+                outward.append(("out-far", vals))
+            reevaluated += len(outward)
+            if outward:
+                for leaf in np.flatnonzero(_leaf_mask(grid, c)):
+                    violations += [
+                        MaxPrincipleViolation(lay.k, c, int(leaf), kind, float(vals[leaf]), thr)
+                        for kind, vals in outward
+                        if vals[leaf] > hi
+                    ]
+            if redo_in[i]:
+                reevaluated += 1
+                vals = apply_T_restricted(tau, fs, _handle(up1), "in")
+                violations += [
+                    MaxPrincipleViolation(lay.k, c, int(leaf), "in-lower", float(vals[leaf]), thr)
+                    for leaf in corridor[i]
+                    if vals[leaf] < lo
+                ]
+    return violations, checks, reevaluated
+
+
+def _sibling_mass(grid: DyadicGrid, mass: np.ndarray) -> np.ndarray:
+    """Per cube, the summed mass of its siblings (0 at the root).
+
+    Summed directly rather than as parent minus self, so that a light ring
+    beside a heavy cube keeps its relative accuracy.
+    """
+    out = np.zeros(grid.n_cubes)
+    for lev in range(1, grid.depth + 1):
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        group = grid.child_order[lo:hi].reshape(-1, grid.arity)
+        vals = mass[group]
+        for j in range(grid.arity):
+            out[group[:, j]] = np.delete(vals, j, axis=1).sum(axis=1)
+    return out
 
 
 @dataclass
@@ -818,6 +1017,9 @@ class ProofLabReport:
     carleson_ratio: float
     carleson_cap: float
     violations: list[str] = field(default_factory=list)
+    checks_run: dict = field(default_factory=dict)  # audit family -> checks made
+    reevaluated: int = 0  # decisions the batched screen sent to a per-cube operator call
+    timings: dict = field(default_factory=dict)  # stage -> wall seconds
 
     @property
     def clean(self) -> bool:
@@ -842,6 +1044,9 @@ class ProofLabReport:
             "carleson_ratio": self.carleson_ratio,
             "carleson_cap": self.carleson_cap,
             "violations": self.violations,
+            "checks_run": dict(self.checks_run),
+            "reevaluated": self.reevaluated,
+            **{f"time_{stage}": t for stage, t in self.timings.items()},
         }
 
 
@@ -860,31 +1065,54 @@ def audit_decomposition(
 ) -> ProofLabReport:
     """Run the full decomposition pipeline on one instance and aggregate audits.
 
-    Builds v = T(f sigma), the Whitney layers, the classification, the
+    Builds v = T(f sigma), the Whitney layers, the corridors (once, for the
+    classification and the maximum principle), the classification, the
     neighbor/occurrence counts, the maximum-principle check, and a principal
     forest seeded (by default) with all layer cubes. Every violation string
     from every stage lands in one list; an empty list means the instance
-    passes everything.
+    passes everything. The report also counts the checks each audit family
+    made, the decisions re-taken by a per-cube operator call, and the wall
+    time of each stage.
     """
     grid = sigma.grid
     f = np.asarray(f, dtype=np.float64)
+    timings: dict[str, float] = {}
+    start = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal start
+        now = time.perf_counter()
+        timings[stage] = now - start
+        start = now
+
     v = apply_T(tau, Measure.product(f, sigma))
     deco = whitney_layers(grid, v, rho, base)
-    classified = classify_cubes(deco, f, sigma, omega, tau, eta, m)
-    occurrence = occurrence_audit(classified)
+    lap("whitney")
+    corridors = corridor_sets(deco, m)
+    lap("corridors")
+    classified = _classify(corridors, f, sigma, omega, tau, eta)
+    lap("classify")
 
     violations = list(deco.violations) + list(classified.violations)
+    occurrence = occurrence_audit(classified)
     violations += occurrence.violations
-    for e in classified.entries:
-        ns = neighbor_sets(deco, e.cube, e.k, m, tau=tau, omega=omega)
-        violations += ns.violations
+    neighbor_checks = reevaluated = 0
+    for lay in deco.layers:
+        per_cube, checks, redone = _layer_neighbors(deco, lay.k, m, tau, omega)
+        neighbor_checks += checks
+        reevaluated += redone
+        for found in per_cube:
+            violations += found
+    lap("neighbors")
 
-    mp = max_principle_audit(deco, f, sigma, tau, m)
+    mp, mp_checks, redone = _max_principle(corridors, f, sigma, tau, 1e-9)
+    reevaluated += redone + classified.reevaluated
     violations += [
         f"max principle {v.kind} k={v.k} cube={v.cube} leaf={v.leaf}: "
         f"{v.lhs!r} vs {v.rhs!r}"
         for v in mp
     ]
+    lap("max_principle")
 
     if seeds is None:
         seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
@@ -902,10 +1130,12 @@ def audit_decomposition(
         violations.append(f"geometric principal sum ratio {geo!r} exceeds 2")
     if car > car_cap * (1 + 1e-9):
         violations.append(f"principal Carleson ratio {car!r} exceeds {car_cap!r}")
+    lap("principal")
 
     class_counts: dict[int, int] = {1: 0, 2: 0, 3: 0}
     for e in classified.entries:
         class_counts[e.cls] += 1
+    grown = forest is not None
     return ProofLabReport(
         n_layers=len(deco.layers),
         k_lo=deco.layers[0].k if deco.layers else None,
@@ -924,4 +1154,17 @@ def audit_decomposition(
         carleson_ratio=car,
         carleson_cap=car_cap,
         violations=violations,
+        checks_run={
+            "whitney": deco.checks,
+            "corridor": corridors.checks,
+            "classification": classified.checks,
+            "neighbor": neighbor_checks,
+            "occurrence": occurrence.checks,
+            "max_principle": mp_checks,
+            "principal": forest.checks if grown else 0,
+            "geometric": int(grown),
+            "carleson": int(grown),
+        },
+        reevaluated=reevaluated,
+        timings=timings,
     )

@@ -129,6 +129,8 @@ def test_stage_timings_in_rows_stay_out_of_digest():
     for row in report.rows:
         assert all(row[k] >= 0.0 for k in stages)
         assert sum(row[k] for k in stages) == pytest.approx(row["time_total"])
+        audit_stages = [k for k in row if k.startswith("time_audit_")]
+        assert audit_stages and sum(row[k] for k in audit_stages) <= row["time_audit"]
     shifted = [{**row, **{k: row[k] + 1.0 for k in stages}} for row in report.rows]
     assert rows_digest(shifted) == report.digest
 
@@ -396,6 +398,13 @@ def test_cli_out_of_range_flag_exit_code(tmp_path, capsys, command, flag, value)
     if command == "decompose":
         argv += ["--instance", str(_gen_file(tmp_path))]
     assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["testing", "norm"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_tol_out_of_range_exit_code(tmp_path, capsys, command, tol):
+    assert main([command, "--instance", str(_gen_file(tmp_path)), "--tol", tol]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -16,8 +16,10 @@ import pytest
 from twoweight.grid import Measure, build_grid, parent as cube_parent, weighted_avg
 from twoweight.harness import GeneratorConfig, gen_instance, instance_f
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted, maximal
+from twoweight import prooflab
 from twoweight.prooflab import (
     DEFAULT_M,
+    MaxPrincipleViolation,
     WhitneyDecomposition,
     WhitneyLayer,
     _audit_whitney,
@@ -568,6 +570,97 @@ def _neighbor_sets_oracle(deco, q, k, m, tau=None, omega=None):
     return neighbors, refined, out
 
 
+def _classify_oracle(deco, f, sigma, omega, tau, eta=0.25, m=DEFAULT_M):
+    """(entries as (k, cube, class, alpha, beta), violations, key_margin_min), one
+    inward localization per layer cube."""
+    g = deco.grid
+    sets, out = _corridor_sets_oracle(deco, m)
+    entries, margin = [], math.inf
+    for lay in deco.layers:
+        above = deco.omega_mask(lay.k + m)
+        for c in lay.cubes:
+            c = int(c)
+            leaves = sets[(lay.k, c)]
+            e_mask = np.zeros(g.n_leaves, dtype=bool)
+            e_mask[leaves] = True
+            w_e = float(omega.leaf_mass[leaves].sum())
+            w_q = float(omega.cube_mass[c])
+            up = cube_parent(g, g.cube(c), 1)
+            dom = (
+                np.ones(g.n_leaves, dtype=bool)
+                if up.is_virtual
+                else g.subtree_leaf_mask(g.index_of(up))
+            )
+            t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), up, "in")
+            integrand = f * t_in * sigma.leaf_mass
+            alpha = float(integrand[dom & ~above].sum())
+            beta = float(integrand[dom & above].sum())
+            cls = 1 if w_e <= eta * w_q else (2 if alpha > beta else 3)
+            entries.append((lay.k, c, cls, alpha, beta, leaves))
+            lhs = lay.threshold * w_e
+            if lhs > (alpha + beta) * (1 + 1e-9):
+                out.append(
+                    f"key inequality k={lay.k} cube {c}: {lhs!r} > alpha+beta={alpha + beta!r}"
+                )
+            if lhs > 0:
+                margin = min(margin, (alpha + beta) / lhs)
+    by_cube = {}
+    for e in entries:
+        by_cube.setdefault(e[1], []).append(e)
+    cap = math.ceil(1.0 / eta)
+    for c, group in by_cube.items():
+        leaves = np.concatenate([e[5] for e in group])
+        if np.unique(leaves).size < leaves.size:
+            out.append(f"corridors of cube {c} overlap across layers")
+        hot = sum(1 for e in group if e[2] != 1)
+        if hot > cap:
+            out.append(f"layer-count cube {c}: non-class-1 in {hot} layers, cap {cap}")
+    return [e[:5] for e in entries], out, margin
+
+
+def _max_principle_oracle(deco, f, sigma, tau, m=DEFAULT_M, rtol=1e-9):
+    """The maximum-principle records, with three operator applications per layer cube."""
+    g = deco.grid
+    fs = Measure.product(f, sigma)
+    sets, _ = _corridor_sets_oracle(deco, m)
+    out = []
+    for lay in deco.layers:
+        thr = lay.threshold
+        for c in lay.cubes:
+            c = int(c)
+            up1 = cube_parent(g, g.cube(c), 1)
+            up2 = cube_parent(g, g.cube(c), 2)
+            up2_mask = (
+                np.ones(g.n_leaves, dtype=bool)
+                if up2.is_virtual
+                else g.subtree_leaf_mask(g.index_of(up2))
+            )
+            out_local = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), up2, "out")
+            out_far = apply_T(tau, fs.with_leaf_mask(~up2_mask))
+            for leaf in np.flatnonzero(g.subtree_leaf_mask(c)):
+                for kind, vals in (("out-local", out_local), ("out-far", out_far)):
+                    if vals[leaf] > thr * (1 + rtol):
+                        lhs = float(vals[leaf])
+                        out.append(MaxPrincipleViolation(lay.k, c, int(leaf), kind, lhs, thr))
+            corridor = sets[(lay.k, c)]
+            if corridor.size:
+                t_in = apply_T_restricted(tau, fs, up1, "in")
+                for leaf in corridor:
+                    if t_in[leaf] < thr * (1 - rtol):
+                        lhs = float(t_in[leaf])
+                        out.append(MaxPrincipleViolation(lay.k, c, int(leaf), "in-lower", lhs, thr))
+    return out
+
+
+def _occurrence_oracle(deco, entries, m):
+    counts = {}
+    for k, c, cls, _, _ in entries:
+        if cls == 3:
+            for r in _neighbor_sets_oracle(deco, c, k, m)[1]:
+                counts[r] = counts.get(r, 0) + 1
+    return counts
+
+
 def _principal_violations_oracle(g, usable, avg, family, gamma):
     out = []
     for i in usable:
@@ -645,12 +738,34 @@ def _spiky_case(d, depth, seed):
     return inst.grid, inst.tau, inst.sigma, inst.omega, instance_f(inst)
 
 
-def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M)):
-    """Every layer audit of ``deco`` against its oracle; returns the Whitney violations."""
+def _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m):
+    """Classification, occurrence counts and maximum principle of ``deco`` against the oracles."""
+    cls = classify_cubes(deco, f, sigma, omega, tau, m=m)
+    entries, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=m)
+    assert [(e.k, e.cube, e.cls) for e in cls.entries] == [e[:3] for e in entries]
+    assert cls.violations == viol
+    got = np.array([(e.alpha, e.beta) for e in cls.entries]).reshape(-1, 2)
+    want = np.array([e[3:] for e in entries]).reshape(-1, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert cls.key_margin_min == pytest.approx(margin, rel=1e-12)
+    assert occurrence_audit(cls).counts == _occurrence_oracle(deco, entries, m)
+    mp = max_principle_audit(deco, f, sigma, tau, m)
+    assert mp == _max_principle_oracle(deco, f, sigma, tau, m)
+    return cls, mp
+
+
+def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=None):
+    """Every layer audit of ``deco`` against its oracle; returns the Whitney violations.
+
+    With ``f`` and ``sigma`` the classification, occurrence counts and maximum
+    principle are compared as well.
+    """
     fresh = WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, deco.layers)
     _audit_whitney(fresh)
     assert (fresh.violations, fresh.fo_max, fresh.crowd_max) == _audit_whitney_oracle(deco)
     for m in ms:
+        if f is not None:
+            _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m)
         cor = corridor_sets(deco, m)
         sets, viol = _corridor_sets_oracle(deco, m)
         assert cor.violations == viol
@@ -680,15 +795,7 @@ def test_layer_audits_match_oracles(d, depth, seed, rho):
             cubes, clamped = _whitney_cubes_oracle(g, deco.omega_mask(lay.k), rho)
             np.testing.assert_array_equal(lay.cubes, cubes)
             np.testing.assert_array_equal(lay.clamped, clamped)
-    assert _assert_matches_oracles(deco, tau, omega) == deco.violations == []
-
-    cls = classify_cubes(deco, f, sigma, omega, tau, m=2)
-    counts = {}
-    for e in cls.entries:
-        if e.cls == 3:
-            for r in _neighbor_sets_oracle(deco, e.cube, e.k, 2)[1]:
-                counts[r] = counts.get(r, 0) + 1
-    assert occurrence_audit(cls).counts == counts
+    assert _assert_matches_oracles(deco, tau, omega, f=f, sigma=sigma) == deco.violations == []
 
     seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
     forest = principal_cubes(f, sigma, seeds)
@@ -727,7 +834,7 @@ def test_corrupted_layers_fire_the_same_violations(d, depth, seed):
         "nested": (_corrupt(deco, top, nested), "nestedness"),
     }
     for name, (bad, kind) in cases.items():
-        viol = _assert_matches_oracles(bad, tau, omega, ms=(2,))
+        viol = _assert_matches_oracles(bad, tau, omega, ms=(2,), f=f, sigma=sigma)
         assert any(s.startswith(kind) for s in viol), name
 
 
@@ -763,3 +870,135 @@ def test_ancestor_by_index():
         g.ancestor(g.n_cubes, 1)
     with pytest.raises(ValueError):
         g.ancestor(0, -1)
+
+
+# -- batched decisions at and beyond their bounds -------------------------------------------
+
+
+def _rescaled(deco, factor, only=None):
+    """A copy of ``deco`` with the threshold of layer ``only`` (or of all) times ``factor``."""
+    layers = [
+        WhitneyLayer(lay.k, lay.threshold * factor, lay.cubes, lay.clamped, lay.saturated)
+        if only in (None, i)
+        else lay
+        for i, lay in enumerate(deco.layers)
+    ]
+    return WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, layers)
+
+
+class _Calls:
+    """Counts the operator applications prooflab makes, by name."""
+
+    def __init__(self, monkeypatch):
+        self.count = {"apply_T": 0, "apply_T_restricted": 0}
+        for name in self.count:
+            monkeypatch.setattr(prooflab, name, self._counted(name, getattr(prooflab, name)))
+
+    def _counted(self, name, fn):
+        def wrapper(*args, **kwargs):
+            self.count[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+
+@pytest.mark.parametrize(
+    "d,depth,seed,m,factor,kinds",
+    [
+        (1, 6, 1, 5, 0.01, {"out-local", "out-far"}),
+        (2, 3, 1, 5, 0.5, {"out-local"}),
+        (2, 3, 1, 5, 0.1, {"out-local", "out-far"}),
+        (1, 6, 1, 2, 2.0, {"in-lower"}),
+        (2, 3, 1, 2, 100.0, {"in-lower"}),
+    ],
+)
+def test_max_principle_fires_like_oracle(monkeypatch, d, depth, seed, m, factor, kinds):
+    g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
+    deco = _rescaled(whitney_layers(g, apply_T(tau, Measure.product(f, sigma))), factor)
+    want = _max_principle_oracle(deco, f, sigma, tau, m)
+    calls = _Calls(monkeypatch)
+    got, checks, reevaluated = prooflab._max_principle(corridor_sets(deco, m), f, sigma, tau, 1e-9)
+    assert got == want
+    assert {v.kind for v in got} == kinds
+    assert calls.count == {"apply_T": 0, "apply_T_restricted": reevaluated}
+    assert 0 < reevaluated <= len(got) and checks >= len(got)
+
+
+@pytest.mark.parametrize("kind", ["out-local", "out-far", "in-lower"])
+def test_max_principle_on_its_bound_takes_the_per_cube_value(kind):
+    # a layer threshold placed exactly where one cube's value meets the bound:
+    # the batched value cannot decide it, the per-cube one does
+    g, tau, sigma, omega, f = _spiky_case(1, 6, 1)
+    deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
+    m, rtol = (2, 1e-9) if kind == "in-lower" else (5, 1e-9)
+    shifted = _rescaled(deco, 0.01 if kind == "out-far" else (2.0 if kind == "in-lower" else 0.5))
+    fired = [v for v in _max_principle_oracle(shifted, f, sigma, tau, m) if v.kind == kind]
+    # the most extreme value of its kind, so no other cube's value of that kind passes the bound
+    pick = (min if kind == "in-lower" else max)(fired, key=lambda v: v.lhs)
+    i = next(i for i, lay in enumerate(deco.layers) if lay.k == pick.k)
+    edge = pick.lhs / (1 - rtol if kind == "in-lower" else 1 + rtol)
+    on_bound = _rescaled(deco, edge / deco.layers[i].threshold, only=i)
+    got, _, reevaluated = prooflab._max_principle(corridor_sets(on_bound, m), f, sigma, tau, rtol)
+    assert got == _max_principle_oracle(on_bound, f, sigma, tau, m)
+    assert reevaluated >= 1
+
+
+def _tie_case(threshold):
+    """Two-cube layer on the depth-2 interval grid where alpha == beta == 4 exactly.
+
+    Cube 1 (leaves 0, 1) has its corridor on leaf 0; leaf 1 lies in Omega_{k+m}.
+    With unit f, sigma, omega and tau on the two top levels, the inward
+    localization is 3 on leaves 0 and 1 and 1 on leaves 2 and 3, so the pairing
+    splits 3 + 1 on either side of Omega_{k+m}.
+    """
+    g = build_grid(1, 2)
+    v = np.array([1.5, 3.0, 1.5, 3.0])
+    layer = WhitneyLayer(0, threshold, np.array([1, 2]), np.zeros(2, dtype=bool), False)
+    deco = WhitneyDecomposition(g, v, 1, 2.0, [layer])
+    tau = CubeWeights(g, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    unit = Measure(g, np.ones(4))
+    return deco, np.ones(4), unit, unit, tau
+
+
+def test_classification_exact_tie_is_class_3():
+    deco, f, sigma, omega, tau = _tie_case(1.0)
+    cls = classify_cubes(deco, f, sigma, omega, tau, m=1)
+    entries, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=1)
+    first = cls.entries[0]
+    assert (first.cube, first.cls, first.alpha, first.beta) == (1, 3, 4.0, 4.0)
+    assert [(e.k, e.cube, e.cls, e.alpha, e.beta) for e in cls.entries] == entries
+    assert cls.violations == viol == [] and cls.key_margin_min == margin
+    assert cls.reevaluated >= 1
+
+
+def test_key_inequality_violation_prints_per_cube_values():
+    deco, f, sigma, omega, tau = _tie_case(100.0)
+    cls = classify_cubes(deco, f, sigma, omega, tau, m=1)
+    _, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=1)
+    assert cls.violations == viol
+    assert viol[0] == "key inequality k=0 cube 1: 100.0 > alpha+beta=8.0"
+    assert cls.key_margin_min == margin
+
+
+def test_audit_applies_the_operator_once(monkeypatch):
+    g, tau, sigma, omega, f = _spiky_case(2, 4, 3)
+    calls = _Calls(monkeypatch)
+    rep = audit_decomposition(f, sigma, omega, tau)
+    assert rep.n_layers >= 3 and rep.clean
+    assert calls.count == {"apply_T": 1, "apply_T_restricted": rep.reevaluated}
+
+
+def test_report_counts_checks_and_stage_times():
+    g, tau, sigma, omega, f = _spiky_case(1, 6, 1)
+    rep = audit_decomposition(f, sigma, omega, tau)
+    blob = json.loads(json.dumps(rep.to_dict()))
+    families = {"whitney", "corridor", "classification", "neighbor", "occurrence",
+                "max_principle", "principal", "geometric", "carleson"}
+    assert set(blob["checks_run"]) == families
+    assert all(blob["checks_run"][k] > 0 for k in families - {"occurrence"})
+    assert blob["reevaluated"] == rep.reevaluated == 0
+    stages = [k for k in blob if k.startswith("time_")]
+    assert stages and all(blob[k] >= 0 for k in stages)
+    # no layers: nothing to check, so every layer family reports zero checks
+    empty = audit_decomposition(np.zeros(g.n_leaves), sigma, omega, tau)
+    assert empty.clean and set(empty.checks_run.values()) == {0}
