@@ -35,7 +35,7 @@ from .harness import (
     run_suite,
 )
 from .operators import apply_T
-from .prooflab import classify_cubes, principal_cubes, whitney_layers
+from .prooflab import classify_cubes, corridor_sets, principal_cubes, whitney_layers
 
 
 _FLAGS = {
@@ -172,9 +172,11 @@ def _cmd_decompose(args) -> int:
     check_decomposition_params(args.eta, args.rho)
     inst = _load_instance(args.instance)
     f = _load_f(inst, args.f)
+    if np.any(f < 0):
+        raise ConfigError("f must be >= 0 for decompose (principal cubes average f)")
     v = apply_T(inst.tau, Measure.product(f, inst.sigma))
     deco = whitney_layers(inst.grid, v, rho=args.rho)
-    classified = classify_cubes(deco, f, inst.sigma, inst.omega, inst.tau, eta=args.eta)
+    classified = classify_cubes(corridor_sets(deco), f, inst.sigma, inst.omega, inst.tau, args.eta)
     seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
     forest = principal_cubes(f, inst.sigma, seeds)
     payload = {

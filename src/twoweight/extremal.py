@@ -27,6 +27,16 @@ from .operators import CubeWeights
 
 DENSE_ORACLE_MAX_LEAVES = 1 << 12
 
+# Power iteration for exact_norm_22: iteration cap, relative change of the
+# value that stops it, and relative residual that makes the value "exact".
+_POWER_MAX_ITER = 50000
+_POWER_VALUE_TOL = 1e-14
+_POWER_RESIDUAL_TOL = 1e-9
+
+# Projected ascent: initial step, and the step below which a row stops moving.
+_STEP0 = 0.5
+_MIN_STEP = 1e-10
+
 
 @dataclass
 class NormEstimate:
@@ -54,8 +64,6 @@ class NormEstimate:
 class AscentOptions:
     restarts: int = 16
     max_iter: int = 120
-    step0: float = 0.5
-    min_step: float = 1e-10
     seed: int = 0
 
 
@@ -84,9 +92,6 @@ def exact_norm_22(
     sigma: Measure,
     omega: Measure,
     *,
-    max_iter: int = 50000,
-    value_tol: float = 1e-14,
-    residual_tol: float = 1e-9,
     return_history: bool = False,
 ):
     """Top singular value of the p=q=2 form by alternating power iteration.
@@ -115,7 +120,7 @@ def exact_norm_22(
     s_prev = -1.0
     u = np.zeros(grid.n_leaves)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _POWER_MAX_ITER + 1):
         av = a_fwd(v)
         s = float(np.linalg.norm(av))
         history.append(s)
@@ -129,13 +134,13 @@ def exact_norm_22(
         u = av / s
         atu = a_adj(u)
         v = atu / float(np.linalg.norm(atu))
-        if abs(s - s_prev) <= value_tol * s:
+        if abs(s - s_prev) <= _POWER_VALUE_TOL * s:
             break
         s_prev = s
     av = a_fwd(v)
     s = float(u @ av)
     residual = float(np.linalg.norm(a_adj(u) - s * v))
-    kind = "exact" if residual <= residual_tol * max(s, 1e-300) else "lower-bound"
+    kind = "exact" if residual <= _POWER_RESIDUAL_TOL * max(s, 1e-300) else "lower-bound"
     # the iteration runs on the sigma-side/omega-side transposed matrix, so u
     # is the input singular vector: f pairs with sigma, g with omega
     est = NormEstimate(
@@ -228,13 +233,13 @@ def _ascend(pool, project, objective, proposals, opts: AscentOptions):
     """
     f = project(pool.copy())
     j, img = objective(f)
-    step = np.full(f.shape[0], opts.step0)
+    step = np.full(f.shape[0], _STEP0)
     iterations = 0
     stall = 0
     for iterations in range(1, opts.max_iter + 1):
         g, fp = proposals(f, img)
         gn = np.linalg.norm(g, axis=1)
-        live = (gn > 0) & (step > opts.min_step)
+        live = (gn > 0) & (step > _MIN_STEP)
         d = np.zeros_like(g)
         d[live] = g[live] / gn[live, None]
         cand1 = project(f + step[:, None] * d)

@@ -171,9 +171,6 @@ class DyadicGrid:
     def root(self) -> CubeRef:
         return CubeRef(0, (0,) * self.d)
 
-    def parent_index(self, index: int) -> int:
-        return int(self.parent[index])
-
     def children_indices(self, index: int) -> np.ndarray:
         lev = int(self.levels[index])
         if lev >= self.depth:

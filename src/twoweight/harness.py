@@ -219,7 +219,6 @@ class SuiteConfig:
     threads: int = 1
     out_dir: str | None = None
     ascent: AscentOptions | None = None
-    run_audits: bool = True
 
     def validate(self) -> None:
         for g in self.generators:
@@ -336,27 +335,26 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     t_audit = time.perf_counter()
     row["time_norm"] = t_audit - t_norm
 
-    if cfg.run_audits:
-        f = instance_f(inst)
-        audit = audit_decomposition(
-            f,
-            inst.sigma,
-            inst.omega,
-            inst.tau,
-            eta=cfg.eta,
-            rho=cfg.rho,
-            m=cfg.m,
-            p=inst.exps.p,
-        )
-        row["audit_clean"] = audit.clean
-        row["audit_violations"] = len(audit.violations)
-        row["fo_max"] = audit.fo_max
-        row["occurrence_max"] = audit.occurrence_max
-        row["geometric_ratio"] = audit.geometric_ratio
-        row["carleson_principal_ratio"] = audit.carleson_ratio
-        row.update({f"time_audit_{stage}": t for stage, t in audit.timings.items()})
-        for v in audit.violations:
-            flag("prooflab", v)
+    f = instance_f(inst)
+    audit = audit_decomposition(
+        f,
+        inst.sigma,
+        inst.omega,
+        inst.tau,
+        eta=cfg.eta,
+        rho=cfg.rho,
+        m=cfg.m,
+        p=inst.exps.p,
+    )
+    row["audit_clean"] = audit.clean
+    row["audit_violations"] = len(audit.violations)
+    row["fo_max"] = audit.fo_max
+    row["occurrence_max"] = audit.occurrence_max
+    row["geometric_ratio"] = audit.geometric_ratio
+    row["carleson_principal_ratio"] = audit.carleson_ratio
+    row.update({f"time_audit_{stage}": t for stage, t in audit.timings.items()})
+    for v in audit.violations:
+        flag("prooflab", v)
     t_end = time.perf_counter()
     row["time_audit"] = t_end - t_audit
     row["time_total"] = t_end - t0

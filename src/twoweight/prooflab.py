@@ -9,7 +9,7 @@ violation list is the expected outcome on every input.
 
 Conventions, fixed once and used consistently:
 
-* Superlevel sets are strict: Omega_k = {v > base**k}; a tie v(x) == base**k
+* Superlevel sets are strict: Omega_k = {v > BASE**k}; a tie v(x) == BASE**k
   leaves x outside.
 * The layer window is finite: k runs from the largest k with Omega_k equal to
   the full positive support of v up to the largest k with Omega_k nonempty.
@@ -38,6 +38,10 @@ from .operators import CubeWeights, apply_T, apply_T_restricted, maximal
 DEFAULT_M = 5
 DEFAULT_ETA = 0.25
 DEFAULT_RHO = 1
+BASE = 2.0  # Omega_k = {v > BASE**k}
+
+# Relative slack of the maximum-principle comparisons against a layer threshold.
+_MP_RTOL = 1e-9
 
 # A batched audit value and the per-cube operator evaluation it stands for add
 # the same terms in different orders. Both are sums of like-signed terms, so
@@ -57,12 +61,12 @@ def _power(base: float, k: int) -> float:
         return math.inf
 
 
-def _largest_k_below(base: float, x: float) -> int:
-    """Largest integer k with base**k < x, for x > 0."""
-    k = int(math.floor(math.log(x, base)))
-    while _power(base, k) >= x:
+def _largest_k_below(x: float) -> int:
+    """Largest integer k with BASE**k < x, for x > 0."""
+    k = int(math.floor(math.log(x, BASE)))
+    while _power(BASE, k) >= x:
         k -= 1
-    while _power(base, k + 1) < x:
+    while _power(BASE, k + 1) < x:
         k += 1
     return k
 
@@ -135,9 +139,11 @@ def _leaf_mask(grid: DyadicGrid, c: int) -> np.ndarray:
 def _leaves_under(grid: DyadicGrid, cubes: np.ndarray, leaves: np.ndarray) -> dict:
     """Cube index -> the sorted positions of ``leaves`` inside it, for every cube of ``cubes``."""
     groups = {}
+    member = np.zeros(grid.n_cubes, dtype=bool)
+    member[cubes] = True
     for lev in np.unique(grid.levels[cubes]):
         owner = grid.ancestor(grid.leaf_start + leaves, grid.depth - int(lev))
-        hit = np.isin(owner, cubes)
+        hit = member[owner]
         order = np.argsort(owner[hit], kind="stable")
         keys, starts = np.unique(owner[hit][order], return_index=True)
         groups.update(zip(keys.tolist(), np.split(leaves[hit][order], starts[1:])))
@@ -229,9 +235,7 @@ class WhitneyDecomposition:
         }
 
 
-def whitney_layers(
-    grid: DyadicGrid, v, rho: int = DEFAULT_RHO, base: float = 2.0
-) -> WhitneyDecomposition:
+def whitney_layers(grid: DyadicGrid, v, rho: int = DEFAULT_RHO) -> WhitneyDecomposition:
     """Whitney cube layers of every superlevel set of v, audited at build time.
 
     For each leaf x in Omega_k, take its topmost ancestor contained in Omega_k
@@ -243,26 +247,24 @@ def whitney_layers(
     """
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
-    if base <= 1:
-        raise ValueError(f"base must be > 1, got {base}")
     v = np.asarray(v, dtype=np.float64).copy()
     if v.shape != (grid.n_leaves,):
         raise ValueError(f"expected {grid.n_leaves} leaf values, got shape {v.shape}")
     v.flags.writeable = False
 
-    deco = WhitneyDecomposition(grid, v, rho, float(base), [])
+    deco = WhitneyDecomposition(grid, v, rho, BASE, [])
     positive = v[v > 0]
     if positive.size == 0:
         return deco
-    k_lo = _largest_k_below(base, float(positive.min()))
-    k_hi = _largest_k_below(base, float(positive.max()))
+    k_lo = _largest_k_below(float(positive.min()))
+    k_hi = _largest_k_below(float(positive.max()))
 
     # A Whitney cube lies rho levels below a maximal cube of Omega_k; a leaf
     # fewer than rho levels below one is its own, clamped, Whitney cube.
     up = grid.ancestor(np.arange(grid.n_cubes), rho)
     real = up >= 0
     for k in range(k_lo, k_hi + 1):
-        thr = _power(base, k)
+        thr = _power(BASE, k)
         in_mask = v > thr
         if not in_mask.any():
             continue
@@ -437,13 +439,12 @@ class ClassifiedDecomposition:
 
 
 def classify_cubes(
-    deco: WhitneyDecomposition,
+    corridors: CorridorSets,
     f,
     sigma: Measure,
     omega: Measure,
     tau: CubeWeights,
     eta: float = DEFAULT_ETA,
-    m: int = DEFAULT_M,
 ) -> ClassifiedDecomposition:
     """Three-way classification of the layer cubes, with the key inequality audit.
 
@@ -454,12 +455,7 @@ def classify_cubes(
     alpha > beta, class 3 when not. Audited: threshold * omega(E_k(Q)) never
     exceeds alpha + beta, corridors for a fixed cube are disjoint across
     layers, and a fixed cube is non-class-1 in at most ceil(1/eta) layers.
-    """
-    return _classify(corridor_sets(deco, m), f, sigma, omega, tau, eta)
-
-
-def _classify(corridors, f, sigma, omega, tau, eta) -> ClassifiedDecomposition:
-    """``classify_cubes`` on corridors already built.
+    The layers and m are those of ``corridors``.
 
     alpha + beta of a cube Q is sum over P <= parent(Q) of
     tau_P * omega_E(P) * f sigma(P) / |P|, and omega_E vanishes on every P
@@ -675,21 +671,17 @@ class OccurrenceAudit:
     checks: int = 0  # refinement cubes counted
 
 
-def occurrence_audit(
-    classified: ClassifiedDecomposition, cap_constant: float | None = None
-) -> OccurrenceAudit:
+def occurrence_audit(classified: ClassifiedDecomposition) -> OccurrenceAudit:
     """How often each refinement cube is hit by class-3 pairs, against the cap.
 
     A class-3 cube Q of layer k hits every layer-(k+m) cube meeting its
     parent, so each layer pair is one count pass over the parents. The cap is
-    cap_constant / eta with cap_constant defaulting to 64 * 2**(rho*d) * (m+2).
+    64 * 2**(rho*d) * (m+2) / eta.
     """
     deco = classified.whitney
     grid = deco.grid
     m = classified.m
-    if cap_constant is None:
-        cap_constant = 64.0 * 2 ** (deco.rho * grid.d) * (m + 2)
-    cap = cap_constant / classified.eta
+    cap = 64.0 * 2 ** (deco.rho * grid.d) * (m + 2) / classified.eta
     hit: dict[int, list[int]] = {}
     for e in classified.entries:
         if e.cls == 3:
@@ -883,25 +875,19 @@ class MaxPrincipleViolation:
     rhs: float
 
 
+@dataclass
+class MaxPrincipleAudit:
+    violations: list[MaxPrincipleViolation]  # empty list expected
+    checks: int = 0  # comparisons made
+    reevaluated: int = 0  # per-cube operator calls
+
+
 def max_principle_audit(
-    deco: WhitneyDecomposition,
-    f,
-    sigma: Measure,
-    tau: CubeWeights,
-    m: int = DEFAULT_M,
-    rtol: float = 1e-9,
-) -> list[MaxPrincipleViolation]:
+    corridors: CorridorSets, f, sigma: Measure, tau: CubeWeights
+) -> MaxPrincipleAudit:
     """On each layer cube: both outward contributions stay below the threshold,
-    and the inward localization clears it on the corridor. Empty list expected.
-    """
-    return _max_principle(corridor_sets(deco, m), f, sigma, tau, rtol)[0]
-
-
-def _max_principle(
-    corridors: CorridorSets, f, sigma: Measure, tau: CubeWeights, rtol: float
-) -> tuple[list[MaxPrincipleViolation], int, int]:
-    """``max_principle_audit`` on corridors already built; also returns the number
-    of comparisons made and of per-cube re-evaluations.
+    and the inward localization clears it on the corridor, each within the
+    relative slack ``_MP_RTOL``. The layers are those of ``corridors``.
 
     Let A = down_sum(tau/|Q|), D = down_sum(tau * f sigma(Q)/|Q|) and P1, P2
     the parent and grandparent of a layer cube. By T = T^in_R + T^out_parent(R),
@@ -933,7 +919,7 @@ def _max_principle(
     checks = reevaluated = 0
     for lay in deco.layers:
         thr = lay.threshold
-        hi, lo = thr * (1 + rtol), thr * (1 - rtol)
+        hi, lo = thr * (1 + _MP_RTOL), thr * (1 - _MP_RTOL)
         p1 = grid.ancestor(lay.cubes, 1)
         p2 = grid.ancestor(lay.cubes, 2)
         out_local = _at(local, p2)
@@ -979,7 +965,7 @@ def _max_principle(
                     for leaf in corridor[i]
                     if vals[leaf] < lo
                 ]
-    return violations, checks, reevaluated
+    return MaxPrincipleAudit(violations, checks, reevaluated)
 
 
 def _sibling_mass(grid: DyadicGrid, mass: np.ndarray) -> np.ndarray:
@@ -1060,17 +1046,15 @@ def audit_decomposition(
     rho: int = DEFAULT_RHO,
     m: int = DEFAULT_M,
     p: float = 2.0,
-    base: float = 2.0,
-    seeds=None,
 ) -> ProofLabReport:
     """Run the full decomposition pipeline on one instance and aggregate audits.
 
     Builds v = T(f sigma), the Whitney layers, the corridors (once, for the
     classification and the maximum principle), the classification, the
     neighbor/occurrence counts, the maximum-principle check, and a principal
-    forest seeded (by default) with all layer cubes. Every violation string
-    from every stage lands in one list; an empty list means the instance
-    passes everything. The report also counts the checks each audit family
+    forest seeded with all layer cubes. Every violation string from every
+    stage lands in one list; an empty list means the instance passes
+    everything. The report also counts the checks each audit family
     made, the decisions re-taken by a per-cube operator call, and the wall
     time of each stage.
     """
@@ -1086,11 +1070,11 @@ def audit_decomposition(
         start = now
 
     v = apply_T(tau, Measure.product(f, sigma))
-    deco = whitney_layers(grid, v, rho, base)
+    deco = whitney_layers(grid, v, rho)
     lap("whitney")
     corridors = corridor_sets(deco, m)
     lap("corridors")
-    classified = _classify(corridors, f, sigma, omega, tau, eta)
+    classified = classify_cubes(corridors, f, sigma, omega, tau, eta)
     lap("classify")
 
     violations = list(deco.violations) + list(classified.violations)
@@ -1105,17 +1089,16 @@ def audit_decomposition(
             violations += found
     lap("neighbors")
 
-    mp, mp_checks, redone = _max_principle(corridors, f, sigma, tau, 1e-9)
-    reevaluated += redone + classified.reevaluated
+    mp = max_principle_audit(corridors, f, sigma, tau)
+    reevaluated += mp.reevaluated + classified.reevaluated
     violations += [
         f"max principle {v.kind} k={v.k} cube={v.cube} leaf={v.leaf}: "
         f"{v.lhs!r} vs {v.rhs!r}"
-        for v in mp
+        for v in mp.violations
     ]
     lap("max_principle")
 
-    if seeds is None:
-        seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
+    seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
     forest = principal_cubes(f, sigma, seeds) if seeds else None
     if forest is not None:
         violations += forest.violations
@@ -1148,7 +1131,7 @@ def audit_decomposition(
         key_margin_min=classified.key_margin_min,
         occurrence_max=occurrence.max_count,
         occurrence_cap=occurrence.cap,
-        max_principle_violations=len(mp),
+        max_principle_violations=len(mp.violations),
         principal_count=0 if forest is None else int(forest.cubes.size),
         geometric_ratio=geo,
         carleson_ratio=car,
@@ -1160,7 +1143,7 @@ def audit_decomposition(
             "classification": classified.checks,
             "neighbor": neighbor_checks,
             "occurrence": occurrence.checks,
-            "max_principle": mp_checks,
+            "max_principle": mp.checks,
             "principal": forest.checks if grown else 0,
             "geometric": int(grown),
             "carleson": int(grown),

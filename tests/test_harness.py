@@ -1,6 +1,9 @@
-"""Instance generation, canonical serialization, suites, and the CLI."""
+"""Instance generation, canonical serialization, suites, the CLI, and the
+package names the benchmark traces."""
 
 import concurrent.futures
+import importlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -231,7 +234,7 @@ def test_suite_off_diagonal_rows():
 
 def test_suite_rows_carry_solver_iterations():
     gens = [GeneratorConfig(d=1, depth=3, p=1.5, q=3.0), GeneratorConfig(d=1, depth=3)]
-    report = run_suite(SuiteConfig(generators=gens, n=1, seed=5, ascent=FAST_ASCENT, run_audits=False))
+    report = run_suite(SuiteConfig(generators=gens, n=1, seed=5, ascent=FAST_ASCENT))
     seeds = np.random.SeedSequence(5).generate_state(2, dtype=np.uint64)
     for row, cfg, seed in zip(report.rows, gens, seeds):
         inst = gen_instance(cfg, int(seed))
@@ -408,6 +411,17 @@ def test_cli_tol_out_of_range_exit_code(tmp_path, capsys, command, tol):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_decompose_negative_f_exit_code(tmp_path, capsys):
+    inst_path = _gen_file(tmp_path)
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps([1, -1, 2, 0, 1, 1, 0, 3]))
+    assert main(["decompose", "--instance", str(inst_path), "--f", str(f_path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+    # the operator itself takes signed f
+    assert main(["apply", "--instance", str(inst_path), "--f", str(f_path)]) == 0
+
+
 def test_cli_config_error_exit_code(capsys):
     assert main(["gen", "--sigma", "gaussian"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -446,3 +460,22 @@ def test_instance_wrong_shape_is_config_error():
     data["tau"] = [1.0, 2.0]
     with pytest.raises(ConfigError):
         Instance.from_json_dict(data)
+
+
+# -- names the benchmark traces -------------------------------------------------------
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these functions and methods by name; a missing one
+    # makes a traced benchmark run fail before it measures anything
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for span_name, mod_name, attr, _ in spans.TARGETS:
+        holder = importlib.import_module(mod_name)
+        *owner, name = attr.split(".")
+        for part in owner:
+            holder = getattr(holder, part)
+        fn = vars(holder).get(name)
+        assert callable(fn), f"{span_name}: {mod_name}.{attr} is missing"

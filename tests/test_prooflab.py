@@ -155,8 +155,6 @@ def test_whitney_validation():
     with pytest.raises(ValueError):
         whitney_layers(g, np.ones(4), rho=0)
     with pytest.raises(ValueError):
-        whitney_layers(g, np.ones(4), base=1.0)
-    with pytest.raises(ValueError):
         whitney_layers(g, np.ones(3))
 
 
@@ -203,14 +201,14 @@ def test_classify_eta_validation():
     g, tau, sigma, omega, f = _random_case(3)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
     with pytest.raises(ValueError):
-        classify_cubes(deco, f, sigma, omega, tau, eta=1.0)
+        classify_cubes(corridor_sets(deco), f, sigma, omega, tau, eta=1.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_classification_clean_and_key_inequality(seed):
     g, tau, sigma, omega, f = _random_case(seed + 10, depth=5)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
-    cls = classify_cubes(deco, f, sigma, omega, tau)
+    cls = classify_cubes(corridor_sets(deco), f, sigma, omega, tau)
     assert cls.violations == []
     assert len(cls.entries) == sum(len(lay.cubes) for lay in deco.layers)
     for e in cls.entries:
@@ -229,7 +227,7 @@ def test_classification_clean_and_key_inequality(seed):
 def test_classified_json_structure():
     g, tau, sigma, omega, f = _random_case(4)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
-    cls = classify_cubes(deco, f, sigma, omega, tau)
+    cls = classify_cubes(corridor_sets(deco), f, sigma, omega, tau)
     blob = json.loads(json.dumps(cls.to_json_dict()))
     assert blob["eta"] == cls.eta and blob["m"] == cls.m
     assert len(blob["layers"]) == len(deco.layers)
@@ -272,7 +270,7 @@ def test_neighbor_refinements_inside_parent():
 def test_occurrence_counts_within_cap(seed):
     g, tau, sigma, omega, f = _random_case(seed + 20, depth=5)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
-    cls = classify_cubes(deco, f, sigma, omega, tau)
+    cls = classify_cubes(corridor_sets(deco), f, sigma, omega, tau)
     occ = occurrence_audit(cls)
     assert occ.violations == []
     assert occ.max_count <= occ.cap
@@ -404,7 +402,7 @@ def test_halving_chain_steps_are_tight(seed):
 def test_max_principle_silent(seed):
     g, tau, sigma, _, f = _random_case(seed + 40, depth=5)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
-    assert max_principle_audit(deco, f, sigma, tau) == []
+    assert max_principle_audit(corridor_sets(deco), f, sigma, tau).violations == []
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -740,7 +738,8 @@ def _spiky_case(d, depth, seed):
 
 def _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m):
     """Classification, occurrence counts and maximum principle of ``deco`` against the oracles."""
-    cls = classify_cubes(deco, f, sigma, omega, tau, m=m)
+    corridors = corridor_sets(deco, m)
+    cls = classify_cubes(corridors, f, sigma, omega, tau)
     entries, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=m)
     assert [(e.k, e.cube, e.cls) for e in cls.entries] == [e[:3] for e in entries]
     assert cls.violations == viol
@@ -749,7 +748,7 @@ def _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert cls.key_margin_min == pytest.approx(margin, rel=1e-12)
     assert occurrence_audit(cls).counts == _occurrence_oracle(deco, entries, m)
-    mp = max_principle_audit(deco, f, sigma, tau, m)
+    mp = max_principle_audit(corridors, f, sigma, tau).violations
     assert mp == _max_principle_oracle(deco, f, sigma, tau, m)
     return cls, mp
 
@@ -887,10 +886,10 @@ def _rescaled(deco, factor, only=None):
 
 
 class _Calls:
-    """Counts the operator applications prooflab makes, by name."""
+    """Counts prooflab's calls to the named functions (by default, the operator)."""
 
-    def __init__(self, monkeypatch):
-        self.count = {"apply_T": 0, "apply_T_restricted": 0}
+    def __init__(self, monkeypatch, names=("apply_T", "apply_T_restricted")):
+        self.count = dict.fromkeys(names, 0)
         for name in self.count:
             monkeypatch.setattr(prooflab, name, self._counted(name, getattr(prooflab, name)))
 
@@ -917,7 +916,8 @@ def test_max_principle_fires_like_oracle(monkeypatch, d, depth, seed, m, factor,
     deco = _rescaled(whitney_layers(g, apply_T(tau, Measure.product(f, sigma))), factor)
     want = _max_principle_oracle(deco, f, sigma, tau, m)
     calls = _Calls(monkeypatch)
-    got, checks, reevaluated = prooflab._max_principle(corridor_sets(deco, m), f, sigma, tau, 1e-9)
+    mp = max_principle_audit(corridor_sets(deco, m), f, sigma, tau)
+    got, checks, reevaluated = mp.violations, mp.checks, mp.reevaluated
     assert got == want
     assert {v.kind for v in got} == kinds
     assert calls.count == {"apply_T": 0, "apply_T_restricted": reevaluated}
@@ -930,7 +930,8 @@ def test_max_principle_on_its_bound_takes_the_per_cube_value(kind):
     # the batched value cannot decide it, the per-cube one does
     g, tau, sigma, omega, f = _spiky_case(1, 6, 1)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
-    m, rtol = (2, 1e-9) if kind == "in-lower" else (5, 1e-9)
+    m = 2 if kind == "in-lower" else 5
+    rtol = prooflab._MP_RTOL
     shifted = _rescaled(deco, 0.01 if kind == "out-far" else (2.0 if kind == "in-lower" else 0.5))
     fired = [v for v in _max_principle_oracle(shifted, f, sigma, tau, m) if v.kind == kind]
     # the most extreme value of its kind, so no other cube's value of that kind passes the bound
@@ -938,9 +939,9 @@ def test_max_principle_on_its_bound_takes_the_per_cube_value(kind):
     i = next(i for i, lay in enumerate(deco.layers) if lay.k == pick.k)
     edge = pick.lhs / (1 - rtol if kind == "in-lower" else 1 + rtol)
     on_bound = _rescaled(deco, edge / deco.layers[i].threshold, only=i)
-    got, _, reevaluated = prooflab._max_principle(corridor_sets(on_bound, m), f, sigma, tau, rtol)
-    assert got == _max_principle_oracle(on_bound, f, sigma, tau, m)
-    assert reevaluated >= 1
+    mp = max_principle_audit(corridor_sets(on_bound, m), f, sigma, tau)
+    assert mp.violations == _max_principle_oracle(on_bound, f, sigma, tau, m)
+    assert mp.reevaluated >= 1
 
 
 def _tie_case(threshold):
@@ -962,7 +963,7 @@ def _tie_case(threshold):
 
 def test_classification_exact_tie_is_class_3():
     deco, f, sigma, omega, tau = _tie_case(1.0)
-    cls = classify_cubes(deco, f, sigma, omega, tau, m=1)
+    cls = classify_cubes(corridor_sets(deco, 1), f, sigma, omega, tau)
     entries, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=1)
     first = cls.entries[0]
     assert (first.cube, first.cls, first.alpha, first.beta) == (1, 3, 4.0, 4.0)
@@ -973,7 +974,7 @@ def test_classification_exact_tie_is_class_3():
 
 def test_key_inequality_violation_prints_per_cube_values():
     deco, f, sigma, omega, tau = _tie_case(100.0)
-    cls = classify_cubes(deco, f, sigma, omega, tau, m=1)
+    cls = classify_cubes(corridor_sets(deco, 1), f, sigma, omega, tau)
     _, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=1)
     assert cls.violations == viol
     assert viol[0] == "key inequality k=0 cube 1: 100.0 > alpha+beta=8.0"
@@ -986,6 +987,15 @@ def test_audit_applies_the_operator_once(monkeypatch):
     rep = audit_decomposition(f, sigma, omega, tau)
     assert rep.n_layers >= 3 and rep.clean
     assert calls.count == {"apply_T": 1, "apply_T_restricted": rep.reevaluated}
+
+
+def test_audit_runs_each_stage_once(monkeypatch):
+    g, tau, sigma, omega, f = _spiky_case(1, 6, 1)
+    stages = ("whitney_layers", "corridor_sets", "classify_cubes", "max_principle_audit")
+    calls = _Calls(monkeypatch, stages)
+    rep = audit_decomposition(f, sigma, omega, tau)
+    assert rep.n_layers >= 3
+    assert calls.count == dict.fromkeys(stages, 1)
 
 
 def test_report_counts_checks_and_stage_times():
