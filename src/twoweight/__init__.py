@@ -1,8 +1,8 @@
 """Dyadic two-weight operator toolkit.
 
 Finite dyadic grids over the unit cube, positive tree operators with their
-in/out localizations, testing constants, exact and lower-bound norm
-estimation, superlevel decomposition machinery with built-in audits, and an
+in/out localizations, testing constants, exact, certified and lower-bound
+norm estimation, superlevel decomposition machinery with built-in audits, and an
 instance/suite harness with a CLI.
 """
 

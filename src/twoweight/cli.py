@@ -134,9 +134,7 @@ def _cmd_testing(args) -> int:
     inst = _load_instance(args.instance)
     rep = compute_testing_report(inst.tau, inst.sigma, inst.omega, inst.exps)
     car, car_arg = carleson_norm(inst.tau)
-    cet = carleson_embedding_constant(
-        inst.tau, inst.exps.p, opts=AscentOptions(seed=args.seed)
-    )
+    cet = carleson_embedding_constant(inst.tau, inst.exps.p)
     payload = rep.to_dict()
     payload["carleson"] = car
     payload["carleson_argmax"] = None if car_arg is None else {
@@ -230,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     apply_p.set_defaults(func=_cmd_apply)
 
     testing = subs.add_parser("testing", help="testing constants and Carleson data")
-    _flags(testing, "seed", "tol", "out")
+    _flags(testing, "tol", "out")
     testing.add_argument("--instance", required=True)
     testing.set_defaults(func=_cmd_testing)
 
-    norm = subs.add_parser("norm", help="norm estimates (exact at p=q=2, bounds otherwise)")
+    norm = subs.add_parser("norm", help="norm estimates (certified at p=q, lower bounds otherwise)")
     _flags(norm, "seed", "tol", "out")
     norm.add_argument("--instance", required=True)
     norm.add_argument("--extremals", action="store_true", help="include extremal functions")

@@ -1,16 +1,20 @@
-"""Operator-norm estimation: exact at p=q=2, certified lower bounds elsewhere.
+"""Operator-norm estimation: certified values where p = q, lower bounds elsewhere.
 
 At p = q = 2 the norm is the top singular value of a weighted kernel matrix
 that is never materialized: each matrix-vector product is one application of
-the dyadic operator. Away from the diagonal the module reports honest lower
-bounds found by projected gradient ascent over the nonnegative part of the
-L^p(sigma) sphere, seeded with Dirichlet-like restarts and the best cube
-indicators. The objective at every normalized cube indicator has a closed form
-of a few tree scans (``_cet_scores``; ``strengthened_local_values`` for the
-strong norm), so all cubes are ranked without building their indicators, and
-only the top ``restarts`` of them join the pool: the ascent holds O(restarts *
-n_cubes) numbers. Every estimate carries the extremal function that attains
-it, so values can be re-evaluated independently.
+the dyadic operator. The Carleson embedding constant (every p) and the strong
+norm at p = q != 2 are p -> p norms of nonnegative maps; ``_power_solve``
+brackets them between the value of its best iterate and a Hoelder
+(Collatz-Wielandt) upper value, two tree scans per step each. Where p < q the
+module reports honest lower bounds found by projected gradient ascent over the
+nonnegative part of the L^p(sigma) sphere, seeded with Dirichlet-like restarts
+and the best cube indicators. The objective at every normalized cube indicator
+has a closed form of a few tree scans (``_cet_scores``;
+``strengthened_local_values`` for the strong norm), so all cubes are ranked
+without building their indicators, and only the top ``restarts`` of them join
+the pool: the ascent holds O(restarts * n_cubes) numbers. Every estimate
+carries the extremal function that attains it, so values can be re-evaluated
+independently.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ _POWER_RESIDUAL_TOL = 1e-9
 _STEP0 = 0.5
 _MIN_STEP = 1e-10
 
+# Certified power solver: iteration cap, relative bracket width that makes a
+# value "exact", Anderson memory (iterate/image pairs) and positivity floor
+# (relative to the image's maximum).
+_SOLVE_MAX_ITER = 2000
+_SOLVE_GAP = 1e-12
+_ANDERSON_PAIRS = 5
+_FLOOR = 1e-30
+
 
 @dataclass
 class NormEstimate:
@@ -47,11 +59,13 @@ class NormEstimate:
     iterations: int = 0
     residual: float = math.nan
     flagged: bool = False
+    upper: float | None = None  # certified upper value, when the solver gives one
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "kind": self.kind,
+            "upper": self.upper,
             "iterations": self.iterations,
             "residual": self.residual,
             "flagged": self.flagged,
@@ -290,13 +304,23 @@ def strong_norm_lower(
     Projected gradient ascent (clip, then renormalize) from Dirichlet-like
     restarts plus the indicators of the ``opts.restarts`` cubes R with the
     largest sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}, scored in closed
-    form for every cube. At p = q = 2 the exact singular-value routine is used
-    instead unless ``route_exact=False``.
+    form for every cube. On the diagonal the certified routines are used
+    instead unless ``route_exact=False``: the singular-value routine at
+    p = q = 2 and ``_power_solve`` at every other p = q.
     """
-    if exps.is_l2 and route_exact:
-        return exact_norm_22(tau, sigma, omega)
-    opts = opts or AscentOptions()
     grid = tau.grid
+    if route_exact and exps.is_l2:
+        return exact_norm_22(tau, sigma, omega)
+    if route_exact and exps.p == exps.q:
+        p = exps.p
+
+        def image(f):
+            h = _t_leafmass(grid, tau.tau, f * sigma.leaf_mass)
+            weighted = h ** (p - 1.0) * omega.leaf_mass
+            return float(weighted @ h) ** (1.0 / p), _t_leafmass(grid, tau.tau, weighted)
+
+        return _power_solve(image, sigma.leaf_mass, p)
+    opts = opts or AscentOptions()
     q = exps.q
     dual_pow = 1.0 / (exps.p - 1.0)
     s_lm = sigma.leaf_mass
@@ -376,20 +400,18 @@ def carleson_embedding_constant(
     tau: CubeWeights,
     p: float,
     mu: Measure | None = None,
-    opts: AscentOptions | None = None,
 ) -> NormEstimate:
-    """Lower bound for the Carleson embedding constant at exponent p.
+    """The Carleson embedding constant at exponent p, certified by ``_power_solve``.
 
     C_p = sup over unit-norm f >= 0 of (sum_Q tau_Q |E_Q f|^p)^(1/p), with
-    averages and norms against ``mu`` (Lebesgue when omitted). The pool holds
-    the indicators of the ``opts.restarts`` cubes whose normalized indicators
-    score best (``_cet_scores``, every cube in closed form). The best of them
-    makes the estimate at least the p-th root of the (weighted) Carleson norm
-    of tau; cubes with mu(Q) == 0 contribute nothing.
+    averages and norms against ``mu`` (Lebesgue when omitted); cubes with
+    mu(Q) == 0 contribute nothing. The value is at least the best normalized
+    cube indicator's (``_cet_scores``), which is the p-th root of the
+    (weighted) Carleson norm of tau; when that indicator beats the solver's
+    iterates it is the extremal.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
-    opts = opts or AscentOptions()
     grid = tau.grid
     mu = mu if mu is not None else Measure.lebesgue(grid)
     m_lm = mu.leaf_mass
@@ -397,30 +419,91 @@ def carleson_embedding_constant(
     ok = mass > 0
     inv_mass = np.where(ok, 1.0 / np.where(ok, mass, 1.0), 0.0)
 
-    def averages(f):
-        full = np.zeros((f.shape[0], grid.n_cubes))
-        full[:, grid.leaf_start :] = f * m_lm
-        sums = _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets)
-        return sums * inv_mass
+    def image(f):
+        full = grid.embed_leaf_values(f * m_lm)
+        sums = _kernels.up_sum(full, grid.child_order, grid.level_offsets)
+        avg = sums * inv_mass
+        coeff = tau.tau * avg ** (p - 1.0)
+        path = _kernels.down_sum(coeff * inv_mass, grid.parent, grid.level_offsets)
+        return float(coeff @ avg) ** (1.0 / p), path[grid.leaf_start :]
 
-    def objective(f):
-        avg = averages(f)
-        return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p), avg
+    scores = _cet_scores(grid, tau.tau, mass, p)
+    best = int(np.argmax(scores))
+    floor = None
+    if scores[best] > 0:
+        f = _indicator_rows(grid, np.array([best]))[0]
+        floor = (float(scores[best]), f / float(f**p @ m_lm) ** (1.0 / p))
+    return _power_solve(image, m_lm, p, floor)
 
-    dual_pow = 1.0 / (p - 1.0)
 
-    def proposals(f, avg):
-        coeff = tau.tau * avg ** (p - 1.0) * inv_mass
-        path = _kernels.down_sum_batch(coeff, grid.parent, grid.level_offsets)[
-            :, grid.leaf_start :
-        ]
-        return m_lm * path, path**dual_pow
+def _power_solve(image, mass: np.ndarray, p: float, floor=None) -> NormEstimate:
+    """Certified p -> p norm of a nonnegative map: Boyd's power method with Anderson mixing.
 
-    pool = _seed_pool(grid, opts, _cet_scores(grid, tau.tau, mass, p))
-    f, value, iterations, residual = _ascend(
-        pool, lambda x: _project_lp_sphere(x, m_lm, p), objective, proposals, opts
+    ``image(f)`` returns (J(f), path_f) for f >= 0 of unit L^p(mass) norm,
+    where path_f is the gradient of J^p / p divided by ``mass``, so that
+    J(f)^p = sum f * mass * path_f. Stationary points satisfy f^(p-1)
+    proportional to path_f, and for nonnegative maps the plain step
+    f -> path_f^(1/(p-1)) never lowers J (D. W. Boyd, Linear Algebra Appl. 9,
+    1974). Hoelder's inequality bounds every unit g by
+    J(g)^p <= max over the support of mass of path_f / f^(p-1), for any f > 0
+    there, so each step gives a lower value J(f) and an upper value for free.
+
+    The step mixes the last ``_ANDERSON_PAIRS`` (iterate, image) pairs
+    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) and clips to a positive
+    floor. When a mixed iterate lowers J, the history is dropped and the
+    iteration restarts from the previous plain image. The solve stops with
+    kind "exact" once upper - lower <= ``_SOLVE_GAP`` * lower, and with
+    "lower-bound" at ``_SOLVE_MAX_ITER`` steps; ``value`` is the best J, or
+    the (value, f) pair ``floor`` when that is larger, ``upper`` the smallest
+    upper value and ``residual`` their difference.
+    """
+    live = mass > 0
+    if not np.any(live):
+        return NormEstimate(0.0, "exact", np.zeros(mass.size), None, 0, 0.0, upper=0.0)
+
+    def normalize(f):
+        return f / float(f**p @ mass) ** (1.0 / p)
+
+    f = normalize(np.ones(mass.size))
+    lower, best_f = floor if floor is not None else (0.0, f)
+    upper = math.inf
+    prev_j, prev_g = -math.inf, f
+    history = []
+    iterations = 0
+    for iterations in range(1, _SOLVE_MAX_ITER + 1):
+        j, path = image(f)
+        upper = min(upper, float(np.max(path[live] / f[live] ** (p - 1.0))) ** (1.0 / p))
+        if j > lower:
+            lower, best_f = j, f
+        if upper - lower <= _SOLVE_GAP * lower:
+            break
+        if len(history) > 1 and j < prev_j:
+            # the mixed iterate lost ground: restart from the last plain image
+            history = []
+            f = prev_g
+            continue
+        g = path ** (1.0 / (p - 1.0))
+        g = normalize(np.maximum(g, _FLOOR * g.max()))
+        history = history[1 - _ANDERSON_PAIRS :] + [(f, g)]
+        f = g
+        if len(history) > 1:
+            fs, gs = (np.array(x) for x in zip(*history))
+            res = gs - fs
+            gamma = np.linalg.lstsq(np.diff(res, axis=0).T, res[-1], rcond=None)[0]
+            f = normalize(np.maximum(g - gamma @ np.diff(gs, axis=0), _FLOOR * g.max()))
+        prev_j, prev_g = j, g
+    kind = "exact" if upper - lower <= _SOLVE_GAP * lower else "lower-bound"
+    # at a closed bracket the two values may round past each other
+    upper = max(upper, lower)
+    return NormEstimate(
+        value=lower,
+        kind=kind,
+        extremal_f=best_f,
+        iterations=iterations,
+        residual=upper - lower,
+        flagged=(kind != "exact"),
+        upper=upper,
     )
-    return NormEstimate(value, "lower-bound", f, None, iterations, residual)
 
 
 def _cet_scores(grid: DyadicGrid, tau: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:

@@ -264,10 +264,13 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     Besides ``time_total`` the row carries per-stage wall times: the testing
     constants (report and, at p = q = 2, C1/C2), the Carleson embedding,
     the norm estimates and the decomposition audit, which ``time_audit_*``
-    breaks down by audit stage. ``cet_iterations`` and
+    breaks down by audit stage. ``cet`` and ``cet_upper`` bracket the
+    Carleson embedding constant (``_power_solve``). ``cet_iterations`` and
     ``strong_iterations`` count the solver iterations behind ``cet`` and
-    ``strong`` (ascent steps, or power iterations when the strong norm is
-    exact).
+    ``strong`` (power-solver steps, ascent steps where p < q, power iterations
+    at p = q = 2). At p = q the testing constants are checked against the
+    norm: against C3 at p = q = 2 and against the certified upper value of the
+    strong norm elsewhere.
     """
     t0 = time.perf_counter()
     row: dict = {
@@ -296,9 +299,9 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     car, _ = carleson_norm(inst.tau)
     row["carleson"] = car
 
-    opts = cfg.ascent or AscentOptions(restarts=8, max_iter=120, seed=inst.seed)
-    cet = carleson_embedding_constant(inst.tau, inst.exps.p, opts=opts)
+    cet = carleson_embedding_constant(inst.tau, inst.exps.p)
     row["cet"] = cet.value
+    row["cet_upper"] = cet.upper
     row["cet_iterations"] = cet.iterations
     if car ** (1.0 / inst.exps.p) > cet.value * (1 + 1e-12):
         flag(
@@ -308,6 +311,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     t_norm = time.perf_counter()
     row["time_cet"] = t_norm - t_cet
 
+    opts = cfg.ascent or AscentOptions(restarts=8, max_iter=120, seed=inst.seed)
     strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     row["strong"] = strong.value
@@ -332,6 +336,10 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         for name in ("local", "local_dual", "global", "global_dual"):
             if row[name] > c3 * (1 + 1e-8):
                 flag("testing-le-norm", f"{name}={row[name]!r} exceeds C3={c3!r}")
+    elif inst.exps.p == inst.exps.q:
+        for name in ("local", "local_dual", "global", "global_dual"):
+            if row[name] > strong.upper * (1 + 1e-12):
+                flag("testing-le-norm", f"{name}={row[name]!r} exceeds norm <= {strong.upper!r}")
     t_audit = time.perf_counter()
     row["time_norm"] = t_audit - t_norm
 

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from twoweight import harness
 from twoweight.cli import main
 from twoweight.extremal import (
     AscentOptions,
@@ -232,18 +233,55 @@ def test_suite_off_diagonal_rows():
         assert row["weak"] <= row["strong"] * (1 + 1e-12)
 
 
+def test_suite_diagonal_rows_certified():
+    # at p = q = 3 the strong norm is certified, so the testing constants are
+    # checked against its upper value
+    cfg = SuiteConfig(
+        generators=[
+            GeneratorConfig(d=1, depth=4, p=3.0, q=3.0),
+            GeneratorConfig(d=2, depth=2, omega="spikes", tau="sparse", p=3.0, q=3.0),
+        ],
+        n=3,
+        seed=3,
+        ascent=FAST_ASCENT,
+    )
+    report = run_suite(cfg)
+    assert report.ok and len(report.rows) == 6
+    for row in report.rows:
+        assert "c3" not in row
+        assert row["strong_kind"] == "exact"
+        assert row["cet"] <= row["cet_upper"] <= row["cet"] * (1 + 1e-12)
+        for key in ("local", "local_dual", "global", "global_dual", "weak"):
+            assert row[key] <= row["strong"] * (1 + 1e-12)
+
+
+def test_suite_flags_testing_above_certified_norm(monkeypatch):
+    def shrunk(*args, **kwargs):
+        est = strong_norm_lower(*args, **kwargs)
+        est.upper = 0.5 * est.value
+        return est
+
+    monkeypatch.setattr(harness, "strong_norm_lower", shrunk)
+    cfg = SuiteConfig(generators=[GeneratorConfig(d=1, depth=3, p=3.0, q=3.0)], n=1, seed=3)
+    report = run_suite(cfg)
+    assert not report.ok
+    assert {v["check"] for v in report.violations} == {"testing-le-norm"}
+
+
 def test_suite_rows_carry_solver_iterations():
     gens = [GeneratorConfig(d=1, depth=3, p=1.5, q=3.0), GeneratorConfig(d=1, depth=3)]
     report = run_suite(SuiteConfig(generators=gens, n=1, seed=5, ascent=FAST_ASCENT))
     seeds = np.random.SeedSequence(5).generate_state(2, dtype=np.uint64)
     for row, cfg, seed in zip(report.rows, gens, seeds):
         inst = gen_instance(cfg, int(seed))
-        cet = carleson_embedding_constant(inst.tau, inst.exps.p, opts=FAST_ASCENT)
+        cet = carleson_embedding_constant(inst.tau, inst.exps.p)
         if inst.exps.is_l2:
             strong = exact_norm_22(inst.tau, inst.sigma, inst.omega)
         else:
             strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, FAST_ASCENT)
-        assert (row["cet"], row["cet_iterations"]) == (cet.value, cet.iterations)
+        assert (row["cet"], row["cet_upper"], row["cet_iterations"]) == (
+            cet.value, cet.upper, cet.iterations
+        )
         assert (row["strong"], row["strong_iterations"]) == (strong.value, strong.iterations)
         assert row["cet_iterations"] >= 1 and row["strong_iterations"] >= 1
 
@@ -330,8 +368,8 @@ def test_cli_malformed_f_exit_code(tmp_path, capsys, command, content):
 
 @pytest.mark.parametrize(
     "command,flag",
-    [("gen", "--tol"), ("apply", "--seed"), ("testing", "--eta"), ("norm", "--rho"),
-     ("decompose", "--threads"), ("verify", "--tol")],
+    [("gen", "--tol"), ("apply", "--seed"), ("testing", "--eta"), ("testing", "--seed"),
+     ("norm", "--rho"), ("decompose", "--threads"), ("verify", "--tol")],
 )
 def test_cli_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     argv = [command, flag, "5"]
