@@ -19,7 +19,6 @@ from .constants import carleson_norm, compute_testing_report
 from .extremal import (
     AscentOptions,
     carleson_embedding_constant,
-    exact_norm_22,
     strong_norm_lower,
     weak_norm_lower,
 )
@@ -151,13 +150,12 @@ def _cmd_norm(args) -> int:
     _check_tol(args.tol)
     inst = _load_instance(args.instance)
     opts = AscentOptions(seed=args.seed)
-    payload = {}
-    if inst.exps.is_l2:
-        payload["exact"] = exact_norm_22(inst.tau, inst.sigma, inst.omega).to_dict()
     strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
-    payload["strong"] = strong.to_dict()
-    payload["weak"] = weak.to_dict()
+    payload = {"strong": strong.to_dict(), "weak": weak.to_dict()}
+    if inst.exps.is_l2:
+        # strong_norm_lower is exact_norm_22 at p = q = 2
+        payload["exact"] = strong.to_dict()
     if not args.extremals:
         for entry in payload.values():
             entry.pop("extremal_f", None)

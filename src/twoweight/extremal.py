@@ -6,15 +6,15 @@ the dyadic operator. The Carleson embedding constant (every p) and the strong
 norm at p = q != 2 are p -> p norms of nonnegative maps; ``_power_solve``
 brackets them between the value of its best iterate and a Hoelder
 (Collatz-Wielandt) upper value, two tree scans per step each. Where p < q the
-module reports honest lower bounds found by projected gradient ascent over the
-nonnegative part of the L^p(sigma) sphere, seeded with Dirichlet-like restarts
-and the best cube indicators. The objective at every normalized cube indicator
-has a closed form of a few tree scans (``_cet_scores``;
-``strengthened_local_values`` for the strong norm), so all cubes are ranked
-without building their indicators, and only the top ``restarts`` of them join
-the pool: the ascent holds O(restarts * n_cubes) numbers. Every estimate
-carries the extremal function that attains it, so values can be re-evaluated
-independently.
+module reports honest lower bounds found by Boyd's fixed-point step, kept
+row by row where it improves, on the nonnegative part of the L^p(sigma)
+sphere, seeded with Dirichlet-like restarts and the best cube indicators.
+The objective at every normalized cube indicator has a closed form of a few
+tree scans (``_cet_scores``; ``strengthened_local_values`` for the strong
+norm), so all cubes are ranked without building their indicators, and only
+the top ``restarts`` of them join the pool: the ascent holds
+O(restarts * n_cubes) numbers. Every estimate carries the extremal function
+that attains it, so values can be re-evaluated independently.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ DENSE_ORACLE_MAX_LEAVES = 1 << 12
 _POWER_MAX_ITER = 50000
 _POWER_VALUE_TOL = 1e-14
 _POWER_RESIDUAL_TOL = 1e-9
-
-# Projected ascent: initial step, and the step below which a row stops moving.
-_STEP0 = 0.5
-_MIN_STEP = 1e-10
 
 # Certified power solver: iteration cap, relative bracket width that makes a
 # value "exact", Anderson memory (iterate/image pairs) and positivity floor
@@ -67,7 +63,7 @@ class NormEstimate:
             "kind": self.kind,
             "upper": self.upper,
             "iterations": self.iterations,
-            "residual": self.residual,
+            "residual": None if math.isnan(self.residual) else self.residual,
             "flagged": self.flagged,
             "extremal_f": None if self.extremal_f is None else self.extremal_f.tolist(),
             "extremal_g": None if self.extremal_g is None else self.extremal_g.tolist(),
@@ -225,59 +221,10 @@ def _seed_pool(grid: DyadicGrid, opts: AscentOptions, scores: np.ndarray) -> np.
 
 
 def _project_lp_sphere(f: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:
-    """Clip to the nonnegative cone, then renormalize rows to unit L^p(mass)."""
-    f = np.maximum(f, 0.0)
+    """Renormalize nonnegative rows to unit L^p(mass); rows of norm 0 become 0."""
     norms = np.sum(f**p * mass, axis=1) ** (1.0 / p)
     ok = norms > 0
-    f[ok] /= norms[ok, None]
-    f[~ok] = 0.0
-    return f
-
-
-def _ascend(pool, project, objective, proposals, opts: AscentOptions):
-    """Monotone ascent over restart rows: gradient steps plus fixed-point steps.
-
-    ``objective(f)`` returns the row values and the rows' images, and
-    ``proposals(f, images)`` returns (gradient rows, fixed-point rows); the
-    images of accepted candidates are kept, so they are never recomputed.
-    Per iteration each row tries the projected gradient step at its adaptive
-    step size and the projected fixed-point candidate, keeping whichever
-    improves its objective. Rejected gradient steps halve the step; the loop
-    exits after a few rounds with no improvement anywhere.
-    """
-    f = project(pool.copy())
-    j, img = objective(f)
-    step = np.full(f.shape[0], _STEP0)
-    iterations = 0
-    stall = 0
-    for iterations in range(1, opts.max_iter + 1):
-        g, fp = proposals(f, img)
-        gn = np.linalg.norm(g, axis=1)
-        live = (gn > 0) & (step > _MIN_STEP)
-        d = np.zeros_like(g)
-        d[live] = g[live] / gn[live, None]
-        cand1 = project(f + step[:, None] * d)
-        j1, img1 = objective(cand1)
-        cand2 = project(fp)
-        j2, img2 = objective(cand2)
-
-        take2 = j2 > j1
-        jc = np.where(take2, j2, j1)
-        accept = jc > j
-        rows = np.flatnonzero(accept)
-        f[rows] = np.where(take2[rows, None], cand2[rows], cand1[rows])
-        img[rows] = np.where(take2[rows, None], img2[rows], img1[rows])
-        j[rows] = jc[rows]
-        step[accept & ~take2] *= 1.3
-        step[live & (j1 <= j)] *= 0.5
-        if not np.any(accept):
-            stall += 1
-            if stall >= 4:
-                break
-        else:
-            stall = 0
-    best = int(np.argmax(j))
-    return f[best], float(j[best]), iterations, float(step.max())
+    return np.where(ok[:, None], f / np.where(ok, norms, 1.0)[:, None], 0.0)
 
 
 def _strong_scores(tau, sigma, omega, exps) -> np.ndarray:
@@ -296,22 +243,20 @@ def strong_norm_lower(
     omega: Measure,
     exps: Exponents,
     opts: AscentOptions | None = None,
-    *,
-    route_exact: bool = True,
 ) -> NormEstimate:
     """Lower bound for ||T(f sigma)||_{L^q(omega)} over the unit L^p(sigma) sphere.
 
-    Projected gradient ascent (clip, then renormalize) from Dirichlet-like
-    restarts plus the indicators of the ``opts.restarts`` cubes R with the
-    largest sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}, scored in closed
-    form for every cube. On the diagonal the certified routines are used
-    instead unless ``route_exact=False``: the singular-value routine at
-    p = q = 2 and ``_power_solve`` at every other p = q.
+    The exponents pick the method: the singular-value routine at p = q = 2,
+    ``_power_solve`` (certified) at every other p = q, and at p < q the
+    fixed-point (Boyd) ascent ``_strong_ascent`` from ``opts.restarts``
+    Dirichlet-like restarts plus the indicators of the ``opts.restarts``
+    cubes R with the largest sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)},
+    scored in closed form for every cube.
     """
-    grid = tau.grid
-    if route_exact and exps.is_l2:
+    if exps.is_l2:
         return exact_norm_22(tau, sigma, omega)
-    if route_exact and exps.p == exps.q:
+    if exps.p == exps.q:
+        grid = tau.grid
         p = exps.p
 
         def image(f):
@@ -320,27 +265,48 @@ def strong_norm_lower(
             return float(weighted @ h) ** (1.0 / p), _t_leafmass(grid, tau.tau, weighted)
 
         return _power_solve(image, sigma.leaf_mass, p)
-    opts = opts or AscentOptions()
-    q = exps.q
-    dual_pow = 1.0 / (exps.p - 1.0)
+    return _strong_ascent(tau, sigma, omega, exps, opts or AscentOptions())
+
+
+def _strong_ascent(
+    tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents, opts: AscentOptions
+) -> NormEstimate:
+    """Boyd's fixed-point ascent from the strong seed pool, one candidate per row.
+
+    Stationary points of ||T(f sigma)||_{L^q(omega)} on the unit L^p(sigma)
+    sphere satisfy f^(p-1) proportional to path = T(h^(q-1) omega) on the
+    support of sigma, where h = T(f sigma). Each iteration renormalizes
+    path^(1/(p-1)) for every row and keeps it where it raises the row's value,
+    at two batched operator applications. The loop stops at ``opts.max_iter``
+    or at the first round in which no row improves: the rows are then
+    unchanged, so another round would repeat the same arithmetic. Every row
+    stays nonnegative, so no clipping is needed. The best row is the extremal.
+    """
+    grid = tau.grid
+    p, q = exps.p, exps.q
     s_lm = sigma.leaf_mass
     w_lm = omega.leaf_mass
 
-    def objective(f):
-        h = _t_leafmass_batch(grid, tau.tau, f * s_lm)
-        return np.sum(h**q * w_lm, axis=1) ** (1.0 / q), h
+    def value(h):
+        return np.sum(h**q * w_lm, axis=1) ** (1.0 / q)
 
-    def proposals(f, h):
+    f = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), s_lm, p)
+    h = _t_leafmass_batch(grid, tau.tau, f * s_lm)
+    j = value(h)
+    iterations = 0
+    for iterations in range(1, opts.max_iter + 1):
         path = _t_leafmass_batch(grid, tau.tau, h ** (q - 1.0) * w_lm)
-        # the stationarity condition reads f^(p-1) proportional to `path` on
-        # the support of sigma, so path**(1/(p-1)) is the fixed-point proposal
-        return s_lm * path, path**dual_pow
-
-    pool = _strong_pool(tau, sigma, omega, exps, opts)
-    f, value, iterations, residual = _ascend(
-        pool, lambda x: _project_lp_sphere(x, s_lm, exps.p), objective, proposals, opts
-    )
-    return NormEstimate(value, "lower-bound", f, None, iterations, residual)
+        cand = _project_lp_sphere(path ** (1.0 / (p - 1.0)), s_lm, p)
+        h_cand = _t_leafmass_batch(grid, tau.tau, cand * s_lm)
+        j_cand = value(h_cand)
+        rows = np.flatnonzero(j_cand > j)
+        if rows.size == 0:
+            break
+        f[rows] = cand[rows]
+        h[rows] = h_cand[rows]
+        j[rows] = j_cand[rows]
+    best = int(np.argmax(j))
+    return NormEstimate(float(j[best]), "lower-bound", f[best], None, iterations)
 
 
 def weak_norm_lower(

@@ -28,7 +28,6 @@ from .constants import (
 from .extremal import (
     AscentOptions,
     carleson_embedding_constant,
-    exact_norm_22,
     strong_norm_lower,
     weak_norm_lower,
 )
@@ -267,10 +266,11 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     breaks down by audit stage. ``cet`` and ``cet_upper`` bracket the
     Carleson embedding constant (``_power_solve``). ``cet_iterations`` and
     ``strong_iterations`` count the solver iterations behind ``cet`` and
-    ``strong`` (power-solver steps, ascent steps where p < q, power iterations
-    at p = q = 2). At p = q the testing constants are checked against the
-    norm: against C3 at p = q = 2 and against the certified upper value of the
-    strong norm elsewhere.
+    ``strong`` (power-solver steps; fixed-point (Boyd) ascent rounds where
+    p < q; power iterations at p = q = 2, where ``strong`` is also C3). At
+    p = q the testing constants are checked against the norm: against C3 at
+    p = q = 2 and against the certified upper value of the strong norm
+    elsewhere.
     """
     t0 = time.perf_counter()
     row: dict = {
@@ -322,7 +322,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         flag("weak-le-strong", f"weak={weak.value!r} exceeds strong={strong.value!r}")
 
     if inst.exps.is_l2:
-        c3 = exact_norm_22(inst.tau, inst.sigma, inst.omega).value
+        c3 = strong.value  # strong_norm_lower is exact_norm_22 at p = q = 2
         row["c1"] = c1
         row["c2"] = c2
         row["c3"] = c3

@@ -17,10 +17,10 @@ import pytest
 from twoweight.constants import carleson_norm, weighted_carleson_norm
 from twoweight.extremal import (
     AscentOptions,
+    _strong_ascent,
     carleson_embedding_constant,
     dense_norm_22,
     exact_norm_22,
-    strong_norm_lower,
 )
 from twoweight.grid import CubeRef, Exponents, Measure, build_grid, lp_norm
 from twoweight.harness import GeneratorConfig, SuiteConfig, run_suite
@@ -249,9 +249,9 @@ def test_criterion_06_operator_matches_brute_force_and_localization_split():
 
 def test_criterion_07_exact_norm_matches_dense_oracle_and_ascent_recovers_it():
     # (a) exact_norm_22 vs the materialized-kernel SVD, <= 1e-8 relative, on
-    #     every tested instance with <= 1024 leaves; (b) the generic ascent
-    #     (exact route disabled) lands within 1e-6 of the exact value on
-    #     >= 95% of instances; stragglers are counted, not failed
+    #     every tested instance with <= 1024 leaves; (b) the p < q ascent,
+    #     run at p = q = 2, lands within 1e-6 of the exact value on >= 95% of
+    #     instances; stragglers are counted, not failed
     dense_worst = 0.0
     for j, (d, depth) in enumerate([(1, 2), (1, 4), (1, 6), (1, 8), (1, 10), (2, 2), (2, 3), (2, 4), (2, 5)]):
         for style in (0, 1):
@@ -271,10 +271,9 @@ def test_criterion_07_exact_norm_matches_dense_oracle_and_ascent_recovers_it():
         depth = 3 + (i // 2) % 4 if d == 1 else 2 + i % 2
         g, tau, sigma, omega, _ = _random_l2_instance(9500 + i, d, depth, style=i % 3)
         exact = exact_norm_22(tau, sigma, omega).value
-        est = strong_norm_lower(
+        est = _strong_ascent(
             tau, sigma, omega, Exponents(2.0, 2.0),
             AscentOptions(restarts=16, max_iter=400, seed=i),
-            route_exact=False,
         )
         gaps.append(abs(est.value - exact) / exact if exact > 0 else 0.0)
     gaps = np.asarray(gaps)

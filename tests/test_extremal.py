@@ -11,10 +11,11 @@ from twoweight.extremal import (
     AscentOptions,
     NormEstimate,
     _cet_scores,
-    _ascend,
     _indicator_rows,
     _project_lp_sphere,
     _seed_pool,
+    _strong_ascent,
+    _strong_pool,
     _strong_scores,
     _top_cubes,
     _weak_scan,
@@ -26,6 +27,7 @@ from twoweight.extremal import (
 )
 from twoweight.constants import carleson_norm
 from twoweight.grid import Exponents, GridSizeError, Measure, build_grid, lp_norm
+from twoweight.harness import GeneratorConfig, gen_instance
 from twoweight.operators import CubeWeights, apply_T, bilinear_form
 
 
@@ -152,10 +154,9 @@ def test_ascent_reaches_exact_value_at_l2():
     for seed in range(5):
         _, tau, sigma, omega = _random_instance(1, 4, seed=20 + seed)
         exact = exact_norm_22(tau, sigma, omega).value
-        est = strong_norm_lower(
+        est = _strong_ascent(
             tau, sigma, omega, Exponents(2.0, 2.0),
             AscentOptions(restarts=8, max_iter=200, seed=seed),
-            route_exact=False,
         )
         assert est.kind == "lower-bound"
         assert est.value == pytest.approx(exact, rel=1e-8)
@@ -179,7 +180,7 @@ def test_weak_below_strong_same_pool():
         for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
             opts = AscentOptions(restarts=8, seed=seed)
             weak = weak_norm_lower(tau, sigma, omega, exps, opts)
-            strong = strong_norm_lower(tau, sigma, omega, exps, opts, route_exact=False)
+            strong = _strong_ascent(tau, sigma, omega, exps, opts)
             assert weak.value <= strong.value * (1 + 1e-12)
 
 
@@ -270,6 +271,128 @@ def test_embedding_rejects_bad_exponent():
     g = build_grid(1, 1)
     with pytest.raises(ValueError):
         carleson_embedding_constant(CubeWeights(g, np.ones(3)), 1.0)
+
+
+# -- the two-candidate ascent that the solvers replaced, kept as an oracle ---------
+
+# initial gradient step, and the step below which a row stops moving
+_STEP0 = 0.5
+_MIN_STEP = 1e-10
+
+
+def _ascend(pool, project, objective, proposals, opts: AscentOptions):
+    """Oracle: monotone ascent over restart rows, gradient steps plus fixed-point steps.
+
+    ``objective(f)`` returns the row values and the rows' images, and
+    ``proposals(f, images)`` returns (gradient rows, fixed-point rows); the
+    images of accepted candidates are kept, so they are never recomputed.
+    Per iteration each row tries the projected gradient step at its adaptive
+    step size (clipped to the nonnegative cone before ``project``) and the
+    projected fixed-point candidate, keeping whichever improves its
+    objective. Rejected gradient steps halve the step; the loop exits after a
+    few rounds with no improvement anywhere.
+    """
+    f = project(pool.copy())
+    j, img = objective(f)
+    step = np.full(f.shape[0], _STEP0)
+    iterations = 0
+    stall = 0
+    for iterations in range(1, opts.max_iter + 1):
+        g, fp = proposals(f, img)
+        gn = np.linalg.norm(g, axis=1)
+        live = (gn > 0) & (step > _MIN_STEP)
+        d = np.zeros_like(g)
+        d[live] = g[live] / gn[live, None]
+        cand1 = project(np.maximum(f + step[:, None] * d, 0.0))
+        j1, img1 = objective(cand1)
+        cand2 = project(fp)
+        j2, img2 = objective(cand2)
+
+        take2 = j2 > j1
+        jc = np.where(take2, j2, j1)
+        accept = jc > j
+        rows = np.flatnonzero(accept)
+        f[rows] = np.where(take2[rows, None], cand2[rows], cand1[rows])
+        img[rows] = np.where(take2[rows, None], img2[rows], img1[rows])
+        j[rows] = jc[rows]
+        step[accept & ~take2] *= 1.3
+        step[live & (j1 <= j)] *= 0.5
+        if not np.any(accept):
+            stall += 1
+            if stall >= 4:
+                break
+        else:
+            stall = 0
+    best = int(np.argmax(j))
+    return f[best], float(j[best]), iterations, float(step.max())
+
+
+def _ascent_strong(tau, sigma, omega, exps, opts):
+    """Oracle: the two-candidate ascent for the strong norm, from the same seed pool."""
+    grid = tau.grid
+    q = exps.q
+    s_lm = sigma.leaf_mass
+    w_lm = omega.leaf_mass
+
+    def objective(f):
+        h = extremal._t_leafmass_batch(grid, tau.tau, f * s_lm)
+        return np.sum(h**q * w_lm, axis=1) ** (1.0 / q), h
+
+    def proposals(f, h):
+        path = extremal._t_leafmass_batch(grid, tau.tau, h ** (q - 1.0) * w_lm)
+        return s_lm * path, path ** (1.0 / (exps.p - 1.0))
+
+    pool = _strong_pool(tau, sigma, omega, exps, opts)
+    return _ascend(
+        pool, lambda x: _project_lp_sphere(x, s_lm, exps.p), objective, proposals, opts
+    )[1]
+
+
+def _ascent_corpus():
+    """(tau, sigma, omega) triples: suite generators and exponential measures."""
+    for i, cfg in enumerate((
+        GeneratorConfig(d=1, depth=4, omega="spikes", tau="sparse"),
+        GeneratorConfig(d=1, depth=5, omega="uniform", tau="fractional", alpha=0.5),
+        GeneratorConfig(d=2, depth=3, sigma="spikes"),
+        GeneratorConfig(d=1, depth=6, tau="root_only"),
+    )):
+        for seed in range(2):
+            inst = gen_instance(cfg, 400 + 10 * i + seed)
+            yield inst.tau, inst.sigma, inst.omega
+    for d, depth, style in ((1, 5, "random"), (1, 4, "sparse"), (2, 2, "fractional"), (2, 3, "sparse")):
+        for seed in range(2):
+            yield _random_instance(d, depth, 450 + 10 * depth + seed, tau_style=style)[1:]
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (1.5, 2.5), (3.0, 4.0), (2.0, 2.0), (1.5, 1.5)])
+def test_strong_ascent_reaches_two_candidate_oracle(p, q):
+    # dropping the gradient candidate loses nothing: from the same pool and
+    # options, the fixed-point ascent ends at least as high as the old ascent
+    exps = Exponents(p, q)
+    for k, (tau, sigma, omega) in enumerate(_ascent_corpus()):
+        opts = AscentOptions(restarts=6, max_iter=80, seed=k)
+        oracle = _ascent_strong(tau, sigma, omega, exps, opts)
+        est = _strong_ascent(tau, sigma, omega, exps, opts)
+        assert est.value >= oracle * (1 - 1e-12)
+
+
+def test_strong_ascent_applies_the_operator_twice_per_iteration(monkeypatch):
+    # one batched application for the pool, then per iteration one for the
+    # fixed-point path and one for the candidates' images
+    calls = []
+    batch = extremal._t_leafmass_batch
+
+    def counting(*args):
+        calls.append(1)
+        return batch(*args)
+
+    monkeypatch.setattr(extremal, "_t_leafmass_batch", counting)
+    for seed in range(3):
+        _, tau, sigma, omega = _random_instance(1, 5, seed=480 + seed)
+        calls.clear()
+        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), AscentOptions(seed=seed))
+        assert est.iterations >= 2
+        assert len(calls) == 2 * est.iterations + 1
 
 
 # -- the certified power solver against the old ascent and the dense SVD -----------
@@ -424,7 +547,7 @@ def test_strong_certified_on_the_diagonal(p):
         est = strong_norm_lower(tau, sigma, omega, exps)
         _assert_closed(est)
         opts = AscentOptions(restarts=8, seed=seed)
-        ascent = strong_norm_lower(tau, sigma, omega, exps, opts, route_exact=False)
+        ascent = _strong_ascent(tau, sigma, omega, exps, opts)
         assert ascent.kind == "lower-bound" and ascent.upper is None
         assert ascent.value <= est.upper * (1 + 1e-12)
         assert est.value >= ascent.value * (1 - 1e-12)

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from twoweight import harness
+from twoweight import extremal, harness
 from twoweight.cli import main
 from twoweight.extremal import (
     AscentOptions,
@@ -255,6 +255,26 @@ def test_suite_diagonal_rows_certified():
             assert row[key] <= row["strong"] * (1 + 1e-12)
 
 
+def test_suite_solves_the_l2_norm_once_per_row(monkeypatch):
+    # the row's strong bound at p = q = 2 is the exact norm, and c3 reuses it
+    calls = []
+    solve = extremal.exact_norm_22
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "exact_norm_22", counting)
+    # the harness may hold its own reference to the routine
+    monkeypatch.setattr(harness, "exact_norm_22", counting, raising=False)
+    gens = [GeneratorConfig(d=1, depth=3), GeneratorConfig(d=2, depth=2, tau="sparse")]
+    report = run_suite(SuiteConfig(generators=gens, n=3, seed=4, ascent=FAST_ASCENT))
+    assert report.ok and len(report.rows) == 6
+    assert len(calls) == 6
+    for row in report.rows:
+        assert row["c3"] == row["strong"] and row["strong_kind"] == "exact"
+
+
 def test_suite_flags_testing_above_certified_norm(monkeypatch):
     def shrunk(*args, **kwargs):
         est = strong_norm_lower(*args, **kwargs)
@@ -402,6 +422,24 @@ def test_cli_norm(tmp_path, capsys):
     rc = main(["norm", "--instance", str(inst_path), "--extremals"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and isinstance(out["strong"]["extremal_f"], list)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 2.0)])
+def test_cli_norm_prints_strict_json(tmp_path, capsys, p, q):
+    # lower bounds carry no residual: it is written as null, never as NaN
+    inst_path = _gen_file(tmp_path, extra=("--p", str(p), "--q", str(q)))
+    assert main(["norm", "--instance", str(inst_path)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["weak"]["residual"] is None
+    if p == q:
+        assert out["exact"] == out["strong"] and out["strong"]["kind"] == "exact"
+        assert out["strong"]["residual"] <= 1e-9 * out["strong"]["value"]
+    else:
+        assert "exact" not in out and out["strong"]["residual"] is None
 
 
 def test_cli_decompose(tmp_path, capsys):
