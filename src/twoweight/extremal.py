@@ -277,10 +277,11 @@ def _strong_ascent(
     sphere satisfy f^(p-1) proportional to path = T(h^(q-1) omega) on the
     support of sigma, where h = T(f sigma). Each iteration renormalizes
     path^(1/(p-1)) for every row and keeps it where it raises the row's value,
-    at two batched operator applications. The loop stops at ``opts.max_iter``
-    or at the first round in which no row improves: the rows are then
-    unchanged, so another round would repeat the same arithmetic. Every row
-    stays nonnegative, so no clipping is needed. The best row is the extremal.
+    at two batched operator applications. A row whose candidate fails to
+    raise it is final, since its next candidate would be the same, so each
+    round applies the operator to the rows that improved in the last one. The
+    loop stops at ``opts.max_iter`` or when no row improves. Every row stays
+    nonnegative, so no clipping is needed. The best row is the extremal.
     """
     grid = tau.grid
     p, q = exps.p, exps.q
@@ -293,18 +294,20 @@ def _strong_ascent(
     f = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), s_lm, p)
     h = _t_leafmass_batch(grid, tau.tau, f * s_lm)
     j = value(h)
+    live = np.arange(len(f))
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        path = _t_leafmass_batch(grid, tau.tau, h ** (q - 1.0) * w_lm)
+        path = _t_leafmass_batch(grid, tau.tau, h[live] ** (q - 1.0) * w_lm)
         cand = _project_lp_sphere(path ** (1.0 / (p - 1.0)), s_lm, p)
         h_cand = _t_leafmass_batch(grid, tau.tau, cand * s_lm)
         j_cand = value(h_cand)
-        rows = np.flatnonzero(j_cand > j)
-        if rows.size == 0:
+        up = j_cand > j[live]
+        live = live[up]
+        if live.size == 0:
             break
-        f[rows] = cand[rows]
-        h[rows] = h_cand[rows]
-        j[rows] = j_cand[rows]
+        f[live] = cand[up]
+        h[live] = h_cand[up]
+        j[live] = j_cand[up]
     best = int(np.argmax(j))
     return NormEstimate(float(j[best]), "lower-bound", f[best], None, iterations)
 

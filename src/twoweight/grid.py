@@ -294,8 +294,13 @@ class Measure:
 
     @staticmethod
     def product(f: GridFunction, weight: "Measure") -> "Measure":
-        """The signed measure f*mu (the only route to signed masses)."""
+        """The signed measure f*mu (the only route to signed masses).
+
+        ``f`` holds one finite value per leaf; anything else raises ValueError.
+        """
         f = np.asarray(f, dtype=np.float64)
+        if f.shape != weight.leaf_mass.shape:
+            raise ValueError(f"expected {weight.grid.n_leaves} leaf values, got shape {f.shape}")
         return Measure(weight.grid, f * weight.leaf_mass, is_weight=False)
 
     def mass(self, cube) -> float:

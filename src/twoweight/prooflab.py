@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .grid import CubeRef, DyadicGrid, Measure, cube_integrals, lp_norm
+from .grid import CubeRef, DyadicGrid, Measure, lp_norm
 from .operators import CubeWeights, apply_T, apply_T_restricted, maximal
 
 DEFAULT_M = 5
@@ -475,7 +475,7 @@ def classify_cubes(
     f = np.asarray(f, dtype=np.float64)
     out = ClassifiedDecomposition(deco, eta, m, [])
     out.violations.extend(corridors.violations)
-    fs_leaf = f * sigma.leaf_mass
+    fs_leaf = Measure.product(f, sigma).leaf_mass
     size = _cube_mass(grid, np.abs(fs_leaf))  # |f sigma|, the scale of rounding
     weight = tau.tau / grid.volumes
 
@@ -733,74 +733,75 @@ class PrincipalForest:
 def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
     """Stopping-time corona over the seed cubes: averages double down each chain.
 
-    Maximal seeds enter the family; below a member G, the maximal seeds whose
-    sigma-average of f exceeds twice that of G enter in turn. Gamma maps every
-    usable seed to its minimal containing member. Seeds with zero sigma mass
-    are skipped and recorded. Audited: the governing average dominates half
-    the seed's average, and averages strictly double down every chain.
+    One sweep from the root carries gov[c], the deepest member at or above
+    cube c. A usable seed enters when no member lies above it or when its
+    sigma-average of f exceeds twice that of gov[parent]; any other cube takes
+    gov[parent]. Gamma is gov at each usable seed. Seeds with zero sigma mass
+    are skipped and recorded. ``f`` is one finite value >= 0 per leaf.
+    Audited: the governing average dominates half the seed's average, and
+    averages strictly double down every chain.
     """
     grid = sigma.grid
     f = np.asarray(f, dtype=np.float64)
+    fs = Measure.product(f, sigma)
     if np.any(f < 0):
         raise ValueError("principal cubes require f >= 0")
     seed_idx = sorted({grid.index_of(s) for s in seeds})
     skipped = [i for i in seed_idx if sigma.cube_mass[i] == 0]
     usable = [i for i in seed_idx if sigma.cube_mass[i] > 0]
-    forest = PrincipalForest(grid, f.copy(), sigma, np.empty(0, dtype=np.int64), {}, {}, skipped)
-    if not usable:
-        return forest
-
     cubes = np.array(usable, dtype=np.int64)
-    averages = cube_integrals(f, sigma)[cubes] / sigma.cube_mass[cubes]
+    averages = fs.cube_mass[cubes] / sigma.cube_mass[cubes]
     avg = dict(zip(usable, averages.tolist()))
-
-    family: list[int] = []
-    queue = _outermost(grid, cubes).tolist()
-    while queue:
-        g = queue.pop()
-        family.append(g)
-        gap = grid.levels[cubes] - grid.levels[g]
-        inside = (gap > 0) & (grid.ancestor(cubes, np.maximum(gap, 0)) == g)
-        queue.extend(_outermost(grid, cubes[inside & (averages > 2.0 * avg[g])]).tolist())
-
-    forest.cubes = np.array(sorted(family), dtype=np.int64)
-    forest.averages = {i: avg[i] for i in family}
-    marks = np.full(grid.n_cubes, -1.0)
-    marks[family] = family
-    # the deepest member containing a seed has the largest index on its line
-    governing = _kernels.down_max(marks, grid.parent, grid.level_offsets)[cubes]
-    forest.gamma = {i: int(g) for i, g in zip(usable, governing) if g >= 0}
-    forest.violations = _principal_violations(grid, usable, avg, family, forest.gamma)
+    # the last slot is above the root, where every seed clears -inf; NaN never enters
+    seed_avg = np.append(np.full(grid.n_cubes, np.nan), -np.inf)
+    seed_avg[cubes] = averages
+    gov = np.full(grid.n_cubes + 1, -1, dtype=np.int64)
+    for lev in range(grid.depth + 1):
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        up = gov[grid.parent[lo:hi]]
+        gov[lo:hi] = np.where(seed_avg[lo:hi] > 2.0 * seed_avg[up], np.arange(lo, hi), up)
+    governing = gov[cubes]
+    members = cubes[governing == cubes]
+    family = members.tolist()
+    gamma = dict(zip(usable, governing.tolist()))
+    forest = PrincipalForest(grid, f.copy(), sigma, members, gamma, {i: avg[i] for i in family})
+    forest.skipped = skipped
+    forest.violations = _principal_violations(grid, usable, avg, family, gamma)
     # each member is checked against every member strictly above it
-    forest.checks = len(usable) + int(_below(grid, forest.cubes)[forest.cubes].sum()) - len(family)
+    forest.checks = len(usable) + int(_below(grid, members)[members].sum()) - len(family)
     return forest
 
 
-def _outermost(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
-    """The entries of ``cubes`` with no strict ancestor among ``cubes``."""
-    above = grid.ancestor(cubes[:, None], np.arange(1, grid.depth + 1))
-    return cubes[~np.isin(above, cubes).any(axis=1)]
-
-
 def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[str]:
-    """Audit of a principal family: every seed governed and dominated, averages doubling."""
+    """Audit of a principal family: every seed governed and dominated, averages doubling.
+
+    A member doubles every member above it exactly when twice their largest
+    average (one ``down_max``, read at its parent) lies below its own. Members
+    failing this screen are paired with their ancestors, ancestor first by level.
+    """
     out = []
     for i in usable:
         g = gamma.get(i)
         if g is None:
             out.append(f"seed {i} has no governing principal cube")
-            continue
-        if avg[i] > 2.0 * avg[g] * (1 + 1e-12):
+        elif avg[i] > 2.0 * avg[g] * (1 + 1e-12):
             out.append(
                 f"principal-domination seed {i}: average {avg[i]!r} exceeds twice that of {g}"
             )
-    fam = np.array(sorted(family, key=lambda i: int(grid.levels[i])), dtype=np.int64)
-    fam_avg = np.array([avg[int(i)] for i in fam])
-    for gi in fam:
-        gap = grid.levels[fam] - grid.levels[gi]
-        chain = (gap > 0) & (grid.ancestor(fam, np.maximum(gap, 0)) == gi)
-        for gj in fam[chain & ~(2.0 * avg[int(gi)] < fam_avg)]:
-            out.append(f"principal-doubling chain {gj} inside {gi}: averages fail to double")
+    fam = sorted(family, key=lambda i: int(grid.levels[i]))
+    rank = {c: r for r, c in enumerate(fam)}
+    placed = np.full(grid.n_cubes, -np.inf)
+    placed[fam] = [avg[c] for c in fam]
+    top = np.append(_kernels.down_max(placed, grid.parent, grid.level_offsets), -np.inf)
+    fails = ~(2.0 * top[grid.parent[fam]] < placed[fam])  # top[-1] is above the root
+    pairs = [
+        (rank[gi], rank[gj])
+        for gj in np.array(fam, dtype=np.int64)[fails].tolist()
+        for gi in grid.ancestor_indices(gj, include_self=False)
+        if gi in rank and not (2.0 * avg[gi] < avg[gj])
+    ]
+    for i, j in sorted(pairs):
+        out.append(f"principal-doubling chain {fam[j]} inside {fam[i]}: averages fail to double")
     return out
 
 
@@ -901,7 +902,6 @@ def max_principle_audit(
     """
     deco = corridors.whitney
     grid = deco.grid
-    f = np.asarray(f, dtype=np.float64)
     fs = Measure.product(f, sigma)
     size = _cube_mass(grid, np.abs(fs.leaf_mass))  # |f sigma|, the scale of rounding
 
@@ -1059,7 +1059,6 @@ def audit_decomposition(
     time of each stage.
     """
     grid = sigma.grid
-    f = np.asarray(f, dtype=np.float64)
     timings: dict[str, float] = {}
     start = time.perf_counter()
 

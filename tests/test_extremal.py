@@ -395,6 +395,28 @@ def test_strong_ascent_applies_the_operator_twice_per_iteration(monkeypatch):
         assert len(calls) == 2 * est.iterations + 1
 
 
+def test_strong_ascent_drops_rows_that_stop_improving(monkeypatch):
+    # a row whose candidate fails to raise it is final: the next round leaves it out
+    rows = []
+    batch = extremal._t_leafmass_batch
+
+    def counting(grid, tau, leafmass):
+        rows.append(leafmass.shape[0])
+        return batch(grid, tau, leafmass)
+
+    monkeypatch.setattr(extremal, "_t_leafmass_batch", counting)
+    for seed in range(3):
+        _, tau, sigma, omega = _random_instance(1, 5, seed=480 + seed)
+        rows.clear()
+        opts = AscentOptions(seed=seed)
+        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), opts)
+        path, cand = rows[1::2], rows[2::2]
+        assert len(rows) == 2 * est.iterations + 1 and path == cand
+        assert rows[0] == path[0] == 2 * opts.restarts
+        assert all(a >= b >= 1 for a, b in zip(path, path[1:]))
+        assert path[-1] < rows[0]
+
+
 # -- the certified power solver against the old ascent and the dense SVD -----------
 
 

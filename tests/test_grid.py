@@ -157,6 +157,9 @@ def test_product_measure_signed():
     fm = Measure.product(f, w)
     assert not fm.is_weight
     assert fm.total == pytest.approx(1.0 - 2.0 + 1.5)
+    for bad in ([2.0], np.ones(8), [1.0, np.nan, 0.0, 0.0], [np.inf, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):  # a scalar-like f would broadcast
+            Measure.product(bad, w)
 
 
 def test_scaled_and_masked():

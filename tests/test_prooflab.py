@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from twoweight.grid import Measure, build_grid, parent as cube_parent, weighted_avg
+from twoweight.grid import DyadicGrid, Measure, build_grid, parent as cube_parent, weighted_avg
 from twoweight.harness import GeneratorConfig, gen_instance, instance_f
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted, maximal
 from twoweight import prooflab
@@ -37,6 +37,15 @@ from twoweight.prooflab import (
     superlevel_maximal_cubes,
     whitney_layers,
 )
+
+
+def _malformed(f, bad):
+    """``f`` cut to one value, or with one leaf NaN or +inf."""
+    if bad == "short":
+        return f[:1]
+    f = f.copy()
+    f[-1] = np.nan if bad == "nan" else np.inf
+    return f
 
 
 def _random_case(seed, d=1, depth=4, tau_style="random"):
@@ -224,6 +233,14 @@ def test_classification_clean_and_key_inequality(seed):
         assert cls.key_margin_min >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("bad", ["short", "nan", "inf"])
+def test_classify_rejects_malformed_f(bad):
+    g, tau, sigma, omega, f = _random_case(3, depth=5)
+    corridors = corridor_sets(whitney_layers(g, apply_T(tau, Measure.product(f, sigma))))
+    with pytest.raises(ValueError):
+        classify_cubes(corridors, _malformed(f, bad), sigma, omega, tau)
+
+
 def test_classified_json_structure():
     g, tau, sigma, omega, f = _random_case(4)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
@@ -306,6 +323,13 @@ def test_principal_rejects_negative_f():
     g = build_grid(1, 1)
     with pytest.raises(ValueError):
         principal_cubes(np.array([-1.0, 1.0]), Measure.lebesgue(g), seeds=[0])
+
+
+@pytest.mark.parametrize("bad", ["short", "nan", "inf"])
+def test_principal_rejects_malformed_f(bad):
+    g, _, sigma, _, f = _random_case(3, depth=5)
+    with pytest.raises(ValueError):
+        principal_cubes(_malformed(f, bad), sigma, range(g.n_cubes))
 
 
 def test_principal_no_usable_seeds():
@@ -660,6 +684,7 @@ def _occurrence_oracle(deco, entries, m):
 
 
 def _principal_violations_oracle(g, usable, avg, family, gamma):
+    strict = {c: set(g.ancestor_indices(c, include_self=False)) for c in family}
     out = []
     for i in usable:
         gov = gamma.get(i)
@@ -673,49 +698,60 @@ def _principal_violations_oracle(g, usable, avg, family, gamma):
     fam_sorted = sorted(family, key=lambda i: int(g.levels[i]))
     for gi in fam_sorted:
         for gj in fam_sorted:
-            li, lj = int(g.levels[gi]), int(g.levels[gj])
-            if lj > li and g.ancestor_indices(gj)[lj - li] == gi and not (2.0 * avg[gi] < avg[gj]):
+            if gi in strict[gj] and not (2.0 * avg[gi] < avg[gj]):
                 out.append(f"principal-doubling chain {gj} inside {gi}: averages fail to double")
     return out
 
 
 def _principal_cubes_oracle(f, sigma, seeds):
-    """(cubes, gamma, averages, violations), walking ancestor lists per seed."""
+    """(cubes, gamma, averages, skipped, violations, checks), walking ancestor lists per seed."""
     g = sigma.grid
-    usable = [i for i in sorted({g.index_of(s) for s in seeds}) if sigma.cube_mass[i] > 0]
+    seed_idx = sorted({g.index_of(s) for s in seeds})
+    skipped = [i for i in seed_idx if sigma.cube_mass[i] == 0]
+    usable = [i for i in seed_idx if sigma.cube_mass[i] > 0]
     if not usable:
-        return [], {}, {}, []
+        return [], {}, {}, skipped, [], 0
     avg = {i: weighted_avg(f, sigma, i) for i in usable}
-
-    def strict_ancestors_in(i, pool):
-        return [a for a in g.ancestor_indices(i, include_self=False) if a in pool]
+    strict = {i: set(g.ancestor_indices(i, include_self=False)) for i in usable}
 
     family = []
-    queue = [i for i in usable if not strict_ancestors_in(i, set(usable))]
+    pool = set(usable)
+    queue = [i for i in usable if not strict[i] & pool]
     while queue:
         gov = queue.pop()
         family.append(gov)
-        lev = int(g.levels[gov])
-        inside = [
-            i
-            for i in usable
-            if int(g.levels[i]) > lev
-            and g.ancestor_indices(i)[int(g.levels[i]) - lev] == gov
-            and avg[i] > 2.0 * avg[gov]
-        ]
-        queue.extend(i for i in inside if not strict_ancestors_in(i, set(inside)))
+        inside = {i for i in usable if gov in strict[i] and avg[i] > 2.0 * avg[gov]}
+        queue.extend(i for i in usable if i in inside and not strict[i] & inside)
     gamma = {}
+    members = set(family)
     for i in usable:
         for a in g.ancestor_indices(i):
-            if a in family:
+            if a in members:
                 gamma[i] = a
                 break
     return (
         sorted(family),
         gamma,
         {i: avg[i] for i in family},
+        skipped,
         _principal_violations_oracle(g, usable, avg, family, gamma),
+        # one domination check per seed, one doubling check per member pair on a chain
+        len(usable) + sum(len(strict[c] & members) for c in family),
     )
+
+
+def _assert_principal_matches_oracle(f, sigma, seeds):
+    forest = principal_cubes(f, sigma, seeds)
+    got = (
+        forest.cubes.tolist(),
+        forest.gamma,
+        forest.averages,
+        forest.skipped,
+        forest.violations,
+        forest.checks,
+    )
+    assert got == _principal_cubes_oracle(f, sigma, seeds)
+    return forest
 
 
 def _geometric_sum_oracle(forest):
@@ -797,11 +833,33 @@ def test_layer_audits_match_oracles(d, depth, seed, rho):
     assert _assert_matches_oracles(deco, tau, omega, f=f, sigma=sigma) == deco.violations == []
 
     seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
-    forest = principal_cubes(f, sigma, seeds)
-    cubes, gamma, averages, viol = _principal_cubes_oracle(f, sigma, seeds)
-    assert forest.cubes.tolist() == cubes and forest.gamma == gamma
-    assert forest.averages == averages and forest.violations == viol
+    forest = _assert_principal_matches_oracle(f, sigma, seeds)
     assert geometric_sum_audit(forest) == _geometric_sum_oracle(forest)
+
+
+@pytest.mark.parametrize("d,depth", [(1, 12), (2, 6)])
+@pytest.mark.parametrize("pool", ["layers", "every"])
+def test_principal_sweep_matches_oracle(d, depth, pool):
+    g, tau, sigma, _, f = _spiky_case(d, depth, 0)
+    deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
+    layers = sorted({int(c) for lay in deco.layers for c in lay.cubes})
+    seeds = layers if pool == "layers" else range(g.n_cubes)
+    forest = _assert_principal_matches_oracle(f, sigma, seeds)
+    assert forest.cubes.size >= 100
+
+
+def test_principal_cubes_takes_no_ancestor_queries(monkeypatch):
+    calls = []
+    ancestor = DyadicGrid.ancestor
+
+    def counting(self, *args):
+        calls.append(1)
+        return ancestor(self, *args)
+
+    g, _, sigma, _, f = _random_case(5, depth=12)
+    monkeypatch.setattr(DyadicGrid, "ancestor", counting)
+    forest = principal_cubes(f, sigma, range(g.n_cubes))
+    assert forest.cubes.size >= 100 and calls == []
 
 
 def _corrupt(deco, idx, cubes):
@@ -852,6 +910,13 @@ def test_non_doubling_chain_fires_the_same_violations():
     viol = _principal_violations(g, usable, avg, family, gamma)
     assert viol == _principal_violations_oracle(g, usable, avg, family, gamma)
     assert viol[0].startswith("principal-domination seed 4")
+
+    # 1 and 3 double every member above them; 7 doubles 0 and 1 but not 3
+    avg = {0: 1.0, 1: 3.0, 3: 7.0, 7: 10.0}
+    gamma = {0: 0, 1: 1, 3: 3, 7: 7}
+    viol = _principal_violations(g, [0, 1, 3, 7], avg, family, gamma)
+    assert viol == _principal_violations_oracle(g, [0, 1, 3, 7], avg, family, gamma)
+    assert viol == ["principal-doubling chain 7 inside 3: averages fail to double"]
 
 
 def test_ancestor_by_index():
