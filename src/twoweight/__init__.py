@@ -6,7 +6,6 @@ norm estimation, superlevel decomposition machinery with built-in audits, and an
 instance/suite harness with a CLI.
 """
 
-from ._kernels import BACKEND
 from .constants import (
     TestingReport,
     WeightedCarlesonResult,
@@ -86,7 +85,6 @@ from .prooflab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "__version__",
     # grid
     "CubeRef",

@@ -1,9 +1,13 @@
-"""Pure-numpy tree-scan kernels (level-sliced).
+"""Tree-scan kernels: numpy, one level slice at a time.
 
-These mirror the compiled core in ``_core.pyx`` and must stay bit-identical to
-it: for every cube the same floating-point additions happen in the same order
-(children accumulate onto their parent in canonical-index order; path sums add
-the finalized parent value once). Tests assert exact equality between backends.
+The operator, its localizations and the testing and Carleson sweeps are
+built from scans over the cube tree. ``down_sum``/``down_max`` run root to leaf (each cube adds, or takes the
+maximum with, its finalized parent); ``up_sum`` runs leaf to root (each
+parent accumulates its children in canonical-index order). The accumulation
+order is fixed, so results are bit-for-bit reproducible. The ``_batch``
+variants apply the same scans to every row of a (rows, n_cubes) array, with
+the same per-entry order; the 1-D kernels keep their own bodies because
+row-generic indexing slows them down on small grids.
 """
 
 import numpy as np
@@ -47,9 +51,8 @@ def up_sum(values, child_order, level_offsets):
     return acc
 
 
-# Batched variants operate on row-stacked inputs of shape (rows, n_cubes).
-# They are always numpy (the per-call overhead amortizes across rows) and keep
-# the same per-entry accumulation order as the 1-D kernels.
+# Batched variants: row-stacked inputs of shape (rows, n_cubes), the same
+# per-entry accumulation order as the 1-D kernels.
 
 
 def down_sum_batch(values, parent, level_offsets):

@@ -79,10 +79,7 @@ class AscentOptions:
 
 def _t_leafmass(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
     """T applied to the measure with the given (possibly signed) leaf masses."""
-    masses = _kernels.up_sum(
-        grid.embed_leaf_values(leafmass), grid.child_order, grid.level_offsets
-    )
-    contrib = tau * masses / grid.volumes
+    contrib = tau * grid.subtree_sums(leafmass) / grid.volumes
     return _kernels.down_sum(contrib, grid.parent, grid.level_offsets)[grid.leaf_start :]
 
 
@@ -97,13 +94,7 @@ def _t_leafmass_batch(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -
     ]
 
 
-def exact_norm_22(
-    tau: CubeWeights,
-    sigma: Measure,
-    omega: Measure,
-    *,
-    return_history: bool = False,
-):
+def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstimate:
     """Top singular value of the p=q=2 form by alternating power iteration.
 
     Each half-step is one operator application; the kernel matrix is never
@@ -120,12 +111,10 @@ def exact_norm_22(
     def a_adj(u):
         return sq_w * _t_leafmass(grid, tau.tau, sq_s * u)
 
-    history = []
     v = sq_w.copy()
     nv = float(np.linalg.norm(v))
     if nv == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
-        est = NormEstimate(0.0, "exact", np.zeros(grid.n_leaves), np.zeros(grid.n_leaves), 0, 0.0)
-        return (est, history) if return_history else est
+        return NormEstimate(0.0, "exact", np.zeros(grid.n_leaves), np.zeros(grid.n_leaves), 0, 0.0)
     v /= nv
     s_prev = -1.0
     u = np.zeros(grid.n_leaves)
@@ -133,14 +122,12 @@ def exact_norm_22(
     for iterations in range(1, _POWER_MAX_ITER + 1):
         av = a_fwd(v)
         s = float(np.linalg.norm(av))
-        history.append(s)
         if s == 0.0:
             # the start vector is strictly positive on the omega-support, so a
             # vanishing image means the kernel is identically zero
-            est = NormEstimate(
+            return NormEstimate(
                 0.0, "exact", np.zeros(grid.n_leaves), np.zeros(grid.n_leaves), iterations, 0.0
             )
-            return (est, history) if return_history else est
         u = av / s
         atu = a_adj(u)
         v = atu / float(np.linalg.norm(atu))
@@ -153,7 +140,7 @@ def exact_norm_22(
     kind = "exact" if residual <= _POWER_RESIDUAL_TOL * max(s, 1e-300) else "lower-bound"
     # the iteration runs on the sigma-side/omega-side transposed matrix, so u
     # is the input singular vector: f pairs with sigma, g with omega
-    est = NormEstimate(
+    return NormEstimate(
         value=s,
         kind=kind,
         extremal_f=_safe_div(u, sq_s),
@@ -162,7 +149,6 @@ def exact_norm_22(
         residual=residual,
         flagged=(kind != "exact"),
     )
-    return (est, history) if return_history else est
 
 
 def _safe_div(num, den):
@@ -389,9 +375,7 @@ def carleson_embedding_constant(
     inv_mass = np.where(ok, 1.0 / np.where(ok, mass, 1.0), 0.0)
 
     def image(f):
-        full = grid.embed_leaf_values(f * m_lm)
-        sums = _kernels.up_sum(full, grid.child_order, grid.level_offsets)
-        avg = sums * inv_mass
+        avg = grid.subtree_sums(f * m_lm) * inv_mass
         coeff = tau.tau * avg ** (p - 1.0)
         path = _kernels.down_sum(coeff * inv_mass, grid.parent, grid.level_offsets)
         return float(coeff @ avg) ** (1.0 / p), path[grid.leaf_start :]

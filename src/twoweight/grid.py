@@ -195,16 +195,10 @@ class DyadicGrid:
         return int(a) if a.ndim == 0 else a
 
     def ancestor_indices(self, index: int, include_self: bool = True) -> list:
-        """Chain from the cube up to the root, deepest first."""
-        chain = []
+        """Chain from the cube up to the root, deepest first, as a list of ints."""
         i = self.index_of(index)
-        if include_self:
-            chain.append(i)
-        i = int(self.parent[i])
-        while i >= 0:
-            chain.append(i)
-            i = int(self.parent[i])
-        return chain
+        steps = np.arange(0 if include_self else 1, self.levels[i] + 1)
+        return self.ancestor(i, steps).tolist()
 
     def subtree_cube_mask(self, index: int) -> np.ndarray:
         """Boolean mask over cubes: descendants of ``index``, inclusive."""
@@ -227,11 +221,11 @@ class DyadicGrid:
             self._anc_matrix = anc
         return self._anc_matrix
 
-    def embed_leaf_values(self, leaf_values: np.ndarray) -> np.ndarray:
-        """Place per-leaf values into a full per-cube array (zeros elsewhere)."""
+    def subtree_sums(self, leaf_values: np.ndarray) -> np.ndarray:
+        """Per cube, the sum of ``leaf_values`` over the leaves inside it."""
         full = np.zeros(self.n_cubes)
         full[self.leaf_start :] = leaf_values
-        return full
+        return _kernels.up_sum(full, self.child_order, self.level_offsets)
 
     def __repr__(self):
         return f"DyadicGrid(d={self.d}, depth={self.depth}, cubes={self.n_cubes})"
@@ -282,9 +276,7 @@ class Measure:
         self.grid = grid
         self.leaf_mass = leaf_mass
         self.is_weight = is_weight
-        self.cube_mass = _kernels.up_sum(
-            grid.embed_leaf_values(leaf_mass), grid.child_order, grid.level_offsets
-        )
+        self.cube_mass = grid.subtree_sums(leaf_mass)
         self.leaf_mass.flags.writeable = False
         self.cube_mass.flags.writeable = False
 
@@ -363,11 +355,8 @@ def cube_averages(nu: Measure) -> np.ndarray:
 
 def cube_integrals(f: GridFunction, mu: Measure) -> np.ndarray:
     """integral_Q f dmu for every cube at once."""
-    grid = mu.grid
     f = np.asarray(f, dtype=np.float64)
-    return _kernels.up_sum(
-        grid.embed_leaf_values(f * mu.leaf_mass), grid.child_order, grid.level_offsets
-    )
+    return mu.grid.subtree_sums(f * mu.leaf_mass)
 
 
 @dataclass(frozen=True)

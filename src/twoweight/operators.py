@@ -134,7 +134,7 @@ def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunct
             masked = np.where(grid.subtree_cube_mask(i), contrib, 0.0)
         else:
             masked = np.zeros(grid.n_cubes)
-            chain = grid.ancestor_indices(i)
+            chain = grid.ancestor(i, np.arange(grid.levels[i] + 1))
             masked[chain] = contrib[chain]
     path = _kernels.down_sum(masked, grid.parent, grid.level_offsets)
     return path[grid.leaf_start :].copy()

@@ -73,7 +73,7 @@ def _largest_k_below(x: float) -> int:
 
 def _full_cube_mask(grid: DyadicGrid, leaf_mask: np.ndarray) -> np.ndarray:
     """Boolean per cube: every leaf of the cube lies in ``leaf_mask``."""
-    counts = _cube_mass(grid, leaf_mask.astype(np.float64))
+    counts = grid.subtree_sums(leaf_mask.astype(np.float64))
     totals = grid.volumes * grid.n_leaves
     return counts == totals
 
@@ -112,12 +112,6 @@ def _at(values: np.ndarray, cubes: np.ndarray) -> np.ndarray:
     return np.where(cubes >= 0, values[np.maximum(cubes, 0)], 0.0)
 
 
-def _cube_mass(grid: DyadicGrid, leaf_values: np.ndarray) -> np.ndarray:
-    """Subtree sums of leaf values, one per cube."""
-    full = grid.embed_leaf_values(leaf_values)
-    return _kernels.up_sum(full, grid.child_order, grid.level_offsets)
-
-
 def _near(value, bound, scale):
     """Where a batched value lies too close to its bound to decide by it."""
     return np.abs(value - bound) < _MARGIN * scale
@@ -126,14 +120,6 @@ def _near(value, bound, scale):
 def _handle(c: int):
     """A cube index as the operators take it; -1 becomes a virtual cube."""
     return c if c >= 0 else CubeRef(-1)
-
-
-def _leaf_mask(grid: DyadicGrid, c: int) -> np.ndarray:
-    """Leaf mask of cube ``c``; every leaf for -1, the cube above the root."""
-    if c < 0:
-        return np.ones(grid.n_leaves, dtype=bool)
-    leaves = np.arange(grid.leaf_start, grid.n_cubes)
-    return grid.ancestor(leaves, grid.depth - int(grid.levels[c])) == c
 
 
 def _leaves_under(grid: DyadicGrid, cubes: np.ndarray, leaves: np.ndarray) -> dict:
@@ -476,7 +462,7 @@ def classify_cubes(
     out = ClassifiedDecomposition(deco, eta, m, [])
     out.violations.extend(corridors.violations)
     fs_leaf = Measure.product(f, sigma).leaf_mass
-    size = _cube_mass(grid, np.abs(fs_leaf))  # |f sigma|, the scale of rounding
+    size = grid.subtree_sums(np.abs(fs_leaf))  # |f sigma|, the scale of rounding
     weight = tau.tau / grid.volumes
 
     for lay in deco.layers:
@@ -484,11 +470,11 @@ def classify_cubes(
         corridor = [corridors.sets[(lay.k, int(c))] for c in lay.cubes]
         in_corridor = np.zeros(grid.n_leaves, dtype=bool)
         in_corridor[np.concatenate([_NO_LEAVES, *corridor])] = True
-        w_k = _cube_mass(grid, np.where(in_corridor, omega.leaf_mass, 0.0))
+        w_k = grid.subtree_sums(np.where(in_corridor, omega.leaf_mass, 0.0))
         # rows: f sigma off Omega_{k+m} (alpha), on it (beta), and the scale
         fs_mass = np.stack([
-            _cube_mass(grid, np.where(above, 0.0, fs_leaf)),
-            _cube_mass(grid, np.where(above, fs_leaf, 0.0)),
+            grid.subtree_sums(np.where(above, 0.0, fs_leaf)),
+            grid.subtree_sums(np.where(above, fs_leaf, 0.0)),
             size,
         ])
         below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid.child_order, grid.level_offsets)
@@ -550,7 +536,7 @@ def _pairing(grid, f, sigma, omega, tau, c, leaves, above) -> tuple[float, float
     e_mask = np.zeros(grid.n_leaves, dtype=bool)
     e_mask[leaves] = True
     up = grid.ancestor(c, 1)
-    dom = _leaf_mask(grid, up)
+    dom = grid.subtree_leaf_mask(up) if up >= 0 else np.ones(grid.n_leaves, dtype=bool)
     t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
     integrand = f * t_in * sigma.leaf_mass
     return float(integrand[dom & ~above].sum()), float(integrand[dom & above].sum())
@@ -636,7 +622,7 @@ def _layer_neighbors(
     if tau is not None and omega is not None:
         checks += int(n_refined.sum())
         band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
-        heavy = _cube_mass(grid, np.where(band, omega.leaf_mass, 0.0))[lay_hi.cubes] > 0
+        heavy = grid.subtree_sums(np.where(band, omega.leaf_mass, 0.0))[lay_hi.cubes] > 0
         loaded = _meeting(grid, lay_hi.cubes[heavy], up) > 0
 
     reevaluated = 0
@@ -650,7 +636,7 @@ def _layer_neighbors(
                 )
         if loaded[i]:
             reevaluated += 1
-            e_mask = _leaf_mask(grid, q) & band
+            e_mask = grid.subtree_leaf_mask(q) & band
             t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(u), "in")
             groups = _leaves_under(grid, refined, np.arange(grid.n_leaves))
             for r in refined:
@@ -797,7 +783,7 @@ def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[
     pairs = [
         (rank[gi], rank[gj])
         for gj in np.array(fam, dtype=np.int64)[fails].tolist()
-        for gi in grid.ancestor_indices(gj, include_self=False)
+        for gi in grid.ancestor(gj, np.arange(1, grid.levels[gj] + 1)).tolist()
         if gi in rank and not (2.0 * avg[gi] < avg[gj])
     ]
     for i, j in sorted(pairs):
@@ -903,7 +889,7 @@ def max_principle_audit(
     deco = corridors.whitney
     grid = deco.grid
     fs = Measure.product(f, sigma)
-    size = _cube_mass(grid, np.abs(fs.leaf_mass))  # |f sigma|, the scale of rounding
+    size = grid.subtree_sums(np.abs(fs.leaf_mass))  # |f sigma|, the scale of rounding
 
     def path(values):
         return _kernels.down_sum(values, grid.parent, grid.level_offsets)
@@ -940,7 +926,9 @@ def max_principle_audit(
             c, up1, up2 = int(lay.cubes[i]), int(p1[i]), int(p2[i])
             outward = []
             if redo_local[i] or redo_far[i]:
-                up2_mask = _leaf_mask(grid, up2)
+                up2_mask = (
+                    grid.subtree_leaf_mask(up2) if up2 >= 0 else np.ones(grid.n_leaves, dtype=bool)
+                )
             if redo_local[i]:
                 vals = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), _handle(up2), "out")
                 outward.append(("out-local", vals))
@@ -951,7 +939,7 @@ def max_principle_audit(
                 outward.append(("out-far", vals))
             reevaluated += len(outward)
             if outward:
-                for leaf in np.flatnonzero(_leaf_mask(grid, c)):
+                for leaf in np.flatnonzero(grid.subtree_leaf_mask(c)):
                     violations += [
                         MaxPrincipleViolation(lay.k, c, int(leaf), kind, float(vals[leaf]), thr)
                         for kind, vals in outward

@@ -61,12 +61,18 @@ def test_exact_matches_dense_oracle(d, depth, style):
     assert est.value == pytest.approx(dense_norm_22(tau, sigma, omega), rel=1e-10)
 
 
-def test_exact_history_monotone():
+def test_exact_history_monotone(monkeypatch):
+    # capping the iteration at k = 1, 2, ... reads the value after each step
     _, tau, sigma, omega = _random_instance(1, 5, seed=1)
-    est, history = exact_norm_22(tau, sigma, omega, return_history=True)
+    est = exact_norm_22(tau, sigma, omega)
+    history = []
+    for k in range(1, est.iterations + 1):
+        monkeypatch.setattr(extremal, "_POWER_MAX_ITER", k)
+        history.append(exact_norm_22(tau, sigma, omega).value)
     h = np.asarray(history)
+    assert h.size > 1
     assert np.all(np.diff(h) >= -1e-13 * h[:-1])
-    assert est.value == pytest.approx(h[-1], rel=1e-12)
+    assert h[-1] == est.value
 
 
 def test_exact_extremal_pair_attains_value():
@@ -249,10 +255,7 @@ def test_embedding_extremal_reproduces_value():
     f = est.extremal_f
     assert lp_norm(f, mu, p) == pytest.approx(1.0, rel=1e-12)
     # recompute the objective directly from cube averages
-    full = g.embed_leaf_values(f * mu.leaf_mass)
-    from twoweight import _kernels
-
-    sums = _kernels.up_sum(full, g.child_order, g.level_offsets)
+    sums = g.subtree_sums(f * mu.leaf_mass)
     avg = np.where(mu.cube_mass > 0, sums / np.where(mu.cube_mass > 0, mu.cube_mass, 1.0), 0.0)
     direct = float(np.sum(tau.tau * avg**p) ** (1.0 / p))
     assert direct == pytest.approx(est.value, rel=1e-10)
@@ -537,8 +540,7 @@ def test_indicator_floor_holds_at_the_iteration_cap(monkeypatch):
         assert car ** (1.0 / p) * (1 - 1e-12) <= est.value < est.upper
         f = est.extremal_f
         assert np.count_nonzero(f) < g.n_leaves  # an indicator, not an iterate
-        full = g.embed_leaf_values(f * Measure.lebesgue(g).leaf_mass)
-        avg = _kernels.up_sum(full, g.child_order, g.level_offsets) / g.volumes
+        avg = g.subtree_sums(f * Measure.lebesgue(g).leaf_mass) / g.volumes
         assert float(np.sum(tau.tau * avg**p)) ** (1.0 / p) == pytest.approx(est.value, rel=1e-12)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoweight import _kernels
 from twoweight.grid import (
     CubeRef,
     DyadicGrid,
@@ -68,6 +69,13 @@ def test_ancestor_chain():
     assert chain[0] == leaf and chain[-1] == 0
     assert len(chain) == g.depth + 1
     assert g.ancestor_indices(leaf, include_self=False) == chain[1:]
+    assert g.ancestor_indices(0, include_self=False) == []
+    for i in range(g.n_cubes):  # the parent walk, one step at a time
+        walk = [i]
+        while g.parent[walk[-1]] >= 0:
+            walk.append(int(g.parent[walk[-1]]))
+        chain = g.ancestor_indices(i)
+        assert chain == walk and all(type(c) is int for c in chain)
 
 
 def test_subtree_masks():
@@ -199,6 +207,24 @@ def test_cube_integrals_match_pointwise():
         assert ints[i] == pytest.approx(np.sum(f[mask] * mu.leaf_mass[mask]), rel=1e-12, abs=1e-12)
     avgs = cube_averages(mu)
     assert avgs[0] == pytest.approx(mu.total)
+
+
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 5), (2, 3), (3, 2)])
+def test_subtree_sums_is_the_one_leaf_to_cube_sum(d, depth):
+    g = build_grid(d, depth)
+    rng = np.random.default_rng(d * 10 + depth)
+    mass = rng.exponential(size=g.n_leaves)
+    f = rng.standard_normal(g.n_leaves)
+    sums = g.subtree_sums(mass)
+    # bit-identical to the measure's masses, the integrals, and an embed-then-up_sum
+    assert np.array_equal(sums, Measure(g, mass).cube_mass)
+    assert np.array_equal(g.subtree_sums(f * mass), cube_integrals(f, Measure(g, mass)))
+    full = np.zeros(g.n_cubes)
+    full[g.leaf_start :] = mass
+    assert np.array_equal(sums, _kernels.up_sum(full, g.child_order, g.level_offsets))
+    for i in range(g.n_cubes):  # brute force: the leaves under each cube
+        under = g.ancestor(np.arange(g.leaf_start, g.n_cubes), depth - int(g.levels[i])) == i
+        assert sums[i] == pytest.approx(mass[under].sum(), rel=1e-13)
 
 
 @given(st.floats(min_value=1.0, max_value=8.0))

@@ -1,46 +1,19 @@
-"""Tree-scan kernels: compiled extension vs pure-numpy fallback.
+"""Tree-scan kernels against their definitions: ancestor prefixes and subtree sums.
 
-The two backends must agree bit-for-bit, not just to tolerance — the
-accumulation order is pinned so that results do not depend on which backend
-was importable at runtime.
+The batched kernels must agree bit-for-bit with the 1-D ones, row by row: the
+accumulation order is pinned, so a value does not depend on which of the two
+computed it.
 """
 
 import numpy as np
 import pytest
 
 from twoweight import _kernels
-from twoweight._kernels import _fallback
 from twoweight.grid import build_grid
-
-try:
-    from twoweight._kernels import _core
-except ImportError:  # pragma: no cover - depends on build environment
-    _core = None
-
-GRIDS = [(1, 0), (1, 1), (1, 4), (1, 6), (2, 2), (2, 3), (3, 2)]
 
 
 def _rand(grid, rng):
     return rng.standard_normal(grid.n_cubes)
-
-
-@pytest.mark.parametrize("d,depth", GRIDS)
-def test_backends_bit_identical(d, depth):
-    if _core is None:
-        pytest.skip("compiled kernels not built")
-    grid = build_grid(d, depth)
-    rng = np.random.default_rng(42 + d * 100 + depth)
-    for _ in range(5):
-        vals = _rand(grid, rng)
-        a = _core.down_sum(vals, grid.parent, grid.level_offsets)
-        b = _fallback.down_sum(vals, grid.parent, grid.level_offsets)
-        assert np.array_equal(a, b)
-        a = _core.down_max(vals, grid.parent, grid.level_offsets)
-        b = _fallback.down_max(vals, grid.parent, grid.level_offsets)
-        assert np.array_equal(a, b)
-        a = _core.up_sum(vals, grid.child_order, grid.level_offsets)
-        b = _fallback.up_sum(vals, grid.child_order, grid.level_offsets)
-        assert np.array_equal(a, b)
 
 
 def test_down_sum_is_ancestor_prefix():
@@ -81,12 +54,8 @@ def test_batch_matches_single_row():
     grid = build_grid(1, 5)
     rng = np.random.default_rng(10)
     rows = rng.standard_normal((6, grid.n_cubes))
-    down = _fallback.down_sum_batch(rows, grid.parent, grid.level_offsets)
-    up = _fallback.up_sum_batch(rows, grid.child_order, grid.level_offsets)
+    down = _kernels.down_sum_batch(rows, grid.parent, grid.level_offsets)
+    up = _kernels.up_sum_batch(rows, grid.child_order, grid.level_offsets)
     for r in range(rows.shape[0]):
         assert np.array_equal(down[r], _kernels.down_sum(rows[r], grid.parent, grid.level_offsets))
         assert np.array_equal(up[r], _kernels.up_sum(rows[r], grid.child_order, grid.level_offsets))
-
-
-def test_backend_label():
-    assert _kernels.BACKEND in ("compiled", "fallback")

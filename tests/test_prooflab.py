@@ -526,6 +526,7 @@ def _audit_whitney_oracle(deco):
             crowd_max = max(crowd_max, crowd)
             if crowd > crowd_cap:
                 out.append(f"crowding k={lay.k}: {crowd} neighbors exceed cap {crowd_cap}")
+    chains = {int(q): g.ancestor_indices(int(q)) for lay in deco.layers for q in lay.cubes}
     for a in deco.layers:
         for b in deco.layers:
             if a.k > b.k:
@@ -534,7 +535,7 @@ def _audit_whitney_oracle(deco):
                 lev_q = int(g.levels[q])
                 for qp in b.cubes:
                     lev_p = int(g.levels[qp])
-                    if lev_q > lev_p and g.ancestor_indices(int(q))[lev_q - lev_p] == int(qp):
+                    if lev_q > lev_p and chains[int(q)][lev_q - lev_p] == int(qp):
                         out.append(
                             f"nestedness cube {int(q)} in k={a.k} strictly inside "
                             f"cube {int(qp)} of k={b.k}"
