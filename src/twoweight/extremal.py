@@ -77,19 +77,28 @@ class AscentOptions:
     seed: int = 0
 
 
-def _t_leafmass(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
-    """T applied to the measure with the given (possibly signed) leaf masses."""
-    contrib = tau * grid.subtree_sums(leafmass) / grid.volumes
-    return _kernels.down_sum(contrib, grid.parent, grid.level_offsets)[grid.leaf_start :]
+def _t_leafmass(
+    grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """T applied to the measure with the given (possibly signed) leaf masses.
+
+    Both scans run in place in ``work``, a float buffer of one entry per cube
+    (``leafmass`` may be its leaf part); the result is the leaf part of
+    ``work``, valid until the buffer is used again.
+    """
+    grid.subtree_sums(leafmass, out=work)
+    np.multiply(tau, work, out=work)
+    np.divide(work, grid.volumes, out=work)
+    return _kernels.down_sum(work, grid.parent, grid.level_offsets, out=work)[grid.leaf_start :]
 
 
 def _t_leafmass_batch(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
     rows = leafmass.shape[0]
     full = np.zeros((rows, grid.n_cubes))
     full[:, grid.leaf_start :] = leafmass
-    masses = _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets)
-    contrib = masses * (tau / grid.volumes)
-    return _kernels.down_sum_batch(contrib, grid.parent, grid.level_offsets)[
+    _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets, out=full)
+    full *= tau / grid.volumes
+    return _kernels.down_sum_batch(full, grid.parent, grid.level_offsets, out=full)[
         :, grid.leaf_start :
     ]
 
@@ -104,12 +113,18 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     grid = tau.grid
     sq_s = np.sqrt(sigma.leaf_mass)
     sq_w = np.sqrt(omega.leaf_mass)
+    # the solve's buffers: the scans run in work, whose leaf part takes each
+    # input measure; the vectors are updated in place
+    work = np.empty(grid.n_cubes)
+    leaves = work[grid.leaf_start :]
 
-    def a_fwd(v):
-        return sq_s * _t_leafmass(grid, tau.tau, sq_w * v)
+    def a_fwd(v, out):
+        np.multiply(sq_w, v, out=leaves)
+        return np.multiply(sq_s, _t_leafmass(grid, tau.tau, leaves, work), out=out)
 
-    def a_adj(u):
-        return sq_w * _t_leafmass(grid, tau.tau, sq_s * u)
+    def a_adj(u, out):
+        np.multiply(sq_s, u, out=leaves)
+        return np.multiply(sq_w, _t_leafmass(grid, tau.tau, leaves, work), out=out)
 
     v = sq_w.copy()
     nv = float(np.linalg.norm(v))
@@ -118,25 +133,23 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     v /= nv
     s_prev = -1.0
     u = np.zeros(grid.n_leaves)
+    img = np.empty(grid.n_leaves)
     iterations = 0
     for iterations in range(1, _POWER_MAX_ITER + 1):
-        av = a_fwd(v)
-        s = float(np.linalg.norm(av))
+        s = float(np.linalg.norm(a_fwd(v, img)))
         if s == 0.0:
             # the start vector is strictly positive on the omega-support, so a
             # vanishing image means the kernel is identically zero
             return NormEstimate(
                 0.0, "exact", np.zeros(grid.n_leaves), np.zeros(grid.n_leaves), iterations, 0.0
             )
-        u = av / s
-        atu = a_adj(u)
-        v = atu / float(np.linalg.norm(atu))
+        np.divide(img, s, out=u)
+        np.divide(img, float(np.linalg.norm(a_adj(u, img))), out=v)
         if abs(s - s_prev) <= _POWER_VALUE_TOL * s:
             break
         s_prev = s
-    av = a_fwd(v)
-    s = float(u @ av)
-    residual = float(np.linalg.norm(a_adj(u) - s * v))
+    s = float(u @ a_fwd(v, img))
+    residual = float(np.linalg.norm(a_adj(u, img) - s * v))
     kind = "exact" if residual <= _POWER_RESIDUAL_TOL * max(s, 1e-300) else "lower-bound"
     # the iteration runs on the sigma-side/omega-side transposed matrix, so u
     # is the input singular vector: f pairs with sigma, g with omega
@@ -244,11 +257,14 @@ def strong_norm_lower(
     if exps.p == exps.q:
         grid = tau.grid
         p = exps.p
+        work = np.empty(grid.n_cubes)
+        leaves = work[grid.leaf_start :]
 
         def image(f):
-            h = _t_leafmass(grid, tau.tau, f * sigma.leaf_mass)
+            h = _t_leafmass(grid, tau.tau, np.multiply(f, sigma.leaf_mass, out=leaves), work)
             weighted = h ** (p - 1.0) * omega.leaf_mass
-            return float(weighted @ h) ** (1.0 / p), _t_leafmass(grid, tau.tau, weighted)
+            j = float(weighted @ h) ** (1.0 / p)
+            return j, _t_leafmass(grid, tau.tau, weighted, work)
 
         return _power_solve(image, sigma.leaf_mass, p)
     return _strong_ascent(tau, sigma, omega, exps, opts or AscentOptions())
@@ -374,11 +390,17 @@ def carleson_embedding_constant(
     ok = mass > 0
     inv_mass = np.where(ok, 1.0 / np.where(ok, mass, 1.0), 0.0)
 
+    work = np.empty(grid.n_cubes)
+    leaves = work[grid.leaf_start :]
+
     def image(f):
-        avg = grid.subtree_sums(f * m_lm) * inv_mass
+        avg = grid.subtree_sums(np.multiply(f, m_lm, out=leaves), out=work)
+        avg *= inv_mass
         coeff = tau.tau * avg ** (p - 1.0)
-        path = _kernels.down_sum(coeff * inv_mass, grid.parent, grid.level_offsets)
-        return float(coeff @ avg) ** (1.0 / p), path[grid.leaf_start :]
+        j = float(coeff @ avg) ** (1.0 / p)
+        np.multiply(coeff, inv_mass, out=work)
+        path = _kernels.down_sum(work, grid.parent, grid.level_offsets, out=work)
+        return j, path[grid.leaf_start :]
 
     scores = _cet_scores(grid, tau.tau, mass, p)
     best = int(np.argmax(scores))
@@ -394,8 +416,9 @@ def _power_solve(image, mass: np.ndarray, p: float, floor=None) -> NormEstimate:
 
     ``image(f)`` returns (J(f), path_f) for f >= 0 of unit L^p(mass) norm,
     where path_f is the gradient of J^p / p divided by ``mass``, so that
-    J(f)^p = sum f * mass * path_f. Stationary points satisfy f^(p-1)
-    proportional to path_f, and for nonnegative maps the plain step
+    J(f)^p = sum f * mass * path_f; path_f is read before the next call, so
+    it may be a view of a buffer that call overwrites. Stationary points
+    satisfy f^(p-1) proportional to path_f, and for nonnegative maps the plain step
     f -> path_f^(1/(p-1)) never lowers J (D. W. Boyd, Linear Algebra Appl. 9,
     1974). Hoelder's inequality bounds every unit g by
     J(g)^p <= max over the support of mass of path_f / f^(p-1), for any f > 0

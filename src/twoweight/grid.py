@@ -181,18 +181,31 @@ class DyadicGrid:
 
     def ancestor(self, index, j):
         """The j-fold parent of a cube index, -1 above the root; ``index`` and ``j``
-        are ints (giving an int) or int arrays, broadcast against each other."""
+        are ints (giving an int) or int arrays, broadcast against each other.
+
+        Each index is decoded into its level and coordinates, the coordinates
+        are shifted right by j and re-encoded at level - j.
+        """
         a = np.asarray(index, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         if a.size and (a.min() < 0 or a.max() >= self.n_cubes):
             raise ValueError("cube index out of range")
         if j.size and j.min() < 0:
             raise ValueError("parent order must be >= 0")
-        a = a + 0 * j  # broadcast, and a fresh array
-        # after depth + 1 steps every cube is above the root
-        for step in range(min(int(j.max(initial=0)), self.depth + 1)):
-            a = np.where((step < j) & (a >= 0), self.parent[a], a)
-        return int(a) if a.ndim == 0 else a
+        lev = self.levels[a]
+        up = lev - j
+        shift = np.minimum(j, lev)
+        top = np.maximum(up, 0)
+        within = a - self.level_offsets[lev]
+        if self.d == 1:
+            moved = within >> shift
+        else:  # coordinate k holds bits [lev * k, lev * (k + 1)) of within
+            side = (1 << lev) - 1
+            moved = (within & side) >> shift
+            for k in range(1, self.d):
+                moved = moved + ((((within >> (lev * k)) & side) >> shift) << (top * k))
+        out = np.where(up < 0, -1, self.level_offsets[top] + moved)
+        return int(out) if out.ndim == 0 else out
 
     def ancestor_indices(self, index: int, include_self: bool = True) -> list:
         """Chain from the cube up to the root, deepest first, as a list of ints."""
@@ -201,11 +214,20 @@ class DyadicGrid:
         return self.ancestor(i, steps).tolist()
 
     def subtree_cube_mask(self, index: int) -> np.ndarray:
-        """Boolean mask over cubes: descendants of ``index``, inclusive."""
-        onehot = np.zeros(self.n_cubes)
-        onehot[self.index_of(index)] = 1.0
-        marked = _kernels.down_sum(onehot, self.parent, self.level_offsets)
-        return marked == 1.0
+        """Boolean mask over cubes: descendants of ``index``, inclusive.
+
+        At each level from the cube's down, its descendants form one box of the
+        level's C-order block (shape ``(2**level,) * d``, last axis the first
+        coordinate), which is set by one slice.
+        """
+        cube = self.cube(index)
+        mask = np.zeros(self.n_cubes, dtype=bool)
+        for lev in range(cube.level, self.depth + 1):
+            h = lev - cube.level
+            block = mask[self.level_offsets[lev] : self.level_offsets[lev + 1]]
+            box = tuple(slice(c << h, (c + 1) << h) for c in reversed(cube.coords))
+            block.reshape((1 << lev,) * self.d)[box] = True
+        return mask
 
     def subtree_leaf_mask(self, index: int) -> np.ndarray:
         return self.subtree_cube_mask(index)[self.leaf_start :]
@@ -221,11 +243,17 @@ class DyadicGrid:
             self._anc_matrix = anc
         return self._anc_matrix
 
-    def subtree_sums(self, leaf_values: np.ndarray) -> np.ndarray:
-        """Per cube, the sum of ``leaf_values`` over the leaves inside it."""
-        full = np.zeros(self.n_cubes)
+    def subtree_sums(self, leaf_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per cube, the sum of ``leaf_values`` over the leaves inside it.
+
+        ``out``, when given, is a float array of one entry per cube that the
+        sums are computed in and that is returned; ``leaf_values`` may be its
+        leaf part (``out[leaf_start:]``).
+        """
+        full = np.empty(self.n_cubes) if out is None else out
+        full[: self.leaf_start] = 0.0
         full[self.leaf_start :] = leaf_values
-        return _kernels.up_sum(full, self.child_order, self.level_offsets)
+        return _kernels.up_sum(full, self.child_order, self.level_offsets, out=full)
 
     def __repr__(self):
         return f"DyadicGrid(d={self.d}, depth={self.depth}, cubes={self.n_cubes})"

@@ -752,3 +752,89 @@ def test_ascent_memory_bounded_at_depth_12():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- in-place operator application against the allocating loops ---------------
+
+
+def _t_leafmass_alloc(grid, tau, leafmass):
+    contrib = tau * grid.subtree_sums(leafmass) / grid.volumes
+    return _kernels.down_sum(contrib, grid.parent, grid.level_offsets)[grid.leaf_start :]
+
+
+def _exact_norm_22_alloc(tau, sigma, omega):
+    """The power iteration with fresh arrays at every step, as the oracle."""
+    grid = tau.grid
+    sq_s = np.sqrt(sigma.leaf_mass)
+    sq_w = np.sqrt(omega.leaf_mass)
+    v = sq_w.copy()
+    v /= float(np.linalg.norm(v))
+    s_prev = -1.0
+    for iterations in range(1, extremal._POWER_MAX_ITER + 1):
+        av = sq_s * _t_leafmass_alloc(grid, tau.tau, sq_w * v)
+        s = float(np.linalg.norm(av))
+        u = av / s
+        atu = sq_w * _t_leafmass_alloc(grid, tau.tau, sq_s * u)
+        v = atu / float(np.linalg.norm(atu))
+        if abs(s - s_prev) <= extremal._POWER_VALUE_TOL * s:
+            break
+        s_prev = s
+    av = sq_s * _t_leafmass_alloc(grid, tau.tau, sq_w * v)
+    s = float(u @ av)
+    residual = float(np.linalg.norm(sq_w * _t_leafmass_alloc(grid, tau.tau, sq_s * u) - s * v))
+    return s, iterations, residual, extremal._safe_div(u, sq_s), extremal._safe_div(v, sq_w)
+
+
+def _strong_image_alloc(tau, sigma, omega, p):
+    def image(f):
+        h = _t_leafmass_alloc(tau.grid, tau.tau, f * sigma.leaf_mass)
+        weighted = h ** (p - 1.0) * omega.leaf_mass
+        return float(weighted @ h) ** (1.0 / p), _t_leafmass_alloc(tau.grid, tau.tau, weighted)
+
+    return image
+
+
+def _embedding_image_alloc(tau, mu, p):
+    grid = tau.grid
+    mass = mu.cube_mass
+    ok = mass > 0
+    inv_mass = np.where(ok, 1.0 / np.where(ok, mass, 1.0), 0.0)
+
+    def image(f):
+        avg = grid.subtree_sums(f * mu.leaf_mass) * inv_mass
+        coeff = tau.tau * avg ** (p - 1.0)
+        path = _kernels.down_sum(coeff * inv_mass, grid.parent, grid.level_offsets)
+        return float(coeff @ avg) ** (1.0 / p), path[grid.leaf_start :]
+
+    return image
+
+
+def _same_estimate(est, oracle):
+    assert (est.value, est.upper, est.iterations, est.residual, est.kind) == (
+        oracle.value, oracle.upper, oracle.iterations, oracle.residual, oracle.kind,
+    )
+    assert np.array_equal(est.extremal_f, oracle.extremal_f)
+
+
+# deep levels of both grids are read through strided views
+@pytest.mark.parametrize("cfg", [dict(d=1, depth=13), dict(d=2, depth=7, sigma="spikes")])
+def test_in_place_solvers_bit_identical_to_allocating_loops(cfg):
+    inst = gen_instance(GeneratorConfig(**cfg), 4)
+    tau, sigma, omega = inst.tau, inst.sigma, inst.omega
+    est = exact_norm_22(tau, sigma, omega)
+    value, iterations, residual, ef, eg = _exact_norm_22_alloc(tau, sigma, omega)
+    assert (est.value, est.iterations, est.residual) == (value, iterations, residual)
+    assert np.array_equal(est.extremal_f, ef) and np.array_equal(est.extremal_g, eg)
+
+    strong = strong_norm_lower(tau, sigma, omega, Exponents(3.0, 3.0))
+    image = _strong_image_alloc(tau, sigma, omega, 3.0)
+    _same_estimate(strong, extremal._power_solve(image, sigma.leaf_mass, 3.0))
+
+    cet = carleson_embedding_constant(tau, 1.5)
+    mu = Measure.lebesgue(tau.grid)
+    scores = _cet_scores(tau.grid, tau.tau, mu.cube_mass, 1.5)
+    best = int(np.argmax(scores))
+    f = _indicator_rows(tau.grid, np.array([best]))[0]
+    floor = (float(scores[best]), f / float(f**1.5 @ mu.leaf_mass) ** (1.0 / 1.5))
+    oracle = extremal._power_solve(_embedding_image_alloc(tau, mu, 1.5), mu.leaf_mass, 1.5, floor)
+    _same_estimate(cet, oracle)

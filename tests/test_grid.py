@@ -88,6 +88,51 @@ def test_subtree_masks():
     assert list(leaves) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("d,depth", [(1, 5), (2, 3), (3, 2)])
+def test_subtree_cube_mask_matches_scan_oracle(d, depth):
+    # the box-slice mask against the root-to-leaf scan of a one-hot vector
+    g = build_grid(d, depth)
+    for i in range(g.n_cubes):
+        onehot = np.zeros(g.n_cubes)
+        onehot[i] = 1.0
+        scan = _kernels.down_sum(onehot, g.parent, g.level_offsets) == 1.0
+        mask = g.subtree_cube_mask(i)
+        assert mask.dtype == bool and np.array_equal(mask, scan)
+        assert np.array_equal(g.subtree_leaf_mask(i), scan[g.leaf_start :])
+    assert np.array_equal(g.subtree_cube_mask(g.cube(g.n_cubes - 1)), g.subtree_cube_mask(g.n_cubes - 1))
+    with pytest.raises(ValueError):
+        g.subtree_cube_mask(g.n_cubes)
+
+
+@pytest.mark.parametrize("d,depth", [(1, 5), (2, 3), (3, 2)])
+def test_ancestor_matches_parent_walk(d, depth):
+    g = build_grid(d, depth)
+
+    def walk(i, j):
+        for _ in range(j):
+            if i < 0:
+                break
+            i = int(g.parent[i]) if i > 0 else -1
+        return i
+
+    every = np.arange(g.n_cubes)
+    steps = np.arange(depth + 3)
+    expect = np.array([[walk(i, j) for j in steps] for i in every])
+    for j in steps:
+        assert np.array_equal(g.ancestor(every, int(j)), expect[:, j])
+    # arrays broadcast against each other, and against ints
+    assert np.array_equal(g.ancestor(every[:, None], steps[None, :]), expect)
+    for i in every:
+        got = g.ancestor(int(i), steps)
+        assert got.dtype == np.int64 and np.array_equal(got, expect[i])
+        assert g.ancestor(int(i), 1) == expect[i, 1] and type(g.ancestor(int(i), 1)) is int
+    assert g.ancestor(every[:0], 2).shape == (0,)
+    with pytest.raises(ValueError):
+        g.ancestor(-1, 1)
+    with pytest.raises(ValueError):
+        g.ancestor(every, -1)
+
+
 def test_leaf_ancestor_matrix_consistent():
     g = build_grid(2, 2)
     anc = g.leaf_ancestor_matrix()
