@@ -13,23 +13,23 @@ A level is scanned one of two ways, with the same arithmetic in the same
 order, so both give the same bits. By default the level's parents or
 children are gathered through the ``parent`` and ``child_order`` index
 arrays. From ``STRIDED_MIN_CUBES`` cubes per level on, the level is read
-through strided views of its block in the canonical layout instead (level
-``l`` of a ``d``-dimensional grid is a C-order array of shape
-``(2**l,) * d``, last axis the first coordinate): the children in child slot
-``s`` of every parent form one ``(2**(l-1),) * d`` view, and the slots in
-increasing order are the canonical child order. The views skip the index
-gather and its copy, which is most of a scan on large levels, but cost a few
-numpy calls more, which loses on small ones. Root-to-leaf scans take the
-views only at d = 1: for d >= 2 a parent gather, whose indices run almost
-in order, was measured as fast as the 2**d strided passes or faster. Every
-kernel takes ``out``: a C-contiguous float array of the input's shape that
-the scan runs in (it may be ``values`` itself), returned; without it the
-scan runs in a copy.
+instead through strided views of the canonical layout (``_layout``): one
+view per child slot, in canonical child order, against the parent block.
+Those levels do not consult ``parent`` or ``child_order``, so the kernels
+take only the arrays of a ``DyadicGrid``, whose cubes are in that layout.
+The views skip the index gather and its copy, which is most of a scan on
+large levels, but cost a few numpy calls more, which loses on small ones.
+Root-to-leaf scans take the views only at d = 1: for d >= 2 a parent gather,
+whose indices run almost in order, was measured as fast as the 2**d strided
+passes or faster. ``down_sum``, ``up_sum`` and their batch variants take
+``out``: a C-contiguous float array of the input's shape that the scan runs
+in (it may be ``values`` itself), returned; without it the scan runs in a
+copy.
 """
 
-from functools import lru_cache
-
 import numpy as np
+
+from . import _layout
 
 # Cubes per level from which a level is scanned through strided views; chosen
 # by timing both paths per level at d = 1, 2, 3 (the views win from about
@@ -43,16 +43,6 @@ def _start(values, out):
     if out is not values:
         out[...] = values
     return out
-
-
-@lru_cache(maxsize=None)
-def _slot_keys(d: int) -> tuple:
-    """Per child slot, in canonical child order, the index into a level block
-    reshaped to (side/2, 2) * d that selects the children in that slot."""
-    return tuple(
-        tuple(x for k in reversed(range(d)) for x in (slice(None), (s >> k) & 1))
-        for s in range(1 << d)
-    )
 
 
 def _first_strided(acc, level_offsets, root_to_leaf: bool) -> int:
@@ -74,16 +64,11 @@ def _first_strided(acc, level_offsets, root_to_leaf: bool) -> int:
 
 
 def _strided_level(acc, level_offsets, lev):
-    """Views over the last axis of ``acc``: the cubes of level ``lev``, one
-    view per child slot in canonical child order, and their parents."""
-    lo, hi = int(level_offsets[lev]), int(level_offsets[lev + 1])
-    plo = int(level_offsets[lev - 1])
-    d = ((hi - lo) // (lo - plo)).bit_length() - 1
-    ps = 1 << (lev - 1)
-    lead = acc.shape[:-1]
-    kids = acc[..., lo:hi].reshape(lead + (ps, 2) * d)
-    parents = acc[..., plo:lo].reshape(lead + (ps,) * d)
-    return [kids[(Ellipsis,) + key] for key in _slot_keys(d)], parents
+    """The child-slot views of level ``lev`` of ``acc`` and their parent block."""
+    lo, hi = level_offsets[lev], level_offsets[lev + 1]
+    d = int((hi - lo) // (lo - level_offsets[lev - 1])).bit_length() - 1
+    kids = _layout.child_slots(acc, level_offsets, lev, d)
+    return kids, _layout.level_block(acc, level_offsets, lev - 1, d)
 
 
 def down_sum(values, parent, level_offsets, out=None):
@@ -100,9 +85,9 @@ def down_sum(values, parent, level_offsets, out=None):
     return out
 
 
-def down_max(values, parent, level_offsets, out=None):
+def down_max(values, parent, level_offsets):
     """Root-to-leaf prefix maxima: out[i] = max of values over ancestors of i, inclusive."""
-    out = _start(values, out)
+    out = np.array(values, dtype=np.float64, copy=True)
     split = _first_strided(out, level_offsets, True)
     for lev in range(1, split):
         lo, hi = level_offsets[lev], level_offsets[lev + 1]

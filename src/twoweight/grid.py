@@ -4,7 +4,8 @@ A grid of dimension ``d`` and depth ``D`` holds every dyadic cube of the unit
 cube down to side length ``2**-D``. Cubes are addressed by a canonical linear
 index: levels are enumerated root first, and within level ``l`` the cube with
 coordinates ``(i_0, ..., i_{d-1})`` (each in ``range(2**l)``) sits at offset
-``sum(i_k * 2**(l*k))``. Leaves are the cubes at the final level.
+``sum(i_k * 2**(l*k))`` (``_layout`` encodes and decodes it). Leaves are the
+cubes at the final level.
 
 Ancestors above the root are "virtual": they carry no mass and no weight, and
 by the zero-outside-root convention they always intersect the complement of
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _layout
 
 DEFAULT_MAX_LEAVES = 1 << 20
 
@@ -107,17 +108,8 @@ class DyadicGrid:
             lo, hi = int(offsets[lev]), int(offsets[lev + 1])
             plo = int(offsets[lev - 1])
             levels[lo:hi] = lev
-            side = 1 << lev
-            pside = side >> 1
-            pw = np.zeros(hi - lo, dtype=np.int64)
-            tmp = np.arange(hi - lo, dtype=np.int64)
-            stride = 1
-            for _ in range(d):
-                digit = tmp % side
-                tmp //= side
-                pw += (digit >> 1) * stride
-                stride *= pside
-            parent[lo:hi] = plo + pw
+            coords = _layout.decode(lev, np.arange(hi - lo, dtype=np.int64), d)
+            parent[lo:hi] = plo + _layout.encode(lev - 1, [c >> 1 for c in coords])
             # stable sort groups each parent's children together, children in
             # canonical order within the group
             child_order[lo:hi] = lo + np.argsort(parent[lo:hi], kind="stable")
@@ -146,26 +138,16 @@ class DyadicGrid:
             raise ValueError(f"level {cube.level} exceeds grid depth {self.depth}")
         if len(cube.coords) != self.d:
             raise ValueError(f"expected {self.d} coordinates, got {len(cube.coords)}")
-        side = 1 << cube.level
-        within = 0
-        stride = 1
         for c in cube.coords:
-            if not 0 <= c < side:
+            if not 0 <= c < 1 << cube.level:
                 raise ValueError(f"coordinate {c} out of range for level {cube.level}")
-            within += c * stride
-            stride *= side
-        return int(self.level_offsets[cube.level]) + within
+        return int(self.level_offsets[cube.level]) + _layout.encode(cube.level, cube.coords)
 
     def cube(self, index: int) -> CubeRef:
         index = self.index_of(index)
         lev = int(self.levels[index])
         within = index - int(self.level_offsets[lev])
-        side = 1 << lev
-        coords = []
-        for _ in range(self.d):
-            coords.append(within % side)
-            within //= side
-        return CubeRef(lev, tuple(coords))
+        return CubeRef(lev, tuple(_layout.decode(lev, within, self.d)))
 
     @property
     def root(self) -> CubeRef:
@@ -181,31 +163,18 @@ class DyadicGrid:
 
     def ancestor(self, index, j):
         """The j-fold parent of a cube index, -1 above the root; ``index`` and ``j``
-        are ints (giving an int) or int arrays, broadcast against each other.
-
-        Each index is decoded into its level and coordinates, the coordinates
-        are shifted right by j and re-encoded at level - j.
-        """
+        are ints (giving an int) or int arrays, broadcast against each other."""
         a = np.asarray(index, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         if a.size and (a.min() < 0 or a.max() >= self.n_cubes):
             raise ValueError("cube index out of range")
         if j.size and j.min() < 0:
             raise ValueError("parent order must be >= 0")
-        lev = self.levels[a]
-        up = lev - j
-        shift = np.minimum(j, lev)
-        top = np.maximum(up, 0)
-        within = a - self.level_offsets[lev]
-        if self.d == 1:
-            moved = within >> shift
-        else:  # coordinate k holds bits [lev * k, lev * (k + 1)) of within
-            side = (1 << lev) - 1
-            moved = (within & side) >> shift
-            for k in range(1, self.d):
-                moved = moved + ((((within >> (lev * k)) & side) >> shift) << (top * k))
-        out = np.where(up < 0, -1, self.level_offsets[top] + moved)
-        return int(out) if out.ndim == 0 else out
+        a = a + 0 * j  # broadcast, and a fresh array
+        # after depth + 1 steps every cube is above the root
+        for step in range(min(int(j.max(initial=0)), self.depth + 1)):
+            a = np.where((step < j) & (a >= 0), self.parent[a], a)
+        return int(a) if a.ndim == 0 else a
 
     def ancestor_indices(self, index: int, include_self: bool = True) -> list:
         """Chain from the cube up to the root, deepest first, as a list of ints."""
@@ -217,16 +186,14 @@ class DyadicGrid:
         """Boolean mask over cubes: descendants of ``index``, inclusive.
 
         At each level from the cube's down, its descendants form one box of the
-        level's C-order block (shape ``(2**level,) * d``, last axis the first
-        coordinate), which is set by one slice.
+        level's block of coordinates, which is set by one slice.
         """
         cube = self.cube(index)
         mask = np.zeros(self.n_cubes, dtype=bool)
         for lev in range(cube.level, self.depth + 1):
             h = lev - cube.level
-            block = mask[self.level_offsets[lev] : self.level_offsets[lev + 1]]
-            box = tuple(slice(c << h, (c + 1) << h) for c in reversed(cube.coords))
-            block.reshape((1 << lev,) * self.d)[box] = True
+            box = tuple(slice(c << h, (c + 1) << h) for c in cube.coords)
+            _layout.level_block(mask, self.level_offsets, lev, self.d)[box] = True
         return mask
 
     def subtree_leaf_mask(self, index: int) -> np.ndarray:

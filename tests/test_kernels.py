@@ -108,6 +108,8 @@ def test_kernels_match_gather_oracle(d, depth, name):
     idx = _index(grid, name)
     expect = _oracles(grid)[name](vals)
     assert np.array_equal(kernel(vals, idx, grid.level_offsets), expect)
+    if name == "down_max":  # no out=: its callers keep their inputs
+        return
     # into a separate buffer: the input stays as it was
     before = vals.copy()
     buf = np.full(shape, np.nan)
