@@ -10,21 +10,19 @@ the same per-entry order; the 1-D kernels keep their own bodies because
 row-generic indexing slows them down on small grids.
 
 A level is scanned one of two ways, with the same arithmetic in the same
-order, so both give the same bits. By default the level's parents or
-children are gathered through the ``parent`` and ``child_order`` index
-arrays. From ``STRIDED_MIN_CUBES`` cubes per level on, the level is read
-instead through strided views of the canonical layout (``_layout``): one
-view per child slot, in canonical child order, against the parent block.
-Those levels do not consult ``parent`` or ``child_order``, so the kernels
-take only the arrays of a ``DyadicGrid``, whose cubes are in that layout.
-The views skip the index gather and its copy, which is most of a scan on
-large levels, but cost a few numpy calls more, which loses on small ones.
-Root-to-leaf scans take the views only at d = 1: for d >= 2 a parent gather,
-whose indices run almost in order, was measured as fast as the 2**d strided
-passes or faster. ``down_sum``, ``up_sum`` and their batch variants take
-``out``: a C-contiguous float array of the input's shape that the scan runs
-in (it may be ``values`` itself), returned; without it the scan runs in a
-copy.
+order, so both give the same bits. By default the level's parents are
+gathered through ``parent``, or its children, grouped by parent, through the
+layout's ``child_groups``. From ``STRIDED_MIN_CUBES`` cubes per level on, the
+level is read instead through strided views of the canonical layout
+(``_layout``): one view per child slot, in canonical child order, against the
+parent block. The views skip the index gather and its copy, which is most of
+a scan on large levels, but cost a few numpy calls more, which loses on small
+ones. Root-to-leaf scans take the views only at d = 1: for d >= 2 a parent
+gather, whose indices run almost in order, was measured as fast as the 2**d
+strided passes or faster. ``down_sum``, ``up_sum`` and their batch variants
+take ``out``: a C-contiguous float array of the input's shape that the scan
+runs in (it may be ``values`` itself), returned; without it the scan runs in
+a copy.
 """
 
 import numpy as np
@@ -65,8 +63,7 @@ def _first_strided(acc, level_offsets, root_to_leaf: bool) -> int:
 
 def _strided_level(acc, level_offsets, lev):
     """The child-slot views of level ``lev`` of ``acc`` and their parent block."""
-    lo, hi = level_offsets[lev], level_offsets[lev + 1]
-    d = int((hi - lo) // (lo - level_offsets[lev - 1])).bit_length() - 1
+    d = (int(level_offsets[lev + 1] - level_offsets[lev]).bit_length() - 1) // lev
     kids = _layout.child_slots(acc, level_offsets, lev, d)
     return kids, _layout.level_block(acc, level_offsets, lev - 1, d)
 
@@ -99,12 +96,11 @@ def down_max(values, parent, level_offsets):
     return out
 
 
-def up_sum(values, child_order, level_offsets, out=None):
+def up_sum(values, level_offsets, out=None):
     """Leaf-to-root subtree sums: out[i] = sum of values over descendants of i, inclusive.
 
-    ``child_order[lo:hi]`` lists the cubes of each level grouped by parent
-    (parents in canonical order, children within a group in canonical order),
-    which fixes the accumulation order exactly.
+    Each parent adds its children in canonical child order, which fixes the
+    accumulation order exactly.
     """
     acc = _start(values, out)
     split = _first_strided(acc, level_offsets, False)
@@ -114,11 +110,10 @@ def up_sum(values, child_order, level_offsets, out=None):
             seg += k
     for lev in range(split - 1, 0, -1):
         lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        plo, phi = level_offsets[lev - 1], level_offsets[lev]
-        arity = (hi - lo) // (phi - plo)
-        child_vals = acc[child_order[lo:hi]].reshape(phi - plo, arity)
-        seg = acc[plo:phi]
-        for s in range(arity):
+        d = (int(hi - lo).bit_length() - 1) // lev  # the level holds 2**(d * lev) cubes
+        child_vals = acc[lo:hi][_layout.child_groups(lev, d)]
+        seg = acc[level_offsets[lev - 1] : lo]
+        for s in range(1 << d):
             seg += child_vals[:, s]
     return acc
 
@@ -140,7 +135,7 @@ def down_sum_batch(values, parent, level_offsets, out=None):
     return out
 
 
-def up_sum_batch(values, child_order, level_offsets, out=None):
+def up_sum_batch(values, level_offsets, out=None):
     acc = _start(values, out)
     split = _first_strided(acc, level_offsets, False)
     for lev in range(len(level_offsets) - 2, split - 1, -1):
@@ -149,10 +144,9 @@ def up_sum_batch(values, child_order, level_offsets, out=None):
             seg += k
     for lev in range(split - 1, 0, -1):
         lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        plo, phi = level_offsets[lev - 1], level_offsets[lev]
-        arity = (hi - lo) // (phi - plo)
-        child_vals = acc[:, child_order[lo:hi]].reshape(acc.shape[0], phi - plo, arity)
-        seg = acc[:, plo:phi]
-        for s in range(arity):
+        d = (int(hi - lo).bit_length() - 1) // lev  # the level holds 2**(d * lev) cubes
+        child_vals = acc[:, lo:hi][:, _layout.child_groups(lev, d)]
+        seg = acc[:, level_offsets[lev - 1] : lo]
+        for s in range(1 << d):
             seg += child_vals[:, :, s]
     return acc

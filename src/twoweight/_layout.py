@@ -8,12 +8,15 @@ one C-order block of shape ``(2**l,) * d`` with coordinate ``k`` on axis
 ``2 * c_k + b_k``, ``b_k`` in {0, 1}) sit at fixed strides. Among siblings the
 canonical order is that of the child slot ``s = sum(b_k << k)``.
 
-``DyadicGrid`` builds its index arrays and answers its index queries with
-these functions, and the tree-scan kernels read large levels through
-``level_block`` and ``child_slots``; nothing else depends on the layout.
+This module is the only code that knows that order. ``DyadicGrid`` builds
+its index arrays and answers its index queries with these functions, and the
+tree-scan kernels read large levels through ``level_block`` and
+``child_slots`` and small ones through ``child_groups``.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def encode(lev, coords):
@@ -47,10 +50,29 @@ def level_block(values, level_offsets, lev, d):
 
 @lru_cache(maxsize=None)
 def _slot_keys(d: int) -> tuple:
-    # per child slot, the index into a block reshaped to (side/2, 2) * d
+    # the child-slot rule: per slot s, in canonical order, the index into a block
+    # reshaped to (side/2, 2) * d, whose entry 2k + 1 is the slot's bit (s >> k) & 1
     return tuple(
         tuple(x for k in range(d) for x in (slice(None), (s >> k) & 1)) for s in range(1 << d)
     )
+
+
+def child_offsets(lev, within, d):
+    """Offsets within level ``lev + 1`` of the children of the cubes at offsets
+    ``within`` (int or int array) of level ``lev``, in child order on a new axis."""
+    bits = np.array([key[1::2] for key in _slot_keys(d)], dtype=np.int64)
+    coords = decode(lev, np.asarray(within, dtype=np.int64)[..., None], d)
+    return encode(lev + 1, [(c << 1) | bits[:, k] for k, c in enumerate(coords)])
+
+
+@lru_cache(maxsize=None)
+def child_groups(lev: int, d: int) -> np.ndarray:
+    """Offsets within level ``lev >= 1`` of its cubes, one row per parent in
+    canonical order. Cached and read-only: the kernels ask for it only on
+    levels below their strided crossover."""
+    groups = child_offsets(lev - 1, np.arange(1 << ((lev - 1) * d)), d)
+    groups.flags.writeable = False
+    return groups
 
 
 def child_slots(values, level_offsets, lev, d):

@@ -29,6 +29,7 @@ from .harness import (
     Instance,
     SuiteConfig,
     check_decomposition_params,
+    check_seed,
     gen_instance,
     instance_f,
     run_suite,
@@ -149,7 +150,7 @@ def _cmd_testing(args) -> int:
 def _cmd_norm(args) -> int:
     _check_tol(args.tol)
     inst = _load_instance(args.instance)
-    opts = AscentOptions(seed=args.seed)
+    opts = AscentOptions(seed=check_seed(args.seed))
     strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     payload = {"strong": strong.to_dict(), "weak": weak.to_dict()}

@@ -49,7 +49,7 @@ def carleson_norm(tau: CubeWeights):
     Ties break to the smallest canonical index.
     """
     grid = tau.grid
-    subtree = _kernels.up_sum(tau.tau, grid.child_order, grid.level_offsets)
+    subtree = _kernels.up_sum(tau.tau, grid.level_offsets)
     vals = subtree / grid.volumes
     best = int(np.argmax(vals))
     return float(vals[best]), grid.cube(best)
@@ -62,7 +62,7 @@ def weighted_carleson_norm(tau: CubeWeights, omega: Measure) -> WeightedCarleson
     degenerate: the result carries value +inf, that cube, and a flag.
     """
     grid = tau.grid
-    subtree = _kernels.up_sum(tau.tau, grid.child_order, grid.level_offsets)
+    subtree = _kernels.up_sum(tau.tau, grid.level_offsets)
     dead = (omega.cube_mass == 0) & (subtree > 0)
     if np.any(dead):
         first = int(np.argmax(dead))

@@ -96,7 +96,7 @@ def _t_leafmass_batch(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -
     rows = leafmass.shape[0]
     full = np.zeros((rows, grid.n_cubes))
     full[:, grid.leaf_start :] = leafmass
-    _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets, out=full)
+    _kernels.up_sum_batch(full, grid.level_offsets, out=full)
     full *= tau / grid.volumes
     return _kernels.down_sum_batch(full, grid.parent, grid.level_offsets, out=full)[
         :, grid.leaf_start :
@@ -492,7 +492,7 @@ def _cet_scores(grid: DyadicGrid, tau: np.ndarray, mass: np.ndarray, p: float) -
     ok = mass > 0
     live = np.where(ok, tau, 0.0)
     safe = np.where(ok, mass, 1.0)
-    inside = _kernels.up_sum(live, grid.child_order, grid.level_offsets) / safe
+    inside = _kernels.up_sum(live, grid.level_offsets) / safe
     above = _kernels.down_sum(live * safe**-p, grid.parent, grid.level_offsets)
     outside = np.zeros(grid.n_cubes)
     outside[1:] = mass[1:] ** (p - 1.0) * above[grid.parent[1:]]

@@ -70,10 +70,10 @@ class CubeRef:
 class DyadicGrid:
     """All dyadic subcubes of [0,1)^d down to depth ``depth``.
 
-    Precomputes the index structures the tree kernels need: per-cube level and
-    volume, the parent index of every non-root cube, and for every level the
-    cube indices grouped by parent (``child_order``), which pins down the
-    deterministic bottom-up summation order.
+    Holds four read-only arrays and nothing a query can add to: the level
+    offsets, per-cube level and volume, and the parent index of every non-root
+    cube (-1 at the root). The order of a cube's children, which pins down the
+    deterministic bottom-up summation order, is the layout's (``_layout``).
     """
 
     def __init__(self, d: int, depth: int, max_leaves: int = DEFAULT_MAX_LEAVES):
@@ -90,37 +90,21 @@ class DyadicGrid:
         self.depth = depth
         self.arity = 1 << d
 
-        offsets = np.empty(depth + 2, dtype=np.int64)
-        offsets[0] = 0
-        for lev in range(depth + 1):
-            offsets[lev + 1] = offsets[lev] + (1 << (d * lev))
+        offsets = np.cumsum([0] + [1 << (d * lev) for lev in range(depth + 1)], dtype=np.int64)
         self.level_offsets = offsets
         self.n_cubes = int(offsets[-1])
         self.n_leaves = 1 << (d * depth)
         self.leaf_start = int(offsets[depth])
 
-        levels = np.empty(self.n_cubes, dtype=np.int64)
-        parent = np.empty(self.n_cubes, dtype=np.int64)
-        child_order = np.zeros(self.n_cubes, dtype=np.int64)
-        parent[0] = -1
-        levels[0] = 0
+        self.levels = np.repeat(np.arange(depth + 1, dtype=np.int64), np.diff(offsets))
+        self.parent = np.full(self.n_cubes, -1, dtype=np.int64)
         for lev in range(1, depth + 1):
             lo, hi = int(offsets[lev]), int(offsets[lev + 1])
-            plo = int(offsets[lev - 1])
-            levels[lo:hi] = lev
-            coords = _layout.decode(lev, np.arange(hi - lo, dtype=np.int64), d)
-            parent[lo:hi] = plo + _layout.encode(lev - 1, [c >> 1 for c in coords])
-            # stable sort groups each parent's children together, children in
-            # canonical order within the group
-            child_order[lo:hi] = lo + np.argsort(parent[lo:hi], kind="stable")
-
-        self.levels = levels
-        self.parent = parent
-        self.child_order = child_order
-        self.volumes = np.power(2.0, -float(d) * levels.astype(np.float64))
+            up = [c >> 1 for c in _layout.decode(lev, np.arange(hi - lo, dtype=np.int64), d)]
+            self.parent[lo:hi] = offsets[lev - 1] + _layout.encode(lev - 1, up)
+        self.volumes = np.power(2.0, -float(d) * self.levels)
         self.leaf_volume = 2.0 ** (-d * depth)
-        self._anc_matrix = None
-        for arr in (self.level_offsets, levels, parent, child_order, self.volumes):
+        for arr in (offsets, self.levels, self.parent, self.volumes):
             arr.flags.writeable = False
 
     # -- index arithmetic ---------------------------------------------------
@@ -154,12 +138,13 @@ class DyadicGrid:
         return CubeRef(0, (0,) * self.d)
 
     def children_indices(self, index: int) -> np.ndarray:
+        """The children of a cube, in canonical child order (none for a leaf)."""
+        index = self.index_of(index)
         lev = int(self.levels[index])
         if lev >= self.depth:
             return np.empty(0, dtype=np.int64)
-        lo = int(self.level_offsets[lev + 1])
         within = index - int(self.level_offsets[lev])
-        return self.child_order[lo + within * self.arity : lo + (within + 1) * self.arity]
+        return self.level_offsets[lev + 1] + _layout.child_offsets(lev, within, self.d)
 
     def ancestor(self, index, j):
         """The j-fold parent of a cube index, -1 above the root; ``index`` and ``j``
@@ -200,15 +185,10 @@ class DyadicGrid:
         return self.subtree_cube_mask(index)[self.leaf_start :]
 
     def leaf_ancestor_matrix(self) -> np.ndarray:
-        """Array of shape (depth+1, n_leaves): row l holds each leaf's level-l ancestor."""
-        if self._anc_matrix is None:
-            anc = np.empty((self.depth + 1, self.n_leaves), dtype=np.int64)
-            anc[self.depth] = np.arange(self.leaf_start, self.n_cubes, dtype=np.int64)
-            for lev in range(self.depth, 0, -1):
-                anc[lev - 1] = self.parent[anc[lev]]
-            anc.flags.writeable = False
-            self._anc_matrix = anc
-        return self._anc_matrix
+        """Array of shape (depth+1, n_leaves): row l holds each leaf's level-l
+        ancestor. Built on each call; the grid caches nothing."""
+        heights = self.depth - np.arange(self.depth + 1)[:, None]
+        return self.ancestor(np.arange(self.leaf_start, self.n_cubes), heights)
 
     def subtree_sums(self, leaf_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per cube, the sum of ``leaf_values`` over the leaves inside it.
@@ -220,7 +200,7 @@ class DyadicGrid:
         full = np.empty(self.n_cubes) if out is None else out
         full[: self.leaf_start] = 0.0
         full[self.leaf_start :] = leaf_values
-        return _kernels.up_sum(full, self.child_order, self.level_offsets, out=full)
+        return _kernels.up_sum(full, self.level_offsets, out=full)
 
     def __repr__(self):
         return f"DyadicGrid(d={self.d}, depth={self.depth}, cubes={self.n_cubes})"

@@ -137,7 +137,7 @@ class Instance:
             omega=omega,
             tau=tau,
             exps=Exponents(float(data["p"]), float(data["q"])),
-            seed=int(data["seed"]),
+            seed=check_seed(int(data["seed"])),
             generator=str(data.get("generator", "")),
         )
 
@@ -184,7 +184,7 @@ def _draw_tau(rng: np.random.Generator, cfg: GeneratorConfig, grid: DyadicGrid) 
 def gen_instance(cfg: GeneratorConfig, seed: int) -> Instance:
     """Deterministic instance from a generator config and an integer seed."""
     cfg.validate()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
     grid = build_grid(cfg.d, cfg.depth)
     sigma = Measure(grid, _draw_masses(rng, cfg.sigma, grid, cfg.allow_zero_sigma))
     omega = Measure(grid, _draw_masses(rng, cfg.omega, grid, cfg.allow_zero_sigma))
@@ -224,6 +224,7 @@ class SuiteConfig:
             g.validate()
         if self.n < 0:
             raise ConfigError(f"instances per generator must be >= 0, got n={self.n}")
+        check_seed(self.seed)
         check_decomposition_params(self.eta, self.rho)
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
@@ -231,6 +232,13 @@ class SuiteConfig:
             raise ConfigError(f"ratio cap must be > 0, got {self.ratio_cap}")
         if self.threads < 1:
             raise ConfigError(f"worker processes must be >= 1, got threads={self.threads}")
+
+
+def check_seed(seed: int) -> int:
+    """The seed; ConfigError if it is negative, which numpy cannot seed from."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def check_decomposition_params(eta: float, rho: int) -> None:

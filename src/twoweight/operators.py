@@ -90,10 +90,6 @@ class Selection:
             self.sets[i] = leaves
 
 
-def _as_index(grid: DyadicGrid, cube) -> int:
-    return grid.index_of(cube)
-
-
 def _leaf_function(grid: DyadicGrid, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (grid.n_leaves,):
@@ -129,7 +125,7 @@ def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunct
             return np.zeros(grid.n_leaves)
         masked = contrib
     else:
-        i = _as_index(grid, R)
+        i = grid.index_of(R)
         if mode == "in":
             masked = np.where(grid.subtree_cube_mask(i), contrib, 0.0)
         else:
@@ -205,7 +201,7 @@ def localized_two_weight_maximal(
         raise ValueError("the localized maximal function requires f >= 0")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    i0 = _as_index(grid, Q0)
+    i0 = grid.index_of(Q0)
     num = cube_integrals(f**p, sigma)
     ok = omega.cube_mass > 0
     cand = np.where(ok, (num / np.where(ok, omega.cube_mass, 1.0)) ** (1.0 / p), -np.inf)

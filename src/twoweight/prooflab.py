@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _layout
 from .grid import CubeRef, DyadicGrid, Measure, lp_norm
 from .operators import CubeWeights, apply_T, apply_T_restricted, maximal
 
@@ -100,7 +100,7 @@ def _meeting(grid: DyadicGrid, cubes: np.ndarray, targets: np.ndarray) -> np.nda
     it plus those containing it. -1, the cube above the root, meets them all."""
     cnt = _counts(grid, cubes)
     meet = (
-        _kernels.up_sum(cnt, grid.child_order, grid.level_offsets)
+        _kernels.up_sum(cnt, grid.level_offsets)
         + _kernels.down_sum(cnt, grid.parent, grid.level_offsets)
         - cnt
     )
@@ -477,7 +477,7 @@ def classify_cubes(
             grid.subtree_sums(np.where(above, fs_leaf, 0.0)),
             size,
         ])
-        below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid.child_order, grid.level_offsets)
+        below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid.level_offsets)
         up = grid.ancestor(lay.cubes, 1)
         real = up >= 0
         top = np.where(real, up, 0)
@@ -964,11 +964,10 @@ def _sibling_mass(grid: DyadicGrid, mass: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(grid.n_cubes)
     for lev in range(1, grid.depth + 1):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        group = grid.child_order[lo:hi].reshape(-1, grid.arity)
-        vals = mass[group]
-        for j in range(grid.arity):
-            out[group[:, j]] = np.delete(vals, j, axis=1).sum(axis=1)
+        # one row of the last axis per parent, its children in canonical order
+        vals = np.stack(_layout.child_slots(mass, grid.level_offsets, lev, grid.d), axis=-1)
+        for j, slot in enumerate(_layout.child_slots(out, grid.level_offsets, lev, grid.d)):
+            slot[...] = np.delete(vals, j, axis=-1).sum(axis=-1)
     return out
 
 

@@ -433,7 +433,7 @@ def _ascent_cet(tau, p, mu, opts):
     def objective(f):
         full = np.zeros((f.shape[0], grid.n_cubes))
         full[:, grid.leaf_start :] = f * m_lm
-        avg = _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets) * inv_mass
+        avg = _kernels.up_sum_batch(full, grid.level_offsets) * inv_mass
         return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p), avg
 
     def proposals(f, avg):
@@ -600,7 +600,7 @@ def _oracle_cet(grid, tau, mu, p):
     f = _project_lp_sphere(_indicator_seeds(grid), mu.leaf_mass, p)
     full = np.zeros((grid.n_cubes, grid.n_cubes))
     full[:, grid.leaf_start :] = f * mu.leaf_mass
-    sums = _kernels.up_sum_batch(full, grid.child_order, grid.level_offsets)
+    sums = _kernels.up_sum_batch(full, grid.level_offsets)
     ok = mu.cube_mass > 0
     avg = sums * np.where(ok, 1.0 / np.where(ok, mu.cube_mass, 1.0), 0.0)
     return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p)

@@ -142,6 +142,31 @@ def test_leaf_ancestor_matrix_consistent():
         assert list(anc[:, j]) == chain[::-1]
 
 
+@pytest.mark.parametrize("d,depth", [(1, 4), (2, 3), (3, 2)])
+def test_queries_leave_the_grid_unchanged(d, depth):
+    g = DyadicGrid(d, depth)  # its own grid, not the cached one
+    before = {k: (v, v.copy() if isinstance(v, np.ndarray) else v) for k, v in vars(g).items()}
+    for i in (0, 1, g.leaf_start - 1, g.n_cubes - 1):
+        g.ancestor(i, 2)
+        g.ancestor_indices(i)
+        g.subtree_cube_mask(i)
+        g.subtree_leaf_mask(i)
+        g.children_indices(i)
+        g.index_of(g.cube(i))
+    g.ancestor(np.arange(g.n_cubes), np.arange(g.n_cubes) % (depth + 2))
+    g.leaf_ancestor_matrix()
+    g.subtree_sums(np.ones(g.n_leaves))
+    assert vars(g).keys() == before.keys()
+    arrays = {k for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"level_offsets", "levels", "parent", "volumes"}
+    for k, (obj, value) in before.items():
+        assert vars(g)[k] is obj
+        if k in arrays:
+            assert not obj.flags.writeable and np.array_equal(obj, value)
+        else:
+            assert obj == value
+
+
 def test_size_budget_enforced():
     with pytest.raises(GridSizeError):
         DyadicGrid(1, 5, max_leaves=16)  # 32 leaves over an explicit budget
@@ -266,7 +291,7 @@ def test_subtree_sums_is_the_one_leaf_to_cube_sum(d, depth):
     assert np.array_equal(g.subtree_sums(f * mass), cube_integrals(f, Measure(g, mass)))
     full = np.zeros(g.n_cubes)
     full[g.leaf_start :] = mass
-    assert np.array_equal(sums, _kernels.up_sum(full, g.child_order, g.level_offsets))
+    assert np.array_equal(sums, _kernels.up_sum(full, g.level_offsets))
     for i in range(g.n_cubes):  # brute force: the leaves under each cube
         under = g.ancestor(np.arange(g.leaf_start, g.n_cubes), depth - int(g.levels[i])) == i
         assert sums[i] == pytest.approx(mass[under].sum(), rel=1e-13)

@@ -470,11 +470,12 @@ def test_cli_verify(tmp_path, capsys):
     "command,flag,value",
     [("verify", "--n", "-1"), ("verify", "--eta", "2"), ("verify", "--rho", "0"),
      ("verify", "--ratio-cap", "-1"), ("verify", "--threads", "0"),
-     ("decompose", "--eta", "0"), ("decompose", "--rho", "0")],
+     ("decompose", "--eta", "0"), ("decompose", "--rho", "0"),
+     ("gen", "--seed", "-1"), ("verify", "--seed", "-1"), ("norm", "--seed", "-1")],
 )
 def test_cli_out_of_range_flag_exit_code(tmp_path, capsys, command, flag, value):
     argv = [command, flag, value]
-    if command == "decompose":
+    if command in ("decompose", "norm"):
         argv += ["--instance", str(_gen_file(tmp_path))]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
@@ -518,6 +519,20 @@ def test_cli_instance_missing_key_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"d": 1}))
     assert main(["testing", "--instance", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["apply", "decompose"])
+def test_cli_negative_instance_seed_exit_code(tmp_path, capsys, command):
+    # the instance's seed draws the attached test function
+    data = json.loads(_gen_file(tmp_path).read_text())
+    data["seed"] = -5
+    path = tmp_path / "negative_seed.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+    with pytest.raises(ConfigError):
+        Instance.from_json_dict(data)
 
 
 def test_cli_instance_not_json_exit_code(tmp_path, capsys):

@@ -4,14 +4,17 @@ The batched kernels must agree bit-for-bit with the 1-D ones, row by row: the
 accumulation order is pinned, so a value does not depend on which of the two
 computed it. On grids whose deep levels reach ``STRIDED_MIN_CUBES`` the
 kernels read those levels through strided views; every kernel must then match
-the index-gather scan kept here as the oracle, bit for bit.
+the index-gather scan kept here as the oracle, bit for bit. The oracle groups
+each level's cubes by parent with a stable argsort of ``parent``, a recipe of
+its own rather than the layout's.
 """
 
 import numpy as np
 import pytest
 
-from twoweight import _kernels
+from twoweight import _kernels, _layout
 from twoweight.grid import build_grid
+from twoweight.prooflab import _sibling_mass
 
 
 def _rand(grid, rng):
@@ -46,14 +49,24 @@ def test_up_sum_is_subtree_sum():
     grid = build_grid(2, 2)
     rng = np.random.default_rng(9)
     vals = _rand(grid, rng)
-    out = _kernels.up_sum(vals, grid.child_order, grid.level_offsets)
+    out = _kernels.up_sum(vals, grid.level_offsets)
     for i in range(grid.n_cubes):
         mask = grid.subtree_cube_mask(i)
         assert out[i] == pytest.approx(vals[mask].sum(), rel=1e-13, abs=1e-13)
 
 
 # deep levels at or above the strided crossover, shallow ones below it
-CROSSING = [(1, 13), (2, 7), (3, 5)]
+CROSSING = [(1, 13), (2, 7), (3, 5), (4, 4)]
+
+
+def _argsort_child_order(grid):
+    """Per cube, grouped by parent level by level: the stable sort keeps each
+    parent's children in canonical order."""
+    order = np.zeros(grid.n_cubes, dtype=np.int64)
+    for lev in range(1, grid.depth + 1):
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        order[lo:hi] = lo + np.argsort(grid.parent[lo:hi], kind="stable")
+    return order
 
 
 def _gather_down(values, parent, level_offsets, op):
@@ -80,14 +93,15 @@ def _oracles(grid):
     return {
         "down_sum": lambda v: _gather_down(v, grid.parent, grid.level_offsets, np.add),
         "down_max": lambda v: _gather_down(v, grid.parent, grid.level_offsets, np.maximum),
-        "up_sum": lambda v: _gather_up(v, grid.child_order, grid.level_offsets),
+        "up_sum": lambda v: _gather_up(v, _argsort_child_order(grid), grid.level_offsets),
         "down_sum_batch": lambda v: _gather_down(v, grid.parent, grid.level_offsets, np.add),
-        "up_sum_batch": lambda v: _gather_up(v, grid.child_order, grid.level_offsets),
+        "up_sum_batch": lambda v: _gather_up(v, _argsort_child_order(grid), grid.level_offsets),
     }
 
 
-def _index(grid, name):
-    return grid.child_order if name.startswith("up") else grid.parent
+def _grid_arrays(grid, name):
+    # leaf-to-root kernels take the level offsets alone
+    return (grid.level_offsets,) if name.startswith("up") else (grid.parent, grid.level_offsets)
 
 
 @pytest.mark.parametrize("d,depth", CROSSING)
@@ -105,19 +119,19 @@ def test_kernels_match_gather_oracle(d, depth, name):
     vals = rng.standard_normal(shape)
     vals.flat[rng.integers(0, vals.size, 50)] = 0.0
     kernel = getattr(_kernels, name)
-    idx = _index(grid, name)
+    arrays = _grid_arrays(grid, name)
     expect = _oracles(grid)[name](vals)
-    assert np.array_equal(kernel(vals, idx, grid.level_offsets), expect)
+    assert np.array_equal(kernel(vals, *arrays), expect)
     if name == "down_max":  # no out=: its callers keep their inputs
         return
     # into a separate buffer: the input stays as it was
     before = vals.copy()
     buf = np.full(shape, np.nan)
-    assert kernel(vals, idx, grid.level_offsets, out=buf) is buf
+    assert kernel(vals, *arrays, out=buf) is buf
     assert np.array_equal(buf, expect)
     assert np.array_equal(vals, before)
     # in place
-    assert kernel(vals, idx, grid.level_offsets, out=vals) is vals
+    assert kernel(vals, *arrays, out=vals) is vals
     assert np.array_equal(vals, expect)
 
 
@@ -127,7 +141,35 @@ def test_batch_matches_single_row():
         rng = np.random.default_rng(10)
         rows = rng.standard_normal((6, grid.n_cubes))
         down = _kernels.down_sum_batch(rows, grid.parent, grid.level_offsets)
-        up = _kernels.up_sum_batch(rows, grid.child_order, grid.level_offsets)
+        up = _kernels.up_sum_batch(rows, grid.level_offsets)
         for r in range(rows.shape[0]):
             assert np.array_equal(down[r], _kernels.down_sum(rows[r], grid.parent, grid.level_offsets))
-            assert np.array_equal(up[r], _kernels.up_sum(rows[r], grid.child_order, grid.level_offsets))
+            assert np.array_equal(up[r], _kernels.up_sum(rows[r], grid.level_offsets))
+
+
+@pytest.mark.parametrize("d,depth", CROSSING)
+def test_layout_child_order_matches_argsort(d, depth):
+    grid = build_grid(d, depth)
+    oracle = _argsort_child_order(grid)
+    for lev in range(1, depth + 1):
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        if hi - lo < _kernels.STRIDED_MIN_CUBES:  # the levels the kernels gather
+            groups = _layout.child_groups(lev, d)
+            assert not groups.flags.writeable
+            assert np.array_equal(lo + groups.ravel(), oracle[lo:hi])
+    for i in range(grid.leaf_start):  # a parent's children are its group of the next level
+        lev = int(grid.levels[i])
+        start = grid.level_offsets[lev + 1] + (i - grid.level_offsets[lev]) * grid.arity
+        assert np.array_equal(grid.children_indices(i), oracle[start : start + grid.arity])
+    # the sibling masses, read through the child-slot views on every level, equal
+    # the argsort-grouped formula bit for bit
+    rng = np.random.default_rng(d)
+    mass = rng.standard_normal(grid.n_cubes) * rng.lognormal(size=grid.n_cubes)
+    expect = np.zeros(grid.n_cubes)
+    for lev in range(1, depth + 1):
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        group = oracle[lo:hi].reshape(-1, grid.arity)
+        vals = mass[group]
+        for j in range(grid.arity):
+            expect[group[:, j]] = np.delete(vals, j, axis=1).sum(axis=1)
+    assert np.array_equal(_sibling_mass(grid, mass), expect)
