@@ -9,20 +9,24 @@ variants apply the same scans to every row of a (rows, n_cubes) array, with
 the same per-entry order; the 1-D kernels keep their own bodies because
 row-generic indexing slows them down on small grids.
 
-A level is scanned one of two ways, with the same arithmetic in the same
-order, so both give the same bits. By default the level's parents are
-gathered through ``parent``, or its children, grouped by parent, through the
-layout's ``child_groups``. From ``STRIDED_MIN_CUBES`` cubes per level on, the
-level is read instead through strided views of the canonical layout
-(``_layout``): one view per child slot, in canonical child order, against the
-parent block. The views skip the index gather and its copy, which is most of
-a scan on large levels, but cost a few numpy calls more, which loses on small
-ones. Root-to-leaf scans take the views only at d = 1: for d >= 2 a parent
-gather, whose indices run almost in order, was measured as fast as the 2**d
-strided passes or faster. ``down_sum``, ``up_sum`` and their batch variants
-take ``out``: a C-contiguous float array of the input's shape that the scan
-runs in (it may be ``values`` itself), returned; without it the scan runs in
-a copy.
+Every kernel takes the grid whose tree it scans. A level is scanned one of
+two ways, with the same arithmetic in the same order, so both give the same
+bits. By default it is gathered through ``grid.parent`` in both directions:
+root to leaf each cube reads its parent, and leaf to root one unbuffered
+``np.add.at`` adds the level into its parents in index order. That is
+canonical child order: in the canonical layout (``_layout``) a child at level
+``l`` with coordinate bits ``b_k`` sits ``sum(b_k << (l * k))`` after its
+first sibling, which grows with its child slot ``sum(b_k << k)``. From
+``STRIDED_MIN_CUBES`` cubes per level on, the level is read instead through
+strided views of the canonical layout: one view per child slot, in canonical
+child order, against the parent block. The views skip the index gather and
+its copy, which is most of a scan on large levels, but cost a few numpy calls
+more, which loses on small ones. Root-to-leaf scans take the views only at
+d = 1: for d >= 2 a parent gather, whose indices run almost in order, was
+measured as fast as the 2**d strided passes or faster. ``down_sum``,
+``up_sum`` and their batch variants take ``out``: a C-contiguous float array
+of the input's shape that the scan runs in (it may be ``values`` itself),
+returned; without it the scan runs in a copy.
 """
 
 import numpy as np
@@ -37,84 +41,75 @@ STRIDED_MIN_CUBES = 4096
 
 def _start(values, out):
     if out is None:
-        return np.array(values, dtype=np.float64, copy=True)
+        return np.array(values, dtype=np.float64, copy=True, order="C")
     if out is not values:
         out[...] = values
     return out
 
 
-def _first_strided(acc, level_offsets, root_to_leaf: bool) -> int:
-    """The first level of ``acc`` scanned through strided views, or the level
+def _first_strided(grid, root_to_leaf: bool) -> int:
+    """The first level of ``grid`` scanned through strided views, or the level
     count when none is: the first with at least ``STRIDED_MIN_CUBES`` cubes
     (levels only grow with depth), and for a root-to-leaf scan none unless
     d = 1."""
-    nlev = len(level_offsets) - 1
-    if (
-        acc.shape[-1] < STRIDED_MIN_CUBES  # the cheap test: no level is that large
-        or level_offsets[nlev] - level_offsets[nlev - 1] < STRIDED_MIN_CUBES
-        or (root_to_leaf and level_offsets[2] - level_offsets[1] > 2)
-    ):
-        return nlev
+    if grid.n_leaves < STRIDED_MIN_CUBES or (root_to_leaf and grid.d > 1):
+        return grid.depth + 1
     lev = 1
-    while level_offsets[lev + 1] - level_offsets[lev] < STRIDED_MIN_CUBES:
+    while 1 << (grid.d * lev) < STRIDED_MIN_CUBES:
         lev += 1
     return lev
 
 
-def _strided_level(acc, level_offsets, lev):
+def _strided_level(acc, grid, lev):
     """The child-slot views of level ``lev`` of ``acc`` and their parent block."""
-    d = (int(level_offsets[lev + 1] - level_offsets[lev]).bit_length() - 1) // lev
-    kids = _layout.child_slots(acc, level_offsets, lev, d)
-    return kids, _layout.level_block(acc, level_offsets, lev - 1, d)
+    kids = _layout.child_slots(acc, grid.level_offsets, lev, grid.d)
+    return kids, _layout.level_block(acc, grid.level_offsets, lev - 1, grid.d)
 
 
-def down_sum(values, parent, level_offsets, out=None):
+def down_sum(values, grid, out=None):
     """Root-to-leaf prefix sums: out[i] = sum of values over ancestors of i, inclusive."""
     out = _start(values, out)
-    split = _first_strided(out, level_offsets, True)
+    split = _first_strided(grid, True)
     for lev in range(1, split):
-        lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        out[lo:hi] += out[parent[lo:hi]]
-    for lev in range(split, len(level_offsets) - 1):
-        kids, parents = _strided_level(out, level_offsets, lev)
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        out[lo:hi] += out[grid.parent[lo:hi]]
+    for lev in range(split, grid.depth + 1):
+        kids, parents = _strided_level(out, grid, lev)
         for k in kids:
             k += parents
     return out
 
 
-def down_max(values, parent, level_offsets):
+def down_max(values, grid):
     """Root-to-leaf prefix maxima: out[i] = max of values over ancestors of i, inclusive."""
     out = np.array(values, dtype=np.float64, copy=True)
-    split = _first_strided(out, level_offsets, True)
+    split = _first_strided(grid, True)
     for lev in range(1, split):
-        lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        np.maximum(out[lo:hi], out[parent[lo:hi]], out=out[lo:hi])
-    for lev in range(split, len(level_offsets) - 1):
-        kids, parents = _strided_level(out, level_offsets, lev)
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        np.maximum(out[lo:hi], out[grid.parent[lo:hi]], out=out[lo:hi])
+    for lev in range(split, grid.depth + 1):
+        kids, parents = _strided_level(out, grid, lev)
         for k in kids:
             np.maximum(k, parents, out=k)
     return out
 
 
-def up_sum(values, level_offsets, out=None):
+def up_sum(values, grid, out=None):
     """Leaf-to-root subtree sums: out[i] = sum of values over descendants of i, inclusive.
 
     Each parent adds its children in canonical child order, which fixes the
     accumulation order exactly.
     """
     acc = _start(values, out)
-    split = _first_strided(acc, level_offsets, False)
-    for lev in range(len(level_offsets) - 2, split - 1, -1):
-        kids, seg = _strided_level(acc, level_offsets, lev)
+    split = _first_strided(grid, False)
+    for lev in range(grid.depth, split - 1, -1):
+        kids, seg = _strided_level(acc, grid, lev)
         for k in kids:
             seg += k
     for lev in range(split - 1, 0, -1):
-        lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        d = (int(hi - lo).bit_length() - 1) // lev  # the level holds 2**(d * lev) cubes
-        child_vals = acc[lo:hi][_layout.child_groups(lev, d)]
-        seg = acc[level_offsets[lev - 1] : lo]
-        for s in range(1 << d):
-            seg += child_vals[:, s]
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        # the target ends where the level starts: an overlapping one makes numpy copy
+        np.add.at(acc[:lo], grid.parent[lo:hi], acc[lo:hi])
     return acc
 
 
@@ -122,31 +117,30 @@ def up_sum(values, level_offsets, out=None):
 # per-entry accumulation order as the 1-D kernels.
 
 
-def down_sum_batch(values, parent, level_offsets, out=None):
+def down_sum_batch(values, grid, out=None):
     out = _start(values, out)
-    split = _first_strided(out, level_offsets, True)
+    split = _first_strided(grid, True)
     for lev in range(1, split):
-        lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        out[:, lo:hi] += out[:, parent[lo:hi]]
-    for lev in range(split, len(level_offsets) - 1):
-        kids, parents = _strided_level(out, level_offsets, lev)
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        out[:, lo:hi] += out[:, grid.parent[lo:hi]]
+    for lev in range(split, grid.depth + 1):
+        kids, parents = _strided_level(out, grid, lev)
         for k in kids:
             k += parents
     return out
 
 
-def up_sum_batch(values, level_offsets, out=None):
+def up_sum_batch(values, grid, out=None):
     acc = _start(values, out)
-    split = _first_strided(acc, level_offsets, False)
-    for lev in range(len(level_offsets) - 2, split - 1, -1):
-        kids, seg = _strided_level(acc, level_offsets, lev)
+    split = _first_strided(grid, False)
+    for lev in range(grid.depth, split - 1, -1):
+        kids, seg = _strided_level(acc, grid, lev)
         for k in kids:
             seg += k
+    # one flat np.add.at per level, measured faster than one on a 2-D index
+    flat = acc.reshape(-1)
+    row_start = np.arange(acc.shape[0])[:, None] * acc.shape[1]
     for lev in range(split - 1, 0, -1):
-        lo, hi = level_offsets[lev], level_offsets[lev + 1]
-        d = (int(hi - lo).bit_length() - 1) // lev  # the level holds 2**(d * lev) cubes
-        child_vals = acc[:, lo:hi][:, _layout.child_groups(lev, d)]
-        seg = acc[:, level_offsets[lev - 1] : lo]
-        for s in range(1 << d):
-            seg += child_vals[:, :, s]
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        np.add.at(flat, (row_start + grid.parent[lo:hi]).ravel(), acc[:, lo:hi].flatten())
     return acc

@@ -6,12 +6,15 @@ sits at offset ``sum(c_k << (l * k))``. Read as an array, a level is therefore
 one C-order block of shape ``(2**l,) * d`` with coordinate ``k`` on axis
 ``d - 1 - k``, and the ``2**d`` children of every cube (coordinates
 ``2 * c_k + b_k``, ``b_k`` in {0, 1}) sit at fixed strides. Among siblings the
-canonical order is that of the child slot ``s = sum(b_k << k)``.
+canonical order is that of the child slot ``s = sum(b_k << k)``. It is also
+index order: a child at level ``m`` sits ``sum(b_k << (m * k))`` after its
+first sibling, which grows with ``s`` because ``m >= 1``.
 
 This module is the only code that knows that order. ``DyadicGrid`` builds
 its index arrays and answers its index queries with these functions, and the
 tree-scan kernels read large levels through ``level_block`` and
-``child_slots`` and small ones through ``child_groups``.
+``child_slots``; small ones they gather through ``DyadicGrid.parent``, which
+relies on index order being child order.
 """
 
 from functools import lru_cache
@@ -63,16 +66,6 @@ def child_offsets(lev, within, d):
     bits = np.array([key[1::2] for key in _slot_keys(d)], dtype=np.int64)
     coords = decode(lev, np.asarray(within, dtype=np.int64)[..., None], d)
     return encode(lev + 1, [(c << 1) | bits[:, k] for k, c in enumerate(coords)])
-
-
-@lru_cache(maxsize=None)
-def child_groups(lev: int, d: int) -> np.ndarray:
-    """Offsets within level ``lev >= 1`` of its cubes, one row per parent in
-    canonical order. Cached and read-only: the kernels ask for it only on
-    levels below their strided crossover."""
-    groups = child_offsets(lev - 1, np.arange(1 << ((lev - 1) * d)), d)
-    groups.flags.writeable = False
-    return groups
 
 
 def child_slots(values, level_offsets, lev, d):

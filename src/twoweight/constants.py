@@ -49,7 +49,7 @@ def carleson_norm(tau: CubeWeights):
     Ties break to the smallest canonical index.
     """
     grid = tau.grid
-    subtree = _kernels.up_sum(tau.tau, grid.level_offsets)
+    subtree = _kernels.up_sum(tau.tau, grid)
     vals = subtree / grid.volumes
     best = int(np.argmax(vals))
     return float(vals[best]), grid.cube(best)
@@ -62,7 +62,7 @@ def weighted_carleson_norm(tau: CubeWeights, omega: Measure) -> WeightedCarleson
     degenerate: the result carries value +inf, that cube, and a flag.
     """
     grid = tau.grid
-    subtree = _kernels.up_sum(tau.tau, grid.level_offsets)
+    subtree = _kernels.up_sum(tau.tau, grid)
     dead = (omega.cube_mass == 0) & (subtree > 0)
     if np.any(dead):
         first = int(np.argmax(dead))
@@ -189,11 +189,11 @@ def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float):
     Q containing R (A only grows down the tree).
     """
     grid = tau.grid
-    avg = _kernels.down_sum(tau.tau / grid.volumes, grid.parent, grid.level_offsets)
+    avg = _kernels.down_sum(tau.tau / grid.volumes, grid)
     par = grid.parent[1:]
     ring = np.zeros(grid.n_cubes)
     ring[1:] = (sigma.cube_mass[par] - sigma.cube_mass[1:]) * avg[par] ** pc
-    return avg, _kernels.down_sum(ring, grid.parent, grid.level_offsets)
+    return avg, _kernels.down_sum(ring, grid)
 
 
 def _values(power, mass, pc: float, qc: float):

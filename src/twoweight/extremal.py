@@ -89,18 +89,16 @@ def _t_leafmass(
     grid.subtree_sums(leafmass, out=work)
     np.multiply(tau, work, out=work)
     np.divide(work, grid.volumes, out=work)
-    return _kernels.down_sum(work, grid.parent, grid.level_offsets, out=work)[grid.leaf_start :]
+    return _kernels.down_sum(work, grid, out=work)[grid.leaf_start :]
 
 
 def _t_leafmass_batch(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
     rows = leafmass.shape[0]
     full = np.zeros((rows, grid.n_cubes))
     full[:, grid.leaf_start :] = leafmass
-    _kernels.up_sum_batch(full, grid.level_offsets, out=full)
+    _kernels.up_sum_batch(full, grid, out=full)
     full *= tau / grid.volumes
-    return _kernels.down_sum_batch(full, grid.parent, grid.level_offsets, out=full)[
-        :, grid.leaf_start :
-    ]
+    return _kernels.down_sum_batch(full, grid, out=full)[:, grid.leaf_start :]
 
 
 def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstimate:
@@ -182,7 +180,7 @@ def dense_norm_22(
         )
     # path[Q] = sum of tau_P/|P| over ancestors P of Q, inclusive; the kernel
     # entry at a leaf pair is path[] at their deepest common ancestor
-    path = _kernels.down_sum(tau.tau / grid.volumes, grid.parent, grid.level_offsets)
+    path = _kernels.down_sum(tau.tau / grid.volumes, grid)
     anc = grid.leaf_ancestor_matrix()
     K = np.zeros((grid.n_leaves, grid.n_leaves))
     for lev in range(grid.depth + 1):
@@ -197,9 +195,7 @@ def _indicator_rows(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
     """One row per given cube: the indicator of its leaves."""
     onehot = np.zeros((cubes.size, grid.n_cubes))
     onehot[np.arange(cubes.size), cubes] = 1.0
-    return _kernels.down_sum_batch(onehot, grid.parent, grid.level_offsets)[
-        :, grid.leaf_start :
-    ]
+    return _kernels.down_sum_batch(onehot, grid)[:, grid.leaf_start :]
 
 
 def _top_cubes(scores: np.ndarray, k: int) -> np.ndarray:
@@ -399,7 +395,7 @@ def carleson_embedding_constant(
         coeff = tau.tau * avg ** (p - 1.0)
         j = float(coeff @ avg) ** (1.0 / p)
         np.multiply(coeff, inv_mass, out=work)
-        path = _kernels.down_sum(work, grid.parent, grid.level_offsets, out=work)
+        path = _kernels.down_sum(work, grid, out=work)
         return j, path[grid.leaf_start :]
 
     scores = _cet_scores(grid, tau.tau, mass, p)
@@ -492,8 +488,8 @@ def _cet_scores(grid: DyadicGrid, tau: np.ndarray, mass: np.ndarray, p: float) -
     ok = mass > 0
     live = np.where(ok, tau, 0.0)
     safe = np.where(ok, mass, 1.0)
-    inside = _kernels.up_sum(live, grid.level_offsets) / safe
-    above = _kernels.down_sum(live * safe**-p, grid.parent, grid.level_offsets)
+    inside = _kernels.up_sum(live, grid) / safe
+    above = _kernels.down_sum(live * safe**-p, grid)
     outside = np.zeros(grid.n_cubes)
     outside[1:] = mass[1:] ** (p - 1.0) * above[grid.parent[1:]]
     return np.where(ok, (inside + outside) ** (1.0 / p), 0.0)

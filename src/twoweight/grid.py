@@ -200,7 +200,7 @@ class DyadicGrid:
         full = np.empty(self.n_cubes) if out is None else out
         full[: self.leaf_start] = 0.0
         full[self.leaf_start :] = leaf_values
-        return _kernels.up_sum(full, self.level_offsets, out=full)
+        return _kernels.up_sum(full, self, out=full)
 
     def __repr__(self):
         return f"DyadicGrid(d={self.d}, depth={self.depth}, cubes={self.n_cubes})"

@@ -119,7 +119,7 @@ class Instance:
 
     @classmethod
     def _from_json_dict(cls, data: dict) -> "Instance":
-        grid = build_grid(int(data["d"]), int(data["depth"]))
+        grid = build_grid(_json_int(data, "d"), _json_int(data, "depth"))
         sigma = Measure(grid, np.array(data["sigma"], dtype=np.float64))
         omega = Measure(grid, np.array(data["omega"], dtype=np.float64))
         t = data["tau"]
@@ -137,7 +137,7 @@ class Instance:
             omega=omega,
             tau=tau,
             exps=Exponents(float(data["p"]), float(data["q"])),
-            seed=check_seed(int(data["seed"])),
+            seed=check_seed(_json_int(data, "seed")),
             generator=str(data.get("generator", "")),
         )
 
@@ -148,6 +148,15 @@ class Instance:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"instance is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _json_int(data: dict, key: str) -> int:
+    """``data[key]`` if it is an integer; ConfigError for anything else, bools
+    included, rather than truncating it."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _draw_masses(rng: np.random.Generator, style: str, grid: DyadicGrid, allow_zero: bool) -> np.ndarray:

@@ -106,7 +106,7 @@ def apply_T(tau: CubeWeights, nu: Measure) -> GridFunction:
     if nu.grid is not grid:
         raise ValueError("weights and measure live on different grids")
     contrib = tau.tau * nu.cube_mass / grid.volumes
-    path = _kernels.down_sum(contrib, grid.parent, grid.level_offsets)
+    path = _kernels.down_sum(contrib, grid)
     return path[grid.leaf_start :].copy()
 
 
@@ -132,7 +132,7 @@ def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunct
             masked = np.zeros(grid.n_cubes)
             chain = grid.ancestor(i, np.arange(grid.levels[i] + 1))
             masked[chain] = contrib[chain]
-    path = _kernels.down_sum(masked, grid.parent, grid.level_offsets)
+    path = _kernels.down_sum(masked, grid)
     return path[grid.leaf_start :].copy()
 
 
@@ -158,7 +158,7 @@ def maximal(f: GridFunction, mu: Measure) -> GridFunction:
         raise UndefinedAverageError("maximal function needs mu(root) > 0")
     ints = cube_integrals(np.abs(f), mu)
     cand = np.where(mu.cube_mass > 0, ints / np.where(mu.cube_mass > 0, mu.cube_mass, 1.0), -np.inf)
-    best = _kernels.down_max(cand, grid.parent, grid.level_offsets)
+    best = _kernels.down_max(cand, grid)
     return best[grid.leaf_start :].copy()
 
 
@@ -206,7 +206,7 @@ def localized_two_weight_maximal(
     ok = omega.cube_mass > 0
     cand = np.where(ok, (num / np.where(ok, omega.cube_mass, 1.0)) ** (1.0 / p), -np.inf)
     cand = np.where(grid.subtree_cube_mask(i0), cand, -np.inf)
-    best = _kernels.down_max(cand, grid.parent, grid.level_offsets)[grid.leaf_start :]
+    best = _kernels.down_max(cand, grid)[grid.leaf_start :]
     in_q0 = grid.subtree_leaf_mask(i0)
     uncovered = in_q0 & ~np.isfinite(best)
     values = np.where(in_q0 & np.isfinite(best), best, 0.0)

@@ -92,18 +92,14 @@ def _counts(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
 
 def _below(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
     """Per cube, how many entries of ``cubes`` contain it (itself included)."""
-    return _kernels.down_sum(_counts(grid, cubes), grid.parent, grid.level_offsets)
+    return _kernels.down_sum(_counts(grid, cubes), grid)
 
 
 def _meeting(grid: DyadicGrid, cubes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per entry of ``targets``, how many entries of ``cubes`` meet it: those inside
     it plus those containing it. -1, the cube above the root, meets them all."""
     cnt = _counts(grid, cubes)
-    meet = (
-        _kernels.up_sum(cnt, grid.level_offsets)
-        + _kernels.down_sum(cnt, grid.parent, grid.level_offsets)
-        - cnt
-    )
+    meet = _kernels.up_sum(cnt, grid) + _kernels.down_sum(cnt, grid) - cnt
     return np.where(targets >= 0, meet[np.maximum(targets, 0)], len(cubes)).astype(np.int64)
 
 
@@ -477,7 +473,7 @@ def classify_cubes(
             grid.subtree_sums(np.where(above, fs_leaf, 0.0)),
             size,
         ])
-        below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid.level_offsets)
+        below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid)
         up = grid.ancestor(lay.cubes, 1)
         real = up >= 0
         top = np.where(real, up, 0)
@@ -513,20 +509,27 @@ def classify_cubes(
             if lhs[i] > 0:
                 out.key_margin_min = min(out.key_margin_min, rhs / float(lhs[i]))
 
-    # corridor disjointness in k for a fixed cube, and the occurrence bound
-    by_cube: dict[int, list[ClassifiedCube]] = {}
-    for e in out.entries:
-        by_cube.setdefault(e.cube, []).append(e)
-    out.checks = len(out.entries) + 2 * len(by_cube)
+    # corridor disjointness in k for a fixed cube, and the occurrence bound, for
+    # every cube at once: a (cube, leaf) key that occurs twice is an overlap
+    entries = out.entries
+    cubes, first, slot = np.unique(
+        np.array([e.cube for e in entries], dtype=np.int64), return_index=True, return_inverse=True
+    )
+    out.checks = len(entries) + 2 * cubes.size
+    keys = np.repeat(slot, [e.corridor.size for e in entries]) * grid.n_leaves
+    keys = np.sort(keys + np.concatenate([_NO_LEAVES] + [e.corridor for e in entries]))
+    overlap = np.zeros(cubes.size, dtype=bool)
+    overlap[keys[1:][keys[1:] == keys[:-1]] // grid.n_leaves] = True
+    hot = np.bincount(slot[np.array([e.cls != 1 for e in entries], dtype=bool)], minlength=cubes.size)
     many_cap = math.ceil(1.0 / eta)
-    for c, entries in by_cube.items():
-        leaves = np.concatenate([e.corridor for e in entries])
-        if np.unique(leaves).size < leaves.size:
+    bad = np.flatnonzero(overlap | (hot > many_cap))
+    for s in bad[np.argsort(first[bad])]:  # in the order the cubes first occur
+        c = int(cubes[s])
+        if overlap[s]:
             out.violations.append(f"corridors of cube {c} overlap across layers")
-        hot = sum(1 for e in entries if e.cls != 1)
-        if hot > many_cap:
+        if hot[s] > many_cap:
             out.violations.append(
-                f"layer-count cube {c}: non-class-1 in {hot} layers, cap {many_cap}"
+                f"layer-count cube {c}: non-class-1 in {hot[s]} layers, cap {many_cap}"
             )
     return out
 
@@ -778,7 +781,7 @@ def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[
     rank = {c: r for r, c in enumerate(fam)}
     placed = np.full(grid.n_cubes, -np.inf)
     placed[fam] = [avg[c] for c in fam]
-    top = np.append(_kernels.down_max(placed, grid.parent, grid.level_offsets), -np.inf)
+    top = np.append(_kernels.down_max(placed, grid), -np.inf)
     fails = ~(2.0 * top[grid.parent[fam]] < placed[fam])  # top[-1] is above the root
     pairs = [
         (rank[gi], rank[gj])
@@ -803,7 +806,7 @@ def geometric_sum_audit(forest: PrincipalForest) -> float:
     # each leaf adds the averages root first, as a loop over ascending indices would
     placed = np.zeros(grid.n_cubes)
     placed[forest.cubes] = [forest.averages[int(c)] for c in forest.cubes]
-    numer = _kernels.down_sum(placed, grid.parent, grid.level_offsets)[grid.leaf_start :]
+    numer = _kernels.down_sum(placed, grid)[grid.leaf_start :]
     mx = maximal(forest.f, forest.sigma)
     bad = (numer > 0) & (mx == 0)
     if np.any(bad):
@@ -892,7 +895,7 @@ def max_principle_audit(
     size = grid.subtree_sums(np.abs(fs.leaf_mass))  # |f sigma|, the scale of rounding
 
     def path(values):
-        return _kernels.down_sum(values, grid.parent, grid.level_offsets)
+        return _kernels.down_sum(values, grid)
 
     reach = path(tau.tau / grid.volumes)
     local = fs.cube_mass * reach

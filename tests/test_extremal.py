@@ -433,14 +433,12 @@ def _ascent_cet(tau, p, mu, opts):
     def objective(f):
         full = np.zeros((f.shape[0], grid.n_cubes))
         full[:, grid.leaf_start :] = f * m_lm
-        avg = _kernels.up_sum_batch(full, grid.level_offsets) * inv_mass
+        avg = _kernels.up_sum_batch(full, grid) * inv_mass
         return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p), avg
 
     def proposals(f, avg):
         coeff = tau.tau * avg ** (p - 1.0) * inv_mass
-        path = _kernels.down_sum_batch(coeff, grid.parent, grid.level_offsets)[
-            :, grid.leaf_start :
-        ]
+        path = _kernels.down_sum_batch(coeff, grid)[:, grid.leaf_start :]
         return m_lm * path, path ** (1.0 / (p - 1.0))
 
     pool = _seed_pool(grid, opts, _cet_scores(grid, tau.tau, mu.cube_mass, p))
@@ -600,7 +598,7 @@ def _oracle_cet(grid, tau, mu, p):
     f = _project_lp_sphere(_indicator_seeds(grid), mu.leaf_mass, p)
     full = np.zeros((grid.n_cubes, grid.n_cubes))
     full[:, grid.leaf_start :] = f * mu.leaf_mass
-    sums = _kernels.up_sum_batch(full, grid.level_offsets)
+    sums = _kernels.up_sum_batch(full, grid)
     ok = mu.cube_mass > 0
     avg = sums * np.where(ok, 1.0 / np.where(ok, mu.cube_mass, 1.0), 0.0)
     return np.sum(tau.tau * avg**p, axis=1) ** (1.0 / p)
@@ -759,7 +757,7 @@ def test_ascent_memory_bounded_at_depth_12():
 
 def _t_leafmass_alloc(grid, tau, leafmass):
     contrib = tau * grid.subtree_sums(leafmass) / grid.volumes
-    return _kernels.down_sum(contrib, grid.parent, grid.level_offsets)[grid.leaf_start :]
+    return _kernels.down_sum(contrib, grid)[grid.leaf_start :]
 
 
 def _exact_norm_22_alloc(tau, sigma, omega):
@@ -803,7 +801,7 @@ def _embedding_image_alloc(tau, mu, p):
     def image(f):
         avg = grid.subtree_sums(f * mu.leaf_mass) * inv_mass
         coeff = tau.tau * avg ** (p - 1.0)
-        path = _kernels.down_sum(coeff * inv_mass, grid.parent, grid.level_offsets)
+        path = _kernels.down_sum(coeff * inv_mass, grid)
         return float(coeff @ avg) ** (1.0 / p), path[grid.leaf_start :]
 
     return image

@@ -535,6 +535,28 @@ def test_cli_negative_instance_seed_exit_code(tmp_path, capsys, command):
         Instance.from_json_dict(data)
 
 
+@pytest.mark.parametrize("key", ["d", "depth", "seed"])
+@pytest.mark.parametrize("value", [2.7, 1.0, True, "3", None])
+def test_instance_non_integer_field_is_config_error(key, value):
+    data = gen_instance(GeneratorConfig(), seed=4).to_json_dict()
+    data[key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        Instance.from_json_dict(data)
+
+
+@pytest.mark.parametrize("command", ["apply", "decompose"])
+@pytest.mark.parametrize("seed", [2.7, True])
+def test_cli_non_integer_instance_seed_exit_code(tmp_path, capsys, command, seed):
+    # truncating the seed would attach another seed's test function
+    data = json.loads(_gen_file(tmp_path).read_text())
+    data["seed"] = seed
+    path = tmp_path / "float_seed.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
 def test_cli_instance_not_json_exit_code(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("this is not json {")

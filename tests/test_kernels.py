@@ -12,7 +12,7 @@ its own rather than the layout's.
 import numpy as np
 import pytest
 
-from twoweight import _kernels, _layout
+from twoweight import _kernels
 from twoweight.grid import build_grid
 from twoweight.prooflab import _sibling_mass
 
@@ -25,7 +25,7 @@ def test_down_sum_is_ancestor_prefix():
     grid = build_grid(2, 3)
     rng = np.random.default_rng(7)
     vals = _rand(grid, rng)
-    out = _kernels.down_sum(vals, grid.parent, grid.level_offsets)
+    out = _kernels.down_sum(vals, grid)
     for i in range(grid.n_cubes):
         acc = 0.0
         j = i
@@ -39,7 +39,7 @@ def test_down_max_is_ancestor_max():
     grid = build_grid(1, 5)
     rng = np.random.default_rng(8)
     vals = _rand(grid, rng)
-    out = _kernels.down_max(vals, grid.parent, grid.level_offsets)
+    out = _kernels.down_max(vals, grid)
     for i in range(grid.n_cubes):
         chain = [vals[j] for j in grid.ancestor_indices(i)]
         assert out[i] == max(chain)
@@ -49,7 +49,7 @@ def test_up_sum_is_subtree_sum():
     grid = build_grid(2, 2)
     rng = np.random.default_rng(9)
     vals = _rand(grid, rng)
-    out = _kernels.up_sum(vals, grid.level_offsets)
+    out = _kernels.up_sum(vals, grid)
     for i in range(grid.n_cubes):
         mask = grid.subtree_cube_mask(i)
         assert out[i] == pytest.approx(vals[mask].sum(), rel=1e-13, abs=1e-13)
@@ -99,11 +99,6 @@ def _oracles(grid):
     }
 
 
-def _grid_arrays(grid, name):
-    # leaf-to-root kernels take the level offsets alone
-    return (grid.level_offsets,) if name.startswith("up") else (grid.parent, grid.level_offsets)
-
-
 @pytest.mark.parametrize("d,depth", CROSSING)
 def test_crossing_grids_have_levels_on_both_sides(d, depth):
     sizes = np.diff(build_grid(d, depth).level_offsets)
@@ -115,52 +110,57 @@ def test_crossing_grids_have_levels_on_both_sides(d, depth):
 def test_kernels_match_gather_oracle(d, depth, name):
     grid = build_grid(d, depth)
     rng = np.random.default_rng(11)
-    shape = (3, grid.n_cubes) if name.endswith("batch") else (grid.n_cubes,)
-    vals = rng.standard_normal(shape)
-    vals.flat[rng.integers(0, vals.size, 50)] = 0.0
     kernel = getattr(_kernels, name)
-    arrays = _grid_arrays(grid, name)
-    expect = _oracles(grid)[name](vals)
-    assert np.array_equal(kernel(vals, *arrays), expect)
-    if name == "down_max":  # no out=: its callers keep their inputs
-        return
-    # into a separate buffer: the input stays as it was
-    before = vals.copy()
-    buf = np.full(shape, np.nan)
-    assert kernel(vals, *arrays, out=buf) is buf
-    assert np.array_equal(buf, expect)
-    assert np.array_equal(vals, before)
-    # in place
-    assert kernel(vals, *arrays, out=vals) is vals
-    assert np.array_equal(vals, expect)
+    # the batch kernels also on one row, whose slice of the buffer is contiguous
+    for lead in [(1,), (3,)] if name.endswith("batch") else [()]:
+        shape = lead + (grid.n_cubes,)
+        vals = rng.standard_normal(shape)
+        vals.flat[rng.integers(0, vals.size, 50)] = 0.0
+        expect = _oracles(grid)[name](vals)
+        assert np.array_equal(kernel(vals, grid), expect)
+        if name == "down_max":  # no out=: its callers keep their inputs
+            continue
+        # into a separate buffer: the input stays as it was
+        before = vals.copy()
+        buf = np.full(shape, np.nan)
+        assert kernel(vals, grid, out=buf) is buf
+        assert np.array_equal(buf, expect)
+        assert np.array_equal(vals, before)
+        # in place
+        assert kernel(vals, grid, out=vals) is vals
+        assert np.array_equal(vals, expect)
 
 
 def test_batch_matches_single_row():
     for d, depth in [(1, 5)] + CROSSING:
         grid = build_grid(d, depth)
         rng = np.random.default_rng(10)
-        rows = rng.standard_normal((6, grid.n_cubes))
-        down = _kernels.down_sum_batch(rows, grid.parent, grid.level_offsets)
-        up = _kernels.up_sum_batch(rows, grid.level_offsets)
-        for r in range(rows.shape[0]):
-            assert np.array_equal(down[r], _kernels.down_sum(rows[r], grid.parent, grid.level_offsets))
-            assert np.array_equal(up[r], _kernels.up_sum(rows[r], grid.level_offsets))
+        for n_rows in (1, 6):
+            rows = rng.standard_normal((n_rows, grid.n_cubes))
+            for batch, single in [
+                (_kernels.down_sum_batch, _kernels.down_sum),
+                (_kernels.up_sum_batch, _kernels.up_sum),
+            ]:
+                fresh = batch(rows, grid)
+                in_place = rows.copy()
+                assert batch(in_place, grid, out=in_place) is in_place
+                for r in range(n_rows):
+                    expect = single(rows[r], grid)
+                    assert np.array_equal(fresh[r], expect)
+                    assert np.array_equal(in_place[r], expect)
 
 
 @pytest.mark.parametrize("d,depth", CROSSING)
 def test_layout_child_order_matches_argsort(d, depth):
     grid = build_grid(d, depth)
     oracle = _argsort_child_order(grid)
-    for lev in range(1, depth + 1):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        if hi - lo < _kernels.STRIDED_MIN_CUBES:  # the levels the kernels gather
-            groups = _layout.child_groups(lev, d)
-            assert not groups.flags.writeable
-            assert np.array_equal(lo + groups.ravel(), oracle[lo:hi])
     for i in range(grid.leaf_start):  # a parent's children are its group of the next level
         lev = int(grid.levels[i])
         start = grid.level_offsets[lev + 1] + (i - grid.level_offsets[lev]) * grid.arity
-        assert np.array_equal(grid.children_indices(i), oracle[start : start + grid.arity])
+        kids = grid.children_indices(i)
+        assert np.array_equal(kids, oracle[start : start + grid.arity])
+        # child order is index order: the leaf-to-root gather adds in index order
+        assert np.all(np.diff(kids) > 0)
     # the sibling masses, read through the child-slot views on every level, equal
     # the argsort-grouped formula bit for bit
     rng = np.random.default_rng(d)
