@@ -132,15 +132,22 @@ def down_sum_batch(values, grid, out=None):
 
 def up_sum_batch(values, grid, out=None):
     acc = _start(values, out)
-    split = _first_strided(grid, False)
-    for lev in range(grid.depth, split - 1, -1):
+    for lev in range(grid.depth, 0, -1):
+        up_level_batch(acc, grid, lev)
+    return acc
+
+
+def up_level_batch(acc, grid, lev):
+    """One step of ``up_sum_batch``: level ``lev >= 1`` of every row of the
+    C-contiguous (rows, n_cubes) array ``acc`` added into its parents, in
+    canonical child order. Scans that transform each level before passing it
+    up (the embedding recursion of ``extremal``) run these steps themselves."""
+    if lev >= _first_strided(grid, False):
         kids, seg = _strided_level(acc, grid, lev)
         for k in kids:
             seg += k
-    # one flat np.add.at per level, measured faster than one on a 2-D index
-    flat = acc.reshape(-1)
+        return
+    # one flat np.add.at, measured faster than one on a 2-D index
+    lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
     row_start = np.arange(acc.shape[0])[:, None] * acc.shape[1]
-    for lev in range(split - 1, 0, -1):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        np.add.at(flat, (row_start + grid.parent[lo:hi]).ravel(), acc[:, lo:hi].flatten())
-    return acc
+    np.add.at(acc.reshape(-1), (row_start + grid.parent[lo:hi]).ravel(), acc[:, lo:hi].flatten())

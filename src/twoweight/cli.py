@@ -28,6 +28,7 @@ from .harness import (
     GeneratorConfig,
     Instance,
     SuiteConfig,
+    cet_violations,
     check_decomposition_params,
     check_seed,
     gen_instance,
@@ -35,7 +36,7 @@ from .harness import (
     run_suite,
 )
 from .operators import apply_T
-from .prooflab import classify_cubes, corridor_sets, principal_cubes, whitney_layers
+from .prooflab import audit_decomposition, principal_cubes
 
 
 _FLAGS = {
@@ -142,9 +143,13 @@ def _cmd_testing(args) -> int:
         "coords": list(car_arg.coords),
     }
     payload["cet"] = cet.value
+    payload["cet_upper"] = cet.upper
+    payload["cet_kind"] = cet.kind
     _emit(payload, args.out)
-    ok = car ** (1.0 / inst.exps.p) <= cet.value * (1 + args.tol)
-    return 0 if ok else 1
+    failed = cet_violations(cet, car, inst.exps.p, args.tol)
+    for check, detail in failed:
+        print(f"violation [{check}]: {detail}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_norm(args) -> int:
@@ -171,19 +176,20 @@ def _cmd_decompose(args) -> int:
     f = _load_f(inst, args.f)
     if np.any(f < 0):
         raise ConfigError("f must be >= 0 for decompose (principal cubes average f)")
-    v = apply_T(inst.tau, Measure.product(f, inst.sigma))
-    deco = whitney_layers(inst.grid, v, rho=args.rho)
-    classified = classify_cubes(corridor_sets(deco), f, inst.sigma, inst.omega, inst.tau, args.eta)
-    seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
-    forest = principal_cubes(f, inst.sigma, seeds)
+    audit = audit_decomposition(
+        f, inst.sigma, inst.omega, inst.tau, eta=args.eta, rho=args.rho, p=inst.exps.p
+    )
+    # without layer cubes the audit grows no forest; the payload shows the empty one
+    forest = principal_cubes(f, inst.sigma, []) if audit.forest is None else audit.forest
     payload = {
-        "whitney": deco.to_json_dict(),
-        "classified": classified.to_json_dict(),
+        "whitney": audit.whitney.to_json_dict(),
+        "classified": audit.classified.to_json_dict(),
         "principal": forest.to_json_dict(),
+        "violations": audit.violations,
+        "checks_run": audit.checks_run,
     }
     _emit(payload, args.out)
-    bad = deco.violations or classified.violations or forest.violations
-    return 1 if bad else 0
+    return 0 if audit.clean else 1
 
 
 def _cmd_verify(args) -> int:

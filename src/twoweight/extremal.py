@@ -2,10 +2,14 @@
 
 At p = q = 2 the norm is the top singular value of a weighted kernel matrix
 that is never materialized: each matrix-vector product is one application of
-the dyadic operator. The Carleson embedding constant (every p) and the strong
-norm at p = q != 2 are p -> p norms of nonnegative maps; ``_power_solve``
-brackets them between the value of its best iterate and a Hoelder
-(Collatz-Wielandt) upper value, two tree scans per step each. Where p < q the
+the dyadic operator. The strong norm at p = q != 2 is the p -> p norm of a
+nonnegative map; ``_power_solve`` brackets it between the value of its best
+iterate and a Hoelder (Collatz-Wielandt) upper value, two operator
+applications per step. The Carleson embedding constant (every p) has an exact
+Bellman recursion on the tree: one leaf-to-root pass decides whether a number
+exceeds C_p^p, so a bracket search on that number certifies the constant from
+above, and one root-to-leaf pass recovers the extremal that attains it from
+below (``carleson_embedding_constant``). Where p < q the
 module reports honest lower bounds found by Boyd's fixed-point step, kept
 row by row where it improves, on the nonnegative part of the L^p(sigma)
 sphere, seeded with Dirichlet-like restarts and the best cube indicators.
@@ -38,12 +42,20 @@ _POWER_VALUE_TOL = 1e-14
 _POWER_RESIDUAL_TOL = 1e-9
 
 # Certified power solver: iteration cap, relative bracket width that makes a
-# value "exact", Anderson memory (iterate/image pairs) and positivity floor
-# (relative to the image's maximum).
+# value "exact" (for the embedding constant too), Anderson memory
+# (iterate/image pairs) and positivity floor (relative to the image's maximum).
 _SOLVE_MAX_ITER = 2000
 _SOLVE_GAP = 1e-12
 _ANDERSON_PAIRS = 5
 _FLOOR = 1e-30
+
+# Embedding recursion: relative margin on its upper value for the rounding of
+# a pass (the pass rounds at about depth * 1e-16), relative width in lam at
+# which the bracket search stops, and the cubes one pass may hold (rows of lam
+# values times the grid's cubes), which keeps a pass O(n_cubes) in memory.
+_CET_MARGIN = 1e-13
+_CET_BRACKET = 1e-13
+_CET_BATCH_CUBES = 1 << 11
 
 
 @dataclass
@@ -368,46 +380,173 @@ def carleson_embedding_constant(
     p: float,
     mu: Measure | None = None,
 ) -> NormEstimate:
-    """The Carleson embedding constant at exponent p, certified by ``_power_solve``.
+    """The Carleson embedding constant at exponent p, certified by an exact recursion.
 
     C_p = sup over unit-norm f >= 0 of (sum_Q tau_Q |E_Q f|^p)^(1/p), with
     averages and norms against ``mu`` (Lebesgue when omitted); cubes with
-    mu(Q) == 0 contribute nothing. The value is at least the best normalized
-    cube indicator's (``_cet_scores``), which is the p-th root of the
-    (weighted) Carleson norm of tau; when that indicator beats the solver's
-    iterates it is the extremal.
+    mu(Q) == 0 contribute nothing. ``_embedding_pass`` decides exactly, in
+    one leaf-to-root pass, whether a number lam exceeds C_p^p (the Bellman
+    function of the embedding on the finite tree: Nazarov, Treil & Volberg,
+    J. Amer. Math. Soc. 12, 1999; Melas, Adv. Math. 192, 2005).
+
+    The first pass tests the best normalized cube indicator
+    (``_cet_scores``), whose value is at least the p-th root of the weighted
+    Carleson norm of tau: when lam = score^p (1 + _SOLVE_GAP / 2) passes, the
+    indicator is the extremal. Otherwise the passes bracket C_p^p between
+    that lam and (p')^p score^p (Carleson's lemma with Doob's maximal
+    inequality), a batch of lam values per pass, ``_CET_BATCH_CUBES`` cubes
+    in all, until the bracket is ``_CET_BRACKET`` wide; a last pass at its
+    passing end recovers the extremal f, and ``value`` is J(f). ``upper`` is
+    the passing lam^(1/p) times (1 + ``_CET_MARGIN``), a bound on the
+    rounding of the pass; ``iterations`` counts passes, and the kind is
+    "exact" when upper - value <= ``_SOLVE_GAP`` * value.
     """
     if p <= 1:
         raise ValueError(f"need p > 1, got {p}")
     grid = tau.grid
     mu = mu if mu is not None else Measure.lebesgue(grid)
-    m_lm = mu.leaf_mass
     mass = mu.cube_mass
-    ok = mass > 0
-    inv_mass = np.where(ok, 1.0 / np.where(ok, mass, 1.0), 0.0)
-
-    work = np.empty(grid.n_cubes)
-    leaves = work[grid.leaf_start :]
-
-    def image(f):
-        avg = grid.subtree_sums(np.multiply(f, m_lm, out=leaves), out=work)
-        avg *= inv_mass
-        coeff = tau.tau * avg ** (p - 1.0)
-        j = float(coeff @ avg) ** (1.0 / p)
-        np.multiply(coeff, inv_mass, out=work)
-        path = _kernels.down_sum(work, grid, out=work)
-        return j, path[grid.leaf_start :]
-
     scores = _cet_scores(grid, tau.tau, mass, p)
     best = int(np.argmax(scores))
-    floor = None
-    if scores[best] > 0:
+    top = float(scores[best])
+    if top == 0.0:
+        # tau vanishes on every cube of positive mass: J is 0 at every f
+        return NormEstimate(0.0, "exact", np.zeros(grid.n_leaves), None, 0, 0.0, upper=0.0)
+
+    # lam and the cube weights are scaled by top^p, so the bracket is [1, (p')^p]
+    ok = mass > 0
+    safe = np.where(ok, mass, 1.0)
+    b = np.where(ok, tau.tau / safe, 0.0) / top**p
+    theta = np.ones(grid.n_cubes)
+    theta[1:] = np.where(ok[1:], mass[1:] / safe[grid.parent[1:]], 0.0)
+
+    def passes(lams):
+        return np.isfinite(_embedding_pass(grid, b, theta, lams, p)[:, 0])
+
+    def indicator():
         f = _indicator_rows(grid, np.array([best]))[0]
-        floor = (float(scores[best]), f / float(f**p @ m_lm) ** (1.0 / p))
-    return _power_solve(image, m_lm, p, floor)
+        return f / float(f**p @ mu.leaf_mass) ** (1.0 / p), top
+
+    lam = 1.0 + _SOLVE_GAP / 2
+    iterations = 1
+    if passes(np.array([lam]))[0]:
+        f, value = indicator()
+    else:
+        lam, searched = _bracket(passes, lam, (p / (p - 1.0)) ** p, grid.n_cubes)
+        y, sums = _embedding_pass(grid, b, theta, np.array([lam]), p, keep=True)
+        iterations += searched + 1
+        f, value = _embedding_extremal(grid, tau.tau, mu, y[0], sums, p)
+        if top > value:
+            f, value = indicator()
+    upper = top * lam ** (1.0 / p) * (1.0 + _CET_MARGIN)
+    kind = "exact" if upper - value <= _SOLVE_GAP * value else "lower-bound"
+    return NormEstimate(
+        value=value,
+        kind=kind,
+        extremal_f=f,
+        iterations=iterations,
+        residual=upper - value,
+        flagged=(kind != "exact"),
+        upper=upper,
+    )
 
 
-def _power_solve(image, mass: np.ndarray, p: float, floor=None) -> NormEstimate:
+def _bracket(passes, lo: float, hi: float, n_cubes: int) -> tuple[float, int]:
+    """The passing end of a bracket on lam at most ``_CET_BRACKET`` wide, and the passes it took.
+
+    ``lo`` failed and ``hi`` is expected to pass. Each pass tests as many lam
+    values as ``_CET_BATCH_CUBES`` cubes allow, evenly spaced in log lam
+    inside the bracket (with ``hi`` itself until one of them passes), and
+    keeps the smallest passing value and the largest failing one below it.
+    """
+    rows = max(1, _CET_BATCH_CUBES // n_cubes)
+    lo, hi = math.log(lo), math.log(hi)
+    width = math.log1p(_CET_BRACKET)
+    passed = None  # the smallest lam that passed, exactly as tested
+    count = 0
+    while passed is None or hi - lo > width:
+        steps = rows if passed is None else rows + 1
+        logs = lo + (hi - lo) * np.arange(1, rows + 1) / steps
+        lams = np.exp(logs)
+        ok = passes(lams)
+        count += 1
+        if not ok.any():
+            if passed is None:
+                # the top of the bracket failed (only rounding can do that): widen it
+                lo, hi = hi, 2.0 * hi - lo
+            else:
+                lo = float(logs[-1])
+            continue
+        first = int(np.argmax(ok))
+        hi, passed = float(logs[first]), float(lams[first])
+        if first:
+            lo = float(logs[first - 1])
+    return passed, count
+
+
+def _embedding_pass(grid, b, theta, lams, p, keep=False):
+    """The embedding recursion at every lam in ``lams``, one row each, leaf to root.
+
+    With lam and the weights scaled as in ``carleson_embedding_constant``
+    (b_Q = tau_Q / mu(Q) / top^p, theta_Q = mu(Q) / mu(parent Q)), every cube
+    gets x_Q = -kappa_Q mu(Q)^(p-1) / top^p, where kappa is the Bellman coefficient:
+    the sup over g >= 0 on Q with integral s of
+    sum_{P <= Q} tau_P (E_P g)^p - lam ||g 1_Q||_p^p is kappa_Q s^p. The
+    recursion is x = lam - b at a leaf and
+    x_Q = M_Q - b_Q with M_Q = (sum_children theta_i x_i^(-1/(p-1)))^(-(p-1))
+    above, a power mean of the children's x. lam exceeds C_p^p exactly when
+    every x_Q > 0. Each cube passes up y_Q = theta_Q max(x_Q, 0)^(-1/(p-1)),
+    so a cube with x_Q <= 0 passes up +inf, every ancestor's M is 0, and the
+    root's y is +inf; a cube of zero mass passes up 0. Returns the rows of y
+    (the root's is finite exactly when lam passes); with ``keep``, also the
+    children's sums sum theta_i x_i^(-1/(p-1)) of the first row, per cube.
+    """
+    r = 1.0 / (p - 1.0)
+    acc = np.zeros((lams.size, grid.n_cubes))
+    offsets = grid.level_offsets
+    sums = np.zeros(grid.n_cubes) if keep else None
+    with np.errstate(divide="ignore", over="ignore"):
+        for lev in range(grid.depth, -1, -1):
+            lo, hi = offsets[lev], offsets[lev + 1]
+            x = acc[:, lo:hi]
+            if lev == grid.depth:
+                np.subtract(lams[:, None], b[lo:hi], out=x)
+            else:
+                _kernels.up_level_batch(acc, grid, lev + 1)
+                if keep:
+                    sums[lo:hi] = x[0]
+                x **= -(p - 1.0)
+                x -= b[lo:hi]
+            np.maximum(x, 0.0, out=x)
+            x **= -r
+            x *= theta[lo:hi]
+    return (acc, sums) if keep else acc
+
+
+def _embedding_extremal(grid, tau, mu, y, sums, p):
+    """The extremal f of a passing ``_embedding_pass`` row and J(f).
+
+    Root to leaf, each cube hands its children shares of its mass in
+    proportion to their y (the optimal split of the Bellman recursion), so a
+    leaf's mass is the product of the shares above it; f is that mass over
+    mu, normalized in L^p(mu), and J(f) is computed from f's cube averages.
+    """
+    share = np.ones(grid.n_cubes)
+    share[1:] = 0.0
+    parent_sums = sums[grid.parent[1:]]
+    np.divide(y[1:], parent_sums, out=share[1:], where=parent_sums > 0)
+    with np.errstate(divide="ignore"):
+        leaf = np.exp(_kernels.down_sum(np.log(share), grid)[grid.leaf_start :])
+    m_lm = mu.leaf_mass
+    f = np.where(m_lm > 0, leaf / np.where(m_lm > 0, m_lm, 1.0), 0.0)
+    f /= float(f**p @ m_lm) ** (1.0 / p)
+    mass = mu.cube_mass
+    ok = mass > 0
+    avg = np.where(ok, grid.subtree_sums(f * m_lm) / np.where(ok, mass, 1.0), 0.0)
+    return f, float(tau @ avg**p) ** (1.0 / p)
+
+
+def _power_solve(image, mass: np.ndarray, p: float) -> NormEstimate:
     """Certified p -> p norm of a nonnegative map: Boyd's power method with Anderson mixing.
 
     ``image(f)`` returns (J(f), path_f) for f >= 0 of unit L^p(mass) norm,
@@ -425,9 +564,8 @@ def _power_solve(image, mass: np.ndarray, p: float, floor=None) -> NormEstimate:
     floor. When a mixed iterate lowers J, the history is dropped and the
     iteration restarts from the previous plain image. The solve stops with
     kind "exact" once upper - lower <= ``_SOLVE_GAP`` * lower, and with
-    "lower-bound" at ``_SOLVE_MAX_ITER`` steps; ``value`` is the best J, or
-    the (value, f) pair ``floor`` when that is larger, ``upper`` the smallest
-    upper value and ``residual`` their difference.
+    "lower-bound" at ``_SOLVE_MAX_ITER`` steps; ``value`` is the best J,
+    ``upper`` the smallest upper value and ``residual`` their difference.
     """
     live = mass > 0
     if not np.any(live):
@@ -437,7 +575,7 @@ def _power_solve(image, mass: np.ndarray, p: float, floor=None) -> NormEstimate:
         return f / float(f**p @ mass) ** (1.0 / p)
 
     f = normalize(np.ones(mass.size))
-    lower, best_f = floor if floor is not None else (0.0, f)
+    lower, best_f = 0.0, f
     upper = math.inf
     prev_j, prev_g = -math.inf, f
     history = []

@@ -27,6 +27,7 @@ from .constants import (
 )
 from .extremal import (
     AscentOptions,
+    NormEstimate,
     carleson_embedding_constant,
     strong_norm_lower,
     weak_norm_lower,
@@ -281,9 +282,12 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     constants (report and, at p = q = 2, C1/C2), the Carleson embedding,
     the norm estimates and the decomposition audit, which ``time_audit_*``
     breaks down by audit stage. ``cet`` and ``cet_upper`` bracket the
-    Carleson embedding constant (``_power_solve``). ``cet_iterations`` and
-    ``strong_iterations`` count the solver iterations behind ``cet`` and
-    ``strong`` (power-solver steps; fixed-point (Boyd) ascent rounds where
+    Carleson embedding constant (the leaf-to-root recursion of
+    ``carleson_embedding_constant``), ``cet_kind`` says whether the bracket
+    closed, and both ends are checked against the embedding theorem
+    (``cet_violations``). ``cet_iterations`` counts the recursion's passes;
+    ``strong_iterations`` counts the solver iterations behind ``strong``
+    (power-solver steps at p = q != 2; fixed-point (Boyd) ascent rounds where
     p < q; power iterations at p = q = 2, where ``strong`` is also C3). At
     p = q the testing constants are checked against the norm: against C3 at
     p = q = 2 and against the certified upper value of the strong norm
@@ -319,12 +323,10 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     cet = carleson_embedding_constant(inst.tau, inst.exps.p)
     row["cet"] = cet.value
     row["cet_upper"] = cet.upper
+    row["cet_kind"] = cet.kind
     row["cet_iterations"] = cet.iterations
-    if car ** (1.0 / inst.exps.p) > cet.value * (1 + 1e-12):
-        flag(
-            "cet-lower",
-            f"carleson^(1/p)={car ** (1.0 / inst.exps.p)!r} exceeds C_p={cet.value!r}",
-        )
+    for check, detail in cet_violations(cet, car, inst.exps.p, 1e-12):
+        flag(check, detail)
     t_norm = time.perf_counter()
     row["time_cet"] = t_norm - t_cet
 
@@ -384,6 +386,25 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["time_audit"] = t_end - t_audit
     row["time_total"] = t_end - t0
     return row, violations
+
+
+def cet_violations(cet: NormEstimate, car: float, p: float, tol: float) -> list:
+    """The exact-direction checks of the Carleson embedding theorem on one estimate.
+
+    car^(1/p) <= C_p (the normalized indicator of the Carleson argmax is a
+    test function) and C_p <= p' car^(1/p) (Carleson's lemma with Doob's
+    maximal inequality), with ``car`` the Carleson norm of tau against the
+    same measure: "cet-lower" checks the value, "cet-upper" the certified
+    upper value. Returns (check, detail) pairs, empty when both hold to ``tol``.
+    """
+    root = car ** (1.0 / p)
+    cap = p / (p - 1.0) * root
+    found = []
+    if root > cet.value * (1 + tol):
+        found.append(("cet-lower", f"carleson^(1/p)={root!r} exceeds C_p={cet.value!r}"))
+    if cet.upper > cap * (1 + tol):
+        found.append(("cet-upper", f"C_p <= {cet.upper!r} exceeds p'*carleson^(1/p)={cap!r}"))
+    return found
 
 
 def _suite_row(generator: GeneratorConfig, seed: int, cfg: SuiteConfig) -> tuple[dict, list]:

@@ -996,6 +996,10 @@ class ProofLabReport:
     checks_run: dict = field(default_factory=dict)  # audit family -> checks made
     reevaluated: int = 0  # decisions the batched screen sent to a per-cube operator call
     timings: dict = field(default_factory=dict)  # stage -> wall seconds
+    # the audited stages themselves, for callers that report them; not serialized
+    whitney: WhitneyDecomposition | None = field(default=None, repr=False)
+    classified: ClassifiedDecomposition | None = field(default=None, repr=False)
+    forest: PrincipalForest | None = field(default=None, repr=False)  # None without seeds
 
     @property
     def clean(self) -> bool:
@@ -1045,8 +1049,8 @@ def audit_decomposition(
     forest seeded with all layer cubes. Every violation string from every
     stage lands in one list; an empty list means the instance passes
     everything. The report also counts the checks each audit family
-    made, the decisions re-taken by a per-cube operator call, and the wall
-    time of each stage.
+    made, the decisions re-taken by a per-cube operator call, the wall time
+    of each stage, and the layers, classification and forest it audited.
     """
     grid = sigma.grid
     timings: dict[str, float] = {}
@@ -1139,4 +1143,7 @@ def audit_decomposition(
         },
         reevaluated=reevaluated,
         timings=timings,
+        whitney=deco,
+        classified=classified,
+        forest=forest,
     )

@@ -48,7 +48,7 @@ SUITE_GENERATORS = [
 ]
 
 
-SUITE_DIGEST = "041f557897071f73a0c6acea8f8d350eb5cf8dbb4b4e1bb3dbbf2b4481546dc9"
+SUITE_DIGEST = "2f30e6fce7a16cf7153006c12f77f6bf39b5b50d3bde5d7964e40e3a6493bd9c"
 
 
 def _suite_config():

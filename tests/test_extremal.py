@@ -1,4 +1,4 @@
-"""Norm estimation: exact L2 routine, dense oracle, certified power solver, ascent lower bounds."""
+"""Norm estimation: exact L2 routine, dense oracle, certified power solver, embedding recursion, ascent lower bounds."""
 
 import math
 import tracemalloc
@@ -420,7 +420,7 @@ def test_strong_ascent_drops_rows_that_stop_improving(monkeypatch):
         assert path[-1] < rows[0]
 
 
-# -- the certified power solver against the old ascent and the dense SVD -----------
+# -- the embedding recursion against the old ascent, the solver and the dense SVD ---
 
 
 def _ascent_cet(tau, p, mu, opts):
@@ -464,6 +464,14 @@ def _embedding_matrix(grid, tau, mu):
     return mat
 
 
+def _solver_cet(tau, p, mu):
+    """Oracle: the certified power solver that computed the constant before the
+    recursion, floored by the best normalized cube indicator; (value, kind)."""
+    est = extremal._power_solve(_embedding_image_alloc(tau, mu, p), mu.leaf_mass, p)
+    top = float(_cet_scores(tau.grid, tau.tau, mu.cube_mass, p).max())
+    return max(est.value, top), est.kind
+
+
 def _assert_closed(est):
     assert est.kind == "exact" and not est.flagged
     assert est.value <= est.upper <= est.value * (1 + 1e-12)
@@ -495,51 +503,152 @@ def test_embedding_matches_dense_svd_at_l2(d, tau_style, weighted):
     assert est.value == pytest.approx(svd, rel=1e-10)
 
 
+def _max_passes(grid, p):
+    """Passes the recursion may take: the indicator pass, the bracket search
+    from (1 + gap) to (p')^p down to ``_CET_BRACKET``, and the extremal pass."""
+    rows = max(1, extremal._CET_BATCH_CUBES // grid.n_cubes)
+    span = math.log((p / (p - 1.0)) ** p) / math.log1p(extremal._CET_BRACKET)
+    return 2 + 1 + math.ceil(math.log(span) / math.log(rows + 1))
+
+
+def _record_passes(monkeypatch):
+    """Replaces the embedding pass by one that records how many lam values each call tests."""
+    calls = []
+    run = extremal._embedding_pass
+
+    def recording(grid, b, theta, lams, p, keep=False):
+        calls.append(lams.size)
+        return run(grid, b, theta, lams, p, keep)
+
+    monkeypatch.setattr(extremal, "_embedding_pass", recording)
+    return calls
+
+
 def test_embedding_closes_near_degenerate_spectrum(monkeypatch):
     # sparse tau at d = 1, depth 6: the top two singular values of the
-    # embedding lie within 0.003 %, where plain power steps crawl and mixed
-    # iterates overshoot; each J that falls below its predecessor sends the
-    # solver back to its last plain image (without that restart the bracket
-    # stays open at p = 3)
+    # embedding lie within 0.003 %, where power steps crawl; the recursion's
+    # passes do not see the spectrum, only the width of the bracket on lam.
+    # The power solver, kept for the strong norm, closes here too, but only
+    # because each J that falls below its predecessor sends it back to its
+    # last plain image
     g, tau, _, _ = _random_instance(1, 6, seed=303, tau_style="sparse")
     mu = Measure.lebesgue(g)
     s = np.linalg.svd(_embedding_matrix(g, tau, mu), compute_uv=False)
     assert s[1] / s[0] > 0.9999
-    solve = extremal._power_solve
-    values = []
+    calls = _record_passes(monkeypatch)
+    rows = extremal._CET_BATCH_CUBES // g.n_cubes
+    for p in (1.5, 2.0, 3.0):
+        calls.clear()
+        est = carleson_embedding_constant(tau, p)
+        _assert_closed(est)
+        # one indicator pass, batched search passes, one extremal pass
+        assert est.iterations == len(calls) <= _max_passes(g, p)
+        assert calls[0] == calls[-1] == 1 and set(calls[1:-1]) == {rows}
+        values = []
+        image = _embedding_image_alloc(tau, mu, p)
 
-    def recording(image, *args):
-        def wrapped(f):
+        def recording(f):
             j, path = image(f)
             values.append(j)
             return j, path
 
-        return solve(wrapped, *args)
-
-    monkeypatch.setattr(extremal, "_power_solve", recording)
-    for p in (1.5, 2.0, 3.0):
-        values.clear()
-        est = carleson_embedding_constant(tau, p)
-        _assert_closed(est)
-        assert np.any(np.diff(values) < 0)
+        solved = extremal._power_solve(recording, mu.leaf_mass, p)
+        assert solved.kind == "exact" and np.any(np.diff(values) < 0)
+        assert est.value == pytest.approx(solved.value, rel=1e-12)
         if p == 2.0:
-            assert est.value == pytest.approx(s[0], rel=1e-10)
+            assert est.value == pytest.approx(s[0], rel=1e-12)
 
 
-def test_indicator_floor_holds_at_the_iteration_cap(monkeypatch):
-    # a one-step solve leaves the bracket open; the best normalized indicator
-    # still floors the value and is then the extremal
-    monkeypatch.setattr(extremal, "_SOLVE_MAX_ITER", 1)
+def test_indicator_certified_in_one_pass(monkeypatch):
+    # where the best normalized cube indicator is extremal (root_only tau,
+    # fractional tau, or a sparse tau of the acceptance suite) the first pass
+    # certifies it: the value is the indicator's, the extremal the indicator
+    calls = _record_passes(monkeypatch)
+    g = build_grid(1, 6)
+    weighted = Measure(g, np.random.default_rng(22).exponential(size=g.n_leaves))
+    cases = [
+        (CubeWeights.root_only(g, 3.0), Measure.lebesgue(g)),
+        (CubeWeights.root_only(g, 3.0), weighted),
+        (CubeWeights.fractional(build_grid(2, 3), 1.0), None),
+        (gen_instance(GeneratorConfig(d=2, depth=3, omega="spikes", tau="sparse"), 5).tau, None),
+    ]
+    for tau, mu in cases:
+        grid = tau.grid
+        mu = mu or Measure.lebesgue(grid)
+        car, _ = carleson_norm(tau)
+        for p in (1.5, 2.0, 3.0):
+            calls.clear()
+            est = carleson_embedding_constant(tau, p, mu=mu)
+            _assert_closed(est)
+            assert est.iterations == len(calls) == 1
+            scores = _cet_scores(grid, tau.tau, mu.cube_mass, p)
+            f = est.extremal_f
+            assert np.array_equal(f > 0, _indicator_rows(grid, np.array([np.argmax(scores)]))[0] > 0)
+            assert est.value == scores.max()
+            avg = grid.subtree_sums(f * mu.leaf_mass) / mu.cube_mass
+            assert float(np.sum(tau.tau * avg**p)) ** (1.0 / p) == pytest.approx(est.value, rel=1e-12)
+            if mu is not weighted:
+                assert est.value >= car ** (1.0 / p) * (1 - 1e-12)
+
+
+def test_indicator_floors_a_short_extremal(monkeypatch):
+    # should the recovered extremal fall short of the best indicator, the
+    # indicator is the value and the extremal; the upper value is the search's
     g, tau, _, _ = _random_instance(1, 4, seed=13)
-    car, _ = carleson_norm(tau)
-    for p in (1.5, 2.0, 3.0):
+    mu = Measure.lebesgue(g)
+    honest = {p: carleson_embedding_constant(tau, p) for p in (1.5, 2.0, 3.0)}
+    flat = np.full(g.n_leaves, 1.0)
+    monkeypatch.setattr(extremal, "_embedding_extremal", lambda *args: (flat, 0.0))
+    for p, good in honest.items():
+        assert good.iterations > 1  # the indicator alone is not certified here
         est = carleson_embedding_constant(tau, p)
-        assert est.kind == "lower-bound" and est.flagged and est.iterations == 1
-        assert car ** (1.0 / p) * (1 - 1e-12) <= est.value < est.upper
-        f = est.extremal_f
-        assert np.count_nonzero(f) < g.n_leaves  # an indicator, not an iterate
-        avg = g.subtree_sums(f * Measure.lebesgue(g).leaf_mass) / g.volumes
-        assert float(np.sum(tau.tau * avg**p)) ** (1.0 / p) == pytest.approx(est.value, rel=1e-12)
+        top = _cet_scores(g, tau.tau, mu.cube_mass, p).max()
+        assert est.value == top < good.value
+        assert est.upper == good.upper and est.kind == "lower-bound" and est.flagged
+        assert np.count_nonzero(est.extremal_f) < g.n_leaves
+
+
+@pytest.mark.parametrize("d,depth", [(1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
+def test_embedding_recursion_against_brute_force(d, depth):
+    # p = 2: the top singular value of the dense cube-by-leaf matrix; other p:
+    # the certified power solver wherever its bracket closes. Lebesgue mu, a
+    # random mu and a mu with a dead subtree (a child of the root and some leaves)
+    rng = np.random.default_rng(10 * d + depth)
+    g = build_grid(d, depth)
+    dead = rng.exponential(size=g.n_leaves)
+    dead[g.subtree_leaf_mask(1)] = 0.0
+    dead[rng.random(g.n_leaves) < 0.2] = 0.0
+    measures = [Measure.lebesgue(g), Measure(g, rng.lognormal(size=g.n_leaves)), Measure(g, dead)]
+    compared = 0
+    for style in ("random", "sparse"):
+        t = rng.exponential(size=g.n_cubes)
+        if style == "sparse":
+            t[rng.random(g.n_cubes) < 0.6] = 0.0
+        tau = CubeWeights(g, t)
+        for mu in measures:
+            svd = np.linalg.svd(_embedding_matrix(g, tau, mu), compute_uv=False)[0]
+            for p in (1.5, 2.0, 3.0):
+                est = carleson_embedding_constant(tau, p, mu=mu)
+                _assert_closed(est)
+                if p == 2.0:
+                    assert est.value == pytest.approx(svd, rel=1e-12)
+                    continue
+                value, kind = _solver_cet(tau, p, mu)
+                if kind == "exact":
+                    compared += 1
+                    assert est.value == pytest.approx(value, rel=1e-12)
+    assert compared >= 6
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_embedding_closes_at_d3_depth5(p):
+    # 32768 leaves at d = 3, where the power solver's upper value stalled near 1e-8
+    inst = gen_instance(GeneratorConfig(d=3, depth=5), 7)
+    est = carleson_embedding_constant(inst.tau, p)
+    _assert_closed(est)
+    assert est.iterations <= _max_passes(inst.grid, p)
+    car, _ = carleson_norm(inst.tau)
+    assert car ** (1.0 / p) <= est.value <= est.upper <= p / (p - 1.0) * car ** (1.0 / p)
 
 
 def test_embedding_closed_forms_are_exact():
@@ -549,11 +658,11 @@ def test_embedding_closed_forms_are_exact():
     weighted = Measure(g, rng.exponential(size=g.n_leaves))
     for p in (1.5, 2.0, 3.0):
         est = carleson_embedding_constant(CubeWeights(g, np.zeros(g.n_cubes)), p)
-        assert est.value == 0.0 and est.kind == "exact"
+        assert est.value == est.upper == 0.0 and est.kind == "exact"
         est = carleson_embedding_constant(
             CubeWeights(g, np.ones(g.n_cubes)), p, mu=Measure(g, np.zeros(g.n_leaves))
         )
-        assert est.value == 0.0 and est.kind == "exact"
+        assert est.value == est.upper == 0.0 and est.kind == "exact"
         for mu in (lebesgue, weighted):
             # only the root average counts: C_p^p = tau_root / mu(root), attained by constants
             est = carleson_embedding_constant(CubeWeights.root_only(g, 3.0), p, mu=mu)
@@ -752,6 +861,22 @@ def test_ascent_memory_bounded_at_depth_12():
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_embedding_memory_linear_in_cubes():
+    # the recursion holds a few floats per cube whatever the grid: a batch of
+    # lam values never exceeds the cube budget, and nothing is cube-by-leaf
+    for d, depth in ((1, 12), (1, 14), (3, 4)):
+        g = build_grid(d, depth)
+        tau = CubeWeights(g, np.random.default_rng(19).exponential(size=g.n_cubes))
+        tracemalloc.start()
+        try:
+            est = carleson_embedding_constant(tau, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.kind == "exact"
+        assert peak < 24 * 8 * g.n_cubes + extremal._CET_BATCH_CUBES * 8, f"{peak / 2**20:.1f} MB"
+
+
 # -- in-place operator application against the allocating loops ---------------
 
 
@@ -793,6 +918,7 @@ def _strong_image_alloc(tau, sigma, omega, p):
 
 
 def _embedding_image_alloc(tau, mu, p):
+    """The embedding objective and its gradient path, as ``_power_solve`` takes them."""
     grid = tau.grid
     mass = mu.cube_mass
     ok = mass > 0
@@ -827,12 +953,3 @@ def test_in_place_solvers_bit_identical_to_allocating_loops(cfg):
     strong = strong_norm_lower(tau, sigma, omega, Exponents(3.0, 3.0))
     image = _strong_image_alloc(tau, sigma, omega, 3.0)
     _same_estimate(strong, extremal._power_solve(image, sigma.leaf_mass, 3.0))
-
-    cet = carleson_embedding_constant(tau, 1.5)
-    mu = Measure.lebesgue(tau.grid)
-    scores = _cet_scores(tau.grid, tau.tau, mu.cube_mass, 1.5)
-    best = int(np.argmax(scores))
-    f = _indicator_rows(tau.grid, np.array([best]))[0]
-    floor = (float(scores[best]), f / float(f**1.5 @ mu.leaf_mass) ** (1.0 / 1.5))
-    oracle = extremal._power_solve(_embedding_image_alloc(tau, mu, 1.5), mu.leaf_mass, 1.5, floor)
-    _same_estimate(cet, oracle)

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from twoweight import extremal, harness
+from twoweight import cli, extremal, harness, prooflab
 from twoweight.cli import main
 from twoweight.extremal import (
     AscentOptions,
@@ -30,6 +30,7 @@ from twoweight.harness import (
     rows_digest,
     run_suite,
 )
+from twoweight.prooflab import WhitneyDecomposition, WhitneyLayer, audit_decomposition
 
 FAST_ASCENT = AscentOptions(restarts=4, max_iter=60, seed=0)
 
@@ -249,7 +250,7 @@ def test_suite_diagonal_rows_certified():
     assert report.ok and len(report.rows) == 6
     for row in report.rows:
         assert "c3" not in row
-        assert row["strong_kind"] == "exact"
+        assert row["strong_kind"] == row["cet_kind"] == "exact"
         assert row["cet"] <= row["cet_upper"] <= row["cet"] * (1 + 1e-12)
         for key in ("local", "local_dual", "global", "global_dual", "weak"):
             assert row[key] <= row["strong"] * (1 + 1e-12)
@@ -288,6 +289,25 @@ def test_suite_flags_testing_above_certified_norm(monkeypatch):
     assert {v["check"] for v in report.violations} == {"testing-le-norm"}
 
 
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_suite_flags_cet_outside_the_embedding_theorem(monkeypatch, direction):
+    # car^(1/p) <= C_p <= p' car^(1/p): a value below the left end fires
+    # "cet-lower", an upper value above the right end fires "cet-upper"
+    def broken(tau, p, mu=None):
+        est = carleson_embedding_constant(tau, p, mu)
+        if direction == "lower":
+            est.value *= 1e-3
+        else:
+            est.upper *= 1e3
+        return est
+
+    monkeypatch.setattr(harness, "carleson_embedding_constant", broken)
+    cfg = SuiteConfig(generators=[GeneratorConfig(d=1, depth=3)], n=1, seed=3, ascent=FAST_ASCENT)
+    report = run_suite(cfg)
+    assert {v["check"] for v in report.violations} == {f"cet-{direction}"}
+    assert report.rows[0]["cet_kind"] == "exact"
+
+
 def test_suite_rows_carry_solver_iterations():
     gens = [GeneratorConfig(d=1, depth=3, p=1.5, q=3.0), GeneratorConfig(d=1, depth=3)]
     report = run_suite(SuiteConfig(generators=gens, n=1, seed=5, ascent=FAST_ASCENT))
@@ -299,8 +319,8 @@ def test_suite_rows_carry_solver_iterations():
             strong = exact_norm_22(inst.tau, inst.sigma, inst.omega)
         else:
             strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, FAST_ASCENT)
-        assert (row["cet"], row["cet_upper"], row["cet_iterations"]) == (
-            cet.value, cet.upper, cet.iterations
+        assert (row["cet"], row["cet_upper"], row["cet_kind"], row["cet_iterations"]) == (
+            cet.value, cet.upper, cet.kind, cet.iterations
         )
         assert (row["strong"], row["strong_iterations"]) == (strong.value, strong.iterations)
         assert row["cet_iterations"] >= 1 and row["strong_iterations"] >= 1
@@ -406,9 +426,30 @@ def test_cli_testing(tmp_path, capsys):
     rc = main(["testing", "--instance", str(inst_path)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    for key in ("local", "local_dual", "global", "global_dual", "carleson", "cet"):
+    for key in ("local", "local_dual", "global", "global_dual", "carleson", "cet", "cet_upper"):
         assert key in out
-    assert out["carleson"] ** 0.5 <= out["cet"] * (1 + 1e-8)
+    assert out["cet_kind"] == "exact"
+    assert out["carleson"] ** 0.5 <= out["cet"] <= out["cet_upper"] <= 2 * out["carleson"] ** 0.5
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_cli_testing_exit_code_covers_both_directions(tmp_path, capsys, monkeypatch, direction):
+    # like a suite row, the exit code is 1 when either end of the bracket
+    # leaves [car^(1/p), p' car^(1/p)]
+    def broken(tau, p, mu=None):
+        est = carleson_embedding_constant(tau, p, mu)
+        if direction == "lower":
+            est.value *= 1e-3
+        else:
+            est.upper *= 1e3
+        return est
+
+    inst_path = _gen_file(tmp_path)
+    monkeypatch.setattr(cli, "carleson_embedding_constant", broken)
+    assert main(["testing", "--instance", str(inst_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"[cet-{direction}]" in captured.err
+    assert json.loads(captured.out)["cet_kind"] == "exact"
 
 
 def test_cli_norm(tmp_path, capsys):
@@ -450,7 +491,37 @@ def test_cli_decompose(tmp_path, capsys):
     assert out["whitney"]["violations"] == []
     assert out["classified"]["violations"] == []
     assert out["principal"]["violations"] == []
+    assert out["violations"] == []
     assert len(out["whitney"]["layers"]) >= 1
+    # the audit verify runs, family by family
+    inst = Instance.from_json(inst_path.read_text())
+    audit = audit_decomposition(instance_f(inst), inst.sigma, inst.omega, inst.tau)
+    assert out["checks_run"] == audit.checks_run
+
+
+def test_cli_decompose_runs_the_max_principle_audit(tmp_path, capsys, monkeypatch):
+    # layer thresholds halved: the layers, the classification and the
+    # principal forest stay clean, and only the maximum principle fires
+    real = prooflab.whitney_layers
+
+    def halved(grid, v, rho):
+        deco = real(grid, v, rho)
+        layers = [
+            WhitneyLayer(lay.k, lay.threshold * 0.5, lay.cubes, lay.clamped, lay.saturated)
+            for lay in deco.layers
+        ]
+        return WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, layers)
+
+    inst_path = tmp_path / "spiky.json"
+    argv = ["gen", "--depth", "6", "--sigma", "spikes", "--tau", "sparse", "--seed", "1"]
+    assert main(argv + ["--out", str(inst_path)]) == 0
+    monkeypatch.setattr(prooflab, "whitney_layers", halved)
+    assert main(["decompose", "--instance", str(inst_path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    for stage in ("whitney", "classified", "principal"):
+        assert out[stage]["violations"] == []
+    assert out["violations"] and all(v.startswith("max principle") for v in out["violations"])
+    assert out["checks_run"]["max_principle"] > 0
 
 
 def test_cli_verify(tmp_path, capsys):
