@@ -33,6 +33,7 @@ from .harness import (
     check_seed,
     gen_instance,
     instance_f,
+    json_numbers,
     run_suite,
 )
 from .operators import apply_T
@@ -89,8 +90,8 @@ def _load_f(inst: Instance, path: str | None) -> np.ndarray:
         return instance_f(inst)
     with open(path) as fh:
         try:
-            f = np.asarray_chkfinite(json.load(fh), dtype=np.float64)
-        except (ValueError, TypeError) as exc:
+            f = np.asarray_chkfinite(json_numbers(json.load(fh), "f"))
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"f must be a JSON array of finite numbers: {exc}") from exc
     if f.shape != (inst.grid.n_leaves,):
         raise ConfigError(f"f must have {inst.grid.n_leaves} leaf values, got {f.shape}")

@@ -115,21 +115,21 @@ class Instance:
             return cls._from_json_dict(data)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def _from_json_dict(cls, data: dict) -> "Instance":
         grid = build_grid(_json_int(data, "d"), _json_int(data, "depth"))
-        sigma = Measure(grid, np.array(data["sigma"], dtype=np.float64))
-        omega = Measure(grid, np.array(data["omega"], dtype=np.float64))
+        sigma = Measure(grid, json_numbers(data["sigma"], "sigma"))
+        omega = Measure(grid, json_numbers(data["omega"], "omega"))
         t = data["tau"]
         if not isinstance(t, dict):
             raise ConfigError(f"tau must be an object, got {type(t).__name__}")
         if "values" in t:
-            tau = CubeWeights(grid, np.array(t["values"], dtype=np.float64), rule=t.get("rule", "explicit"))
+            tau = CubeWeights(grid, json_numbers(t["values"], "tau.values"), rule=t.get("rule", "explicit"))
         elif t.get("rule") == "fractional":
-            tau = CubeWeights.fractional(grid, float(t["alpha"]))
+            tau = CubeWeights.fractional(grid, _json_number(t["alpha"], "tau.alpha"))
         else:
             raise ConfigError(f"unrecognized tau serialization: {t!r}")
         return cls(
@@ -137,7 +137,7 @@ class Instance:
             sigma=sigma,
             omega=omega,
             tau=tau,
-            exps=Exponents(float(data["p"]), float(data["q"])),
+            exps=Exponents(_json_number(data["p"], "p"), _json_number(data["q"], "q")),
             seed=check_seed(_json_int(data, "seed")),
             generator=str(data.get("generator", "")),
         )
@@ -158,6 +158,23 @@ def _json_int(data: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` if it is a JSON number; ConfigError for anything else, numeric
+    strings and bools included, which ``float`` would convert."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """``value`` as floats if it is a JSON array of numbers; ConfigError for
+    anything else, numeric strings and bools included, which ``np.array`` would
+    convert."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise ConfigError(f"{name} must be an array of numbers")
+    return np.array(value, dtype=np.float64)
 
 
 def _draw_masses(rng: np.random.Generator, style: str, grid: DyadicGrid, allow_zero: bool) -> np.ndarray:

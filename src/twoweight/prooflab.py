@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,19 +118,31 @@ def _handle(c: int):
     return c if c >= 0 else CubeRef(-1)
 
 
-def _leaves_under(grid: DyadicGrid, cubes: np.ndarray, leaves: np.ndarray) -> dict:
-    """Cube index -> the sorted positions of ``leaves`` inside it, for every cube of ``cubes``."""
-    groups = {}
-    member = np.zeros(grid.n_cubes, dtype=bool)
-    member[cubes] = True
-    for lev in np.unique(grid.levels[cubes]):
-        owner = grid.ancestor(grid.leaf_start + leaves, grid.depth - int(lev))
-        hit = member[owner]
-        order = np.argsort(owner[hit], kind="stable")
-        keys, starts = np.unique(owner[hit][order], return_index=True)
-        groups.update(zip(keys.tolist(), np.split(leaves[hit][order], starts[1:])))
-    empty = np.empty(0, dtype=np.int64)
-    return {int(c): groups.get(int(c), empty) for c in cubes}
+def _leaves_under(grid: DyadicGrid, cubes: np.ndarray, leaves: np.ndarray) -> tuple:
+    """The positions of ``leaves`` inside each of ``cubes``, as one CSR pair (held, starts).
+
+    Cube i holds ``held[starts[i]:starts[i + 1]]``, in the order of ``leaves``. A
+    repeated cube holds its leaves again, and nested cubes each hold theirs.
+    """
+    uniq, slot = np.unique(cubes, return_inverse=True)
+    owners, found = [_NO_LEAVES], [_NO_LEAVES]
+    for lev in np.unique(grid.levels[uniq]):
+        up = grid.ancestor(grid.leaf_start + leaves, grid.depth - int(lev))
+        pos = np.minimum(np.searchsorted(uniq, up), uniq.size - 1)
+        hit = uniq[pos] == up
+        owners.append(pos[hit])
+        found.append(leaves[hit])
+    owner = np.concatenate(owners)
+    found = np.concatenate(found)[np.argsort(owner, kind="stable")]
+    size = np.bincount(owner, minlength=uniq.size)
+    first = np.cumsum(size) - size  # where each distinct cube's run begins in ``found``
+    starts = np.concatenate([[0], np.cumsum(size[slot])])
+    return found[np.arange(starts[-1]) + np.repeat(first[slot] - starts[:-1], size[slot])], starts
+
+
+def _cube_json(grid: DyadicGrid, c: int, extra: dict) -> dict:
+    """Cube ``c`` as the JSON payloads list it, with the fields of ``extra``."""
+    return {"index": c, "level": int(grid.levels[c]), "coords": list(grid.cube(c).coords), **extra}
 
 
 def _meets(grid: DyadicGrid, cubes: np.ndarray, u: int) -> np.ndarray:
@@ -183,10 +195,7 @@ class WhitneyDecomposition:
     checks: int = 0  # comparisons made by the structural audits
 
     def layer(self, k: int) -> WhitneyLayer | None:
-        for lay in self.layers:
-            if lay.k == k:
-                return lay
-        return None
+        return next((lay for lay in self.layers if lay.k == k), None)
 
     def omega_mask(self, k: int) -> np.ndarray:
         """Leaf mask of Omega_k = {v > base**k}, for any integer k."""
@@ -202,13 +211,8 @@ class WhitneyDecomposition:
                     "threshold": lay.threshold,
                     "saturated": lay.saturated,
                     "cubes": [
-                        {
-                            "index": int(c),
-                            "level": int(self.grid.levels[c]),
-                            "coords": list(self.grid.cube(int(c)).coords),
-                            "clamped": bool(fl),
-                        }
-                        for c, fl in zip(lay.cubes, lay.clamped)
+                        _cube_json(self.grid, c, {"clamped": fl})
+                        for c, fl in zip(lay.cubes.tolist(), lay.clamped.tolist())
                     ],
                 }
                 for lay in self.layers
@@ -339,11 +343,28 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
 
 @dataclass
 class CorridorSets:
+    """E_k(Q) for every (layer, cube) entry of a decomposition.
+
+    Entries are numbered layer by layer, in layer-cube order: entry i is cube
+    ``cube[i]`` of ``whitney.layers[layer[i]]``, and its corridor is the sorted
+    leaf run ``leaves[starts[i]:starts[i + 1]]``.
+    """
+
     whitney: WhitneyDecomposition
     m: int
-    sets: dict  # (k, cube index) -> sorted np.ndarray of leaf indices
+    layer: np.ndarray
+    cube: np.ndarray
+    leaves: np.ndarray
+    starts: np.ndarray
     violations: list[str] = field(default_factory=list)
     checks: int = 0  # one union check per layer
+
+    def corridor(self, i: int) -> np.ndarray:
+        return self.leaves[self.starts[i] : self.starts[i + 1]]
+
+    def layer_bounds(self) -> np.ndarray:
+        """Layer j's entries are ``layer_bounds()[j]`` up to ``layer_bounds()[j + 1]``."""
+        return np.searchsorted(self.layer, np.arange(len(self.whitney.layers) + 1))
 
 
 def corridor_sets(deco: WhitneyDecomposition, m: int = DEFAULT_M) -> CorridorSets:
@@ -355,66 +376,61 @@ def corridor_sets(deco: WhitneyDecomposition, m: int = DEFAULT_M) -> CorridorSet
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     grid = deco.grid
-    out = CorridorSets(deco, m, {})
-    for lay in deco.layers:
+    layers = deco.layers
+    held, sizes, violations = [_NO_LEAVES], [_NO_LEAVES], []
+    for lay in layers:
         band = deco.omega_mask(lay.k + m - 1) & ~deco.omega_mask(lay.k + m)
         seen = np.where(band, _below(grid, lay.cubes)[grid.leaf_start :], 0.0)
-        groups = _leaves_under(grid, lay.cubes, np.flatnonzero(band))
-        out.sets.update(((lay.k, c), leaves) for c, leaves in groups.items())
+        leaves, starts = _leaves_under(grid, lay.cubes, np.flatnonzero(band))
+        held.append(leaves)
+        sizes.append(np.diff(starts))
         target = band & deco.omega_mask(lay.k)
         if not (np.all(seen[target] == 1) and np.all(seen[~target] == 0)):
-            out.violations.append(
-                f"corridor k={lay.k}: union of E_k(Q) differs from the clipped band"
-            )
-    out.checks = len(deco.layers)
-    return out
-
-
-@dataclass
-class ClassifiedCube:
-    k: int
-    cube: int
-    cls: int  # 1, 2, or 3
-    corridor: np.ndarray  # leaf indices
-    alpha: float
-    beta: float
-    omega_corridor: float
-    omega_cube: float
+            violations.append(f"corridor k={lay.k}: union of E_k(Q) differs from the clipped band")
+    layer = np.repeat(np.arange(len(layers)), np.array([lay.cubes.size for lay in layers], int))
+    cubes = np.concatenate([_NO_LEAVES, *(lay.cubes for lay in layers)])
+    leaves = np.concatenate(held)
+    starts = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
+    return CorridorSets(deco, m, layer, cubes, leaves, starts, violations, len(layers))
 
 
 @dataclass
 class ClassifiedDecomposition:
-    whitney: WhitneyDecomposition
+    corridors: CorridorSets  # the layers, m, and the corridor of every entry
     eta: float
-    m: int
-    entries: list[ClassifiedCube]
+    # one record per entry of ``corridors``: k, cube, cls (1, 2 or 3), alpha, beta,
+    # omega_corridor = omega(E_k(Q)) and omega_cube = omega(Q)
+    entries: np.recarray
     violations: list[str] = field(default_factory=list)
     key_margin_min: float = math.inf  # min (alpha+beta)/(thr * omega(E)) observed
     checks: int = 0  # key inequalities, corridor-overlap and layer-count checks
     reevaluated: int = 0  # cubes decided by the per-cube formula
 
+    @property
+    def whitney(self) -> WhitneyDecomposition:
+        return self.corridors.whitney
+
+    @property
+    def m(self) -> int:
+        return self.corridors.m
+
     def to_json_dict(self) -> dict:
-        grid = self.whitney.grid
-        per_layer: dict[int, list] = {lay.k: [] for lay in self.whitney.layers}
-        for e in self.entries:
-            per_layer[e.k].append(
-                {
-                    "index": e.cube,
-                    "level": int(grid.levels[e.cube]),
-                    "coords": list(grid.cube(e.cube).coords),
-                    "class": e.cls,
-                    "corridor_leaves": e.corridor.tolist(),
-                    "alpha": e.alpha,
-                    "beta": e.beta,
-                }
-            )
+        grid, e = self.whitney.grid, self.entries
+        runs = [r.tolist() for r in np.split(self.corridors.leaves, self.corridors.starts[1:-1])]
+        rows = zip(e.cube.tolist(), e.cls.tolist(), runs, e.alpha.tolist(), e.beta.tolist())
+        cubes = [
+            _cube_json(grid, c, {"class": cls, "corridor_leaves": run, "alpha": a, "beta": b})
+            for c, cls, run, a, b in rows
+        ]
+        bounds = self.corridors.layer_bounds()
         return {
             "eta": self.eta,
             "m": self.m,
             "rho": self.whitney.rho,
             "base": self.whitney.base,
             "layers": [
-                {"k": k, "cubes": cubes} for k, cubes in sorted(per_layer.items())
+                {"k": lay.k, "cubes": cubes[lo:hi]}
+                for lay, lo, hi in zip(self.whitney.layers, bounds[:-1], bounds[1:])
             ],
             "violations": list(self.whitney.violations) + list(self.violations),
         }
@@ -448,6 +464,11 @@ def classify_cubes(
     and beta take f sigma off and on Omega_{k+m}. The class decision and the
     key inequality are taken again with the per-cube formula (``_pairing``)
     where they lie within the rounding margin or the inequality fails.
+
+    omega(E_k(Q)) of every entry comes from one pass over the corridors, which
+    rounds unlike a sum per corridor. An ordered sum of n like-signed terms is
+    off by less than n ulps of its total, so where that could tip a decision,
+    and wherever the value is printed, the per-corridor sum replaces it.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must be in (0,1), got {eta}")
@@ -455,17 +476,17 @@ def classify_cubes(
     grid = deco.grid
     m = corridors.m
     f = np.asarray(f, dtype=np.float64)
-    out = ClassifiedDecomposition(deco, eta, m, [])
-    out.violations.extend(corridors.violations)
     fs_leaf = Measure.product(f, sigma).leaf_mass
     size = grid.subtree_sums(np.abs(fs_leaf))  # |f sigma|, the scale of rounding
     weight = tau.tau / grid.volumes
+    cubes, starts = corridors.cube, corridors.starts
+    bounds = corridors.layer_bounds()
 
-    for lay in deco.layers:
+    pairing = np.empty((3, cubes.size))  # rows: alpha, beta and the scale of rounding
+    for j, lay in enumerate(deco.layers):
         above = deco.omega_mask(lay.k + m)
-        corridor = [corridors.sets[(lay.k, int(c))] for c in lay.cubes]
         in_corridor = np.zeros(grid.n_leaves, dtype=bool)
-        in_corridor[np.concatenate([_NO_LEAVES, *corridor])] = True
+        in_corridor[corridors.leaves[starts[bounds[j]] : starts[bounds[j + 1]]]] = True
         w_k = grid.subtree_sums(np.where(in_corridor, omega.leaf_mass, 0.0))
         # rows: f sigma off Omega_{k+m} (alpha), on it (beta), and the scale
         fs_mass = np.stack([
@@ -478,53 +499,53 @@ def classify_cubes(
         real = up >= 0
         top = np.where(real, up, 0)
         own = np.where(real, weight[top] * w_k[lay.cubes] * fs_mass[:, top], 0.0)
-        alpha, beta, scale = below[:, lay.cubes] + own
+        pairing[:, bounds[j] : bounds[j + 1]] = below[:, lay.cubes] + own
+    alpha, beta, scale = pairing
 
-        w_e = np.array([float(omega.leaf_mass[leaves].sum()) for leaves in corridor])
-        w_q = omega.cube_mass[lay.cubes]
-        lhs = lay.threshold * w_e
-        bound = (alpha + beta) * (1 + 1e-9)
-        redo = (lhs > bound) | _near(lhs, bound, scale)
-        redo |= ~(w_e <= eta * w_q) & _near(alpha, beta, scale)
-
-        for i, c in enumerate(lay.cubes.tolist()):
-            a, b = float(alpha[i]), float(beta[i])
-            if redo[i]:
-                a, b = _pairing(grid, f, sigma, omega, tau, c, corridor[i], above)
-                out.reevaluated += 1
-            if w_e[i] <= eta * w_q[i]:
-                cls = 1
-            elif a > b:
-                cls = 2
-            else:
-                cls = 3
-            out.entries.append(
-                ClassifiedCube(lay.k, c, cls, corridor[i], a, b, float(w_e[i]), float(w_q[i]))
-            )
-            rhs = a + b
-            if lhs[i] > rhs * (1 + 1e-9):
-                out.violations.append(
-                    f"key inequality k={lay.k} cube {c}: {float(lhs[i])!r} > alpha+beta={rhs!r}"
-                )
-            if lhs[i] > 0:
-                out.key_margin_min = min(out.key_margin_min, rhs / float(lhs[i]))
+    n = np.diff(starts)
+    owner = np.repeat(np.arange(cubes.size), n)
+    w_e = np.bincount(owner, omega.leaf_mass[corridors.leaves], minlength=cubes.size)
+    w_q = omega.cube_mass[cubes]
+    thr = np.array([lay.threshold for lay in deco.layers])[corridors.layer]
+    ks = np.array([lay.k for lay in deco.layers], dtype=np.int64)[corridors.layer]
+    bound = (alpha + beta) * (1 + 1e-9)
+    tight = _near(w_e, eta * w_q, n * w_e) | _near(thr * w_e, bound, scale + n * thr * w_e)
+    for i in np.flatnonzero(tight).tolist():
+        w_e[i] = omega.leaf_mass[corridors.corridor(i)].sum()
+    lhs = thr * w_e
+    redo = (lhs > bound) | _near(lhs, bound, scale)
+    redo |= ~(w_e <= eta * w_q) & _near(alpha, beta, scale)
+    for i in np.flatnonzero(redo).tolist():
+        leaves = corridors.corridor(i)
+        w_e[i] = omega.leaf_mass[leaves].sum()
+        above = deco.omega_mask(int(ks[i]) + m)
+        alpha[i], beta[i] = _pairing(grid, f, sigma, omega, tau, int(cubes[i]), leaves, above)
+    lhs = thr * w_e
+    rhs = alpha + beta
+    cls = np.where(w_e <= eta * w_q, 1, np.where(alpha > beta, 2, 3))
+    names = "k,cube,cls,alpha,beta,omega_corridor,omega_cube"
+    entries = np.rec.fromarrays([ks, cubes, cls, alpha, beta, w_e, w_q], names=names)
+    margin = float((rhs[lhs > 0] / lhs[lhs > 0]).min(initial=math.inf))
+    out = ClassifiedDecomposition(corridors, eta, entries, list(corridors.violations), margin)
+    out.reevaluated = int(redo.sum())
+    for i in np.flatnonzero(lhs > rhs * (1 + 1e-9)).tolist():
+        out.violations.append(
+            f"key inequality k={int(ks[i])} cube {int(cubes[i])}: "
+            f"{float(lhs[i])!r} > alpha+beta={float(rhs[i])!r}"
+        )
 
     # corridor disjointness in k for a fixed cube, and the occurrence bound, for
     # every cube at once: a (cube, leaf) key that occurs twice is an overlap
-    entries = out.entries
-    cubes, first, slot = np.unique(
-        np.array([e.cube for e in entries], dtype=np.int64), return_index=True, return_inverse=True
-    )
-    out.checks = len(entries) + 2 * cubes.size
-    keys = np.repeat(slot, [e.corridor.size for e in entries]) * grid.n_leaves
-    keys = np.sort(keys + np.concatenate([_NO_LEAVES] + [e.corridor for e in entries]))
-    overlap = np.zeros(cubes.size, dtype=bool)
+    uniq, first, slot = np.unique(cubes, return_index=True, return_inverse=True)
+    out.checks = cubes.size + 2 * uniq.size
+    keys = np.sort(slot[owner] * grid.n_leaves + corridors.leaves)
+    overlap = np.zeros(uniq.size, dtype=bool)
     overlap[keys[1:][keys[1:] == keys[:-1]] // grid.n_leaves] = True
-    hot = np.bincount(slot[np.array([e.cls != 1 for e in entries], dtype=bool)], minlength=cubes.size)
+    hot = np.bincount(slot[cls != 1], minlength=uniq.size)
     many_cap = math.ceil(1.0 / eta)
     bad = np.flatnonzero(overlap | (hot > many_cap))
     for s in bad[np.argsort(first[bad])]:  # in the order the cubes first occur
-        c = int(cubes[s])
+        c = int(uniq[s])
         if overlap[s]:
             out.violations.append(f"corridors of cube {c} overlap across layers")
         if hot[s] > many_cap:
@@ -641,9 +662,9 @@ def _layer_neighbors(
             reevaluated += 1
             e_mask = grid.subtree_leaf_mask(q) & band
             t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(u), "in")
-            groups = _leaves_under(grid, refined, np.arange(grid.n_leaves))
-            for r in refined:
-                vals = t_in[groups[int(r)]]
+            held, starts = _leaves_under(grid, refined, np.arange(grid.n_leaves))
+            for j, r in enumerate(refined):
+                vals = t_in[held[starts[j] : starts[j + 1]]]
                 if vals.size and not np.all(vals == vals[0]):
                     out[i].append(
                         f"refinement-constant localization not constant on refinement cube {int(r)}"
@@ -671,16 +692,14 @@ def occurrence_audit(classified: ClassifiedDecomposition) -> OccurrenceAudit:
     grid = deco.grid
     m = classified.m
     cap = 64.0 * 2 ** (deco.rho * grid.d) * (m + 2) / classified.eta
-    hit: dict[int, list[int]] = {}
-    for e in classified.entries:
-        if e.cls == 3:
-            hit.setdefault(e.k, []).append(e.cube)
+    e = classified.entries
+    hit = e.cls == 3
     total = np.zeros(grid.n_cubes, dtype=np.int64)
-    for k, cubes in hit.items():
+    for k in np.unique(e.k[hit]).tolist():
         lay_hi = deco.layer(k + m)
         if lay_hi is None:
             continue
-        up = grid.ancestor(np.array(cubes, dtype=np.int64), 1)
+        up = grid.ancestor(e.cube[hit & (e.k == k)], 1)
         real = up[up >= 0]
         np.add.at(total, lay_hi.cubes, _meeting(grid, real, lay_hi.cubes) + (up.size - real.size))
     counts = {int(r): int(total[r]) for r in np.flatnonzero(total)}
@@ -705,13 +724,7 @@ class PrincipalForest:
     def to_json_dict(self) -> dict:
         return {
             "principal": [
-                {
-                    "index": int(c),
-                    "level": int(self.grid.levels[c]),
-                    "coords": list(self.grid.cube(int(c)).coords),
-                    "average": self.averages[int(c)],
-                }
-                for c in self.cubes
+                _cube_json(self.grid, c, {"average": self.averages[c]}) for c in self.cubes.tolist()
             ],
             "gamma": {str(k): int(v) for k, v in sorted(self.gamma.items())},
             "skipped": [int(s) for s in self.skipped],
@@ -904,58 +917,55 @@ def max_principle_audit(
     inner = path(tau.tau * fs.cube_mass / grid.volumes)
     inner_scale = path(tau.tau * size / grid.volumes)[grid.leaf_start :]
 
+    cubes, leaves = corridors.cube, corridors.leaves
+    thr = np.array([lay.threshold for lay in deco.layers])[corridors.layer]
+    hi, lo = thr * (1 + _MP_RTOL), thr * (1 - _MP_RTOL)
+    p1 = grid.ancestor(cubes, 1)
+    p2 = grid.ancestor(cubes, 2)
+    out_local = _at(local, p2)
+    out_far = _at(far, p2)
+    redo_local = (out_local > hi) | _near(out_local, hi, np.abs(out_local))
+    redo_far = (out_far > hi) | _near(out_far, hi, _at(far_scale, p2))
+
+    owner = np.repeat(np.arange(cubes.size), np.diff(corridors.starts))
+    t_in = inner[grid.leaf_start + leaves] - _at(inner, p2)[owner]
+    shaky = (t_in < lo[owner]) | _near(t_in, lo[owner], inner_scale[leaves])
+    redo_in = np.zeros(cubes.size, dtype=bool)
+    redo_in[owner[shaky]] = True
+    checks = 2 * int(np.rint(grid.n_leaves * grid.volumes[cubes]).sum()) + leaves.size
+
     violations: list[MaxPrincipleViolation] = []
-    checks = reevaluated = 0
-    for lay in deco.layers:
-        thr = lay.threshold
-        hi, lo = thr * (1 + _MP_RTOL), thr * (1 - _MP_RTOL)
-        p1 = grid.ancestor(lay.cubes, 1)
-        p2 = grid.ancestor(lay.cubes, 2)
-        out_local = _at(local, p2)
-        out_far = _at(far, p2)
-        redo_local = (out_local > hi) | _near(out_local, hi, np.abs(out_local))
-        redo_far = (out_far > hi) | _near(out_far, hi, _at(far_scale, p2))
-
-        corridor = [corridors.sets[(lay.k, int(c))] for c in lay.cubes]
-        leaves = np.concatenate([_NO_LEAVES, *corridor])
-        owner = np.repeat(np.arange(len(corridor)), [x.size for x in corridor])
-        t_in = inner[grid.leaf_start + leaves] - _at(inner, p2)[owner]
-        shaky = (t_in < lo) | _near(t_in, lo, inner_scale[leaves])
-        redo_in = np.zeros(len(lay.cubes), dtype=bool)
-        redo_in[owner[shaky]] = True
-        checks += 2 * int(np.rint(grid.n_leaves * grid.volumes[lay.cubes]).sum()) + leaves.size
-
-        for i in np.flatnonzero(redo_local | redo_far | redo_in):
-            c, up1, up2 = int(lay.cubes[i]), int(p1[i]), int(p2[i])
-            outward = []
-            if redo_local[i] or redo_far[i]:
-                up2_mask = (
-                    grid.subtree_leaf_mask(up2) if up2 >= 0 else np.ones(grid.n_leaves, dtype=bool)
-                )
-            if redo_local[i]:
-                vals = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), _handle(up2), "out")
-                outward.append(("out-local", vals))
-            if redo_far[i]:
-                # T(f sigma off P2): the in-localization above the root keeps every
-                # summand, as apply_T does
-                vals = apply_T_restricted(tau, fs.with_leaf_mask(~up2_mask), CubeRef(-1), "in")
-                outward.append(("out-far", vals))
-            reevaluated += len(outward)
-            if outward:
-                for leaf in np.flatnonzero(grid.subtree_leaf_mask(c)):
-                    violations += [
-                        MaxPrincipleViolation(lay.k, c, int(leaf), kind, float(vals[leaf]), thr)
-                        for kind, vals in outward
-                        if vals[leaf] > hi
-                    ]
-            if redo_in[i]:
-                reevaluated += 1
-                vals = apply_T_restricted(tau, fs, _handle(up1), "in")
+    reevaluated = 0
+    for i in np.flatnonzero(redo_local | redo_far | redo_in).tolist():
+        k, c, up1, up2 = deco.layers[corridors.layer[i]].k, int(cubes[i]), int(p1[i]), int(p2[i])
+        t = float(thr[i])
+        outward = []
+        if redo_local[i] or redo_far[i]:
+            up2_mask = grid.subtree_leaf_mask(up2) if up2 >= 0 else np.ones(grid.n_leaves, bool)
+        if redo_local[i]:
+            vals = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), _handle(up2), "out")
+            outward.append(("out-local", vals))
+        if redo_far[i]:
+            # T(f sigma off P2): the in-localization above the root keeps every
+            # summand, as apply_T does
+            vals = apply_T_restricted(tau, fs.with_leaf_mask(~up2_mask), CubeRef(-1), "in")
+            outward.append(("out-far", vals))
+        reevaluated += len(outward)
+        if outward:
+            for leaf in np.flatnonzero(grid.subtree_leaf_mask(c)):
                 violations += [
-                    MaxPrincipleViolation(lay.k, c, int(leaf), "in-lower", float(vals[leaf]), thr)
-                    for leaf in corridor[i]
-                    if vals[leaf] < lo
+                    MaxPrincipleViolation(k, c, int(leaf), kind, float(vals[leaf]), t)
+                    for kind, vals in outward
+                    if vals[leaf] > hi[i]
                 ]
+        if redo_in[i]:
+            reevaluated += 1
+            vals = apply_T_restricted(tau, fs, _handle(up1), "in")
+            violations += [
+                MaxPrincipleViolation(k, c, int(leaf), "in-lower", float(vals[leaf]), t)
+                for leaf in corridors.corridor(i)
+                if vals[leaf] < lo[i]
+            ]
     return MaxPrincipleAudit(violations, checks, reevaluated)
 
 
@@ -1006,28 +1016,12 @@ class ProofLabReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "k_lo": self.k_lo,
-            "k_hi": self.k_hi,
-            "saturated_layers": self.saturated_layers,
-            "clamped_cubes": self.clamped_cubes,
-            "fo_max": self.fo_max,
-            "crowd_max": self.crowd_max,
-            "class_counts": {str(k): v for k, v in sorted(self.class_counts.items())},
-            "key_margin_min": self.key_margin_min,
-            "occurrence_max": self.occurrence_max,
-            "occurrence_cap": self.occurrence_cap,
-            "max_principle_violations": self.max_principle_violations,
-            "principal_count": self.principal_count,
-            "geometric_ratio": self.geometric_ratio,
-            "carleson_ratio": self.carleson_ratio,
-            "carleson_cap": self.carleson_cap,
-            "violations": self.violations,
-            "checks_run": dict(self.checks_run),
-            "reevaluated": self.reevaluated,
-            **{f"time_{stage}": t for stage, t in self.timings.items()},
-        }
+        """Every field but the audited stages, in field order, with timings as ``time_<stage>``."""
+        keep = [f.name for f in fields(self) if f.repr and f.name != "timings"]
+        out = {name: getattr(self, name) for name in keep}
+        out["class_counts"] = {str(k): v for k, v in sorted(self.class_counts.items())}
+        out["checks_run"] = dict(self.checks_run)
+        return {**out, **{f"time_{stage}": t for stage, t in self.timings.items()}}
 
 
 def audit_decomposition(
@@ -1051,7 +1045,10 @@ def audit_decomposition(
     everything. The report also counts the checks each audit family
     made, the decisions re-taken by a per-cube operator call, the wall time
     of each stage, and the layers, classification and forest it audited.
+    Raises ValueError unless p > 1.
     """
+    if not p > 1:
+        raise ValueError(f"need p > 1, got {p}")
     grid = sigma.grid
     timings: dict[str, float] = {}
     start = time.perf_counter()
@@ -1091,26 +1088,20 @@ def audit_decomposition(
     ]
     lap("max_principle")
 
-    seeds = sorted({int(c) for lay in deco.layers for c in lay.cubes})
+    seeds = np.unique(corridors.cube).tolist()
     forest = principal_cubes(f, sigma, seeds) if seeds else None
+    geo = car = 0.0
     if forest is not None:
         violations += forest.violations
-        geo = geometric_sum_audit(forest)
-        car = carleson_of_principal(forest, p)
-    else:
-        geo = 0.0
-        car = 0.0
-    p_conj = p / (p - 1.0)
-    car_cap = p_conj**p
+        geo, car = geometric_sum_audit(forest), carleson_of_principal(forest, p)
+    car_cap = (p / (p - 1.0)) ** p
     if geo > 2.0 + 1e-9:
         violations.append(f"geometric principal sum ratio {geo!r} exceeds 2")
     if car > car_cap * (1 + 1e-9):
         violations.append(f"principal Carleson ratio {car!r} exceeds {car_cap!r}")
     lap("principal")
 
-    class_counts: dict[int, int] = {1: 0, 2: 0, 3: 0}
-    for e in classified.entries:
-        class_counts[e.cls] += 1
+    counts = np.bincount(classified.entries.cls, minlength=4)
     grown = forest is not None
     return ProofLabReport(
         n_layers=len(deco.layers),
@@ -1120,7 +1111,7 @@ def audit_decomposition(
         clamped_cubes=int(sum(int(lay.clamped.sum()) for lay in deco.layers)),
         fo_max=deco.fo_max,
         crowd_max=deco.crowd_max,
-        class_counts=class_counts,
+        class_counts={c: int(counts[c]) for c in (1, 2, 3)},
         key_margin_min=classified.key_margin_min,
         occurrence_max=occurrence.max_count,
         occurrence_cap=occurrence.cap,

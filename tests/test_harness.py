@@ -2,6 +2,7 @@
 package names the benchmark traces."""
 
 import concurrent.futures
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -20,6 +21,7 @@ from twoweight.extremal import (
     exact_norm_22,
     strong_norm_lower,
 )
+from twoweight.grid import Measure
 from twoweight.harness import (
     ConfigError,
     GeneratorConfig,
@@ -30,6 +32,7 @@ from twoweight.harness import (
     rows_digest,
     run_suite,
 )
+from twoweight.operators import apply_T
 from twoweight.prooflab import WhitneyDecomposition, WhitneyLayer, audit_decomposition
 
 FAST_ASCENT = AscentOptions(restarts=4, max_iter=60, seed=0)
@@ -392,8 +395,17 @@ def test_cli_apply(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["apply", "decompose"])
 @pytest.mark.parametrize(
     "content",
-    ["not json [", json.dumps(["a"] + [1.0] * 7), "[NaN, 1, 1, 1, 1, 1, 1, 1]", None],
-    ids=["not-json", "not-numeric", "not-finite", "directory"],
+    [
+        "not json [",
+        json.dumps(["a"] + [1.0] * 7),
+        json.dumps(["1"] + [1.0] * 7),
+        json.dumps([True] + [1.0] * 7),
+        "[NaN, 1, 1, 1, 1, 1, 1, 1]",
+        "[" + "9" * 400 + ", 1, 1, 1, 1, 1, 1, 1]",
+        None,
+    ],
+    ids=["not-json", "not-numeric", "numeric-string", "bool", "not-finite", "out-of-range",
+         "directory"],
 )
 def test_cli_malformed_f_exit_code(tmp_path, capsys, command, content):
     inst_path = _gen_file(tmp_path)
@@ -497,6 +509,26 @@ def test_cli_decompose(tmp_path, capsys):
     inst = Instance.from_json(inst_path.read_text())
     audit = audit_decomposition(instance_f(inst), inst.sigma, inst.omega, inst.tau)
     assert out["checks_run"] == audit.checks_run
+
+
+# sha256 of `twoweight decompose` stdout: entry order, corridor leaves and the
+# alpha/beta values byte for byte
+DECOMPOSE_PINS = [
+    (dict(d=1, depth=8), 0, "be9d68a00e6da1ee627679e0da69e19d7507589b18007ca6575f5c1f271861b8"),
+    (
+        dict(d=2, depth=4, sigma="spikes", tau="sparse"),
+        0,
+        "80abcd1adf02c785ee32396a7cf5310510d78d2e853cee01c7ba36ca55b96652",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,seed,digest", DECOMPOSE_PINS, ids=["d1D8", "d2D4-spikes"])
+def test_cli_decompose_output_pinned(tmp_path, capsys, spec, seed, digest):
+    path = tmp_path / "inst.json"
+    path.write_text(gen_instance(GeneratorConfig(**spec), seed).to_json() + "\n")
+    assert main(["decompose", "--instance", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_decompose_runs_the_max_principle_audit(tmp_path, capsys, monkeypatch):
@@ -615,6 +647,33 @@ def test_instance_non_integer_field_is_config_error(key, value):
         Instance.from_json_dict(data)
 
 
+@pytest.mark.parametrize("key", ["p", "q", "tau.alpha", "sigma", "omega", "tau.values"])
+@pytest.mark.parametrize("value", ["2", True])
+def test_instance_non_number_field_is_config_error(key, value):
+    # float() and np.array(..., dtype=float64) would read both as numbers
+    data = gen_instance(GeneratorConfig(), seed=4).to_json_dict()
+    if key == "tau.alpha":
+        data["tau"] = {"rule": "fractional", "alpha": value}
+    elif key == "tau.values":
+        data["tau"]["values"][0] = value
+    elif key in ("sigma", "omega"):
+        data[key][0] = value
+    else:
+        data[key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        Instance.from_json_dict(data)
+    if key == "tau.alpha":
+        data["tau"]["alpha"] = 0.5
+        assert Instance.from_json_dict(data).tau.rule == "fractional(alpha=0.5)"
+
+
+def test_instance_out_of_range_number_is_config_error():
+    data = gen_instance(GeneratorConfig(), seed=4).to_json_dict()
+    data["sigma"][0] = 10**400  # a JSON integer no float holds
+    with pytest.raises(ConfigError):
+        Instance.from_json_dict(data)
+
+
 @pytest.mark.parametrize("command", ["apply", "decompose"])
 @pytest.mark.parametrize("seed", [2.7, True])
 def test_cli_non_integer_instance_seed_exit_code(tmp_path, capsys, command, seed):
@@ -649,13 +708,18 @@ def test_instance_wrong_shape_is_config_error():
 # -- names the benchmark traces -------------------------------------------------------
 
 
-def test_benchmark_span_targets_resolve():
-    # perfbench/spans.py wraps these functions and methods by name; a missing one
-    # makes a traced benchmark run fail before it measures anything
+def _perfbench_spans():
     path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "spans.py")
     spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps these functions and methods by name; a missing one
+    # makes a traced benchmark run fail before it measures anything
+    spans = _perfbench_spans()
     for span_name, mod_name, attr, _ in spans.TARGETS:
         holder = importlib.import_module(mod_name)
         *owner, name = attr.split(".")
@@ -663,3 +727,18 @@ def test_benchmark_span_targets_resolve():
             holder = getattr(holder, part)
         fn = vars(holder).get(name)
         assert callable(fn), f"{span_name}: {mod_name}.{attr} is missing"
+
+
+def test_benchmark_span_meters_read_real_results():
+    # a meter that no longer reads its function's result fails only in a traced run
+    meters = {name: meter for name, _, _, meter in _perfbench_spans().TARGETS}
+    inst = gen_instance(GeneratorConfig(d=2, depth=4, sigma="spikes", tau="sparse"), 0)
+    f = instance_f(inst)
+    deco = prooflab.whitney_layers(inst.grid, apply_T(inst.tau, Measure.product(f, inst.sigma)))
+    cls = prooflab.classify_cubes(prooflab.corridor_sets(deco), f, inst.sigma, inst.omega, inst.tau)
+    n_cubes = sum(len(lay.cubes) for lay in deco.layers)
+    assert meters["prooflab.classify_cubes"]((), {}, cls) == n_cubes > 0
+    est = carleson_embedding_constant(inst.tau, 2.0)
+    assert meters["extremal.cet"]((), {}, est) == est.iterations > 0
+    est = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+    assert meters["extremal.exact"]((), {}, est) == est.iterations > 0

@@ -192,8 +192,8 @@ def test_corridor_union_is_clipped_band():
     lay = deco.layers[0]
     band = deco.omega_mask(lay.k + 1) & ~deco.omega_mask(lay.k + 2)
     union = np.zeros(g.n_leaves, dtype=bool)
-    for c in lay.cubes:
-        leaves = cor.sets[(lay.k, int(c))]
+    for i, c in enumerate(lay.cubes):  # the first layer's entries come first
+        leaves = cor.corridor(i)
         assert np.all(g.subtree_leaf_mask(int(c))[leaves])  # inside the cube
         union[leaves] = True
     np.testing.assert_array_equal(union, band & deco.omega_mask(lay.k))
@@ -805,9 +805,12 @@ def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=N
         cor = corridor_sets(deco, m)
         sets, viol = _corridor_sets_oracle(deco, m)
         assert cor.violations == viol
-        assert list(cor.sets) == list(sets)
-        for key, leaves in sets.items():
-            np.testing.assert_array_equal(cor.sets[key], leaves)
+        # one entry per layer cube, repeats included, in the oracle's order
+        keys = [(deco.layers[j].k, c) for j, c in zip(cor.layer.tolist(), cor.cube.tolist())]
+        assert len(keys) == sum(len(lay.cubes) for lay in deco.layers)
+        assert list(dict.fromkeys(keys)) == list(sets)
+        for i, key in enumerate(keys):
+            np.testing.assert_array_equal(cor.corridor(i), sets[key])
         for lay in deco.layers:
             for c in lay.cubes:
                 ns = neighbor_sets(deco, int(c), lay.k, m, tau=tau, omega=omega)
@@ -1047,6 +1050,27 @@ def test_key_inequality_violation_prints_per_cube_values():
     assert cls.key_margin_min == margin
 
 
+@pytest.mark.parametrize("threshold", [1.0, 1000.0])
+def test_one_pass_corridor_mass_never_decides(threshold):
+    # omega(E) of the root's corridor is 1.0 summed in one pass and 1 + 3 ulps
+    # summed per corridor, with eta * omega(Q) in between: only the per-corridor
+    # sum decides the class, and it is the value a key inequality violation prints
+    g = build_grid(1, 4)
+    mass = np.array([1.0] + [1e-16] * 9 + [1.0] + [0.0] * 5)
+    omega = Measure(g, mass)
+    one_pass = np.bincount(np.zeros(10, dtype=np.int64), mass[:10])[0]
+    assert one_pass < 0.5 * omega.cube_mass[0] < mass[:10].sum()
+    layer = WhitneyLayer(0, threshold, np.array([0]), np.array([False]), False)
+    deco = WhitneyDecomposition(g, np.array([1.5] * 10 + [3.0] * 6), 1, 2.0, [layer])
+    unit, tau, f = Measure(g, np.ones(16)), CubeWeights(g, np.ones(g.n_cubes)), np.ones(16)
+    cls = classify_cubes(corridor_sets(deco, 1), f, unit, omega, tau, eta=0.5)
+    entries, viol, _ = _classify_oracle(deco, f, unit, omega, tau, eta=0.5, m=1)
+    assert [(e.k, e.cube, e.cls) for e in cls.entries] == [e[:3] for e in entries] == [(0, 0, 2)]
+    assert cls.entries.omega_corridor[0] == mass[:10].sum()
+    assert cls.violations == viol and len(viol) == (threshold > 1)
+
+
+
 def test_audit_applies_the_operator_once(monkeypatch):
     g, tau, sigma, omega, f = _spiky_case(2, 4, 3)
     calls = _Calls(monkeypatch)
@@ -1062,6 +1086,17 @@ def test_audit_runs_each_stage_once(monkeypatch):
     rep = audit_decomposition(f, sigma, omega, tau)
     assert rep.n_layers >= 3
     assert calls.count == dict.fromkeys(stages, 1)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, -2.0, math.nan])
+def test_audit_rejects_p_at_most_one(p):
+    g, tau, sigma, omega, f = _spiky_case(1, 6, 1)
+    # with layers, and with none (v has no positive value), where the principal
+    # Carleson ratio is never computed
+    for values in (f, np.zeros(g.n_leaves)):
+        with pytest.raises(ValueError, match="need p > 1"):
+            audit_decomposition(values, sigma, omega, tau, p=p)
+
 
 
 def test_report_counts_checks_and_stage_times():
