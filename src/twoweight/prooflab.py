@@ -51,6 +51,14 @@ _MP_RTOL = 1e-9
 # the per-cube formula, and that value is the one reported.
 _MARGIN = 1e-10
 
+# Cells (rows times cubes) in one block of the per-layer rows that a stage stacks
+# and scans together. Chosen by timing the audit's four per-layer stages on
+# 10-49 layer inputs: below about 8k cubes one scan of a whole block beat one
+# call per layer by up to 2x (the calls' overhead dominates there), from 16k
+# cubes on the block size made no difference beyond noise, and grids of this
+# many cubes or more take one layer per block, as many arrays as a scan per layer.
+_LAYER_CELLS = 1 << 16
+
 _NO_LEAVES = np.empty(0, dtype=np.int64)
 
 
@@ -71,36 +79,76 @@ def _largest_k_below(x: float) -> int:
     return k
 
 
-def _full_cube_mask(grid: DyadicGrid, leaf_mask: np.ndarray) -> np.ndarray:
-    """Boolean per cube: every leaf of the cube lies in ``leaf_mask``."""
-    counts = grid.subtree_sums(leaf_mask.astype(np.float64))
-    totals = grid.volumes * grid.n_leaves
-    return counts == totals
+def _blocks(grid: DyadicGrid, n_rows: int) -> list:
+    """Consecutive row ranges (lo, hi) covering ``n_rows`` rows of one value per cube,
+    ``max(1, _LAYER_CELLS // n_cubes)`` rows to a range: the blocks a stage stacks
+    and scans its per-layer rows in."""
+    step = max(1, _LAYER_CELLS // grid.n_cubes)
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _entries(groups) -> tuple:
+    """The cubes of ``groups`` (cube arrays, one per layer) as entries numbered group
+    by group: each entry's group, its cube, and where each group's entries begin
+    (one bound per group and one past the last)."""
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    return group, np.concatenate([_NO_LEAVES, *groups]), np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _layer_index(layers) -> dict:
+    """Layer k -> the position of the first layer with that k."""
+    return {lay.k: j for j, lay in reversed(list(enumerate(layers)))}
+
+
+def _omega_rows(deco: WhitneyDecomposition, ks) -> np.ndarray:
+    """Leaf masks of Omega_k = {v > base**k}, one row per k of ``ks``."""
+    thr = np.array([_power(deco.base, int(k)) for k in ks], dtype=np.float64)
+    return deco.v > thr[:, None]
+
+
+def _full_cube_mask(grid: DyadicGrid, leaf_masks: np.ndarray) -> np.ndarray:
+    """Boolean per row and cube: every leaf of the cube lies in that row of ``leaf_masks``."""
+    counts = np.zeros((len(leaf_masks), grid.n_cubes))
+    counts[:, grid.leaf_start :] = leaf_masks
+    _kernels.up_sum_batch(counts, grid, out=counts)
+    return counts == grid.volumes * grid.n_leaves
 
 
 def _maximal_mask(grid: DyadicGrid, full: np.ndarray) -> np.ndarray:
-    """Boolean per cube: in ``full`` while its parent is not."""
+    """Boolean per cube (on the last axis): in ``full`` while its parent is not."""
     keep = full.copy()
-    keep[1:] &= ~full[grid.parent[1:]]
+    keep[..., 1:] &= ~full[..., grid.parent[1:]]
     return keep
 
 
-def _counts(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
-    """How often each cube occurs in ``cubes``, as one float per cube."""
-    return np.bincount(cubes, minlength=grid.n_cubes).astype(np.float64)
+def _counts(grid: DyadicGrid, rows, cubes: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, n_cubes) floats: row i counts how often each cube occurs among the
+    ``cubes`` whose entry of ``rows`` is i."""
+    flat = np.bincount(rows * grid.n_cubes + cubes, minlength=n_rows * grid.n_cubes)
+    return flat.reshape(n_rows, grid.n_cubes).astype(np.float64)
 
 
 def _below(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
     """Per cube, how many entries of ``cubes`` contain it (itself included)."""
-    return _kernels.down_sum(_counts(grid, cubes), grid)
+    return _kernels.down_sum(_counts(grid, 0, cubes, 1)[0], grid)
 
 
-def _meeting(grid: DyadicGrid, cubes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per entry of ``targets``, how many entries of ``cubes`` meet it: those inside
-    it plus those containing it. -1, the cube above the root, meets them all."""
-    cnt = _counts(grid, cubes)
-    meet = _kernels.up_sum(cnt, grid) + _kernels.down_sum(cnt, grid) - cnt
-    return np.where(targets >= 0, meet[np.maximum(targets, 0)], len(cubes)).astype(np.int64)
+def _meeting(grid: DyadicGrid, cnt: np.ndarray) -> tuple:
+    """Per row of the counts ``cnt`` and per cube: how many counted cubes meet the
+    cube (those inside it plus those containing it), and how many contain it
+    (itself included)."""
+    below = _kernels.down_sum_batch(cnt, grid)
+    meet = _kernels.up_sum_batch(cnt, grid)
+    meet += below
+    meet -= cnt
+    return meet, below
+
+
+def _read(values: np.ndarray, rows, cubes: np.ndarray, above) -> np.ndarray:
+    """``values[rows, cubes]`` per entry, ``above`` where the cube is -1, the cube
+    above the root."""
+    return np.where(cubes >= 0, values[rows, np.maximum(cubes, 0)], above)
 
 
 def _at(values: np.ndarray, cubes: np.ndarray) -> np.ndarray:
@@ -118,20 +166,32 @@ def _handle(c: int):
     return c if c >= 0 else CubeRef(-1)
 
 
-def _leaves_under(grid: DyadicGrid, cubes: np.ndarray, leaves: np.ndarray) -> tuple:
-    """The positions of ``leaves`` inside each of ``cubes``, as one CSR pair (held, starts).
+def _leaves_under(
+    grid: DyadicGrid, cube_rows, cubes: np.ndarray, leaf_rows, leaves: np.ndarray
+) -> tuple:
+    """The positions of ``leaves`` inside each of ``cubes`` on the same row, as one CSR
+    pair (held, starts).
 
-    Cube i holds ``held[starts[i]:starts[i + 1]]``, in the order of ``leaves``. A
-    repeated cube holds its leaves again, and nested cubes each hold theirs.
+    Cube i holds the ``leaves`` whose entry of ``leaf_rows`` equals its entry of
+    ``cube_rows``, as ``held[starts[i]:starts[i + 1]]`` in the order of ``leaves``.
+    A repeated cube holds its leaves again, and nested cubes each hold theirs. The
+    leaves climb one level at a time, down to the coarsest level of any cube.
     """
-    uniq, slot = np.unique(cubes, return_inverse=True)
+    uniq, slot = np.unique(cube_rows * grid.n_cubes + cubes, return_inverse=True)
+    levels = np.zeros(grid.depth + 1, dtype=bool)
+    levels[grid.levels[uniq % grid.n_cubes]] = True
     owners, found = [_NO_LEAVES], [_NO_LEAVES]
-    for lev in np.unique(grid.levels[uniq]):
-        up = grid.ancestor(grid.leaf_start + leaves, grid.depth - int(lev))
-        pos = np.minimum(np.searchsorted(uniq, up), uniq.size - 1)
-        hit = uniq[pos] == up
-        owners.append(pos[hit])
-        found.append(leaves[hit])
+    up = grid.leaf_start + leaves
+    lowest = int(np.argmax(levels)) if uniq.size else grid.depth + 1
+    for lev in range(grid.depth, lowest - 1, -1):
+        if lev < grid.depth:
+            up = grid.parent[up]
+        if levels[lev]:
+            key = leaf_rows * grid.n_cubes + up
+            pos = np.minimum(np.searchsorted(uniq, key), uniq.size - 1)
+            hit = uniq[pos] == key
+            owners.append(pos[hit])
+            found.append(leaves[hit])
     owner = np.concatenate(owners)
     found = np.concatenate(found)[np.argsort(owner, kind="stable")]
     size = np.bincount(owner, minlength=uniq.size)
@@ -167,9 +227,9 @@ def superlevel_maximal_cubes(
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (grid.n_leaves,):
         raise ValueError(f"expected {grid.n_leaves} leaf values, got shape {v.shape}")
-    keep = _maximal_mask(grid, _full_cube_mask(grid, v > lam))
+    keep = _maximal_mask(grid, _full_cube_mask(grid, [v > lam]))[0]
     if require_double:
-        keep &= ~_full_cube_mask(grid, ~(v > 2 * lam))
+        keep &= ~_full_cube_mask(grid, [~(v > 2 * lam)])[0]
     return np.flatnonzero(keep).astype(np.int64)
 
 
@@ -249,96 +309,115 @@ def whitney_layers(grid: DyadicGrid, v, rho: int = DEFAULT_RHO) -> WhitneyDecomp
     # fewer than rho levels below one is its own, clamped, Whitney cube.
     up = grid.ancestor(np.arange(grid.n_cubes), rho)
     real = up >= 0
-    for k in range(k_lo, k_hi + 1):
-        thr = _power(BASE, k)
-        in_mask = v > thr
-        if not in_mask.any():
-            continue
-        if in_mask.all():
-            deco.layers.append(
-                WhitneyLayer(k, thr, np.array([0], dtype=np.int64), np.array([False]), True)
-            )
-            continue
+    ks = np.arange(k_lo, k_hi + 1)
+    for lo, hi in _blocks(grid, ks.size):
+        in_mask = _omega_rows(deco, ks[lo:hi])
         full = _full_cube_mask(grid, in_mask)
-        clamped = np.zeros(grid.n_cubes, dtype=bool)
-        clamped[grid.leaf_start :] = in_mask & ~(real & full[up])[grid.leaf_start :]
-        cubes = np.flatnonzero((real & _maximal_mask(grid, full)[up]) | clamped)
-        deco.layers.append(WhitneyLayer(k, thr, cubes.astype(np.int64), clamped[cubes], False))
+        clamped = np.zeros_like(full)
+        clamped[:, grid.leaf_start :] = in_mask & ~(real & full[:, up])[:, grid.leaf_start :]
+        chosen = (real & _maximal_mask(grid, full)[:, up]) | clamped
+        for k, row, picked, flags in zip(ks[lo:hi].tolist(), in_mask, chosen, clamped):
+            if not row.any():
+                continue
+            if row.all():
+                cubes, flags, saturated = np.array([0], dtype=np.int64), np.array([False]), True
+            else:
+                cubes, saturated = np.flatnonzero(picked).astype(np.int64), False
+                flags = flags[cubes]
+            deco.layers.append(WhitneyLayer(k, _power(BASE, k), cubes, flags, saturated))
 
     _audit_whitney(deco)
     return deco
 
 
 def _audit_whitney(deco: WhitneyDecomposition) -> None:
+    """The five structural audits of ``deco``'s layers, a block of layers at a time.
+
+    Each layer's findings come in the order checked: disjoint cover, margin (per
+    cube), finite overlap, crowding (per cube); the nestedness findings follow,
+    by layer pair and then cube.
+    """
     grid = deco.grid
     rho = deco.rho
-    d = grid.d
-    fo_cap = 8 * 2 ** ((rho + 1) * d)
-    crowd_cap = 2 ** (rho + 2) * 2 ** (rho * d)
+    layers = deco.layers
+    fo_cap = 8 * 2 ** ((rho + 1) * grid.d)
+    crowd_cap = 2 ** (rho + 2) * 2 ** (rho * grid.d)
 
-    for lay in deco.layers:
-        in_mask = deco.omega_mask(lay.k)
+    layer, cubes, bounds = _entries([lay.cubes for lay in layers])
+    sizes = np.diff(bounds)
+    ks = np.array([lay.k for lay in layers], dtype=np.int64)
+    free = ~np.concatenate([np.zeros(0, dtype=bool), *(lay.clamped for lay in layers)])
+    free &= ~np.array([lay.saturated for lay in layers], dtype=bool)[layer]
+    up, up2 = grid.ancestor(cubes, rho), grid.ancestor(cubes, rho + 1)
+    real = up >= 0
+    deco.checks += len(layers) + int(sizes.sum()) + 2 * int(np.count_nonzero(free))
+    found = []  # (layer, rank, entry, text), ranked in the order a layer is checked
+    for lo, hi in _blocks(grid, len(layers)):
+        e = slice(bounds[lo], bounds[hi])
+        row, n = layer[e] - lo, hi - lo
+        in_mask = _omega_rows(deco, ks[lo:hi])
         full = _full_cube_mask(grid, in_mask)
-        below = _below(grid, lay.cubes)
+        meet, below = _meeting(grid, _counts(grid, row, cubes[e], n))
 
-        # disjoint cover
-        deco.checks += 1 + len(lay.cubes) + int(in_mask.any())  # cover, crowding, overlap
-        cover = below[grid.leaf_start :]
-        if not (np.all(cover[in_mask] == 1) and np.all(cover[~in_mask] == 0)):
-            deco.violations.append(f"disjoint-cover k={lay.k}: cubes do not disjointly cover the set")
+        # disjoint cover: every leaf of the set under exactly one cube, no other leaf under any
+        for t in np.flatnonzero(~np.all(below[:, grid.leaf_start :] == in_mask, axis=1)):
+            text = f"disjoint-cover k={layers[lo + t].k}: cubes do not disjointly cover the set"
+            found.append((lo + t, 0, 0, text))
 
         # margin condition: rho-fold parent inside, (rho+1)-fold escapes
-        up = grid.ancestor(lay.cubes, rho)
-        real = up >= 0
-        if not lay.saturated:
-            deco.checks += 2 * int(np.count_nonzero(~lay.clamped))
-            up2 = grid.ancestor(lay.cubes, rho + 1)
-            outside = ~(real & full[up]) & ~lay.clamped
-            stuck = (up2 >= 0) & full[up2] & ~lay.clamped
-            for i in np.flatnonzero(outside | stuck):
-                c = int(lay.cubes[i])
-                if outside[i]:
-                    deco.violations.append(f"margin k={lay.k} cube {c}: {rho}-fold parent not inside")
-                if stuck[i]:
-                    deco.violations.append(
-                        f"margin k={lay.k} cube {c}: {rho + 1}-fold parent fails to escape"
-                    )
+        outside = free[e] & ~(real[e] & full[row, up[e]])
+        stuck = free[e] & (up2[e] >= 0) & full[row, up2[e]]
+        for i in np.flatnonzero(outside | stuck):
+            j, c = lo + row[i], int(cubes[e][i])
+            if outside[i]:
+                text = f"margin k={layers[j].k} cube {c}: {rho}-fold parent not inside"
+                found.append((j, 1, i, text))
+            if stuck[i]:
+                text = f"margin k={layers[j].k} cube {c}: {rho + 1}-fold parent fails to escape"
+                found.append((j, 1, i, text))
 
         # finite overlap of rho-fold parents on the set; a parent above the
         # root covers every leaf
-        overlap = _below(grid, up[real])[grid.leaf_start :] + np.count_nonzero(~real)
-        if in_mask.any():
-            fo = int(overlap[in_mask].max())
-            deco.fo_max = max(deco.fo_max, fo)
-            if fo > fo_cap:
-                deco.violations.append(f"finite-overlap k={lay.k}: overlap {fo} exceeds cap {fo_cap}")
+        lifted = _counts(grid, row[real[e]], up[e][real[e]], n)
+        overlap = _kernels.down_sum_batch(lifted, grid)[:, grid.leaf_start :]
+        overlap += np.bincount(row[~real[e]], minlength=n)[:, None]
+        held = in_mask.any(axis=1)
+        fo = np.where(in_mask, overlap, -1.0).max(axis=1).astype(np.int64)
+        deco.checks += int(held.sum())
+        deco.fo_max = max(deco.fo_max, int(fo[held].max(initial=0)))
+        for t in np.flatnonzero(held & (fo > fo_cap)):
+            text = f"finite-overlap k={layers[lo + t].k}: overlap {fo[t]} exceeds cap {fo_cap}"
+            found.append((lo + t, 2, 0, text))
 
         # crowding: same-layer cubes meeting each rho-fold parent
-        crowd = _meeting(grid, lay.cubes, up)
+        crowd = _read(meet, row, up[e], sizes[layer[e]]).astype(np.int64)
         deco.crowd_max = max(deco.crowd_max, int(crowd.max(initial=0)))
-        for n in crowd[crowd > crowd_cap]:
-            deco.violations.append(f"crowding k={lay.k}: {n} neighbors exceed cap {crowd_cap}")
+        for i in np.flatnonzero(crowd > crowd_cap):
+            j = lo + row[i]
+            text = f"crowding k={layers[j].k}: {crowd[i]} neighbors exceed cap {crowd_cap}"
+            found.append((j, 3, i, text))
+    deco.violations += [text for *_, text in sorted(found, key=lambda x: x[:3])]
 
-    # nestedness: strict containment only ever points from deeper layers down;
-    # layer b's count pass, read at q's parent, counts the b-cubes strictly containing q
-    layers = deco.layers
-    parents = [grid.ancestor(lay.cubes, 1) for lay in layers]
-    hits = []
-    for bi, b in enumerate(layers):
-        around = _below(grid, b.cubes)
-        for ai, a in enumerate(layers):
-            if a.k > b.k:
-                continue  # violation requires k <= l
-            deco.checks += len(a.cubes)
-            inside = (parents[ai] >= 0) & (around[parents[ai]] > 0)
-            hits += [(ai, bi, int(q)) for q in a.cubes[inside]]
-    for ai, bi, q in sorted(hits, key=lambda h: h[:2]):
-        a, b = layers[ai], layers[bi]
-        gap = grid.levels[q] - grid.levels[b.cubes]
-        for qp in b.cubes[(gap > 0) & (grid.ancestor(q, np.maximum(gap, 0)) == b.cubes)]:
-            deco.violations.append(
-                f"nestedness cube {q} in k={a.k} strictly inside cube {int(qp)} of k={b.k}"
-            )
+    # nestedness: a cube q of layer a strictly inside a cube of a layer b with
+    # b.k >= a.k. The largest k of a layer cube around each cube (one root-to-leaf
+    # maximum over every layer), read at q's parent, flags every such q; only
+    # flagged entries are paired with the cubes around them.
+    k_entry = ks[layer]
+    top = np.full(grid.n_cubes, -np.inf)
+    np.maximum.at(top, cubes, k_entry)
+    top = _kernels.down_max(top, grid)
+    parent = grid.ancestor(cubes, 1)
+    deco.checks += int(sizes @ (len(layers) - np.searchsorted(np.sort(ks), ks)))
+    pairs = []
+    for i in np.flatnonzero((parent >= 0) & (top[np.maximum(parent, 0)] >= k_entry)).tolist():
+        around = grid.ancestor(int(cubes[i]), np.arange(1, grid.levels[cubes[i]] + 1))
+        hits = np.flatnonzero(np.isin(cubes, around) & (k_entry >= k_entry[i]))
+        pairs += [(layer[i], layer[j], i, j) for j in hits.tolist()]
+    for a, b, i, j in sorted(pairs):
+        deco.violations.append(
+            f"nestedness cube {cubes[i]} in k={layers[a].k} strictly inside cube {cubes[j]} "
+            f"of k={layers[b].k}"
+        )
 
 
 @dataclass
@@ -377,20 +456,32 @@ def corridor_sets(deco: WhitneyDecomposition, m: int = DEFAULT_M) -> CorridorSet
         raise ValueError(f"m must be >= 1, got {m}")
     grid = deco.grid
     layers = deco.layers
-    held, sizes, violations = [_NO_LEAVES], [_NO_LEAVES], []
-    for lay in layers:
-        band = deco.omega_mask(lay.k + m - 1) & ~deco.omega_mask(lay.k + m)
-        seen = np.where(band, _below(grid, lay.cubes)[grid.leaf_start :], 0.0)
-        leaves, starts = _leaves_under(grid, lay.cubes, np.flatnonzero(band))
-        held.append(leaves)
-        sizes.append(np.diff(starts))
-        target = band & deco.omega_mask(lay.k)
-        if not (np.all(seen[target] == 1) and np.all(seen[~target] == 0)):
-            violations.append(f"corridor k={lay.k}: union of E_k(Q) differs from the clipped band")
-    layer = np.repeat(np.arange(len(layers)), np.array([lay.cubes.size for lay in layers], int))
-    cubes = np.concatenate([_NO_LEAVES, *(lay.cubes for lay in layers)])
-    leaves = np.concatenate(held)
-    starts = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
+    layer, cubes, _ = _entries([lay.cubes for lay in layers])
+    ks = np.array([lay.k for lay in layers], dtype=np.int64)
+    band_layer, band_leaves, n_target = [_NO_LEAVES], [_NO_LEAVES], [_NO_LEAVES]
+    for lo, hi in _blocks(grid, len(layers)):
+        band = _omega_rows(deco, ks[lo:hi] + m - 1) & ~_omega_rows(deco, ks[lo:hi] + m)
+        n_target.append(np.count_nonzero(band & _omega_rows(deco, ks[lo:hi]), axis=1))
+        rows, leaves = np.nonzero(band)
+        band_layer.append(lo + rows)
+        band_leaves.append(leaves)
+    leaves, starts = _leaves_under(
+        grid, layer, cubes, np.concatenate(band_layer), np.concatenate(band_leaves)
+    )
+    # the union is the clipped band exactly when each layer holds every band leaf
+    # in Omega_k once and no other leaf
+    keys, times = np.unique(
+        np.repeat(layer, np.diff(starts)) * grid.n_leaves + leaves, return_counts=True
+    )
+    key_layer, key_leaf = np.divmod(keys, grid.n_leaves)
+    thr = np.array([_power(deco.base, k) for k in ks.tolist()], dtype=np.float64)
+    wrong = (times != 1) | ~(deco.v[key_leaf] > thr[key_layer])
+    bad = np.bincount(key_layer[wrong], minlength=len(layers)) > 0
+    bad |= np.bincount(key_layer, minlength=len(layers)) != np.concatenate(n_target)
+    violations = [
+        f"corridor k={layers[j].k}: union of E_k(Q) differs from the clipped band"
+        for j in np.flatnonzero(bad).tolist()
+    ]
     return CorridorSets(deco, m, layer, cubes, leaves, starts, violations, len(layers))
 
 
@@ -482,32 +573,42 @@ def classify_cubes(
     cubes, starts = corridors.cube, corridors.starts
     bounds = corridors.layer_bounds()
 
-    pairing = np.empty((3, cubes.size))  # rows: alpha, beta and the scale of rounding
-    for j, lay in enumerate(deco.layers):
-        above = deco.omega_mask(lay.k + m)
-        in_corridor = np.zeros(grid.n_leaves, dtype=bool)
-        in_corridor[corridors.leaves[starts[bounds[j]] : starts[bounds[j + 1]]]] = True
-        w_k = grid.subtree_sums(np.where(in_corridor, omega.leaf_mass, 0.0))
-        # rows: f sigma off Omega_{k+m} (alpha), on it (beta), and the scale
-        fs_mass = np.stack([
-            grid.subtree_sums(np.where(above, 0.0, fs_leaf)),
-            grid.subtree_sums(np.where(above, fs_leaf, 0.0)),
-            size,
-        ])
-        below = _kernels.up_sum_batch(weight * w_k * fs_mass, grid)
-        up = grid.ancestor(lay.cubes, 1)
-        real = up >= 0
-        top = np.where(real, up, 0)
-        own = np.where(real, weight[top] * w_k[lay.cubes] * fs_mass[:, top], 0.0)
-        pairing[:, bounds[j] : bounds[j + 1]] = below[:, lay.cubes] + own
-    alpha, beta, scale = pairing
-
     n = np.diff(starts)
     owner = np.repeat(np.arange(cubes.size), n)
+    layer_k = np.array([lay.k for lay in deco.layers], dtype=np.int64)
+    up = grid.ancestor(cubes, 1)
+    real = up >= 0
+    top = np.where(real, up, 0)
+    pairing = np.empty((3, cubes.size))  # rows: alpha, beta and the scale of rounding
+    for lo, hi in _blocks(grid, len(deco.layers)):
+        e = slice(bounds[lo], bounds[hi])
+        row = corridors.layer[e] - lo
+        held = slice(starts[bounds[lo]], starts[bounds[hi]])
+        leaves = corridors.leaves[held]
+        above = _omega_rows(deco, layer_k[lo:hi] + m)
+        # per layer: omega on its corridors (w_k), f sigma off Omega_{k+m} (alpha) and on it (beta)
+        sums = np.zeros((3, hi - lo, grid.n_cubes))
+        rows = corridors.layer[owner[held]] - lo
+        sums[0, rows, grid.leaf_start + leaves] = omega.leaf_mass[leaves]
+        np.copyto(sums[1, :, grid.leaf_start :], fs_leaf, where=~above)
+        np.copyto(sums[2, :, grid.leaf_start :], fs_leaf, where=above)
+        flat = sums.reshape(-1, grid.n_cubes)
+        _kernels.up_sum_batch(flat, grid, out=flat)
+        w_k, fs_off, fs_on = sums
+        ww = weight * w_k
+        terms = np.stack([ww * fs_off, ww * fs_on, ww * size])
+        flat = terms.reshape(-1, grid.n_cubes)
+        below = _kernels.up_sum_batch(flat, grid, out=flat).reshape(terms.shape)
+        t = top[e]
+        parts = np.stack([fs_off[row, t], fs_on[row, t], size[t]])
+        own = np.where(real[e], weight[t] * w_k[row, cubes[e]] * parts, 0.0)
+        pairing[:, e] = below[:, row, cubes[e]] + own
+    alpha, beta, scale = pairing
+
     w_e = np.bincount(owner, omega.leaf_mass[corridors.leaves], minlength=cubes.size)
     w_q = omega.cube_mass[cubes]
     thr = np.array([lay.threshold for lay in deco.layers])[corridors.layer]
-    ks = np.array([lay.k for lay in deco.layers], dtype=np.int64)[corridors.layer]
+    ks = layer_k[corridors.layer]
     bound = (alpha + beta) * (1 + 1e-9)
     tight = _near(w_e, eta * w_q, n * w_e) | _near(thr * w_e, bound, scale + n * thr * w_e)
     for i in np.flatnonzero(tight).tolist():
@@ -589,87 +690,113 @@ def neighbor_sets(
     respects the crowding cap; and, when ``tau`` and ``omega`` are supplied,
     the inward localization of the corridor's omega mass is exactly constant
     on every refinement cube. The violations are the cube's entry in the
-    audit of the whole layer (``_layer_neighbors``).
+    audit of its layer (``_layer_neighbors``).
     """
     grid = deco.grid
-    lay = deco.layer(k)
+    index = _layer_index(deco.layers)
+    j = index.get(k)
     q = grid.index_of(cube)
-    if lay is None or not np.any(lay.cubes == q):
+    if j is None or not np.any(deco.layers[j].cubes == q):
         raise ValueError(f"cube {q} is not in layer k={k}")
+    lay = deco.layers[j]
     up = grid.ancestor(q, 1)
     out = NeighborSets(k, q, np.sort(lay.cubes[_meets(grid, lay.cubes, up)]), _NO_LEAVES)
-    lay_hi = deco.layer(k + m)
-    if lay_hi is not None:
-        out.refined = np.sort(lay_hi.cubes[_meets(grid, lay_hi.cubes, up)])
-    out.violations = _layer_neighbors(deco, k, m, tau, omega)[0][int(np.argmax(lay.cubes == q))]
+    if k + m in index:
+        refined = deco.layers[index[k + m]].cubes
+        out.refined = np.sort(refined[_meets(grid, refined, up)])
+    own = int(np.argmax(lay.cubes == q))
+    found = _layer_neighbors(deco, range(j, j + 1), m, tau, omega)[0]
+    out.violations = [text for i, text in found if i == own]
     return out
 
 
 def _layer_neighbors(
     deco: WhitneyDecomposition,
-    k: int,
+    js: range,
     m: int,
     tau: CubeWeights | None = None,
     omega: Measure | None = None,
-) -> tuple[list[list[str]], int, int]:
-    """The ``neighbor_sets`` audits of every cube of layer k at once.
+) -> tuple[list[tuple[int, str]], int, int]:
+    """The ``neighbor_sets`` audits of every cube of the layers ``js`` at once.
 
-    Returns each cube's violation strings (aligned with the layer's cubes), the
-    number of checks run and the number of cubes re-evaluated. Neighbor and
-    refinement counts come from count passes over the layers. A refinement
-    cube that does not lie inside the parent contains the parent's parent.
-    The localization is constant on a refinement cube R whenever the omega
-    mass of the band inside R is zero, which always holds for a refinement
-    cube inside Omega_{k+m}: every summand strictly inside R is then an exact
-    zero. Only cubes whose parent meets a refinement cube with band mass get
-    the per-cube evaluation.
+    Returns the violations as (entry, text) pairs in audit order, the entries
+    numbered layer by layer from the first layer of ``js``; the number of checks
+    run; and the number of cubes re-evaluated. Neighbor and refinement counts
+    come from count passes over blocks of layers. A refinement cube that does
+    not lie inside the parent contains the parent's parent. The localization is
+    constant on a refinement cube R whenever the omega mass of the band inside
+    R is zero, which always holds for a refinement cube inside Omega_{k+m}:
+    every summand strictly inside R is then an exact zero. Only cubes whose
+    parent meets a refinement cube with band mass get the per-cube evaluation.
     """
     grid = deco.grid
-    lay = deco.layer(k)
-    up = grid.ancestor(lay.cubes, 1)
+    index = _layer_index(deco.layers)
+    lays = [deco.layers[j] for j in js]
     crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * grid.d)
-    count = _meeting(grid, lay.cubes, up)
-    out = [
-        [f"neighbor count {n} exceeds cap {crowd_cap} at k={k}"] if n > crowd_cap else []
-        for n in count.tolist()
+    localize = tau is not None and omega is not None
+    layer, cubes, bounds = _entries([lay.cubes for lay in lays])
+    sizes = np.diff(bounds)
+    up = grid.ancestor(cubes, 1)
+
+    count = np.zeros(cubes.size, dtype=np.int64)
+    for lo, hi in _blocks(grid, len(lays)):
+        e = slice(bounds[lo], bounds[hi])
+        row = layer[e] - lo
+        meet = _meeting(grid, _counts(grid, row, cubes[e], hi - lo))[0]
+        count[e] = _read(meet, row, up[e], sizes[layer[e]])
+
+    # refinements: the cubes of layer k+m, for every layer that has one
+    grand = grid.ancestor(np.maximum(up, 0), 1)
+    refining = [j for j, lay in enumerate(lays) if lay.k + m in index]
+    refined_of = {j: deco.layers[index[lays[j].k + m]].cubes for j in refining}
+    n_refined = np.zeros(cubes.size)
+    outside = np.zeros(cubes.size, dtype=bool)
+    loaded = np.zeros(cubes.size, dtype=bool)
+    for lo, hi in _blocks(grid, len(refining)):
+        chosen, n = refining[lo:hi], hi - lo
+        e = np.concatenate([np.arange(bounds[j], bounds[j + 1]) for j in chosen])
+        row = np.repeat(np.arange(n), sizes[chosen])
+        hi_row, hi_cubes, hi_bounds = _entries([refined_of[j] for j in chosen])
+        meet, below = _meeting(grid, _counts(grid, hi_row, hi_cubes, n))
+        n_refined[e] = _read(meet, row, up[e], np.diff(hi_bounds)[row])
+        outside[e] = (up[e] >= 0) & (_read(below, row, grand[e], 0.0) > 0)
+        if localize:
+            ks = np.array([lays[j].k for j in chosen], dtype=np.int64)
+            band = _omega_rows(deco, ks + m - 1) & ~_omega_rows(deco, ks + m)
+            mass = np.zeros((n, grid.n_cubes))
+            np.copyto(mass[:, grid.leaf_start :], omega.leaf_mass, where=band)
+            heavy = _kernels.up_sum_batch(mass, grid, out=mass)[hi_row, hi_cubes] > 0
+            meet = _meeting(grid, _counts(grid, hi_row[heavy], hi_cubes[heavy], n))[0]
+            n_heavy = np.bincount(hi_row[heavy], minlength=n)
+            loaded[e] = _read(meet, row, up[e], n_heavy[row]) > 0
+    checks = int(cubes.size) + int(n_refined.sum()) * (2 if localize else 1)
+
+    found = [
+        (i, f"neighbor count {count[i]} exceeds cap {crowd_cap} at k={lays[layer[i]].k}")
+        for i in np.flatnonzero(count > crowd_cap).tolist()
     ]
-    checks = len(lay.cubes)
-    lay_hi = deco.layer(k + m)
-    if lay_hi is None:
-        return out, checks, 0
-
-    n_refined = _meeting(grid, lay_hi.cubes, up)
-    checks += int(n_refined.sum())
-    outside = (up >= 0) & (_at(_below(grid, lay_hi.cubes), grid.ancestor(np.maximum(up, 0), 1)) > 0)
-    loaded = np.zeros(len(lay.cubes), dtype=bool)
-    band = None
-    if tau is not None and omega is not None:
-        checks += int(n_refined.sum())
-        band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
-        heavy = grid.subtree_sums(np.where(band, omega.leaf_mass, 0.0))[lay_hi.cubes] > 0
-        loaded = _meeting(grid, lay_hi.cubes[heavy], up) > 0
-
     reevaluated = 0
-    for i in np.flatnonzero(outside | loaded):
-        q, u = int(lay.cubes[i]), int(up[i])
-        refined = np.sort(lay_hi.cubes[_meets(grid, lay_hi.cubes, u)])
+    for i in np.flatnonzero(outside | loaded).tolist():
+        k, q, u = lays[layer[i]].k, int(cubes[i]), int(up[i])
+        lay_hi = refined_of[layer[i]]
+        refined = np.sort(lay_hi[_meets(grid, lay_hi, u)])
         if outside[i]:
             for r in refined[grid.levels[refined] < grid.levels[u]]:
-                out[i].append(
-                    f"refinement cube {int(r)} at k+m={k + m} is not inside the parent of {q}"
-                )
+                text = f"refinement cube {int(r)} at k+m={k + m} is not inside the parent of {q}"
+                found.append((i, text))
         if loaded[i]:
             reevaluated += 1
+            band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
             e_mask = grid.subtree_leaf_mask(q) & band
             t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(u), "in")
-            held, starts = _leaves_under(grid, refined, np.arange(grid.n_leaves))
+            held, starts = _leaves_under(grid, 0, refined, 0, np.arange(grid.n_leaves))
             for j, r in enumerate(refined):
                 vals = t_in[held[starts[j] : starts[j + 1]]]
                 if vals.size and not np.all(vals == vals[0]):
-                    out[i].append(
-                        f"refinement-constant localization not constant on refinement cube {int(r)}"
-                    )
-    return out, checks, reevaluated
+                    text = "refinement-constant localization not constant on refinement cube"
+                    found.append((i, f"{text} {int(r)}"))
+    found.sort(key=lambda pair: pair[0])
+    return found, checks, reevaluated
 
 
 @dataclass
@@ -685,8 +812,8 @@ def occurrence_audit(classified: ClassifiedDecomposition) -> OccurrenceAudit:
     """How often each refinement cube is hit by class-3 pairs, against the cap.
 
     A class-3 cube Q of layer k hits every layer-(k+m) cube meeting its
-    parent, so each layer pair is one count pass over the parents. The cap is
-    64 * 2**(rho*d) * (m+2) / eta.
+    parent, so each k is one count row over the parents, scanned a block of
+    rows at a time. The cap is 64 * 2**(rho*d) * (m+2) / eta.
     """
     deco = classified.whitney
     grid = deco.grid
@@ -694,14 +821,20 @@ def occurrence_audit(classified: ClassifiedDecomposition) -> OccurrenceAudit:
     cap = 64.0 * 2 ** (deco.rho * grid.d) * (m + 2) / classified.eta
     e = classified.entries
     hit = e.cls == 3
+    index = _layer_index(deco.layers)
+    ks = np.array(sorted(k for k in set(e.k[hit].tolist()) if k + m in index), dtype=np.int64)
+    k_hit, up = e.k[hit], grid.ancestor(e.cube[hit], 1)
+    counted, row = np.isin(k_hit, ks), np.searchsorted(ks, k_hit)
     total = np.zeros(grid.n_cubes, dtype=np.int64)
-    for k in np.unique(e.k[hit]).tolist():
-        lay_hi = deco.layer(k + m)
-        if lay_hi is None:
-            continue
-        up = grid.ancestor(e.cube[hit & (e.k == k)], 1)
-        real = up[up >= 0]
-        np.add.at(total, lay_hi.cubes, _meeting(grid, real, lay_hi.cubes) + (up.size - real.size))
+    for lo, hi in _blocks(grid, ks.size):
+        n = hi - lo
+        mine = counted & (row >= lo) & (row < hi)
+        real = mine & (up >= 0)
+        meet = _meeting(grid, _counts(grid, row[real] - lo, up[real], n))[0]
+        virtual = np.bincount(row[mine & ~real] - lo, minlength=n)
+        refined = [deco.layers[index[k + m]].cubes for k in ks[lo:hi].tolist()]
+        hi_row, hi_cubes, _ = _entries(refined)
+        np.add.at(total, hi_cubes, meet[hi_row, hi_cubes].astype(np.int64) + virtual[hi_row])
     counts = {int(r): int(total[r]) for r in np.flatnonzero(total)}
     out = OccurrenceAudit(counts, cap, max(counts.values(), default=0), checks=len(counts))
     if out.max_count > cap:
@@ -748,10 +881,10 @@ def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
     fs = Measure.product(f, sigma)
     if np.any(f < 0):
         raise ValueError("principal cubes require f >= 0")
-    seed_idx = sorted({grid.index_of(s) for s in seeds})
-    skipped = [i for i in seed_idx if sigma.cube_mass[i] == 0]
-    usable = [i for i in seed_idx if sigma.cube_mass[i] > 0]
-    cubes = np.array(usable, dtype=np.int64)
+    seed_idx = _seed_indices(grid, seeds)
+    skipped = seed_idx[sigma.cube_mass[seed_idx] == 0].tolist()
+    cubes = seed_idx[sigma.cube_mass[seed_idx] > 0]
+    usable = cubes.tolist()
     averages = fs.cube_mass[cubes] / sigma.cube_mass[cubes]
     avg = dict(zip(usable, averages.tolist()))
     # the last slot is above the root, where every seed clears -inf; NaN never enters
@@ -772,6 +905,21 @@ def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
     # each member is checked against every member strictly above it
     forest.checks = len(usable) + int(_below(grid, members)[members].sum()) - len(family)
     return forest
+
+
+def _seed_indices(grid: DyadicGrid, seeds) -> np.ndarray:
+    """The distinct cube indices of ``seeds``, sorted. Int seeds are range-checked
+    in one pass; anything else goes through ``grid.index_of`` one by one. Sorting
+    and dropping repeats is many times faster here than ``np.unique``, which hashes."""
+    seeds = seeds if isinstance(seeds, np.ndarray) else list(seeds)
+    idx = np.asarray(seeds)
+    if idx.dtype.kind not in "iu" or idx.ndim != 1:
+        idx = np.array([grid.index_of(s) for s in seeds], dtype=np.int64)
+    bad = (idx < 0) | (idx >= grid.n_cubes)
+    if bad.any():
+        raise ValueError(f"cube index {int(idx[bad][0])} out of range")
+    idx = np.sort(idx.astype(np.int64))
+    return idx[np.diff(idx, prepend=-1) > 0]
 
 
 def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[str]:
@@ -1070,13 +1218,10 @@ def audit_decomposition(
     violations = list(deco.violations) + list(classified.violations)
     occurrence = occurrence_audit(classified)
     violations += occurrence.violations
-    neighbor_checks = reevaluated = 0
-    for lay in deco.layers:
-        per_cube, checks, redone = _layer_neighbors(deco, lay.k, m, tau, omega)
-        neighbor_checks += checks
-        reevaluated += redone
-        for found in per_cube:
-            violations += found
+    found, neighbor_checks, reevaluated = _layer_neighbors(
+        deco, range(len(deco.layers)), m, tau, omega
+    )
+    violations += [text for _, text in found]
     lap("neighbors")
 
     mp = max_principle_audit(corridors, f, sigma, tau)
@@ -1088,8 +1233,8 @@ def audit_decomposition(
     ]
     lap("max_principle")
 
-    seeds = np.unique(corridors.cube).tolist()
-    forest = principal_cubes(f, sigma, seeds) if seeds else None
+    seeds = corridors.cube
+    forest = principal_cubes(f, sigma, seeds) if seeds.size else None
     geo = car = 0.0
     if forest is not None:
         violations += forest.violations

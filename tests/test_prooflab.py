@@ -16,7 +16,7 @@ import pytest
 from twoweight.grid import DyadicGrid, Measure, build_grid, parent as cube_parent, weighted_avg
 from twoweight.harness import GeneratorConfig, gen_instance, instance_f
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted, maximal
-from twoweight import prooflab
+from twoweight import _kernels, prooflab
 from twoweight.prooflab import (
     DEFAULT_M,
     MaxPrincipleViolation,
@@ -819,12 +819,15 @@ def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=N
     return fresh.violations
 
 
+LAYER_INPUTS = [
+    (1, 6, 0), (1, 6, 1), (1, 7, 2), (2, 1, 8), (2, 3, 0), (2, 3, 1), (2, 4, 3), (3, 2, 0),
+    (3, 2, 4),
+]
+CORRUPTED_INPUTS = [(1, 6, 1), (2, 3, 1), (3, 2, 4)]
+
+
 @pytest.mark.parametrize("rho", [1, 2])
-@pytest.mark.parametrize(
-    "d,depth,seed",
-    [(1, 6, 0), (1, 6, 1), (1, 7, 2), (2, 1, 8), (2, 3, 0), (2, 3, 1), (2, 4, 3), (3, 2, 0),
-     (3, 2, 4)],
-)
+@pytest.mark.parametrize("d,depth,seed", LAYER_INPUTS)
 def test_layer_audits_match_oracles(d, depth, seed, rho):
     g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
     v = apply_T(tau, Measure.product(f, sigma))
@@ -875,17 +878,18 @@ def _corrupt(deco, idx, cubes):
     return WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, layers)
 
 
-@pytest.mark.parametrize("d,depth,seed", [(1, 6, 1), (2, 3, 1), (3, 2, 4)])
-def test_corrupted_layers_fire_the_same_violations(d, depth, seed):
-    g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
-    deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
+def _corrupted_cases(deco):
+    """Corrupted copies of ``deco`` (at least three layers) by name, each with the
+    kind of violation it must fire."""
+    g = deco.grid
     mid = len(deco.layers) // 2
     cubes = deco.layers[mid].cubes
     assert len(deco.layers) >= 3 and cubes.size >= 2
-    # the top layer takes in the parent of a cube two layers down
+    # the top layer takes in the parent of a cube of layer 1; with one or two
+    # layers to a block, the two layers lie in different blocks
     top = len(deco.layers) - 1
     nested = np.union1d(deco.layers[top].cubes, g.parent[deco.layers[1].cubes[:1]])
-    cases = {
+    return {
         "dropped": (_corrupt(deco, mid, np.delete(cubes, 1)), "disjoint-cover"),
         "duplicated": (_corrupt(deco, mid, np.insert(cubes, 1, cubes[1])), "disjoint-cover"),
         "parent": (
@@ -894,9 +898,97 @@ def test_corrupted_layers_fire_the_same_violations(d, depth, seed):
         ),
         "nested": (_corrupt(deco, top, nested), "nestedness"),
     }
-    for name, (bad, kind) in cases.items():
+
+
+def _assert_corruptions_fire(monkeypatch, d, depth, seed, rows=None):
+    """Each corrupted copy of the input's layers matches the oracles and fires its
+    kind of violation; with ``rows``, the stages take that many layers to a block."""
+    g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
+    deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
+    if rows is not None:
+        monkeypatch.setattr(prooflab, "_LAYER_CELLS", rows * g.n_cubes)
+    for name, (bad, kind) in _corrupted_cases(deco).items():
         viol = _assert_matches_oracles(bad, tau, omega, ms=(2,), f=f, sigma=sigma)
         assert any(s.startswith(kind) for s in viol), name
+
+
+@pytest.mark.parametrize("d,depth,seed", CORRUPTED_INPUTS)
+def test_corrupted_layers_fire_the_same_violations(monkeypatch, d, depth, seed):
+    _assert_corruptions_fire(monkeypatch, d, depth, seed)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("d,depth,seed", CORRUPTED_INPUTS)
+def test_corrupted_layers_in_small_blocks_match_oracles(monkeypatch, d, depth, seed, rows):
+    _assert_corruptions_fire(monkeypatch, d, depth, seed, rows)
+
+
+def _stage_outputs(deco, f, sigma, omega, tau, m):
+    """Everything the layer stages report on ``deco``, as comparable values."""
+    fresh = WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, deco.layers)
+    _audit_whitney(fresh)
+    cor = corridor_sets(deco, m)
+    cls = classify_cubes(cor, f, sigma, omega, tau)
+    occ = occurrence_audit(cls)
+    neighbors = prooflab._layer_neighbors(deco, range(len(deco.layers)), m, tau, omega)
+    return (
+        (fresh.violations, fresh.checks, fresh.fo_max, fresh.crowd_max),
+        (cor.layer.tolist(), cor.cube.tolist(), cor.leaves.tolist(), cor.starts.tolist()),
+        (cor.violations, cls.entries.tolist(), cls.violations, cls.checks, cls.reevaluated),
+        (occ.counts, occ.checks, neighbors),
+    )
+
+
+def _layered_outputs(g, tau, sigma, omega, f):
+    """The stage outputs of every decomposition the block tests compare: the
+    layers at rho = 1 and 2, the audit of each, and the corrupted copies."""
+    v = apply_T(tau, Measure.product(f, sigma))
+    out = []
+    for rho in (1, 2):
+        deco = whitney_layers(g, v, rho=rho)
+        rep = audit_decomposition(f, sigma, omega, tau, rho=rho).to_dict()
+        out.append([(lay.k, lay.cubes.tolist(), lay.clamped.tolist()) for lay in deco.layers])
+        out.append({k: val for k, val in rep.items() if not k.startswith("time_")})
+        decos = [deco] + [bad for bad, _ in _corrupted_cases(deco).values()]
+        out += [_stage_outputs(x, f, sigma, omega, tau, m) for x in decos for m in (2, DEFAULT_M)]
+    return out
+
+
+# (2, 1, 8) has too few layers to corrupt
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("d,depth,seed", sorted(set(LAYER_INPUTS + CORRUPTED_INPUTS) - {(2, 1, 8)}))
+def test_layer_blocks_change_no_output(monkeypatch, d, depth, seed, rows):
+    # every input fits one block by default; one or two layers to a block must
+    # give the same layers, findings, checks and counts, corrupted layers included
+    g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
+    n_layers = len(whitney_layers(g, apply_T(tau, Measure.product(f, sigma))).layers)
+    assert n_layers > rows and len(prooflab._blocks(g, n_layers)) == 1
+    whole = _layered_outputs(g, tau, sigma, omega, f)
+    monkeypatch.setattr(prooflab, "_LAYER_CELLS", rows * g.n_cubes)
+    assert len(prooflab._blocks(g, n_layers)) == -(-n_layers // rows)
+    assert _layered_outputs(g, tau, sigma, omega, f) == whole
+
+
+def test_audit_scans_do_not_grow_with_the_layers(monkeypatch):
+    # two inputs on one grid, each in one block of layers: the audit makes as
+    # many tree scans and ancestor walks on 41 layers as on 10
+    cases = [_spiky_case(1, 8, seed) for seed in (3, 2)]
+    scans = ("down_sum", "down_max", "up_sum", "down_sum_batch", "up_sum_batch")
+    calls = _Calls(monkeypatch, ())
+    for name in scans:
+        monkeypatch.setattr(_kernels, name, calls.counted(name, getattr(_kernels, name)))
+    ancestor = DyadicGrid.ancestor
+    monkeypatch.setattr(DyadicGrid, "ancestor", calls.counted("ancestor", ancestor))
+    counts = []
+    for g, tau, sigma, omega, f in cases:
+        calls.count = dict.fromkeys((*scans, "ancestor"), 0)
+        rep = audit_decomposition(f, sigma, omega, tau)
+        assert rep.clean and rep.reevaluated == 0
+        assert len(prooflab._blocks(g, rep.n_layers)) == 1
+        counts.append((rep.n_layers, calls.count))
+    (few, fewer_calls), (many, more_calls) = counts
+    assert (few, many) == (10, 41)
+    assert more_calls == fewer_calls
 
 
 def test_non_doubling_chain_fires_the_same_violations():
@@ -960,9 +1052,9 @@ class _Calls:
     def __init__(self, monkeypatch, names=("apply_T", "apply_T_restricted")):
         self.count = dict.fromkeys(names, 0)
         for name in self.count:
-            monkeypatch.setattr(prooflab, name, self._counted(name, getattr(prooflab, name)))
+            monkeypatch.setattr(prooflab, name, self.counted(name, getattr(prooflab, name)))
 
-    def _counted(self, name, fn):
+    def counted(self, name, fn):
         def wrapper(*args, **kwargs):
             self.count[name] += 1
             return fn(*args, **kwargs)
