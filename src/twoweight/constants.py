@@ -9,7 +9,8 @@ with the local constants, which the test-suite asserts as an identity.
 Every constant is a sup over all cubes R, and each is computed for all R at
 once from the tree identity T = T^in_R + T^out_R (summands inside R, and
 containing R), never by evaluating the operator once per cube. With
-c_Q = tau_Q mu(Q)/|Q| for the tested measure mu and A = down_sum(tau/|Q|):
+c_Q = tau_Q mu(Q)/|Q| for the tested measure mu and A = down_sum(tau/|Q|),
+both read from the stored coefficient tau/|Q| (``CubeWeights.coef``):
 
 * the in-parts (local constants, C1/C2, the inside of the strengthened
   constant) are sums over x in R of (sum_{x in Q <= R} c_Q)^e, gathered level
@@ -49,8 +50,8 @@ def carleson_norm(tau: CubeWeights):
     Ties break to the smallest canonical index.
     """
     grid = tau.grid
-    subtree = _kernels.up_sum(tau.tau, grid)
-    vals = subtree / grid.volumes
+    vals = _kernels.up_sum(tau.tau, grid)
+    vals /= grid.per_cube(grid.level_volumes)
     best = int(np.argmax(vals))
     return float(vals[best]), grid.cube(best)
 
@@ -83,7 +84,7 @@ def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expone
     """
     grid = tau.grid
     pc = exps.p_conj
-    contrib = tau.tau * omega.cube_mass / grid.volumes
+    contrib = tau.coef * omega.cube_mass
     power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc)
     return _sup(grid, _values(power, omega.cube_mass, pc, exps.q_conj))
 
@@ -131,7 +132,7 @@ def strengthened_local_values(tau: CubeWeights, sigma: Measure, omega: Measure, 
     w = omega.cube_mass
     shift = np.zeros(grid.n_cubes)
     shift[1:] = w[1:] * avg[grid.parent[1:]]
-    contrib = tau.tau * w / grid.volumes
+    contrib = tau.coef * w
     power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift) + w**pc * outside
     return _values(power, w, pc, exps.q_conj)
 
@@ -151,7 +152,7 @@ def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
 
 def _quadratic_sweep(tau, inner: Measure, against: Measure) -> float:
     grid = tau.grid
-    contrib = tau.tau * inner.cube_mass / grid.volumes
+    contrib = tau.coef * inner.cube_mass
     sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0)
     ok = inner.cube_mass > 0
     return math.sqrt(float(np.max(sums[ok] / inner.cube_mass[ok], initial=0.0)))
@@ -189,7 +190,7 @@ def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float):
     Q containing R (A only grows down the tree).
     """
     grid = tau.grid
-    avg = _kernels.down_sum(tau.tau / grid.volumes, grid)
+    avg = _kernels.down_sum(tau.coef, grid)
     par = grid.parent[1:]
     ring = np.zeros(grid.n_cubes)
     ring[1:] = (sigma.cube_mass[par] - sigma.cube_mass[1:]) * avg[par] ** pc

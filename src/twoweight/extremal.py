@@ -90,26 +90,28 @@ class AscentOptions:
 
 
 def _t_leafmass(
-    grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray, work: np.ndarray
+    grid: DyadicGrid, coef: np.ndarray, leafmass: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """T applied to the measure with the given (possibly signed) leaf masses.
+    """T applied to the measure with the given (possibly signed) leaf masses,
+    with ``coef`` = tau/|Q| per cube (``CubeWeights.coef``).
 
-    Both scans run in place in ``work``, a float buffer of one entry per cube
-    (``leafmass`` may be its leaf part); the result is the leaf part of
-    ``work``, valid until the buffer is used again.
+    The subtree sums, one multiply by ``coef`` and the prefix sums all run in
+    place in ``work``, a float buffer of one entry per cube (``leafmass`` may
+    be its leaf part); the result is the leaf part of ``work``, valid until
+    the buffer is used again.
     """
     grid.subtree_sums(leafmass, out=work)
-    np.multiply(tau, work, out=work)
-    np.divide(work, grid.volumes, out=work)
+    np.multiply(coef, work, out=work)
     return _kernels.down_sum(work, grid, out=work)[grid.leaf_start :]
 
 
-def _t_leafmass_batch(grid: DyadicGrid, tau: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
+def _t_leafmass_batch(grid: DyadicGrid, coef: np.ndarray, leafmass: np.ndarray) -> np.ndarray:
+    """``_t_leafmass`` of every row of ``leafmass``, in a fresh (rows, n_cubes) array."""
     rows = leafmass.shape[0]
     full = np.zeros((rows, grid.n_cubes))
     full[:, grid.leaf_start :] = leafmass
     _kernels.up_sum_batch(full, grid, out=full)
-    full *= tau / grid.volumes
+    full *= coef
     return _kernels.down_sum_batch(full, grid, out=full)[:, grid.leaf_start :]
 
 
@@ -130,11 +132,11 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
 
     def a_fwd(v, out):
         np.multiply(sq_w, v, out=leaves)
-        return np.multiply(sq_s, _t_leafmass(grid, tau.tau, leaves, work), out=out)
+        return np.multiply(sq_s, _t_leafmass(grid, tau.coef, leaves, work), out=out)
 
     def a_adj(u, out):
         np.multiply(sq_s, u, out=leaves)
-        return np.multiply(sq_w, _t_leafmass(grid, tau.tau, leaves, work), out=out)
+        return np.multiply(sq_w, _t_leafmass(grid, tau.coef, leaves, work), out=out)
 
     v = sq_w.copy()
     nv = float(np.linalg.norm(v))
@@ -159,23 +161,30 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
             break
         s_prev = s
     s = float(u @ a_fwd(v, img))
-    residual = float(np.linalg.norm(a_adj(u, img) - s * v))
+    # the exit residual and the extremals reuse the solve's leaf buffers
+    a_adj(u, img)
+    img -= np.multiply(s, v, out=leaves)
+    residual = float(np.linalg.norm(img))
     kind = "exact" if residual <= _POWER_RESIDUAL_TOL * max(s, 1e-300) else "lower-bound"
     # the iteration runs on the sigma-side/omega-side transposed matrix, so u
     # is the input singular vector: f pairs with sigma, g with omega
     return NormEstimate(
         value=s,
         kind=kind,
-        extremal_f=_safe_div(u, sq_s),
-        extremal_g=_safe_div(v, sq_w),
+        extremal_f=_divide_live(u, sq_s),
+        extremal_g=_divide_live(v, sq_w),
         iterations=iterations,
         residual=residual,
         flagged=(kind != "exact"),
     )
 
 
-def _safe_div(num, den):
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+def _divide_live(num, den):
+    """num / den where den > 0 and 0 elsewhere, computed in ``num`` and returned."""
+    live = den > 0
+    np.divide(num, den, out=num, where=live)
+    np.copyto(num, 0.0, where=~live)
+    return num
 
 
 def dense_norm_22(
@@ -192,7 +201,7 @@ def dense_norm_22(
         )
     # path[Q] = sum of tau_P/|P| over ancestors P of Q, inclusive; the kernel
     # entry at a leaf pair is path[] at their deepest common ancestor
-    path = _kernels.down_sum(tau.tau / grid.volumes, grid)
+    path = _kernels.down_sum(tau.coef, grid)
     anc = grid.leaf_ancestor_matrix()
     K = np.zeros((grid.n_leaves, grid.n_leaves))
     for lev in range(grid.depth + 1):
@@ -269,10 +278,10 @@ def strong_norm_lower(
         leaves = work[grid.leaf_start :]
 
         def image(f):
-            h = _t_leafmass(grid, tau.tau, np.multiply(f, sigma.leaf_mass, out=leaves), work)
+            h = _t_leafmass(grid, tau.coef, np.multiply(f, sigma.leaf_mass, out=leaves), work)
             weighted = h ** (p - 1.0) * omega.leaf_mass
             j = float(weighted @ h) ** (1.0 / p)
-            return j, _t_leafmass(grid, tau.tau, weighted, work)
+            return j, _t_leafmass(grid, tau.coef, weighted, work)
 
         return _power_solve(image, sigma.leaf_mass, p)
     return _strong_ascent(tau, sigma, omega, exps, opts or AscentOptions())
@@ -302,14 +311,14 @@ def _strong_ascent(
         return np.sum(h**q * w_lm, axis=1) ** (1.0 / q)
 
     f = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), s_lm, p)
-    h = _t_leafmass_batch(grid, tau.tau, f * s_lm)
+    h = _t_leafmass_batch(grid, tau.coef, f * s_lm)
     j = value(h)
     live = np.arange(len(f))
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        path = _t_leafmass_batch(grid, tau.tau, h[live] ** (q - 1.0) * w_lm)
+        path = _t_leafmass_batch(grid, tau.coef, h[live] ** (q - 1.0) * w_lm)
         cand = _project_lp_sphere(path ** (1.0 / (p - 1.0)), s_lm, p)
-        h_cand = _t_leafmass_batch(grid, tau.tau, cand * s_lm)
+        h_cand = _t_leafmass_batch(grid, tau.coef, cand * s_lm)
         j_cand = value(h_cand)
         up = j_cand > j[live]
         live = live[up]
@@ -340,7 +349,7 @@ def weak_norm_lower(
     opts = opts or AscentOptions()
     grid = tau.grid
     pool = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), sigma.leaf_mass, exps.p)
-    h = _t_leafmass_batch(grid, tau.tau, pool * sigma.leaf_mass)
+    h = _t_leafmass_batch(grid, tau.coef, pool * sigma.leaf_mass)
     best_val = 0.0
     best_row = 0
     for r in range(pool.shape[0]):

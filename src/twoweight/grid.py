@@ -70,10 +70,13 @@ class CubeRef:
 class DyadicGrid:
     """All dyadic subcubes of [0,1)^d down to depth ``depth``.
 
-    Holds four read-only arrays and nothing a query can add to: the level
-    offsets, per-cube level and volume, and the parent index of every non-root
-    cube (-1 at the root). The order of a cube's children, which pins down the
-    deterministic bottom-up summation order, is the layout's (``_layout``).
+    Holds three read-only arrays and nothing a query can add to: the level
+    offsets, the volume of each level (``level_volumes``) and the parent index
+    of every non-root cube (-1 at the root); only the parents have one entry
+    per cube. A cube's level comes from the offsets (``level_of``), and
+    ``per_cube`` expands a per-level vector to one entry per cube for the few
+    callers that need that. The order of a cube's children, which pins down
+    the deterministic bottom-up summation order, is the layout's (``_layout``).
     """
 
     def __init__(self, d: int, depth: int, max_leaves: int = DEFAULT_MAX_LEAVES):
@@ -96,18 +99,29 @@ class DyadicGrid:
         self.n_leaves = 1 << (d * depth)
         self.leaf_start = int(offsets[depth])
 
-        self.levels = np.repeat(np.arange(depth + 1, dtype=np.int64), np.diff(offsets))
         self.parent = np.full(self.n_cubes, -1, dtype=np.int64)
         for lev in range(1, depth + 1):
             lo, hi = int(offsets[lev]), int(offsets[lev + 1])
             up = [c >> 1 for c in _layout.decode(lev, np.arange(hi - lo, dtype=np.int64), d)]
             self.parent[lo:hi] = offsets[lev - 1] + _layout.encode(lev - 1, up)
-        self.volumes = np.power(2.0, -float(d) * self.levels)
+        self.level_volumes = np.power(2.0, -float(d) * np.arange(depth + 1))
         self.leaf_volume = 2.0 ** (-d * depth)
-        for arr in (offsets, self.levels, self.parent, self.volumes):
+        for arr in (offsets, self.parent, self.level_volumes):
             arr.flags.writeable = False
 
     # -- index arithmetic ---------------------------------------------------
+
+    def level_of(self, index):
+        """The level of a cube index; an int gives an int, an int array an array.
+        Indices are not range-checked."""
+        if isinstance(index, (int, np.integer)):
+            # level l starts at index (2**(d*l) - 1) / (2**d - 1)
+            return (((self.arity - 1) * int(index) + 1).bit_length() - 1) // self.d
+        return np.searchsorted(self.level_offsets, index, side="right") - 1
+
+    def per_cube(self, level_values) -> np.ndarray:
+        """A vector of one value per level (root first) as one value per cube."""
+        return np.repeat(level_values, self.level_offsets[1:] - self.level_offsets[:-1])
 
     def index_of(self, cube) -> int:
         """Canonical linear index of a real cube (CubeRef or already an int)."""
@@ -129,7 +143,7 @@ class DyadicGrid:
 
     def cube(self, index: int) -> CubeRef:
         index = self.index_of(index)
-        lev = int(self.levels[index])
+        lev = self.level_of(index)
         within = index - int(self.level_offsets[lev])
         return CubeRef(lev, tuple(_layout.decode(lev, within, self.d)))
 
@@ -140,7 +154,7 @@ class DyadicGrid:
     def children_indices(self, index: int) -> np.ndarray:
         """The children of a cube, in canonical child order (none for a leaf)."""
         index = self.index_of(index)
-        lev = int(self.levels[index])
+        lev = self.level_of(index)
         if lev >= self.depth:
             return np.empty(0, dtype=np.int64)
         within = index - int(self.level_offsets[lev])
@@ -164,7 +178,7 @@ class DyadicGrid:
     def ancestor_indices(self, index: int, include_self: bool = True) -> list:
         """Chain from the cube up to the root, deepest first, as a list of ints."""
         i = self.index_of(index)
-        steps = np.arange(0 if include_self else 1, self.levels[i] + 1)
+        steps = np.arange(0 if include_self else 1, self.level_of(i) + 1)
         return self.ancestor(i, steps).tolist()
 
     def subtree_cube_mask(self, index: int) -> np.ndarray:
@@ -235,11 +249,12 @@ class Measure:
 
     Per-cube masses are accumulated bottom-up with a fixed pairwise child-sum
     order, so ``mass(Q) == sum(mass(child) for child in Q)`` holds exactly in
-    floating point.
+    floating point. The measure holds one array, ``cube_mass``; ``leaf_mass``
+    is a view of its leaf part, which the accumulation copies unchanged.
     """
 
     def __init__(self, grid: DyadicGrid, leaf_mass, *, is_weight: bool = True):
-        leaf_mass = np.array(leaf_mass, dtype=np.float64, copy=True)
+        leaf_mass = np.asarray(leaf_mass, dtype=np.float64)
         if leaf_mass.shape != (grid.n_leaves,):
             raise ValueError(
                 f"expected {grid.n_leaves} leaf masses, got shape {leaf_mass.shape}"
@@ -249,11 +264,10 @@ class Measure:
         if is_weight and np.any(leaf_mass < 0):
             raise ValueError("weights require nonnegative leaf masses")
         self.grid = grid
-        self.leaf_mass = leaf_mass
         self.is_weight = is_weight
         self.cube_mass = grid.subtree_sums(leaf_mass)
-        self.leaf_mass.flags.writeable = False
         self.cube_mass.flags.writeable = False
+        self.leaf_mass = self.cube_mass[grid.leaf_start :]
 
     @classmethod
     def lebesgue(cls, grid: DyadicGrid) -> "Measure":
@@ -298,8 +312,9 @@ def measure_avg(nu: Measure, cube) -> float:
     """E_Q nu = nu(Q)/|Q|; virtual cubes give 0 by the zero-outside-root convention."""
     if isinstance(cube, CubeRef) and cube.is_virtual:
         return 0.0
-    i = nu.grid.index_of(cube)
-    return float(nu.cube_mass[i] / nu.grid.volumes[i])
+    grid = nu.grid
+    i = grid.index_of(cube)
+    return float(nu.cube_mass[i] / grid.level_volumes[grid.level_of(i)])
 
 
 def weighted_avg(f: GridFunction, mu: Measure, cube) -> float:
@@ -325,7 +340,7 @@ def lp_norm(f: GridFunction, mu: Measure, p: float) -> float:
 
 def cube_averages(nu: Measure) -> np.ndarray:
     """E_Q nu for every cube at once."""
-    return nu.cube_mass / nu.grid.volumes
+    return nu.cube_mass / nu.grid.per_cube(nu.grid.level_volumes)
 
 
 def cube_integrals(f: GridFunction, mu: Measure) -> np.ndarray:

@@ -178,18 +178,17 @@ def json_numbers(value, name: str) -> np.ndarray:
 
 
 def _draw_masses(rng: np.random.Generator, style: str, grid: DyadicGrid, allow_zero: bool) -> np.ndarray:
-    vol = grid.volumes[grid.leaf_start :]
+    vol = grid.leaf_volume
     n = grid.n_leaves
     if style == "lognormal":
         return rng.lognormal(0.0, 1.0, n) * vol
     if style == "uniform":
         return rng.uniform(0.1, 2.0, n) * vol
     # spikes: a few heavy leaves over a (possibly zero) floor
-    floor = np.zeros(n) if allow_zero else 1e-8 * vol
+    mass = np.zeros(n) if allow_zero else np.full(n, 1e-8 * vol)
     k = max(1, n // 8)
     hot = rng.choice(n, size=k, replace=False)
-    mass = floor.copy()
-    mass[hot] += rng.lognormal(1.0, 1.0, k) * vol[hot] * n / k
+    mass[hot] += rng.lognormal(1.0, 1.0, k) * vol * n / k
     return mass
 
 

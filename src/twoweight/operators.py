@@ -27,7 +27,12 @@ class SelectionError(ValueError):
 
 
 class CubeWeights:
-    """Nonnegative weight tau_Q per real cube, with a tag recording its rule."""
+    """Nonnegative weight tau_Q per real cube, with a tag recording its rule.
+
+    Also holds ``coef`` = tau_Q/|Q|, the coefficient every application of the
+    operator reads. Volumes are powers of two, so tau_Q * mu(Q) / |Q| and
+    coef_Q * mu(Q) round alike unless tau_Q * mu(Q) is subnormal.
+    """
 
     def __init__(self, grid: DyadicGrid, tau, rule: str = "explicit"):
         tau = np.array(tau, dtype=np.float64, copy=True)
@@ -38,7 +43,9 @@ class CubeWeights:
         self.grid = grid
         self.tau = tau
         self.rule = rule
+        self.coef = tau / grid.per_cube(grid.level_volumes)
         self.tau.flags.writeable = False
+        self.coef.flags.writeable = False
 
     @classmethod
     def explicit(cls, grid: DyadicGrid, tau) -> "CubeWeights":
@@ -49,7 +56,8 @@ class CubeWeights:
         """tau_Q = |Q|**(alpha/d), accepted for 0 < alpha < d."""
         if not 0.0 < alpha < grid.d:
             raise ValueError(f"fractional order must satisfy 0 < alpha < d, got {alpha}")
-        tau = grid.volumes ** (alpha / grid.d)
+        # numpy's vectorized power on the per-level volumes, as on one per cube
+        tau = grid.per_cube(grid.level_volumes ** (alpha / grid.d))
         return cls(grid, tau, rule=f"fractional(alpha={alpha!r})")
 
     @classmethod
@@ -105,8 +113,8 @@ def apply_T(tau: CubeWeights, nu: Measure) -> GridFunction:
     grid = tau.grid
     if nu.grid is not grid:
         raise ValueError("weights and measure live on different grids")
-    contrib = tau.tau * nu.cube_mass / grid.volumes
-    path = _kernels.down_sum(contrib, grid)
+    contrib = tau.coef * nu.cube_mass
+    path = _kernels.down_sum(contrib, grid, out=contrib)
     return path[grid.leaf_start :].copy()
 
 
@@ -119,7 +127,7 @@ def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunct
     grid = tau.grid
     if mode not in ("in", "out"):
         raise ValueError(f"mode must be 'in' or 'out', got {mode!r}")
-    contrib = tau.tau * nu.cube_mass / grid.volumes
+    contrib = tau.coef * nu.cube_mass
     if isinstance(R, CubeRef) and R.is_virtual:
         if mode == "out":
             return np.zeros(grid.n_leaves)
@@ -130,9 +138,9 @@ def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunct
             masked = np.where(grid.subtree_cube_mask(i), contrib, 0.0)
         else:
             masked = np.zeros(grid.n_cubes)
-            chain = grid.ancestor(i, np.arange(grid.levels[i] + 1))
+            chain = grid.ancestor(i, np.arange(grid.level_of(i) + 1))
             masked[chain] = contrib[chain]
-    path = _kernels.down_sum(masked, grid)
+    path = _kernels.down_sum(masked, grid, out=masked)
     return path[grid.leaf_start :].copy()
 
 
@@ -143,7 +151,7 @@ def bilinear_form(
     grid = tau.grid
     mf = cube_integrals(_leaf_function(grid, f), sigma)
     mg = cube_integrals(_leaf_function(grid, g), omega)
-    return float(np.sum(tau.tau * mf * mg / grid.volumes))
+    return float(np.sum(tau.coef * mf * mg))
 
 
 def maximal(f: GridFunction, mu: Measure) -> GridFunction:

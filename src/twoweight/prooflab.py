@@ -112,7 +112,7 @@ def _full_cube_mask(grid: DyadicGrid, leaf_masks: np.ndarray) -> np.ndarray:
     counts = np.zeros((len(leaf_masks), grid.n_cubes))
     counts[:, grid.leaf_start :] = leaf_masks
     _kernels.up_sum_batch(counts, grid, out=counts)
-    return counts == grid.volumes * grid.n_leaves
+    return counts == grid.per_cube(grid.level_volumes * grid.n_leaves)
 
 
 def _maximal_mask(grid: DyadicGrid, full: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def _leaves_under(
     """
     uniq, slot = np.unique(cube_rows * grid.n_cubes + cubes, return_inverse=True)
     levels = np.zeros(grid.depth + 1, dtype=bool)
-    levels[grid.levels[uniq % grid.n_cubes]] = True
+    levels[grid.level_of(uniq % grid.n_cubes)] = True
     owners, found = [_NO_LEAVES], [_NO_LEAVES]
     up = grid.leaf_start + leaves
     lowest = int(np.argmax(levels)) if uniq.size else grid.depth + 1
@@ -202,7 +202,7 @@ def _leaves_under(
 
 def _cube_json(grid: DyadicGrid, c: int, extra: dict) -> dict:
     """Cube ``c`` as the JSON payloads list it, with the fields of ``extra``."""
-    return {"index": c, "level": int(grid.levels[c]), "coords": list(grid.cube(c).coords), **extra}
+    return {"index": c, "level": grid.level_of(c), "coords": list(grid.cube(c).coords), **extra}
 
 
 def _meets(grid: DyadicGrid, cubes: np.ndarray, u: int) -> np.ndarray:
@@ -212,7 +212,7 @@ def _meets(grid: DyadicGrid, cubes: np.ndarray, u: int) -> np.ndarray:
     """
     if u < 0:
         return np.ones(len(cubes), dtype=bool)
-    gap = grid.levels[cubes] - grid.levels[u]
+    gap = grid.level_of(cubes) - grid.level_of(u)
     return grid.ancestor(cubes, np.maximum(gap, 0)) == grid.ancestor(u, np.maximum(-gap, 0))
 
 
@@ -410,7 +410,7 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
     deco.checks += int(sizes @ (len(layers) - np.searchsorted(np.sort(ks), ks)))
     pairs = []
     for i in np.flatnonzero((parent >= 0) & (top[np.maximum(parent, 0)] >= k_entry)).tolist():
-        around = grid.ancestor(int(cubes[i]), np.arange(1, grid.levels[cubes[i]] + 1))
+        around = grid.ancestor(int(cubes[i]), np.arange(1, grid.level_of(cubes[i]) + 1))
         hits = np.flatnonzero(np.isin(cubes, around) & (k_entry >= k_entry[i]))
         pairs += [(layer[i], layer[j], i, j) for j in hits.tolist()]
     for a, b, i, j in sorted(pairs):
@@ -569,7 +569,7 @@ def classify_cubes(
     f = np.asarray(f, dtype=np.float64)
     fs_leaf = Measure.product(f, sigma).leaf_mass
     size = grid.subtree_sums(np.abs(fs_leaf))  # |f sigma|, the scale of rounding
-    weight = tau.tau / grid.volumes
+    weight = tau.coef
     cubes, starts = corridors.cube, corridors.starts
     bounds = corridors.layer_bounds()
 
@@ -781,7 +781,7 @@ def _layer_neighbors(
         lay_hi = refined_of[layer[i]]
         refined = np.sort(lay_hi[_meets(grid, lay_hi, u)])
         if outside[i]:
-            for r in refined[grid.levels[refined] < grid.levels[u]]:
+            for r in refined[grid.level_of(refined) < grid.level_of(u)]:
                 text = f"refinement cube {int(r)} at k+m={k + m} is not inside the parent of {q}"
                 found.append((i, text))
         if loaded[i]:
@@ -928,6 +928,7 @@ def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[
     A member doubles every member above it exactly when twice their largest
     average (one ``down_max``, read at its parent) lies below its own. Members
     failing this screen are paired with their ancestors, ancestor first by level.
+    The family is ordered by level (stably), and pairs are listed in that order.
     """
     out = []
     for i in usable:
@@ -938,17 +939,19 @@ def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[
             out.append(
                 f"principal-domination seed {i}: average {avg[i]!r} exceeds twice that of {g}"
             )
-    fam = sorted(family, key=lambda i: int(grid.levels[i]))
-    rank = {c: r for r, c in enumerate(fam)}
+    fam = np.asarray(family, dtype=np.int64)
+    fam = fam[np.argsort(grid.level_of(fam), kind="stable")]
+    rank = np.full(grid.n_cubes, -1, dtype=np.int64)
+    rank[fam] = np.arange(fam.size)
     placed = np.full(grid.n_cubes, -np.inf)
-    placed[fam] = [avg[c] for c in fam]
+    placed[fam] = [avg[c] for c in fam.tolist()]
     top = np.append(_kernels.down_max(placed, grid), -np.inf)
     fails = ~(2.0 * top[grid.parent[fam]] < placed[fam])  # top[-1] is above the root
     pairs = [
-        (rank[gi], rank[gj])
-        for gj in np.array(fam, dtype=np.int64)[fails].tolist()
-        for gi in grid.ancestor(gj, np.arange(1, grid.levels[gj] + 1)).tolist()
-        if gi in rank and not (2.0 * avg[gi] < avg[gj])
+        (int(rank[gi]), int(rank[gj]))
+        for gj in fam[fails].tolist()
+        for gi in grid.ancestor(gj, np.arange(1, grid.level_of(gj) + 1)).tolist()
+        if rank[gi] >= 0 and not (2.0 * avg[gi] < avg[gj])
     ]
     for i, j in sorted(pairs):
         out.append(f"principal-doubling chain {fam[j]} inside {fam[i]}: averages fail to double")
@@ -1001,10 +1004,10 @@ def halving_chain(omega: Measure, x, q0) -> list[int]:
     """
     grid = omega.grid
     xi = grid.index_of(x)
-    if int(grid.levels[xi]) != grid.depth:
+    if grid.level_of(xi) != grid.depth:
         raise ValueError("x must be a leaf cube")
     q0i = grid.index_of(q0)
-    height = grid.depth - int(grid.levels[q0i])
+    height = grid.depth - grid.level_of(q0i)
     if grid.ancestor(xi, height) != q0i:
         raise ValueError("x does not lie in the starting cube")
     if omega.cube_mass[q0i] == 0:
@@ -1058,12 +1061,12 @@ def max_principle_audit(
     def path(values):
         return _kernels.down_sum(values, grid)
 
-    reach = path(tau.tau / grid.volumes)
+    reach = path(tau.coef)
     local = fs.cube_mass * reach
     far = path(_sibling_mass(grid, fs.cube_mass) * _at(reach, grid.parent))
     far_scale = path(_sibling_mass(grid, size) * _at(reach, grid.parent))
-    inner = path(tau.tau * fs.cube_mass / grid.volumes)
-    inner_scale = path(tau.tau * size / grid.volumes)[grid.leaf_start :]
+    inner = path(tau.coef * fs.cube_mass)
+    inner_scale = path(tau.coef * size)[grid.leaf_start :]
 
     cubes, leaves = corridors.cube, corridors.leaves
     thr = np.array([lay.threshold for lay in deco.layers])[corridors.layer]
@@ -1080,7 +1083,8 @@ def max_principle_audit(
     shaky = (t_in < lo[owner]) | _near(t_in, lo[owner], inner_scale[leaves])
     redo_in = np.zeros(cubes.size, dtype=bool)
     redo_in[owner[shaky]] = True
-    checks = 2 * int(np.rint(grid.n_leaves * grid.volumes[cubes]).sum()) + leaves.size
+    volumes = grid.level_volumes[grid.level_of(cubes)]
+    checks = 2 * int(np.rint(grid.n_leaves * volumes).sum()) + leaves.size
 
     violations: list[MaxPrincipleViolation] = []
     reevaluated = 0
@@ -1124,11 +1128,21 @@ def _sibling_mass(grid: DyadicGrid, mass: np.ndarray) -> np.ndarray:
     beside a heavy cube keeps its relative accuracy.
     """
     out = np.zeros(grid.n_cubes)
+    arity = grid.arity
+    # per child slot, the other slots in canonical order
+    others = np.array([[s for s in range(arity) if s != j] for j in range(arity)])
+    step = max(1, _LAYER_CELLS // (arity * arity))  # parents per gather, to bound its size
     for lev in range(1, grid.depth + 1):
-        # one row of the last axis per parent, its children in canonical order
-        vals = np.stack(_layout.child_slots(mass, grid.level_offsets, lev, grid.d), axis=-1)
+        # one row per parent, its children in canonical order
+        kids = np.stack(_layout.child_slots(mass, grid.level_offsets, lev, grid.d), axis=-1)
+        rows = kids.reshape(-1, arity)
+        sums = np.empty_like(rows)
+        for lo in range(0, len(rows), step):
+            # take keeps each gathered row contiguous, so it sums in numpy's pairwise order
+            sums[lo : lo + step] = np.take(rows[lo : lo + step], others, axis=1).sum(axis=-1)
+        sums = sums.reshape(kids.shape)
         for j, slot in enumerate(_layout.child_slots(out, grid.level_offsets, lev, grid.d)):
-            slot[...] = np.delete(vals, j, axis=-1).sum(axis=-1)
+            slot[...] = sums[..., j]
     return out
 
 

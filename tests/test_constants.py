@@ -22,6 +22,8 @@ from twoweight.constants import testing_constants_22 as quadratic_constants_22
 from twoweight.grid import Exponents, Measure, build_grid, lp_norm
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
+from test_operators import _volumes
+
 
 def _random_instance(d, depth, seed):
     g = build_grid(d, depth)
@@ -40,7 +42,7 @@ def test_carleson_norm_of_volume_weights():
     # sup is depth+1, attained at the root
     for d, depth in [(1, 2), (1, 5), (2, 3)]:
         g = build_grid(d, depth)
-        tau = CubeWeights(g, g.volumes)
+        tau = CubeWeights(g, _volumes(g))
         val, argmax = carleson_norm(tau)
         assert val == pytest.approx(depth + 1.0, rel=1e-14)
         assert argmax == g.root

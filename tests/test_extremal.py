@@ -30,6 +30,8 @@ from twoweight.grid import Exponents, GridSizeError, Measure, build_grid, lp_nor
 from twoweight.harness import GeneratorConfig, gen_instance
 from twoweight.operators import CubeWeights, apply_T, bilinear_form
 
+from test_operators import _volumes
+
 
 def _random_instance(d, depth, seed, tau_style="random"):
     g = build_grid(d, depth)
@@ -219,7 +221,7 @@ def test_embedding_frozen_volume_weights():
     # tau_Q = |Q| on the depth-2 interval grid: the embedding constant equals
     # (depth+1)^(1/p), attained by the constant function
     g = build_grid(1, 2)
-    tau = CubeWeights(g, g.volumes)
+    tau = CubeWeights(g, _volumes(g))
     for p in (1.5, 2.0, 3.0):
         est = carleson_embedding_constant(tau, p)
         assert est.value == pytest.approx(3.0 ** (1.0 / p), rel=1e-9)
@@ -881,8 +883,13 @@ def test_embedding_memory_linear_in_cubes():
 
 
 def _t_leafmass_alloc(grid, tau, leafmass):
-    contrib = tau * grid.subtree_sums(leafmass) / grid.volumes
+    """T by the textbook formula tau_Q * mu(Q) / |Q| with fresh arrays."""
+    contrib = tau * grid.subtree_sums(leafmass) / _volumes(grid)
     return _kernels.down_sum(contrib, grid)[grid.leaf_start :]
+
+
+def _safe_div(num, den):
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
 
 
 def _exact_norm_22_alloc(tau, sigma, omega):
@@ -905,7 +912,7 @@ def _exact_norm_22_alloc(tau, sigma, omega):
     av = sq_s * _t_leafmass_alloc(grid, tau.tau, sq_w * v)
     s = float(u @ av)
     residual = float(np.linalg.norm(sq_w * _t_leafmass_alloc(grid, tau.tau, sq_s * u) - s * v))
-    return s, iterations, residual, extremal._safe_div(u, sq_s), extremal._safe_div(v, sq_w)
+    return s, iterations, residual, _safe_div(u, sq_s), _safe_div(v, sq_w)
 
 
 def _strong_image_alloc(tau, sigma, omega, p):

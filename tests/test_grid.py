@@ -23,6 +23,7 @@ from twoweight.grid import (
     parent,
     weighted_avg,
 )
+from twoweight.operators import CubeWeights
 
 
 # -- indexing -----------------------------------------------------------------
@@ -43,6 +44,43 @@ def test_level_offsets_are_geometric():
     g = build_grid(2, 3)
     assert list(g.level_offsets) == [0, 1, 5, 21, 85]
     assert g.n_leaves == 64 and g.leaf_start == 21
+
+
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 5), (2, 3), (3, 2), (4, 2)])
+def test_level_of_and_per_cube_match_the_level_blocks(d, depth):
+    g = build_grid(d, depth)
+    levels = np.repeat(np.arange(depth + 1), np.diff(g.level_offsets))
+    cubes = np.arange(g.n_cubes)
+    assert np.array_equal(g.level_of(cubes), levels)
+    assert [g.level_of(i) for i in range(g.n_cubes)] == levels.tolist()
+    assert all(type(g.level_of(i)) is int for i in (0, g.n_cubes - 1, np.int64(1)))
+    assert np.array_equal(g.level_of(cubes.reshape(-1, 1)), levels.reshape(-1, 1))
+    assert np.array_equal(g.level_volumes, [2.0 ** (-d * lev) for lev in range(depth + 1)])
+    assert np.array_equal(g.per_cube(g.level_volumes), np.power(2.0, -float(d) * levels))
+    assert g.leaf_volume == g.level_volumes[-1]
+
+
+def _bytes_per_cube(obj, n_cubes):
+    """Bytes of the arrays an object holds, per cube. A held view adds nothing,
+    and must look into an array the object holds itself."""
+    held = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    own = [a for a in held if a.base is None]
+    assert all(any(a.base is b for b in own) for a in held if a.base is not None)
+    return sum(a.nbytes for a in own) / n_cubes
+
+
+@pytest.mark.parametrize("d,depth", [(1, 16), (2, 8)])
+def test_bytes_held_per_cube(d, depth):
+    # one int64 parent link per cube, plus O(depth) per-level numbers; one mass
+    # array per measure; tau and tau/|Q| per set of cube weights
+    g = DyadicGrid(d, depth)
+    assert _bytes_per_cube(g, g.n_cubes) <= 8 + 16 * (depth + 2) / g.n_cubes
+    rng = np.random.default_rng(0)
+    mu = Measure(g, rng.exponential(size=g.n_leaves))
+    assert _bytes_per_cube(mu, g.n_cubes) <= 8
+    assert np.shares_memory(mu.leaf_mass, mu.cube_mass) and not mu.leaf_mass.flags.writeable
+    tau = CubeWeights(g, rng.uniform(size=g.n_cubes))
+    assert _bytes_per_cube(tau, g.n_cubes) <= 16
 
 
 def test_index_roundtrip():
@@ -158,7 +196,7 @@ def test_queries_leave_the_grid_unchanged(d, depth):
     g.subtree_sums(np.ones(g.n_leaves))
     assert vars(g).keys() == before.keys()
     arrays = {k for k, v in vars(g).items() if isinstance(v, np.ndarray)}
-    assert arrays == {"level_offsets", "levels", "parent", "volumes"}
+    assert arrays == {"level_offsets", "level_volumes", "parent"}
     for k, (obj, value) in before.items():
         assert vars(g)[k] is obj
         if k in arrays:
@@ -226,6 +264,17 @@ def test_mass_additivity_is_exact():
         kids = g.children_indices(i)
         # bit-exact because cube masses accumulate children in a fixed order
         assert mu.cube_mass[i] == mu.cube_mass[kids[0]] + mu.cube_mass[kids[1]]
+
+
+def test_measure_leaf_mass_is_the_leaf_part_of_its_cube_masses():
+    g = build_grid(2, 3)
+    leaf = np.random.default_rng(4).exponential(size=g.n_leaves)
+    mu = Measure(g, leaf)
+    expect = leaf.copy()
+    leaf[:] = 0.0  # the measure keeps no reference to its input
+    assert np.array_equal(mu.leaf_mass, expect)
+    assert mu.leaf_mass.base is mu.cube_mass
+    assert np.array_equal(mu.cube_mass[g.leaf_start :], expect)
 
 
 def test_weight_rejects_negative_mass():
@@ -301,7 +350,7 @@ def test_subtree_sums_is_the_one_leaf_to_cube_sum(d, depth):
     full[g.leaf_start :] = mass
     assert np.array_equal(sums, _kernels.up_sum(full, g))
     for i in range(g.n_cubes):  # brute force: the leaves under each cube
-        under = g.ancestor(np.arange(g.leaf_start, g.n_cubes), depth - int(g.levels[i])) == i
+        under = g.ancestor(np.arange(g.leaf_start, g.n_cubes), depth - g.cube(i).level) == i
         assert sums[i] == pytest.approx(mass[under].sum(), rel=1e-13)
 
 

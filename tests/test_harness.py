@@ -21,7 +21,7 @@ from twoweight.extremal import (
     exact_norm_22,
     strong_norm_lower,
 )
-from twoweight.grid import Measure
+from twoweight.grid import Measure, build_grid
 from twoweight.harness import (
     ConfigError,
     GeneratorConfig,
@@ -32,8 +32,11 @@ from twoweight.harness import (
     rows_digest,
     run_suite,
 )
-from twoweight.operators import apply_T
+from twoweight.operators import CubeWeights, apply_T
 from twoweight.prooflab import WhitneyDecomposition, WhitneyLayer, audit_decomposition
+
+from test_acceptance import SUITE_GENERATORS
+from test_operators import _volumes
 
 FAST_ASCENT = AscentOptions(restarts=4, max_iter=60, seed=0)
 
@@ -113,6 +116,28 @@ def test_fractional_rule_deserialization():
     data["tau"] = {"rule": "fractional", "alpha": 0.5}
     rebuilt = Instance.from_json_dict(data)
     np.testing.assert_allclose(rebuilt.tau.tau, inst.tau.tau, rtol=1e-15)
+
+
+def test_tau_and_stored_coefficient_match_the_per_cube_volume_formulas():
+    # the per-level vector expanded per cube rounds as the old per-cube arrays:
+    # tau = |Q|**(alpha/d) by numpy's vectorized power, and tau/|Q|
+    def same(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    for cfg in SUITE_GENERATORS:
+        for seed in range(5):
+            tau = gen_instance(cfg, seed).tau
+            assert same(tau.coef, tau.tau / _volumes(tau.grid)), (cfg.tag(), seed)
+    for d, depths in ((1, range(15)), (2, range(11)), (3, range(7)), (4, range(5))):
+        for depth in depths:
+            g = build_grid(d, depth)
+            vol = _volumes(g)
+            for alpha in (0.3, 0.5, 0.7, 1.0):
+                if alpha >= d:
+                    continue
+                tau = CubeWeights.fractional(g, alpha)
+                assert same(tau.tau, vol ** (alpha / d)), (d, depth, alpha)
+                assert same(tau.coef, tau.tau / vol), (d, depth, alpha)
 
 
 def test_unrecognized_tau_payload():

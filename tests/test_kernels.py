@@ -155,7 +155,7 @@ def test_layout_child_order_matches_argsort(d, depth):
     grid = build_grid(d, depth)
     oracle = _argsort_child_order(grid)
     for i in range(grid.leaf_start):  # a parent's children are its group of the next level
-        lev = int(grid.levels[i])
+        lev = grid.cube(i).level
         start = grid.level_offsets[lev + 1] + (i - grid.level_offsets[lev]) * grid.arity
         kids = grid.children_indices(i)
         assert np.array_equal(kids, oracle[start : start + grid.arity])

@@ -19,6 +19,12 @@ from twoweight.operators import (
 )
 
 
+def _volumes(g):
+    """|Q| per cube, from each cube's level."""
+    levels = np.repeat(np.arange(g.depth + 1), np.diff(g.level_offsets))
+    return np.power(2.0, -float(g.d) * levels)
+
+
 def _instance(d, depth, seed, tau_style="random"):
     g = build_grid(d, depth)
     rng = np.random.default_rng(seed)
@@ -36,12 +42,13 @@ def _instance(d, depth, seed, tau_style="random"):
 def _apply_T_brute(tau, nu):
     """Oracle for apply_T: an explicit ancestor walk from every leaf to the root."""
     grid = tau.grid
+    volumes = _volumes(grid)
     out = np.zeros(grid.n_leaves)
     for leaf_pos in range(grid.n_leaves):
         i = grid.leaf_start + leaf_pos
         acc = 0.0
         while i >= 0:
-            acc += tau.tau[i] * nu.cube_mass[i] / grid.volumes[i]
+            acc += tau.tau[i] * nu.cube_mass[i] / volumes[i]
             i = int(grid.parent[i])
         out[leaf_pos] = acc
     return out
@@ -134,7 +141,7 @@ def test_out_localization_at_leaf_is_ancestor_sum():
     out = apply_T_restricted(tau, sigma, leaf, "out")
     pos = leaf - g.leaf_start
     expected = sum(
-        tau.tau[j] * sigma.cube_mass[j] / g.volumes[j] for j in g.ancestor_indices(leaf)
+        tau.tau[j] * sigma.cube_mass[j] / _volumes(g)[j] for j in g.ancestor_indices(leaf)
     )
     assert out[pos] == pytest.approx(expected, rel=1e-13)
     # other leaves only see the strict ancestors they share

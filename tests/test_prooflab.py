@@ -532,9 +532,9 @@ def _audit_whitney_oracle(deco):
             if a.k > b.k:
                 continue
             for q in a.cubes:
-                lev_q = int(g.levels[q])
+                lev_q = g.cube(int(q)).level
                 for qp in b.cubes:
-                    lev_p = int(g.levels[qp])
+                    lev_p = g.cube(int(qp)).level
                     if lev_q > lev_p and chains[int(q)][lev_q - lev_p] == int(qp):
                         out.append(
                             f"nestedness cube {int(q)} in k={a.k} strictly inside "
@@ -696,7 +696,7 @@ def _principal_violations_oracle(g, usable, avg, family, gamma):
             out.append(
                 f"principal-domination seed {i}: average {avg[i]!r} exceeds twice that of {gov}"
             )
-    fam_sorted = sorted(family, key=lambda i: int(g.levels[i]))
+    fam_sorted = sorted(family, key=lambda i: g.cube(i).level)
     for gi in fam_sorted:
         for gj in fam_sorted:
             if gi in strict[gj] and not (2.0 * avg[gi] < avg[gj]):
