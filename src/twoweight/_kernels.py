@@ -1,9 +1,16 @@
 """Tree-scan kernels: numpy, one level slice at a time.
 
 The operator, its localizations and the testing and Carleson sweeps are
-built from scans over the cube tree. ``down_sum``/``down_max`` run root to leaf (each cube adds, or takes the
-maximum with, its finalized parent); ``up_sum`` runs leaf to root (each
-parent accumulates its children in canonical-index order). The accumulation
+built from scans over the cube tree. ``down_sum``/``down_max`` run root to
+leaf (each cube adds, or takes the maximum with, its finalized parent);
+``up_sum`` runs leaf to root (each parent accumulates its children in
+canonical-index order). ``subtree_sums`` is the leaf-to-root scan of leaf
+input, which every measure goes through: per-cube input (tau, counts)
+accumulates into the values its parents already hold, while leaf input
+writes each parent of a strided level as the sum of its children, with no
+zero-fill first. The two give the same bits, signed zeros included, because
+the first level above the leaves adds +0.0 once (a parent of all -0.0
+children then reads +0.0, as from a zero-filled parent). The accumulation
 order is fixed, so results are bit-for-bit reproducible. The ``_batch``
 variants apply the same scans to every row of a (rows, n_cubes) array, with
 the same per-entry order; the 1-D kernels keep their own bodies because
@@ -23,10 +30,10 @@ child order, against the parent block. The views skip the index gather and
 its copy, which is most of a scan on large levels, but cost a few numpy calls
 more, which loses on small ones. Root-to-leaf scans take the views only at
 d = 1: for d >= 2 a parent gather, whose indices run almost in order, was
-measured as fast as the 2**d strided passes or faster. ``down_sum``,
-``up_sum`` and their batch variants take ``out``: a C-contiguous float array
-of the input's shape that the scan runs in (it may be ``values`` itself),
-returned; without it the scan runs in a copy.
+measured as fast as the 2**d strided passes or faster. Every kernel takes
+``out``: a C-contiguous float array of the result's shape that the scan runs
+in (it may be ``values`` itself, or for ``subtree_sums`` hold the leaf values
+in its leaf part), returned; without it the scan runs in a fresh array.
 """
 
 import numpy as np
@@ -80,9 +87,9 @@ def down_sum(values, grid, out=None):
     return out
 
 
-def down_max(values, grid):
+def down_max(values, grid, out=None):
     """Root-to-leaf prefix maxima: out[i] = max of values over ancestors of i, inclusive."""
-    out = np.array(values, dtype=np.float64, copy=True)
+    out = _start(values, out)
     split = _first_strided(grid, True)
     for lev in range(1, split):
         lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
@@ -106,10 +113,46 @@ def up_sum(values, grid, out=None):
         kids, seg = _strided_level(acc, grid, lev)
         for k in kids:
             seg += k
-    for lev in range(split - 1, 0, -1):
+    _gather_up(acc, grid, split - 1)
+    return acc
+
+
+def _gather_up(acc, grid, top):
+    """Levels ``top`` to 1 of ``acc`` added into their parents, deepest first,
+    each by one unbuffered ``np.add.at`` in index order, which is canonical
+    child order."""
+    for lev in range(top, 0, -1):
         lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
         # the target ends where the level starts: an overlapping one makes numpy copy
         np.add.at(acc[:lo], grid.parent[lo:hi], acc[lo:hi])
+
+
+def subtree_sums(leaf_values, grid, out=None):
+    """Leaf-to-root subtree sums of leaf input: out[i] = sum of ``leaf_values``
+    over the leaves under cube i, for every cube.
+
+    The bits are those of ``up_sum`` on the leaf values with every internal
+    cube zero, without the zero-fill on strided levels: there each parent is
+    written as the sum of its children in canonical child order, one add per
+    child slot. ``0 + a + b`` and ``a + b`` differ only when a and b are both
+    -0.0, so the first level above the leaves adds +0.0 once: a parent of
+    all -0.0 children comes out +0.0, as from a zero-filled parent, and no
+    internal cube is -0.0 after that. Small levels are zero-filled and
+    gathered as in ``up_sum``. ``out`` is a C-contiguous float array of one
+    entry per cube (``leaf_values`` may be its leaf part), returned.
+    """
+    acc = np.empty(grid.n_cubes) if out is None else out
+    acc[grid.leaf_start :] = leaf_values
+    split = _first_strided(grid, False)
+    acc[: grid.level_offsets[split - 1]] = 0.0
+    for lev in range(grid.depth, split - 1, -1):
+        kids, seg = _strided_level(acc, grid, lev)
+        np.add(kids[0], kids[1], out=seg)
+        if lev == grid.depth:
+            seg += 0.0
+        for k in kids[2:]:
+            seg += k
+    _gather_up(acc, grid, split - 1)
     return acc
 
 

@@ -51,7 +51,7 @@ def carleson_norm(tau: CubeWeights):
     """
     grid = tau.grid
     vals = _kernels.up_sum(tau.tau, grid)
-    vals /= grid.per_cube(grid.level_volumes)
+    grid.divide_by_volume(vals, out=vals)
     best = int(np.argmax(vals))
     return float(vals[best]), grid.cube(best)
 
@@ -71,9 +71,11 @@ def weighted_carleson_norm(tau: CubeWeights, omega: Measure) -> WeightedCarleson
     ok = omega.cube_mass > 0
     if not np.any(ok):
         return WeightedCarlesonResult(0.0, None, False)
-    vals = np.where(ok, subtree / np.where(ok, omega.cube_mass, 1.0), -np.inf)
-    best = int(np.argmax(vals))
-    return WeightedCarlesonResult(float(vals[best]), grid.cube(best), False)
+    # the ratios are taken in the subtree sums
+    np.divide(subtree, omega.cube_mass, out=subtree, where=ok)
+    np.copyto(subtree, -np.inf, where=~ok)
+    best = int(np.argmax(subtree))
+    return WeightedCarlesonResult(float(subtree[best]), grid.cube(best), False)
 
 
 def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):

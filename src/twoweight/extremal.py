@@ -120,7 +120,9 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
 
     Each half-step is one operator application; the kernel matrix is never
     built. The Rayleigh value is nondecreasing across iterations; the residual
-    is the defect of the singular-pair equations at exit.
+    is the defect of the singular-pair equations at exit. It is taken from the
+    last step's adjoint image, so a solve makes 2 * iterations + 1
+    applications.
     """
     grid = tau.grid
     sq_s = np.sqrt(sigma.leaf_mass)
@@ -160,9 +162,10 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
         if abs(s - s_prev) <= _POWER_VALUE_TOL * s:
             break
         s_prev = s
-    s = float(u @ a_fwd(v, img))
-    # the exit residual and the extremals reuse the solve's leaf buffers
-    a_adj(u, img)
+    # img still holds a_adj(u), the image the last step normalized into v, so
+    # the exit value's image goes through the leaf buffer and the residual
+    # needs no further application; the extremals reuse the solve's buffers
+    s = float(u @ a_fwd(v, leaves))
     img -= np.multiply(s, v, out=leaves)
     residual = float(np.linalg.norm(img))
     kind = "exact" if residual <= _POWER_RESIDUAL_TOL * max(s, 1e-300) else "lower-bound"

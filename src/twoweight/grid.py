@@ -73,7 +73,8 @@ class DyadicGrid:
     Holds three read-only arrays and nothing a query can add to: the level
     offsets, the volume of each level (``level_volumes``) and the parent index
     of every non-root cube (-1 at the root); only the parents have one entry
-    per cube. A cube's level comes from the offsets (``level_of``), and
+    per cube. A cube's level comes from the offsets (``level_of``),
+    ``divide_by_volume`` divides per-cube values by |Q|, and
     ``per_cube`` expands a per-level vector to one entry per cube for the few
     callers that need that. The order of a cube's children, which pins down
     the deterministic bottom-up summation order, is the layout's (``_layout``).
@@ -122,6 +123,24 @@ class DyadicGrid:
     def per_cube(self, level_values) -> np.ndarray:
         """A vector of one value per level (root first) as one value per cube."""
         return np.repeat(level_values, self.level_offsets[1:] - self.level_offsets[:-1])
+
+    def divide_by_volume(self, values, out=None) -> np.ndarray:
+        """``values[Q] / |Q|`` for every cube. ``out`` is a float array of one
+        entry per cube to divide into (it may be ``values``), returned.
+
+        From ``_kernels.STRIDED_MIN_CUBES`` leaves on this is one division by
+        a scalar per level, so no per-cube volume array is built. Below it a
+        numpy call per level costs more than the data, and one division by the
+        volumes expanded per cube is faster (5 against 13 us at d = 1, depth
+        10). Either way each value is divided by the same volume.
+        """
+        if self.n_leaves < _kernels.STRIDED_MIN_CUBES:
+            return np.divide(values, self.per_cube(self.level_volumes), out=out)
+        out = np.empty(self.n_cubes) if out is None else out
+        off = self.level_offsets.tolist()
+        for lo, hi, vol in zip(off, off[1:], self.level_volumes.tolist()):
+            np.divide(values[lo:hi], vol, out=out[lo:hi])
+        return out
 
     def index_of(self, cube) -> int:
         """Canonical linear index of a real cube (CubeRef or already an int)."""
@@ -211,10 +230,7 @@ class DyadicGrid:
         sums are computed in and that is returned; ``leaf_values`` may be its
         leaf part (``out[leaf_start:]``).
         """
-        full = np.empty(self.n_cubes) if out is None else out
-        full[: self.leaf_start] = 0.0
-        full[self.leaf_start :] = leaf_values
-        return _kernels.up_sum(full, self, out=full)
+        return _kernels.subtree_sums(leaf_values, self, out=out)
 
     def __repr__(self):
         return f"DyadicGrid(d={self.d}, depth={self.depth}, cubes={self.n_cubes})"
@@ -340,7 +356,7 @@ def lp_norm(f: GridFunction, mu: Measure, p: float) -> float:
 
 def cube_averages(nu: Measure) -> np.ndarray:
     """E_Q nu for every cube at once."""
-    return nu.cube_mass / nu.grid.per_cube(nu.grid.level_volumes)
+    return nu.grid.divide_by_volume(nu.cube_mass)
 
 
 def cube_integrals(f: GridFunction, mu: Measure) -> np.ndarray:

@@ -43,7 +43,7 @@ class CubeWeights:
         self.grid = grid
         self.tau = tau
         self.rule = rule
-        self.coef = tau / grid.per_cube(grid.level_volumes)
+        self.coef = grid.divide_by_volume(tau)
         self.tau.flags.writeable = False
         self.coef.flags.writeable = False
 
@@ -164,9 +164,12 @@ def maximal(f: GridFunction, mu: Measure) -> GridFunction:
     f = _leaf_function(grid, f)
     if mu.total <= 0:
         raise UndefinedAverageError("maximal function needs mu(root) > 0")
-    ints = cube_integrals(np.abs(f), mu)
-    cand = np.where(mu.cube_mass > 0, ints / np.where(mu.cube_mass > 0, mu.cube_mass, 1.0), -np.inf)
-    best = _kernels.down_max(cand, grid)
+    # the averages, the -inf of massless cubes and the scan share one array
+    best = cube_integrals(np.abs(f), mu)
+    live = mu.cube_mass > 0
+    np.divide(best, mu.cube_mass, out=best, where=live)
+    np.copyto(best, -np.inf, where=~live)
+    _kernels.down_max(best, grid, out=best)
     return best[grid.leaf_start :].copy()
 
 

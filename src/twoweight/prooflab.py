@@ -884,9 +884,7 @@ def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
     seed_idx = _seed_indices(grid, seeds)
     skipped = seed_idx[sigma.cube_mass[seed_idx] == 0].tolist()
     cubes = seed_idx[sigma.cube_mass[seed_idx] > 0]
-    usable = cubes.tolist()
     averages = fs.cube_mass[cubes] / sigma.cube_mass[cubes]
-    avg = dict(zip(usable, averages.tolist()))
     # the last slot is above the root, where every seed clears -inf; NaN never enters
     seed_avg = np.append(np.full(grid.n_cubes, np.nan), -np.inf)
     seed_avg[cubes] = averages
@@ -896,14 +894,15 @@ def principal_cubes(f, sigma: Measure, seeds) -> PrincipalForest:
         up = gov[grid.parent[lo:hi]]
         gov[lo:hi] = np.where(seed_avg[lo:hi] > 2.0 * seed_avg[up], np.arange(lo, hi), up)
     governing = gov[cubes]
-    members = cubes[governing == cubes]
-    family = members.tolist()
-    gamma = dict(zip(usable, governing.tolist()))
-    forest = PrincipalForest(grid, f.copy(), sigma, members, gamma, {i: avg[i] for i in family})
+    member = governing == cubes
+    members = cubes[member]
+    gamma = dict(zip(cubes.tolist(), governing.tolist()))
+    family_avg = dict(zip(members.tolist(), averages[member].tolist()))
+    forest = PrincipalForest(grid, f.copy(), sigma, members, gamma, family_avg)
     forest.skipped = skipped
-    forest.violations = _principal_violations(grid, usable, avg, family, gamma)
+    forest.violations = _principal_violations(grid, cubes, averages, governing, members)
     # each member is checked against every member strictly above it
-    forest.checks = len(usable) + int(_below(grid, members)[members].sum()) - len(family)
+    forest.checks = cubes.size + int(_below(grid, members)[members].sum()) - members.size
     return forest
 
 
@@ -922,36 +921,42 @@ def _seed_indices(grid: DyadicGrid, seeds) -> np.ndarray:
     return idx[np.diff(idx, prepend=-1) > 0]
 
 
-def _principal_violations(grid: DyadicGrid, usable, avg, family, gamma) -> list[str]:
+def _principal_violations(grid: DyadicGrid, seeds, averages, governing, family) -> list[str]:
     """Audit of a principal family: every seed governed and dominated, averages doubling.
 
-    A member doubles every member above it exactly when twice their largest
-    average (one ``down_max``, read at its parent) lies below its own. Members
+    ``seeds`` are the usable seeds in ascending order, and the arrays
+    ``averages`` and ``governing`` hold their sigma-averages of f and their
+    governing members (-1 for none); the governors and the ``family`` are
+    among the seeds. Domination
+    is one comparison over all seeds, reported in seed order. A member
+    doubles every member above it exactly when twice their largest average
+    (one ``down_max``, read at its parent) lies below its own. Members
     failing this screen are paired with their ancestors, ancestor first by level.
     The family is ordered by level (stably), and pairs are listed in that order.
     """
-    out = []
-    for i in usable:
-        g = gamma.get(i)
-        if g is None:
-            out.append(f"seed {i} has no governing principal cube")
-        elif avg[i] > 2.0 * avg[g] * (1 + 1e-12):
-            out.append(
-                f"principal-domination seed {i}: average {avg[i]!r} exceeds twice that of {g}"
-            )
+    bad = governing < 0
+    live = ~bad
+    gov_avg = averages[np.searchsorted(seeds, governing[live])]
+    bad[live] = averages[live] > 2.0 * gov_avg * (1 + 1e-12)
+    out = [
+        f"seed {i} has no governing principal cube"
+        if g < 0
+        else f"principal-domination seed {i}: average {a!r} exceeds twice that of {g}"
+        for i, a, g in zip(seeds[bad].tolist(), averages[bad].tolist(), governing[bad].tolist())
+    ]
     fam = np.asarray(family, dtype=np.int64)
     fam = fam[np.argsort(grid.level_of(fam), kind="stable")]
     rank = np.full(grid.n_cubes, -1, dtype=np.int64)
     rank[fam] = np.arange(fam.size)
     placed = np.full(grid.n_cubes, -np.inf)
-    placed[fam] = [avg[c] for c in fam.tolist()]
+    placed[fam] = averages[np.searchsorted(seeds, fam)]
     top = np.append(_kernels.down_max(placed, grid), -np.inf)
     fails = ~(2.0 * top[grid.parent[fam]] < placed[fam])  # top[-1] is above the root
     pairs = [
         (int(rank[gi]), int(rank[gj]))
         for gj in fam[fails].tolist()
         for gi in grid.ancestor(gj, np.arange(1, grid.level_of(gj) + 1)).tolist()
-        if rank[gi] >= 0 and not (2.0 * avg[gi] < avg[gj])
+        if rank[gi] >= 0 and not (2.0 * placed[gi] < placed[gj])
     ]
     for i, j in sorted(pairs):
         out.append(f"principal-doubling chain {fam[j]} inside {fam[i]}: averages fail to double")

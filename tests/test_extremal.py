@@ -30,6 +30,7 @@ from twoweight.grid import Exponents, GridSizeError, Measure, build_grid, lp_nor
 from twoweight.harness import GeneratorConfig, gen_instance
 from twoweight.operators import CubeWeights, apply_T, bilinear_form
 
+from test_acceptance import SUITE_GENERATORS
 from test_operators import _volumes
 
 
@@ -115,6 +116,86 @@ def test_exact_zero_measures():
     dead = Measure(g, np.zeros(g.n_leaves))
     est = exact_norm_22(tau, dead, Measure.lebesgue(g))
     assert est.value == 0.0 and est.kind == "exact"
+
+
+def _exact_norm_22_reference(tau, sigma, omega):
+    """The power iteration of ``exact_norm_22``, with fresh arrays and a fresh
+    adjoint application for the exit residual."""
+    grid = tau.grid
+    sq_s, sq_w = np.sqrt(sigma.leaf_mass), np.sqrt(omega.leaf_mass)
+    work = np.empty(grid.n_cubes)
+    zero = np.zeros(grid.n_leaves)
+
+    def fwd(v):
+        return sq_s * extremal._t_leafmass(grid, tau.coef, sq_w * v, work)
+
+    def adj(u):
+        return sq_w * extremal._t_leafmass(grid, tau.coef, sq_s * u, work)
+
+    nv = float(np.linalg.norm(sq_w))
+    if nv == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
+        return 0.0, zero, zero, 0, 0.0
+    v = sq_w / nv
+    s_prev = -1.0
+    for iterations in range(1, extremal._POWER_MAX_ITER + 1):
+        img = fwd(v)
+        s = float(np.linalg.norm(img))
+        if s == 0.0:
+            return 0.0, zero, zero, iterations, 0.0
+        u = img / s
+        img = adj(u)
+        v = img / float(np.linalg.norm(img))
+        if abs(s - s_prev) <= extremal._POWER_VALUE_TOL * s:
+            break
+        s_prev = s
+    s = float(u @ fwd(v))
+    residual = float(np.linalg.norm(adj(u) - s * v))
+    f = np.where(sq_s > 0, u / np.where(sq_s > 0, sq_s, 1.0), 0.0)
+    g = np.where(sq_w > 0, v / np.where(sq_w > 0, sq_w, 1.0), 0.0)
+    return s, f, g, iterations, residual
+
+
+def _exact_22_corpus():
+    for i, cfg in enumerate(SUITE_GENERATORS):
+        for seed in range(2):
+            inst = gen_instance(cfg, 900 + 10 * i + seed)
+            yield inst.tau, inst.sigma, inst.omega
+    inst = gen_instance(GeneratorConfig(d=1, depth=14), 7)
+    yield inst.tau, inst.sigma, inst.omega
+
+
+def test_exact_reuses_the_last_adjoint_image(monkeypatch):
+    # a solve makes 2 * iterations + 1 operator applications: the exit residual
+    # reads the adjoint image of the last step instead of applying it again,
+    # with the bits of a solve that does
+    calls = []
+    leafmass = extremal._t_leafmass
+
+    def counting(*args):
+        calls.append(1)
+        return leafmass(*args)
+
+    for tau, sigma, omega in _exact_22_corpus():
+        want = _exact_norm_22_reference(tau, sigma, omega)
+        monkeypatch.setattr(extremal, "_t_leafmass", counting)
+        calls.clear()
+        est = exact_norm_22(tau, sigma, omega)
+        monkeypatch.setattr(extremal, "_t_leafmass", leafmass)
+        assert est.iterations >= 2
+        assert len(calls) == 2 * est.iterations + 1
+        got = (est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual)
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
+    # the zero kernel: one application finds the zero image and returns
+    g = build_grid(1, 3)
+    tau, lebesgue = CubeWeights(g, np.zeros(g.n_cubes)), Measure.lebesgue(g)
+    want = _exact_norm_22_reference(tau, lebesgue, lebesgue)
+    monkeypatch.setattr(extremal, "_t_leafmass", counting)
+    calls.clear()
+    est = exact_norm_22(tau, lebesgue, lebesgue)
+    assert len(calls) == est.iterations == 1
+    got = (est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual)
+    assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
 def test_exact_homogeneous_in_tau():

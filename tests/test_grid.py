@@ -60,6 +60,20 @@ def test_level_of_and_per_cube_match_the_level_blocks(d, depth):
     assert g.leaf_volume == g.level_volumes[-1]
 
 
+@pytest.mark.parametrize("d,depth", [(1, 0), (1, 5), (3, 3), (1, 12), (2, 7), (4, 3)])
+def test_divide_by_volume_is_the_per_cube_division(d, depth):
+    # both sides of the crossover: level by level from 4096 leaves on, per cube below
+    g = build_grid(d, depth)
+    rng = np.random.default_rng(d * 100 + depth)
+    vals = rng.standard_normal(g.n_cubes) * rng.lognormal(0.0, 30.0, g.n_cubes)
+    vals[rng.integers(0, g.n_cubes, 5)] = -0.0
+    vals[-1], vals[0] = 5e-324, np.inf
+    expect = (vals / g.per_cube(g.level_volumes)).tobytes()
+    assert g.divide_by_volume(vals).tobytes() == expect
+    assert g.divide_by_volume(vals, out=vals) is vals
+    assert vals.tobytes() == expect
+
+
 def _bytes_per_cube(obj, n_cubes):
     """Bytes of the arrays an object holds, per cube. A held view adds nothing,
     and must look into an array the object holds itself."""

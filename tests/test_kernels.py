@@ -6,15 +6,23 @@ computed it. On grids whose deep levels reach ``STRIDED_MIN_CUBES`` the
 kernels read those levels through strided views; every kernel must then match
 the index-gather scan kept here as the oracle, bit for bit. The oracle groups
 each level's cubes by parent with a stable argsort of ``parent``, a recipe of
-its own rather than the layout's.
+its own rather than the layout's. "Bit for bit" compares the bytes
+(``_same_bits``), so it also tells -0.0 from +0.0, which ``np.array_equal``
+does not.
 """
 
 import numpy as np
 import pytest
 
 from twoweight import _kernels
-from twoweight.grid import build_grid
+from twoweight.grid import Measure, build_grid
+from twoweight.operators import CubeWeights, apply_T, maximal
 from twoweight.prooflab import _sibling_mass
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _rand(grid, rng):
@@ -57,6 +65,8 @@ def test_up_sum_is_subtree_sum():
 
 # deep levels at or above the strided crossover, shallow ones below it
 CROSSING = [(1, 13), (2, 7), (3, 5), (4, 4)]
+# every level below it
+SMALL = [(1, 6), (2, 3), (3, 2), (4, 2)]
 
 
 def _argsort_child_order(grid):
@@ -116,19 +126,73 @@ def test_kernels_match_gather_oracle(d, depth, name):
         shape = lead + (grid.n_cubes,)
         vals = rng.standard_normal(shape)
         vals.flat[rng.integers(0, vals.size, 50)] = 0.0
+        vals.flat[rng.integers(0, vals.size, 50)] = -0.0
         expect = _oracles(grid)[name](vals)
-        assert np.array_equal(kernel(vals, grid), expect)
-        if name == "down_max":  # no out=: its callers keep their inputs
-            continue
+        assert _same_bits(kernel(vals, grid), expect)
         # into a separate buffer: the input stays as it was
         before = vals.copy()
         buf = np.full(shape, np.nan)
         assert kernel(vals, grid, out=buf) is buf
-        assert np.array_equal(buf, expect)
-        assert np.array_equal(vals, before)
+        assert _same_bits(buf, expect)
+        assert _same_bits(vals, before)
         # in place
         assert kernel(vals, grid, out=vals) is vals
-        assert np.array_equal(vals, expect)
+        assert _same_bits(vals, expect)
+
+
+def _signed_zero_leaves(grid, rng):
+    """Leaf vectors with scattered -0.0 entries and whole subtrees of -0.0,
+    from single leaves up to the root's."""
+    base = rng.standard_normal(grid.n_leaves)
+    base[rng.random(grid.n_leaves) < 0.2] = -0.0
+    base[rng.random(grid.n_leaves) < 0.1] = 0.0
+    for lev in range(grid.depth + 1):
+        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
+        for c in rng.integers(lo, hi, 3).tolist():
+            base[grid.subtree_leaf_mask(c)] = -0.0
+    yield base
+    half = base.copy()
+    half[: grid.n_leaves // 2] = -0.0
+    yield half
+    yield np.full(grid.n_leaves, -0.0)
+    yield np.zeros(grid.n_leaves)
+
+
+def _subtree_oracle(grid, leaf):
+    full = np.zeros(grid.n_cubes)
+    full[grid.leaf_start :] = leaf
+    return _gather_up(full, _argsort_child_order(grid), grid.level_offsets)
+
+
+@pytest.mark.parametrize("d,depth", SMALL + CROSSING)
+def test_leaf_input_kernels_keep_signed_zeros(d, depth):
+    # leaf sums write their parents instead of adding into zero-filled ones;
+    # the bits, signed zeros included, stay those of the zero-filled scan
+    grid = build_grid(d, depth)
+    rng = np.random.default_rng(20 + d)
+    tau = CubeWeights(grid, rng.exponential(size=grid.n_cubes) * (rng.random(grid.n_cubes) < 0.8))
+    for leaf in _signed_zero_leaves(grid, rng):
+        expect = _subtree_oracle(grid, leaf)
+        assert _same_bits(_kernels.subtree_sums(leaf, grid), expect)
+        assert _same_bits(grid.subtree_sums(leaf), expect)
+        buf = np.full(grid.n_cubes, np.nan)
+        buf[grid.leaf_start :] = leaf
+        assert _kernels.subtree_sums(buf[grid.leaf_start :], grid, out=buf) is buf
+        assert _same_bits(buf, expect)
+
+        nu = Measure(grid, leaf, is_weight=False)
+        assert _same_bits(nu.cube_mass, expect)
+        path = _gather_down(tau.coef * expect, grid.parent, grid.level_offsets, np.add)
+        assert _same_bits(apply_T(tau, nu), path[grid.leaf_start :])
+
+        # a weight with the same signed zeros (-0.0 is not negative), and f = leaf
+        mu = Measure(grid, np.where(leaf == 0, leaf, rng.exponential(size=grid.n_leaves)))
+        mass = _subtree_oracle(grid, mu.leaf_mass)
+        ints = _subtree_oracle(grid, np.abs(leaf) * mu.leaf_mass)
+        cand = np.where(mass > 0, ints / np.where(mass > 0, mass, 1.0), -np.inf)
+        best = _gather_down(cand, grid.parent, grid.level_offsets, np.maximum)
+        if mu.total > 0:
+            assert _same_bits(maximal(leaf, mu), best[grid.leaf_start :])
 
 
 def test_batch_matches_single_row():
@@ -146,8 +210,8 @@ def test_batch_matches_single_row():
                 assert batch(in_place, grid, out=in_place) is in_place
                 for r in range(n_rows):
                     expect = single(rows[r], grid)
-                    assert np.array_equal(fresh[r], expect)
-                    assert np.array_equal(in_place[r], expect)
+                    assert _same_bits(fresh[r], expect)
+                    assert _same_bits(in_place[r], expect)
 
 
 @pytest.mark.parametrize("d,depth", CROSSING)
@@ -172,4 +236,4 @@ def test_layout_child_order_matches_argsort(d, depth):
         vals = mass[group]
         for j in range(grid.arity):
             expect[group[:, j]] = np.delete(vals, j, axis=1).sum(axis=1)
-    assert np.array_equal(_sibling_mass(grid, mass), expect)
+    assert _same_bits(_sibling_mass(grid, mass), expect)

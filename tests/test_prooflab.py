@@ -991,28 +991,72 @@ def test_audit_scans_do_not_grow_with_the_layers(monkeypatch):
     assert more_calls == fewer_calls
 
 
+def _violations(g, usable, avg, family, gamma):
+    """``_principal_violations`` on the oracle's arguments: the seed averages
+    and governors as arrays in seed order, -1 for a seed without one."""
+    return _principal_violations(
+        g,
+        np.array(usable),
+        np.array([avg[i] for i in usable]),
+        np.array([gamma.get(i, -1) for i in usable]),
+        family,
+    )
+
+
 def test_non_doubling_chain_fires_the_same_violations():
     g = build_grid(1, 3)
     usable = [0, 1, 3, 4, 7]
     avg = {0: 1.0, 1: 1.5, 3: 3.0, 4: 0.5, 7: 2.5}
     family = [0, 3, 1, 7]  # 1 fails to double 0, 3 only ties with twice 1, 7 fails 1 and 3
     gamma = {0: 0, 1: 1, 3: 3, 7: 7}  # seed 4 is left ungoverned
-    viol = _principal_violations(g, usable, avg, family, gamma)
+    viol = _violations(g, usable, avg, family, gamma)
     assert viol == _principal_violations_oracle(g, usable, avg, family, gamma)
     kinds = [s.split()[0] for s in viol]
     assert kinds == ["seed"] + ["principal-doubling"] * 4
 
     avg[4], gamma[4] = 3.5, 1  # more than twice the average of its governor
-    viol = _principal_violations(g, usable, avg, family, gamma)
+    viol = _violations(g, usable, avg, family, gamma)
     assert viol == _principal_violations_oracle(g, usable, avg, family, gamma)
     assert viol[0].startswith("principal-domination seed 4")
 
     # 1 and 3 double every member above them; 7 doubles 0 and 1 but not 3
     avg = {0: 1.0, 1: 3.0, 3: 7.0, 7: 10.0}
     gamma = {0: 0, 1: 1, 3: 3, 7: 7}
-    viol = _principal_violations(g, [0, 1, 3, 7], avg, family, gamma)
+    viol = _violations(g, [0, 1, 3, 7], avg, family, gamma)
     assert viol == _principal_violations_oracle(g, [0, 1, 3, 7], avg, family, gamma)
     assert viol == ["principal-doubling chain 7 inside 3: averages fail to double"]
+
+
+def test_domination_failures_keep_their_strings_and_seed_order():
+    g = build_grid(2, 3)
+    usable = [0, 2, 5, 9, 12, 30, 44, 60]
+    family = [0, 2, 9]  # doubling down every chain
+    avg = {0: 1.0, 2: 2.5, 9: 6.0, 5: 0.1, 12: 2.000000000002, 30: 2.0 * 2.5 * (1 + 1e-12),
+           44: 1e300, 60: 0.3}
+    # 5 lies far below twice its governor's average, 12 within the relative
+    # slack above it and 30 exactly on the slack bound: none of them fails.
+    # 44 lies far above, and 60 has no governor
+    gamma = {0: 0, 2: 2, 9: 9, 5: 0, 12: 0, 30: 2, 44: 9}
+    viol = _violations(g, usable, avg, family, gamma)
+    assert viol == _principal_violations_oracle(g, usable, avg, family, gamma)
+    assert viol == [
+        "principal-domination seed 44: average 1e+300 exceeds twice that of 9",
+        "seed 60 has no governing principal cube",
+    ]
+    # every seed fails, the members against themselves included
+    avg = {i: 10.0 ** k for k, i in enumerate(usable)}
+    gamma = {i: 0 for i in usable if i != 12}
+    viol = _violations(g, usable, avg, [0], gamma)
+    assert viol == _principal_violations_oracle(g, usable, avg, [0], gamma)
+    assert viol == [
+        "principal-domination seed 2: average 10.0 exceeds twice that of 0",
+        "principal-domination seed 5: average 100.0 exceeds twice that of 0",
+        "principal-domination seed 9: average 1000.0 exceeds twice that of 0",
+        "seed 12 has no governing principal cube",
+        "principal-domination seed 30: average 100000.0 exceeds twice that of 0",
+        "principal-domination seed 44: average 1000000.0 exceeds twice that of 0",
+        "principal-domination seed 60: average 10000000.0 exceeds twice that of 0",
+    ]
 
 
 def test_ancestor_by_index():
