@@ -41,14 +41,19 @@ def decode(lev, within, d):
     return coords + [within]
 
 
+def block(level_values, lev, d):
+    """The cubes of level ``lev`` (on the last axis of ``level_values``, in
+    layout order) as a view of shape ``level_values.shape[:-1] + (2**lev,) * d``
+    whose axis ``-d + k`` is coordinate ``k``."""
+    lead = level_values.ndim - 1
+    view = level_values.reshape(level_values.shape[:-1] + (1 << lev,) * d)
+    return view.transpose(tuple(range(lead)) + tuple(range(lead + d - 1, lead - 1, -1)))
+
+
 def level_block(values, level_offsets, lev, d):
-    """Level ``lev`` of ``values`` (cubes on the last axis) as a view of shape
-    ``values.shape[:-1] + (2**lev,) * d`` whose axis ``-d + k`` is coordinate
-    ``k``."""
+    """Level ``lev`` of ``values`` (every cube on the last axis) as a ``block``."""
     lo, hi = level_offsets[lev], level_offsets[lev + 1]
-    lead = values.ndim - 1
-    block = values[..., lo:hi].reshape(values.shape[:-1] + (1 << lev,) * d)
-    return block.transpose(tuple(range(lead)) + tuple(range(lead + d - 1, lead - 1, -1)))
+    return block(values[..., lo:hi], lev, d)
 
 
 @lru_cache(maxsize=None)

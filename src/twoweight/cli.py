@@ -9,6 +9,7 @@ budget and an unreadable or malformed instance or --f file).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,12 +17,7 @@ import sys
 import numpy as np
 
 from .constants import carleson_norm, compute_testing_report
-from .extremal import (
-    AscentOptions,
-    carleson_embedding_constant,
-    strong_norm_lower,
-    weak_norm_lower,
-)
+from .extremal import AscentOptions, carleson_embedding_constant
 from .grid import GridSizeError, Measure
 from .harness import (
     ConfigError,
@@ -34,6 +30,7 @@ from .harness import (
     gen_instance,
     instance_f,
     json_numbers,
+    norm_bounds,
     run_suite,
 )
 from .operators import apply_T
@@ -156,9 +153,7 @@ def _cmd_testing(args) -> int:
 def _cmd_norm(args) -> int:
     _check_tol(args.tol)
     inst = _load_instance(args.instance)
-    opts = AscentOptions(seed=check_seed(args.seed))
-    strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
-    weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
+    strong, weak = norm_bounds(inst, AscentOptions(seed=check_seed(args.seed)))
     payload = {"strong": strong.to_dict(), "weak": weak.to_dict()}
     if inst.exps.is_l2:
         # strong_norm_lower is exact_norm_22 at p = q = 2
@@ -260,9 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process: parsing
+    leaves it unchanged and gives each call a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, GridSizeError, OSError) as exc:

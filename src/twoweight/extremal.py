@@ -17,8 +17,13 @@ The objective at every normalized cube indicator has a closed form of a few
 tree scans (``_cet_scores``; ``strengthened_local_values`` for the strong
 norm), so all cubes are ranked without building their indicators, and only
 the top ``restarts`` of them join the pool: the ascent holds
-O(restarts * n_cubes) numbers. Every estimate carries the extremal function
-that attains it, so values can be re-evaluated independently.
+O(restarts * n_cubes) numbers. The weak-type bound scans the same pool rows
+and their images, which where p < q are built once for both bounds
+(``ascent_bounds``). Since l * omega(h > l)^(1/q) <= ||h||_{L^q(omega)}
+(Chebyshev), a row whose norm times (1 + ``_WEAK_MARGIN``), 1e-9, does not
+exceed the best weak value so far cannot beat it and is not scanned. Every
+estimate carries the extremal function that attains it, so values can be
+re-evaluated independently.
 """
 
 from __future__ import annotations
@@ -56,6 +61,15 @@ _FLOOR = 1e-30
 _CET_MARGIN = 1e-13
 _CET_BRACKET = 1e-13
 _CET_BATCH_CUBES = 1 << 11
+
+# Weak bound: relative margin on a pool row's L^q(omega) norm, the Chebyshev
+# bound below which the row is not scanned. A scan's suffix sums round by at
+# most about n_leaves * 1.1e-16 relative (1.2e-10 at 2^20 leaves); the margin
+# equals the scan's own near-top tolerance.
+_WEAK_MARGIN = 1e-9
+
+# Row norms of a pool's images: the numbers one block of rows may hold.
+_LQ_CELLS = 1 << 16
 
 
 @dataclass
@@ -216,10 +230,11 @@ def dense_norm_22(
 
 
 def _indicator_rows(grid: DyadicGrid, cubes: np.ndarray) -> np.ndarray:
-    """One row per given cube: the indicator of its leaves."""
-    onehot = np.zeros((cubes.size, grid.n_cubes))
-    onehot[np.arange(cubes.size), cubes] = 1.0
-    return _kernels.down_sum_batch(onehot, grid)[:, grid.leaf_start :]
+    """One row per given cube: the indicator of its leaves, one box of the leaf level."""
+    rows = np.zeros((cubes.size, grid.n_leaves))
+    for row, cube in zip(rows, cubes.tolist()):
+        grid.leaves_in(row, cube)[...] = 1.0
+    return rows
 
 
 def _top_cubes(scores: np.ndarray, k: int) -> np.ndarray:
@@ -256,6 +271,28 @@ def _strong_pool(tau, sigma, omega, exps, opts: AscentOptions) -> np.ndarray:
     return _seed_pool(tau.grid, opts, _strong_scores(tau, sigma, omega, exps))
 
 
+def _lq_rows(h: np.ndarray, w_lm: np.ndarray, q: float) -> np.ndarray:
+    """||h_r||_{L^q(omega)} for every row h_r of ``h``, with ``w_lm`` omega's leaf masses.
+
+    A block of rows at a time, ``_LQ_CELLS`` numbers to a block (at least one
+    row), so the temporaries never hold a copy of ``h``; a row's sum is the
+    same in any block, bit for bit.
+    """
+    step = max(1, _LQ_CELLS // h.shape[1])
+    sums = [np.sum(h[i : i + step] ** q * w_lm, axis=1) for i in range(0, len(h), step)]
+    return np.concatenate(sums) ** (1.0 / q)
+
+
+def _pool_images(tau, sigma, omega, exps, opts: AscentOptions) -> tuple:
+    """(f, h, j): the strong seed pool projected to the unit L^p(sigma) sphere,
+    its images h = T(f sigma) in one batched application, and their values
+    j = ||h||_{L^q(omega)}, one row each."""
+    s_lm = sigma.leaf_mass
+    f = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), s_lm, exps.p)
+    h = _t_leafmass_batch(tau.grid, tau.coef, f * s_lm)
+    return f, h, _lq_rows(h, omega.leaf_mass, exps.q)
+
+
 def strong_norm_lower(
     tau: CubeWeights,
     sigma: Measure,
@@ -290,8 +327,34 @@ def strong_norm_lower(
     return _strong_ascent(tau, sigma, omega, exps, opts or AscentOptions())
 
 
+def ascent_bounds(
+    tau: CubeWeights,
+    sigma: Measure,
+    omega: Measure,
+    exps: Exponents,
+    opts: AscentOptions | None = None,
+) -> tuple[NormEstimate, NormEstimate]:
+    """(strong, weak): the ascent's strong lower bound and the weak lower bound, from one seed pool.
+
+    Both bounds start from the same projected pool and its images
+    (``_pool_images``), so they are built once: the weak bound scans them
+    before the ascent overwrites its rows in place. The two estimates are
+    those of ``_strong_ascent`` and ``weak_norm_lower`` with the same options,
+    bit for bit. ``strong_norm_lower`` uses the ascent where p < q.
+    """
+    opts = opts or AscentOptions()
+    start = _pool_images(tau, sigma, omega, exps, opts)
+    weak = _weak_bound(*start, omega.leaf_mass, exps.q)
+    return _strong_ascent(tau, sigma, omega, exps, opts, start), weak
+
+
 def _strong_ascent(
-    tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents, opts: AscentOptions
+    tau: CubeWeights,
+    sigma: Measure,
+    omega: Measure,
+    exps: Exponents,
+    opts: AscentOptions,
+    start: tuple | None = None,
 ) -> NormEstimate:
     """Boyd's fixed-point ascent from the strong seed pool, one candidate per row.
 
@@ -304,25 +367,21 @@ def _strong_ascent(
     round applies the operator to the rows that improved in the last one. The
     loop stops at ``opts.max_iter`` or when no row improves. Every row stays
     nonnegative, so no clipping is needed. The best row is the extremal.
+    ``start`` is the pool's (f, h, j) from ``_pool_images``, built here when
+    omitted; the ascent overwrites its arrays.
     """
     grid = tau.grid
     p, q = exps.p, exps.q
     s_lm = sigma.leaf_mass
     w_lm = omega.leaf_mass
-
-    def value(h):
-        return np.sum(h**q * w_lm, axis=1) ** (1.0 / q)
-
-    f = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), s_lm, p)
-    h = _t_leafmass_batch(grid, tau.coef, f * s_lm)
-    j = value(h)
+    f, h, j = start if start is not None else _pool_images(tau, sigma, omega, exps, opts)
     live = np.arange(len(f))
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         path = _t_leafmass_batch(grid, tau.coef, h[live] ** (q - 1.0) * w_lm)
         cand = _project_lp_sphere(path ** (1.0 / (p - 1.0)), s_lm, p)
         h_cand = _t_leafmass_batch(grid, tau.coef, cand * s_lm)
-        j_cand = value(h_cand)
+        j_cand = _lq_rows(h_cand, w_lm, q)
         up = j_cand > j[live]
         live = live[up]
         if live.size == 0:
@@ -331,7 +390,7 @@ def _strong_ascent(
         h[live] = h_cand[up]
         j[live] = j_cand[up]
     best = int(np.argmax(j))
-    return NormEstimate(float(j[best]), "lower-bound", f[best], None, iterations)
+    return NormEstimate(float(j[best]), "lower-bound", f[best].copy(), None, iterations)
 
 
 def weak_norm_lower(
@@ -347,20 +406,41 @@ def weak_norm_lower(
     result is at most the strong bound of the same options. For each f the
     supremum over l is computed exactly by scanning the distinct leaf values
     of T(f sigma), each nudged down by 2**-40 times the value scale so the
-    strict inequality is unambiguous in floating point.
+    strict inequality is unambiguous in floating point. Rows whose
+    Chebyshev bound rules them out are not scanned (``_weak_bound``);
+    ``iterations`` counts the rows that were. Where p < q ``ascent_bounds``
+    gives the same estimate without building the pool a second time.
     """
     opts = opts or AscentOptions()
-    grid = tau.grid
-    pool = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), sigma.leaf_mass, exps.p)
-    h = _t_leafmass_batch(grid, tau.coef, pool * sigma.leaf_mass)
-    best_val = 0.0
-    best_row = 0
-    for r in range(pool.shape[0]):
-        val = _weak_scan(h[r], omega.leaf_mass, exps.q)
-        if val > best_val:
-            best_val = val
-            best_row = r
-    return NormEstimate(best_val, "lower-bound", pool[best_row], None, 1, math.nan)
+    return _weak_bound(*_pool_images(tau, sigma, omega, exps, opts), omega.leaf_mass, exps.q)
+
+
+def _weak_bound(f, h, j, w_lm, q) -> NormEstimate:
+    """The best weak value over the pool rows f, from their images h and values j.
+
+    By Chebyshev, l * omega(h > l)^(1/q) <= ||h||_{L^q(omega)} for every
+    l > 0, so a row's weak value is at most its j. The row of largest j is
+    scanned first; then, in pool order, only the rows with
+    j * (1 + ``_WEAK_MARGIN``) above the best value so far. The margin covers
+    the rounding of a scan's suffix sums, so a row that is skipped has a
+    weak value below the best. Ties go to the first row and a pool whose
+    values are all 0 gives row 0, as a scan of every row in pool order with
+    a strict comparison would: the value and the extremal row are that
+    scan's, bit for bit. ``iterations`` is the number of rows scanned.
+    """
+    top = int(np.argmax(j))
+    best_val, best_row = _weak_scan(h[top], w_lm, q), top
+    scanned = 1
+    for r in range(len(j)):
+        if r == top or not j[r] * (1.0 + _WEAK_MARGIN) > best_val:
+            continue
+        val = _weak_scan(h[r], w_lm, q)
+        scanned += 1
+        if val > best_val or (val == best_val and r < best_row):
+            best_val, best_row = val, r
+    if best_val == 0.0:
+        best_row = 0
+    return NormEstimate(best_val, "lower-bound", f[best_row].copy(), None, scanned, math.nan)
 
 
 def _weak_scan(h: np.ndarray, w_lm: np.ndarray, q: float) -> float:

@@ -209,13 +209,21 @@ class DyadicGrid:
         cube = self.cube(index)
         mask = np.zeros(self.n_cubes, dtype=bool)
         for lev in range(cube.level, self.depth + 1):
-            h = lev - cube.level
-            box = tuple(slice(c << h, (c + 1) << h) for c in cube.coords)
-            _layout.level_block(mask, self.level_offsets, lev, self.d)[box] = True
+            _layout.level_block(mask, self.level_offsets, lev, self.d)[_box(cube, lev)] = True
         return mask
 
+    def leaves_in(self, values: np.ndarray, index: int) -> np.ndarray:
+        """The entries of ``values`` (one per leaf, on the last axis) at the
+        leaves inside cube ``index``, as a view: one box of the leaf level's
+        block of coordinates, which a write through the view fills."""
+        view = _layout.block(values, self.depth, self.d)
+        return view[(Ellipsis,) + _box(self.cube(index), self.depth)]
+
     def subtree_leaf_mask(self, index: int) -> np.ndarray:
-        return self.subtree_cube_mask(index)[self.leaf_start :]
+        """Boolean mask over leaves: the leaves inside cube ``index``."""
+        mask = np.zeros(self.n_leaves, dtype=bool)
+        self.leaves_in(mask, index)[...] = True
+        return mask
 
     def leaf_ancestor_matrix(self) -> np.ndarray:
         """Array of shape (depth+1, n_leaves): row l holds each leaf's level-l
@@ -234,6 +242,13 @@ class DyadicGrid:
 
     def __repr__(self):
         return f"DyadicGrid(d={self.d}, depth={self.depth}, cubes={self.n_cubes})"
+
+
+def _box(cube: CubeRef, lev: int) -> tuple:
+    """The descendants of a real cube at level ``lev`` (at or below its own):
+    one slice per axis of that level's block of coordinates (``_layout.block``)."""
+    h = lev - cube.level
+    return tuple(slice(c << h, (c + 1) << h) for c in cube.coords)
 
 
 @lru_cache(maxsize=64)

@@ -28,6 +28,7 @@ from .constants import (
 from .extremal import (
     AscentOptions,
     NormEstimate,
+    ascent_bounds,
     carleson_embedding_constant,
     strong_norm_lower,
     weak_norm_lower,
@@ -347,8 +348,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["time_cet"] = t_norm - t_cet
 
     opts = cfg.ascent or AscentOptions(restarts=8, max_iter=120, seed=inst.seed)
-    strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
-    weak = weak_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
+    strong, weak = norm_bounds(inst, opts)
     row["strong"] = strong.value
     row["strong_iterations"] = strong.iterations
     row["weak"] = weak.value
@@ -402,6 +402,20 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["time_audit"] = t_end - t_audit
     row["time_total"] = t_end - t0
     return row, violations
+
+
+def norm_bounds(inst: Instance, opts: AscentOptions) -> tuple[NormEstimate, NormEstimate]:
+    """(strong, weak): the instance's strong and weak-type norm bounds.
+
+    Where p < q both are lower bounds from one seed pool (``ascent_bounds``).
+    At p = q the strong norm is certified (``strong_norm_lower``) and the
+    weak bound builds its own pool (``weak_norm_lower``). Suite rows and
+    ``twoweight norm`` both take their bounds from here.
+    """
+    args = (inst.tau, inst.sigma, inst.omega, inst.exps, opts)
+    if inst.exps.p < inst.exps.q:
+        return ascent_bounds(*args)
+    return strong_norm_lower(*args), weak_norm_lower(*args)
 
 
 def cet_violations(cet: NormEstimate, car: float, p: float, tol: float) -> list:

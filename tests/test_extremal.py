@@ -12,13 +12,16 @@ from twoweight.extremal import (
     NormEstimate,
     _cet_scores,
     _indicator_rows,
+    _pool_images,
     _project_lp_sphere,
     _seed_pool,
     _strong_ascent,
     _strong_pool,
     _strong_scores,
     _top_cubes,
+    _weak_bound,
     _weak_scan,
+    ascent_bounds,
     carleson_embedding_constant,
     dense_norm_22,
     exact_norm_22,
@@ -293,6 +296,91 @@ def test_weak_zero_operator():
         Exponents(2.0, 2.0),
     )
     assert est.value == 0.0
+
+
+def _weak_every_row(h, w_lm, q):
+    """Oracle: (value, row) of the weak scan of every pool row in order, the first maximum kept."""
+    best_val, best_row = 0.0, 0
+    for r in range(h.shape[0]):
+        val = _weak_scan(h[r], w_lm, q)
+        if val > best_val:
+            best_val, best_row = val, r
+    return best_val, best_row
+
+
+def _assert_weak_matches_every_row(est, f, h, w_lm, q):
+    value, row = _weak_every_row(h, w_lm, q)
+    assert est.value.hex() == value.hex()
+    np.testing.assert_array_equal(est.extremal_f, f[row])
+    assert 1 <= est.iterations <= h.shape[0]
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.5, 1.5), (3.0, 3.0), (1.5, 3.0), (2.0, 4.0)])
+def test_pruned_weak_bound_equals_the_scan_of_every_row(monkeypatch, p, q):
+    # the Chebyshev-pruned scan keeps the value bits and the extremal row of the
+    # scan of every row, and counts the rows it scans
+    scans = []
+    scan = extremal._weak_scan
+
+    def counting(*args):
+        scans.append(1)
+        return scan(*args)
+
+    exps = Exponents(p, q)
+    skipped = 0
+    for k, cfg in enumerate(SUITE_GENERATORS):
+        for seed in range(2):
+            inst = gen_instance(cfg, 700 + 10 * k + seed)
+            args = (inst.tau, inst.sigma, inst.omega, exps, AscentOptions(restarts=8, seed=seed))
+            f, h, _ = _pool_images(*args)
+            monkeypatch.setattr(extremal, "_weak_scan", counting)
+            scans.clear()
+            est = weak_norm_lower(*args)
+            monkeypatch.setattr(extremal, "_weak_scan", scan)
+            assert est.iterations == len(scans)
+            skipped += h.shape[0] - est.iterations
+            _assert_weak_matches_every_row(est, f, h, inst.omega.leaf_mass, q)
+            if p < q:
+                strong, weak = ascent_bounds(*args)
+                alone = _strong_ascent(*args)
+                assert (weak.value, weak.iterations) == (est.value, est.iterations)
+                np.testing.assert_array_equal(weak.extremal_f, est.extremal_f)
+                assert (strong.value, strong.iterations) == (alone.value, alone.iterations)
+                np.testing.assert_array_equal(strong.extremal_f, alone.extremal_f)
+    assert skipped > 0
+
+
+def test_pruned_weak_bound_ties_go_to_the_first_row():
+    g, tau, sigma, omega = _random_instance(1, 5, seed=31)
+    exps = Exponents(1.5, 3.0)
+    f, h, j = _pool_images(tau, sigma, omega, exps, AscentOptions(restarts=3, seed=4))
+    w_lm = omega.leaf_mass
+    top = int(np.argmax(j))
+    # duplicates of the best row before and after it, and of the others
+    for order in ([1, top, 0, top], [top, 2, top, 1], [0, 0, 2, top, 1, top, top]):
+        pool = f[order]
+        est = _weak_bound(pool, h[order], j[order], w_lm, exps.q)
+        _assert_weak_matches_every_row(est, pool, h[order], w_lm, exps.q)
+        assert not np.shares_memory(est.extremal_f, pool)
+
+
+def test_pruned_weak_bound_of_zero_images_is_row_zero():
+    g = build_grid(1, 3)
+    f = np.arange(4 * g.n_leaves, dtype=float).reshape(4, -1)
+    h = np.zeros((4, g.n_leaves))
+    w_lm = np.ones(g.n_leaves)
+    est = _weak_bound(f, h, np.zeros(4), w_lm, 2.0)
+    assert est.value == 0.0 and est.iterations == 1
+    np.testing.assert_array_equal(est.extremal_f, f[0])
+    # a row with a positive norm can still have weak value 0: its omega-mass
+    # sits below the nudge under its largest value, which omega does not see
+    h[2, :2] = 1.0, 1e-13
+    w_lm[0] = 0.0
+    j = extremal._lq_rows(h, w_lm, 2.0)
+    assert j[2] > 0 and _weak_scan(h[2], w_lm, 2.0) == 0.0
+    est = _weak_bound(f, h, j, w_lm, 2.0)
+    assert est.value == 0.0 and est.iterations == 1
+    np.testing.assert_array_equal(est.extremal_f, f[0])
 
 
 # -- Carleson embedding ---------------------------------------------------------
@@ -866,6 +954,28 @@ def test_indicator_rows_match_dense_pool():
         g = build_grid(d, depth)
         cubes = np.array([0, 1, g.n_cubes // 3, g.leaf_start, g.n_cubes - 1])
         np.testing.assert_array_equal(_indicator_rows(g, cubes), _indicator_seeds(g)[cubes])
+
+
+# (d, depth, strided): leaf levels on both sides of the strided-scan threshold, d = 1..4
+SCAN_SIDES = [
+    (1, 6, False), (1, 13, True), (2, 3, False), (2, 7, True),
+    (3, 2, False), (3, 4, True), (4, 2, False), (4, 3, True),
+]
+
+
+@pytest.mark.parametrize("d,depth,strided", SCAN_SIDES)
+def test_indicator_rows_match_the_scan_of_one_hot_rows(d, depth, strided):
+    # the box-slice rows against the root-to-leaf scan of one-hot cube rows
+    g = build_grid(d, depth)
+    assert (g.n_leaves >= _kernels.STRIDED_MIN_CUBES) == strided
+    rng = np.random.default_rng(d * depth)
+    cubes = np.concatenate([g.level_offsets[:-1], g.level_offsets[1:] - 1, rng.integers(0, g.n_cubes, 8)])
+    onehot = np.zeros((cubes.size, g.n_cubes))
+    onehot[np.arange(cubes.size), cubes] = 1.0
+    scan = _kernels.down_sum_batch(onehot, g)[:, g.leaf_start :]
+    rows = _indicator_rows(g, cubes)
+    assert rows.shape == scan.shape and rows.flags.c_contiguous
+    assert rows.tobytes() == scan.tobytes()
 
 
 def test_top_cubes_stable_ties():

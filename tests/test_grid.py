@@ -156,6 +156,24 @@ def test_subtree_cube_mask_matches_scan_oracle(d, depth):
         g.subtree_cube_mask(g.n_cubes)
 
 
+@pytest.mark.parametrize(
+    "d,depth,strided",
+    [(1, 6, False), (1, 13, True), (2, 3, False), (2, 7, True),
+     (3, 2, False), (3, 4, True), (4, 2, False), (4, 3, True)],
+)
+def test_subtree_leaf_mask_is_the_cube_mask_at_the_leaves(d, depth, strided):
+    # the leaf-level box against the leaf part of the whole-subtree mask, on
+    # leaf levels both sides of the strided-scan threshold
+    g = build_grid(d, depth)
+    assert (g.n_leaves >= _kernels.STRIDED_MIN_CUBES) == strided
+    rng = np.random.default_rng(d * depth)
+    cubes = np.concatenate([g.level_offsets[:-1], g.level_offsets[1:] - 1, rng.integers(0, g.n_cubes, 8)])
+    for i in cubes.tolist():
+        mask = g.subtree_leaf_mask(i)
+        assert mask.dtype == bool and mask.flags.c_contiguous
+        assert np.array_equal(mask, g.subtree_cube_mask(i)[g.leaf_start :])
+
+
 @pytest.mark.parametrize("d,depth", [(1, 5), (2, 3), (3, 2)])
 def test_ancestor_matches_parent_walk(d, depth):
     g = build_grid(d, depth)

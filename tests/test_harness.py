@@ -8,6 +8,8 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -304,6 +306,29 @@ def test_suite_solves_the_l2_norm_once_per_row(monkeypatch):
         assert row["c3"] == row["strong"] and row["strong_kind"] == "exact"
 
 
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 4.0), (2.0, 2.0), (3.0, 3.0)])
+def test_row_builds_one_seed_pool(monkeypatch, p, q):
+    # where p < q the weak bound scans the ascent's own starting pool and images:
+    # one pool, and the ascent's 2 * iterations + 1 batched applications in all
+    calls = {"pool": 0, "batch": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(extremal, "_strong_pool", counting("pool", extremal._strong_pool))
+    monkeypatch.setattr(extremal, "_t_leafmass_batch", counting("batch", extremal._t_leafmass_batch))
+    for k, cfg in enumerate(SUITE_GENERATORS[:4]):
+        inst = gen_instance(GeneratorConfig(**{**vars(cfg), "p": p, "q": q}), 60 + k)
+        calls.update(pool=0, batch=0)
+        row, violations = harness._row_for_instance(inst, SuiteConfig())
+        assert violations == [] and calls["pool"] == 1
+        if p < q:
+            assert calls["batch"] == 2 * row["strong_iterations"] + 1
+
+
 def test_suite_flags_testing_above_certified_norm(monkeypatch):
     def shrunk(*args, **kwargs):
         est = strong_norm_lower(*args, **kwargs)
@@ -592,6 +617,61 @@ def test_cli_verify(tmp_path, capsys):
     assert summary["ok"] is True and summary["n_rows"] == 2
     assert (out_dir / "rows.jsonl").exists()
     assert (out_dir / "aggregates.csv").exists()
+
+
+def _fresh_run(argv):
+    """(exit code, stdout) of ``twoweight`` in a process of its own."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "twoweight.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for seed in range(3):
+            assert main(["gen", "--seed", str(seed)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [json.loads(line)["seed"] for line in capsys.readouterr().out.splitlines()] == [0, 1, 2]
+
+
+def test_cli_repeated_calls_match_fresh_runs(capsys):
+    # one parser per process: every call parses a fresh namespace, so repeated
+    # in-process calls print what separate processes print, and a flag given
+    # in one call is not there in the next
+    frac = ["--tau", "fractional", "--d", "1", "--depth", "3", "--n", "1", "--seed", "5"]
+    calls = [
+        ["verify", "--d", "1", "--depth", "3", "--n", "2", "--seed", "3"],
+        ["gen", "--d", "2", "--depth", "2", "--seed", "4"],
+        ["verify", *frac, "--alpha", "0.5", "--p", "1.5", "--q", "3"],
+        ["verify", "--d", "2", "--depth", "2", "--n", "1", "--seed", "3", "--rho", "2"],
+    ]
+    for argv in calls:
+        rc = main(argv)
+        assert (rc, capsys.readouterr().out) == _fresh_run(argv)
+    # without --alpha, fractional tau is a configuration error, as in a fresh run
+    assert main(["verify", *frac]) == 2
+    assert "fractional tau needs 0 < alpha < d" in capsys.readouterr().err
+    assert _fresh_run(["verify", *frac])[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--bogus"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert main(calls[1]) == 0 and json.loads(capsys.readouterr().out)["seed"] == 4
 
 
 @pytest.mark.parametrize(

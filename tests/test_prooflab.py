@@ -773,37 +773,65 @@ def _spiky_case(d, depth, seed):
     return inst.grid, inst.tau, inst.sigma, inst.omega, instance_f(inst)
 
 
-def _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m):
-    """Classification, occurrence counts and maximum principle of ``deco`` against the oracles."""
+def _oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=None):
+    """What the oracles give on ``deco``: the Whitney audits and, per m, the
+    corridors, the neighbour sets of every layer cube and, with ``f`` and
+    ``sigma``, the classification, occurrence counts and maximum principle.
+
+    They call grid and operator functions only, never the blocked prooflab
+    stages, so they do not depend on ``prooflab._LAYER_CELLS``.
+    """
+    want = {"whitney": _audit_whitney_oracle(deco)}
+    for m in ms:
+        if f is not None:
+            entries, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=m)
+            occurrences = _occurrence_oracle(deco, entries, m)
+            want["classified", m] = (
+                entries, viol, margin, occurrences, _max_principle_oracle(deco, f, sigma, tau, m)
+            )
+        want["corridors", m] = _corridor_sets_oracle(deco, m)
+        want["neighbors", m] = [
+            _neighbor_sets_oracle(deco, int(c), lay.k, m, tau, omega)
+            for lay in deco.layers
+            for c in lay.cubes
+        ]
+    return want
+
+
+def _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m, want):
+    """Classification, occurrence counts and maximum principle of ``deco`` against
+    the oracles' ``want["classified", m]``."""
     corridors = corridor_sets(deco, m)
     cls = classify_cubes(corridors, f, sigma, omega, tau)
-    entries, viol, margin = _classify_oracle(deco, f, sigma, omega, tau, m=m)
+    entries, viol, margin, occurrences, max_principle = want
     assert [(e.k, e.cube, e.cls) for e in cls.entries] == [e[:3] for e in entries]
     assert cls.violations == viol
     got = np.array([(e.alpha, e.beta) for e in cls.entries]).reshape(-1, 2)
-    want = np.array([e[3:] for e in entries]).reshape(-1, 2)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    expected = np.array([e[3:] for e in entries]).reshape(-1, 2)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
     assert cls.key_margin_min == pytest.approx(margin, rel=1e-12)
-    assert occurrence_audit(cls).counts == _occurrence_oracle(deco, entries, m)
+    assert occurrence_audit(cls).counts == occurrences
     mp = max_principle_audit(corridors, f, sigma, tau).violations
-    assert mp == _max_principle_oracle(deco, f, sigma, tau, m)
+    assert mp == max_principle
     return cls, mp
 
 
-def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=None):
+def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=None, want=None):
     """Every layer audit of ``deco`` against its oracle; returns the Whitney violations.
 
     With ``f`` and ``sigma`` the classification, occurrence counts and maximum
-    principle are compared as well.
+    principle are compared as well. ``want`` is ``_oracles`` of the same
+    arguments, computed here when omitted.
     """
+    want = want if want is not None else _oracles(deco, tau, omega, ms, f, sigma)
     fresh = WhitneyDecomposition(deco.grid, deco.v, deco.rho, deco.base, deco.layers)
     _audit_whitney(fresh)
-    assert (fresh.violations, fresh.fo_max, fresh.crowd_max) == _audit_whitney_oracle(deco)
+    assert (fresh.violations, fresh.fo_max, fresh.crowd_max) == want["whitney"]
     for m in ms:
         if f is not None:
-            _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m)
+            _assert_classified_matches_oracles(deco, f, sigma, omega, tau, m, want["classified", m])
         cor = corridor_sets(deco, m)
-        sets, viol = _corridor_sets_oracle(deco, m)
+        sets, viol = want["corridors", m]
         assert cor.violations == viol
         # one entry per layer cube, repeats included, in the oracle's order
         keys = [(deco.layers[j].k, c) for j, c in zip(cor.layer.tolist(), cor.cube.tolist())]
@@ -811,11 +839,12 @@ def _assert_matches_oracles(deco, tau, omega, ms=(2, DEFAULT_M), f=None, sigma=N
         assert list(dict.fromkeys(keys)) == list(sets)
         for i, key in enumerate(keys):
             np.testing.assert_array_equal(cor.corridor(i), sets[key])
+        got = []
         for lay in deco.layers:
             for c in lay.cubes:
                 ns = neighbor_sets(deco, int(c), lay.k, m, tau=tau, omega=omega)
-                got = (ns.neighbors.tolist(), ns.refined.tolist(), ns.violations)
-                assert got == _neighbor_sets_oracle(deco, int(c), lay.k, m, tau, omega)
+                got.append((ns.neighbors.tolist(), ns.refined.tolist(), ns.violations))
+        assert got == want["neighbors", m]
     return fresh.violations
 
 
@@ -900,27 +929,41 @@ def _corrupted_cases(deco):
     }
 
 
-def _assert_corruptions_fire(monkeypatch, d, depth, seed, rows=None):
+@pytest.fixture(scope="module")
+def corrupted_oracles():
+    """``_oracles`` of each corrupted copy, by (input, corruption, ms): the block
+    sizes change only the library side, so each is computed once."""
+    return {}
+
+
+def _assert_corruptions_fire(monkeypatch, cache, d, depth, seed, rows=None):
     """Each corrupted copy of the input's layers matches the oracles and fires its
-    kind of violation; with ``rows``, the stages take that many layers to a block."""
+    kind of violation; with ``rows``, the stages take that many layers to a block.
+    The oracles' outputs are kept in ``cache``."""
     g, tau, sigma, omega, f = _spiky_case(d, depth, seed)
     deco = whitney_layers(g, apply_T(tau, Measure.product(f, sigma)))
     if rows is not None:
         monkeypatch.setattr(prooflab, "_LAYER_CELLS", rows * g.n_cubes)
+    ms = (2,)
     for name, (bad, kind) in _corrupted_cases(deco).items():
-        viol = _assert_matches_oracles(bad, tau, omega, ms=(2,), f=f, sigma=sigma)
+        key = (d, depth, seed, name, ms)
+        if key not in cache:
+            cache[key] = _oracles(bad, tau, omega, ms, f, sigma)
+        viol = _assert_matches_oracles(bad, tau, omega, ms, f, sigma, want=cache[key])
         assert any(s.startswith(kind) for s in viol), name
 
 
 @pytest.mark.parametrize("d,depth,seed", CORRUPTED_INPUTS)
-def test_corrupted_layers_fire_the_same_violations(monkeypatch, d, depth, seed):
-    _assert_corruptions_fire(monkeypatch, d, depth, seed)
+def test_corrupted_layers_fire_the_same_violations(monkeypatch, corrupted_oracles, d, depth, seed):
+    _assert_corruptions_fire(monkeypatch, corrupted_oracles, d, depth, seed)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("d,depth,seed", CORRUPTED_INPUTS)
-def test_corrupted_layers_in_small_blocks_match_oracles(monkeypatch, d, depth, seed, rows):
-    _assert_corruptions_fire(monkeypatch, d, depth, seed, rows)
+def test_corrupted_layers_in_small_blocks_match_oracles(
+    monkeypatch, corrupted_oracles, d, depth, seed, rows
+):
+    _assert_corruptions_fire(monkeypatch, corrupted_oracles, d, depth, seed, rows)
 
 
 def _stage_outputs(deco, f, sigma, omega, tau, m):
