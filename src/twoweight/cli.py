@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .constants import carleson_norm, compute_testing_report
-from .extremal import AscentOptions, carleson_embedding_constant
+from .extremal import AscentOptions, carleson_embedding_constant, norm_bounds
 from .grid import GridSizeError, Measure
 from .harness import (
     ConfigError,
@@ -26,11 +26,9 @@ from .harness import (
     SuiteConfig,
     cet_violations,
     check_decomposition_params,
-    check_seed,
     gen_instance,
     instance_f,
     json_numbers,
-    norm_bounds,
     run_suite,
 )
 from .operators import apply_T
@@ -153,10 +151,13 @@ def _cmd_testing(args) -> int:
 def _cmd_norm(args) -> int:
     _check_tol(args.tol)
     inst = _load_instance(args.instance)
-    strong, weak = norm_bounds(inst, AscentOptions(seed=check_seed(args.seed)))
+    # the pool policy of a suite row, seeded from the instance: the row's numbers
+    strong, weak = norm_bounds(
+        inst.tau, inst.sigma, inst.omega, inst.exps, AscentOptions(seed=inst.seed)
+    )
     payload = {"strong": strong.to_dict(), "weak": weak.to_dict()}
     if inst.exps.is_l2:
-        # strong_norm_lower is exact_norm_22 at p = q = 2
+        # norm_bounds takes strong from exact_norm_22 at p = q = 2
         payload["exact"] = strong.to_dict()
     if not args.extremals:
         for entry in payload.values():
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     testing.set_defaults(func=_cmd_testing)
 
     norm = subs.add_parser("norm", help="norm estimates (certified at p=q, lower bounds otherwise)")
-    _flags(norm, "seed", "tol", "out")
+    _flags(norm, "tol", "out")
     norm.add_argument("--instance", required=True)
     norm.add_argument("--extremals", action="store_true", help="include extremal functions")
     norm.set_defaults(func=_cmd_norm)

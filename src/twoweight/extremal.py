@@ -18,10 +18,12 @@ tree scans (``_cet_scores``; ``strengthened_local_values`` for the strong
 norm), so all cubes are ranked without building their indicators, and only
 the top ``restarts`` of them join the pool: the ascent holds
 O(restarts * n_cubes) numbers. The weak-type bound scans the same pool rows
-and their images, which where p < q are built once for both bounds
-(``ascent_bounds``). Since l * omega(h > l)^(1/q) <= ||h||_{L^q(omega)}
-(Chebyshev), a row whose norm times (1 + ``_WEAK_MARGIN``), 1e-9, does not
-exceed the best weak value so far cannot beat it and is not scanned. Every
+and their images, which where p < q are built once for both bounds. Since
+l * omega(h > l)^(1/q) <= ||h||_{L^q(omega)} (Chebyshev), a row whose norm
+times (1 + ``_WEAK_MARGIN``), 1e-9, does not exceed the best weak value so
+far cannot beat it and is not scanned. ``norm_bounds`` is the norm stage's
+one entry point: it picks the solvers for the exponent pair, and
+``AscentOptions`` holds the one pool policy every caller shares. Every
 estimate carries the extremal function that attains it, so values can be
 re-evaluated independently.
 """
@@ -98,7 +100,7 @@ class NormEstimate:
 
 @dataclass
 class AscentOptions:
-    restarts: int = 16
+    restarts: int = 8
     max_iter: int = 120
     seed: int = 0
 
@@ -327,22 +329,29 @@ def strong_norm_lower(
     return _strong_ascent(tau, sigma, omega, exps, opts or AscentOptions())
 
 
-def ascent_bounds(
+def norm_bounds(
     tau: CubeWeights,
     sigma: Measure,
     omega: Measure,
     exps: Exponents,
     opts: AscentOptions | None = None,
 ) -> tuple[NormEstimate, NormEstimate]:
-    """(strong, weak): the ascent's strong lower bound and the weak lower bound, from one seed pool.
+    """(strong, weak): the strong norm bound and the weak-type lower bound.
 
-    Both bounds start from the same projected pool and its images
+    The one entry point of the norm stage: suite rows and ``twoweight norm``
+    both call it, so the same instance and options give the same two
+    estimates. At p = q the strong norm is ``strong_norm_lower`` (certified)
+    and the weak bound ``weak_norm_lower``, computed one after the other.
+    Where p < q both start from the same projected pool and its images
     (``_pool_images``), so they are built once: the weak bound scans them
     before the ascent overwrites its rows in place. The two estimates are
-    those of ``_strong_ascent`` and ``weak_norm_lower`` with the same options,
-    bit for bit. ``strong_norm_lower`` uses the ascent where p < q.
+    those of ``_strong_ascent`` and ``weak_norm_lower`` with the same
+    options, bit for bit.
     """
     opts = opts or AscentOptions()
+    if exps.p == exps.q:
+        strong = strong_norm_lower(tau, sigma, omega, exps, opts)
+        return strong, weak_norm_lower(tau, sigma, omega, exps, opts)
     start = _pool_images(tau, sigma, omega, exps, opts)
     weak = _weak_bound(*start, omega.leaf_mass, exps.q)
     return _strong_ascent(tau, sigma, omega, exps, opts, start), weak
@@ -408,7 +417,7 @@ def weak_norm_lower(
     of T(f sigma), each nudged down by 2**-40 times the value scale so the
     strict inequality is unambiguous in floating point. Rows whose
     Chebyshev bound rules them out are not scanned (``_weak_bound``);
-    ``iterations`` counts the rows that were. Where p < q ``ascent_bounds``
+    ``iterations`` counts the rows that were. Where p < q ``norm_bounds``
     gives the same estimate without building the pool a second time.
     """
     opts = opts or AscentOptions()
@@ -684,8 +693,10 @@ def _power_solve(image, mass: np.ndarray, p: float) -> NormEstimate:
             history = []
             f = prev_g
             continue
-        g = path ** (1.0 / (p - 1.0))
-        g = normalize(np.maximum(g, _FLOOR * g.max()))
+        # the step is scale-invariant: scaling path to a maximum of 1 keeps
+        # the power finite however large 1/(p-1) is
+        g = (path / path.max()) ** (1.0 / (p - 1.0))
+        g = normalize(np.maximum(g, _FLOOR))
         history = history[1 - _ANDERSON_PAIRS :] + [(f, g)]
         f = g
         if len(history) > 1:

@@ -28,10 +28,8 @@ from .constants import (
 from .extremal import (
     AscentOptions,
     NormEstimate,
-    ascent_bounds,
     carleson_embedding_constant,
-    strong_norm_lower,
-    weak_norm_lower,
+    norm_bounds,
 )
 from .grid import DyadicGrid, Exponents, Measure, build_grid
 from .operators import CubeWeights
@@ -302,7 +300,10 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     Carleson embedding constant (the leaf-to-root recursion of
     ``carleson_embedding_constant``), ``cet_kind`` says whether the bracket
     closed, and both ends are checked against the embedding theorem
-    (``cet_violations``). ``cet_iterations`` counts the recursion's passes;
+    (``cet_violations``). ``cet_iterations`` counts the recursion's passes.
+    ``strong`` and ``weak`` come from ``extremal.norm_bounds`` with the
+    suite's ``ascent`` options, by default ``AscentOptions`` seeded from the
+    instance, as in ``twoweight norm``, so that command reproduces the row.
     ``strong_iterations`` counts the solver iterations behind ``strong``
     (power-solver steps at p = q != 2; fixed-point (Boyd) ascent rounds where
     p < q; power iterations at p = q = 2, where ``strong`` is also C3). At
@@ -347,8 +348,8 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     t_norm = time.perf_counter()
     row["time_cet"] = t_norm - t_cet
 
-    opts = cfg.ascent or AscentOptions(restarts=8, max_iter=120, seed=inst.seed)
-    strong, weak = norm_bounds(inst, opts)
+    opts = cfg.ascent or AscentOptions(seed=inst.seed)
+    strong, weak = norm_bounds(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
     row["strong"] = strong.value
     row["strong_iterations"] = strong.iterations
     row["weak"] = weak.value
@@ -357,7 +358,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         flag("weak-le-strong", f"weak={weak.value!r} exceeds strong={strong.value!r}")
 
     if inst.exps.is_l2:
-        c3 = strong.value  # strong_norm_lower is exact_norm_22 at p = q = 2
+        c3 = strong.value  # norm_bounds takes it from exact_norm_22 at p = q = 2
         row["c1"] = c1
         row["c2"] = c2
         row["c3"] = c3
@@ -402,20 +403,6 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["time_audit"] = t_end - t_audit
     row["time_total"] = t_end - t0
     return row, violations
-
-
-def norm_bounds(inst: Instance, opts: AscentOptions) -> tuple[NormEstimate, NormEstimate]:
-    """(strong, weak): the instance's strong and weak-type norm bounds.
-
-    Where p < q both are lower bounds from one seed pool (``ascent_bounds``).
-    At p = q the strong norm is certified (``strong_norm_lower``) and the
-    weak bound builds its own pool (``weak_norm_lower``). Suite rows and
-    ``twoweight norm`` both take their bounds from here.
-    """
-    args = (inst.tau, inst.sigma, inst.omega, inst.exps, opts)
-    if inst.exps.p < inst.exps.q:
-        return ascent_bounds(*args)
-    return strong_norm_lower(*args), weak_norm_lower(*args)
 
 
 def cet_violations(cet: NormEstimate, car: float, p: float, tol: float) -> list:

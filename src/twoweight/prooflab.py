@@ -406,7 +406,7 @@ def _audit_whitney(deco: WhitneyDecomposition) -> None:
     top = np.full(grid.n_cubes, -np.inf)
     np.maximum.at(top, cubes, k_entry)
     top = _kernels.down_max(top, grid)
-    parent = grid.ancestor(cubes, 1)
+    parent = grid.parent[cubes]
     deco.checks += int(sizes @ (len(layers) - np.searchsorted(np.sort(ks), ks)))
     pairs = []
     for i in np.flatnonzero((parent >= 0) & (top[np.maximum(parent, 0)] >= k_entry)).tolist():
@@ -576,7 +576,7 @@ def classify_cubes(
     n = np.diff(starts)
     owner = np.repeat(np.arange(cubes.size), n)
     layer_k = np.array([lay.k for lay in deco.layers], dtype=np.int64)
-    up = grid.ancestor(cubes, 1)
+    up = grid.parent[cubes]
     real = up >= 0
     top = np.where(real, up, 0)
     pairing = np.empty((3, cubes.size))  # rows: alpha, beta and the scale of rounding
@@ -660,7 +660,7 @@ def _pairing(grid, f, sigma, omega, tau, c, leaves, above) -> tuple[float, float
     """(alpha, beta) of cube ``c`` by one inward localization: the per-cube formula."""
     e_mask = np.zeros(grid.n_leaves, dtype=bool)
     e_mask[leaves] = True
-    up = grid.ancestor(c, 1)
+    up = int(grid.parent[c])
     dom = grid.subtree_leaf_mask(up) if up >= 0 else np.ones(grid.n_leaves, dtype=bool)
     t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), _handle(up), "in")
     integrand = f * t_in * sigma.leaf_mass
@@ -699,7 +699,7 @@ def neighbor_sets(
     if j is None or not np.any(deco.layers[j].cubes == q):
         raise ValueError(f"cube {q} is not in layer k={k}")
     lay = deco.layers[j]
-    up = grid.ancestor(q, 1)
+    up = int(grid.parent[q])
     out = NeighborSets(k, q, np.sort(lay.cubes[_meets(grid, lay.cubes, up)]), _NO_LEAVES)
     if k + m in index:
         refined = deco.layers[index[k + m]].cubes
@@ -736,7 +736,7 @@ def _layer_neighbors(
     localize = tau is not None and omega is not None
     layer, cubes, bounds = _entries([lay.cubes for lay in lays])
     sizes = np.diff(bounds)
-    up = grid.ancestor(cubes, 1)
+    up = grid.parent[cubes]
 
     count = np.zeros(cubes.size, dtype=np.int64)
     for lo, hi in _blocks(grid, len(lays)):
@@ -746,7 +746,7 @@ def _layer_neighbors(
         count[e] = _read(meet, row, up[e], sizes[layer[e]])
 
     # refinements: the cubes of layer k+m, for every layer that has one
-    grand = grid.ancestor(np.maximum(up, 0), 1)
+    grand = grid.parent[np.maximum(up, 0)]
     refining = [j for j, lay in enumerate(lays) if lay.k + m in index]
     refined_of = {j: deco.layers[index[lays[j].k + m]].cubes for j in refining}
     n_refined = np.zeros(cubes.size)
@@ -823,7 +823,7 @@ def occurrence_audit(classified: ClassifiedDecomposition) -> OccurrenceAudit:
     hit = e.cls == 3
     index = _layer_index(deco.layers)
     ks = np.array(sorted(k for k in set(e.k[hit].tolist()) if k + m in index), dtype=np.int64)
-    k_hit, up = e.k[hit], grid.ancestor(e.cube[hit], 1)
+    k_hit, up = e.k[hit], grid.parent[e.cube[hit]]
     counted, row = np.isin(k_hit, ks), np.searchsorted(ks, k_hit)
     total = np.zeros(grid.n_cubes, dtype=np.int64)
     for lo, hi in _blocks(grid, ks.size):
@@ -1076,7 +1076,7 @@ def max_principle_audit(
     cubes, leaves = corridors.cube, corridors.leaves
     thr = np.array([lay.threshold for lay in deco.layers])[corridors.layer]
     hi, lo = thr * (1 + _MP_RTOL), thr * (1 - _MP_RTOL)
-    p1 = grid.ancestor(cubes, 1)
+    p1 = grid.parent[cubes]
     p2 = grid.ancestor(cubes, 2)
     out_local = _at(local, p2)
     out_far = _at(far, p2)

@@ -21,10 +21,10 @@ from twoweight.extremal import (
     _top_cubes,
     _weak_bound,
     _weak_scan,
-    ascent_bounds,
     carleson_embedding_constant,
     dense_norm_22,
     exact_norm_22,
+    norm_bounds,
     strong_norm_lower,
     weak_norm_lower,
 )
@@ -340,13 +340,13 @@ def test_pruned_weak_bound_equals_the_scan_of_every_row(monkeypatch, p, q):
             assert est.iterations == len(scans)
             skipped += h.shape[0] - est.iterations
             _assert_weak_matches_every_row(est, f, h, inst.omega.leaf_mass, q)
-            if p < q:
-                strong, weak = ascent_bounds(*args)
-                alone = _strong_ascent(*args)
-                assert (weak.value, weak.iterations) == (est.value, est.iterations)
-                np.testing.assert_array_equal(weak.extremal_f, est.extremal_f)
-                assert (strong.value, strong.iterations) == (alone.value, alone.iterations)
-                np.testing.assert_array_equal(strong.extremal_f, alone.extremal_f)
+            # the norm stage's one entry point gives these estimates, bit for bit
+            strong, weak = norm_bounds(*args)
+            alone = _strong_ascent(*args) if p < q else strong_norm_lower(*args)
+            assert (weak.value, weak.iterations) == (est.value, est.iterations)
+            np.testing.assert_array_equal(weak.extremal_f, est.extremal_f)
+            assert (strong.value, strong.iterations) == (alone.value, alone.iterations)
+            np.testing.assert_array_equal(strong.extremal_f, alone.extremal_f)
     assert skipped > 0
 
 
@@ -858,6 +858,19 @@ def test_strong_certified_on_the_diagonal(p):
         assert lp_norm(f, sigma, p) == pytest.approx(1.0, rel=1e-12)
         image = apply_T(tau, Measure.product(f, sigma))
         assert lp_norm(image, omega, p) == pytest.approx(est.value, rel=1e-10)
+
+
+def test_strong_certified_at_exponents_near_one():
+    # at p = q = 1.001 the power step raises path to the power 1000; scaled to a
+    # maximum of 1 first, it stays finite, so no inf or NaN reaches the mixing
+    exps = Exponents(1.001, 1.001)
+    for seed, (d, depth) in enumerate(((1, 4), (2, 3), (1, 7))):
+        inst = gen_instance(GeneratorConfig(d=d, depth=depth, p=exps.p, q=exps.q), seed)
+        est = strong_norm_lower(inst.tau, inst.sigma, inst.omega, exps)
+        assert np.isfinite(est.value) and np.isfinite(est.upper)
+        assert np.all(np.isfinite(est.extremal_f))
+        assert 0 < est.value <= est.upper
+        _assert_closed(est)
 
 
 # -- closed-form indicator scores against the dense indicator pool ---------------

@@ -335,7 +335,7 @@ def test_suite_flags_testing_above_certified_norm(monkeypatch):
         est.upper = 0.5 * est.value
         return est
 
-    monkeypatch.setattr(harness, "strong_norm_lower", shrunk)
+    monkeypatch.setattr(extremal, "strong_norm_lower", shrunk)
     cfg = SuiteConfig(generators=[GeneratorConfig(d=1, depth=3, p=3.0, q=3.0)], n=1, seed=3)
     report = run_suite(cfg)
     assert not report.ok
@@ -471,7 +471,7 @@ def test_cli_malformed_f_exit_code(tmp_path, capsys, command, content):
 @pytest.mark.parametrize(
     "command,flag",
     [("gen", "--tol"), ("apply", "--seed"), ("testing", "--eta"), ("testing", "--seed"),
-     ("norm", "--rho"), ("decompose", "--threads"), ("verify", "--tol")],
+     ("norm", "--rho"), ("norm", "--seed"), ("decompose", "--threads"), ("verify", "--tol")],
 )
 def test_cli_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     argv = [command, flag, "5"]
@@ -525,6 +525,22 @@ def test_cli_norm(tmp_path, capsys):
     rc = main(["norm", "--instance", str(inst_path), "--extremals"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and isinstance(out["strong"]["extremal_f"], list)
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 2.0), (1.5, 1.5), (3.0, 3.0), (1.5, 3.0), (2.0, 4.0)])
+def test_cli_norm_reproduces_the_suite_row(tmp_path, capsys, p, q):
+    # the command seeds its pool from the written instance, as a row does, so
+    # every strong and weak value re-evaluates to the row's bits
+    path = tmp_path / "inst.json"
+    for k, cfg in enumerate(SUITE_GENERATORS):
+        inst = gen_instance(GeneratorConfig(**{**vars(cfg), "p": p, "q": q}), 100 + k)
+        path.write_text(inst.to_json())
+        row, _ = harness._row_for_instance(inst, SuiteConfig())
+        assert main(["norm", "--instance", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["strong"]["value"] == row["strong"], cfg.tag()
+        assert out["weak"]["value"] == row["weak"], cfg.tag()
+        assert out["strong"]["iterations"] == row["strong_iterations"]
 
 
 def _reject_constant(name):
@@ -679,11 +695,11 @@ def test_cli_repeated_calls_match_fresh_runs(capsys):
     [("verify", "--n", "-1"), ("verify", "--eta", "2"), ("verify", "--rho", "0"),
      ("verify", "--ratio-cap", "-1"), ("verify", "--threads", "0"),
      ("decompose", "--eta", "0"), ("decompose", "--rho", "0"),
-     ("gen", "--seed", "-1"), ("verify", "--seed", "-1"), ("norm", "--seed", "-1")],
+     ("gen", "--seed", "-1"), ("verify", "--seed", "-1")],
 )
 def test_cli_out_of_range_flag_exit_code(tmp_path, capsys, command, flag, value):
     argv = [command, flag, value]
-    if command in ("decompose", "norm"):
+    if command == "decompose":
         argv += ["--instance", str(_gen_file(tmp_path))]
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
