@@ -5,7 +5,13 @@ that is never materialized: each matrix-vector product is one application of
 the dyadic operator. The strong norm at p = q != 2 is the p -> p norm of a
 nonnegative map; ``_power_solve`` brackets it between the value of its best
 iterate and a Hoelder (Collatz-Wielandt) upper value, two operator
-applications per step. The Carleson embedding constant (every p) has an exact
+applications per step. It runs Boyd's fixed-point step, mixed with the
+step before by a one-pair Anderson step, so it keeps only the last iterate
+and its image. Both Boyd solvers, this one and the ascent where p < q, raise
+the gradient to the power 1/(p-1) in one place, ``_boyd_power``, which
+scales each row to a maximum of 1 first: the power stays finite however
+close p is to 1, and the upper value needs no division by an f^(p-1) that
+underflowed. The Carleson embedding constant (every p) has an exact
 Bellman recursion on the tree: one leaf-to-root pass decides whether a number
 exceeds C_p^p, so a bracket search on that number certifies the constant from
 above, and one root-to-leaf pass recovers the extremal that attains it from
@@ -49,11 +55,11 @@ _POWER_VALUE_TOL = 1e-14
 _POWER_RESIDUAL_TOL = 1e-9
 
 # Certified power solver: iteration cap, relative bracket width that makes a
-# value "exact" (for the embedding constant too), Anderson memory
-# (iterate/image pairs) and positivity floor (relative to the image's maximum).
+# value "exact" (for the embedding constant too) and positivity floor
+# (relative to the image's maximum), which keeps the Hoelder upper value
+# defined.
 _SOLVE_MAX_ITER = 2000
 _SOLVE_GAP = 1e-12
-_ANDERSON_PAIRS = 5
 _FLOOR = 1e-30
 
 # Embedding recursion: relative margin on its upper value for the rounding of
@@ -370,7 +376,8 @@ def _strong_ascent(
     Stationary points of ||T(f sigma)||_{L^q(omega)} on the unit L^p(sigma)
     sphere satisfy f^(p-1) proportional to path = T(h^(q-1) omega) on the
     support of sigma, where h = T(f sigma). Each iteration renormalizes
-    path^(1/(p-1)) for every row and keeps it where it raises the row's value,
+    ``_boyd_power``, path^(1/(p-1)) of every row scaled to a maximum of 1
+    on the support of sigma, and keeps it where it raises the row's value,
     at two batched operator applications. A row whose candidate fails to
     raise it is final, since its next candidate would be the same, so each
     round applies the operator to the rows that improved in the last one. The
@@ -388,7 +395,7 @@ def _strong_ascent(
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         path = _t_leafmass_batch(grid, tau.coef, h[live] ** (q - 1.0) * w_lm)
-        cand = _project_lp_sphere(path ** (1.0 / (p - 1.0)), s_lm, p)
+        cand = _project_lp_sphere(_boyd_power(path, p, s_lm > 0), s_lm, p)
         h_cand = _t_leafmass_batch(grid, tau.coef, cand * s_lm)
         j_cand = _lq_rows(h_cand, w_lm, q)
         up = j_cand > j[live]
@@ -647,64 +654,82 @@ def _embedding_extremal(grid, tau, mu, y, sums, p):
     return f, float(tau @ avg**p) ** (1.0 / p)
 
 
+def _boyd_power(path: np.ndarray, p: float, live: np.ndarray) -> np.ndarray:
+    """path^(1/(p-1)) on ``live`` with each row of ``path`` first scaled to a
+    maximum of 1 there, in a fresh array; 0 off ``live`` and on a row whose
+    maximum there is 0.
+
+    Boyd's step is scale-invariant, so the scaling changes no iterate after
+    normalization, and it keeps the power finite however large 1/(p-1) is.
+    The maximum is taken on ``live``, the support of the measure: a larger
+    value off it would scale the live part towards 0, where a power as
+    large as 1000 (p = 1.001) would underflow it.
+    """
+    root = np.where(live, path, 0.0)
+    top = root.max(axis=-1, keepdims=True)
+    np.divide(root, top, out=root, where=top > 0)
+    root **= 1.0 / (p - 1.0)
+    return root
+
+
 def _power_solve(image, mass: np.ndarray, p: float) -> NormEstimate:
-    """Certified p -> p norm of a nonnegative map: Boyd's power method with Anderson mixing.
+    """Certified p -> p norm of a nonnegative map: Boyd's power method with a one-pair Anderson step.
 
     ``image(f)`` returns (J(f), path_f) for f >= 0 of unit L^p(mass) norm,
     where path_f is the gradient of J^p / p divided by ``mass``, so that
     J(f)^p = sum f * mass * path_f; path_f is read before the next call, so
     it may be a view of a buffer that call overwrites. Stationary points
-    satisfy f^(p-1) proportional to path_f, and for nonnegative maps the plain step
-    f -> path_f^(1/(p-1)) never lowers J (D. W. Boyd, Linear Algebra Appl. 9,
-    1974). Hoelder's inequality bounds every unit g by
-    J(g)^p <= max over the support of mass of path_f / f^(p-1), for any f > 0
-    there, so each step gives a lower value J(f) and an upper value for free.
+    satisfy f^(p-1) proportional to path_f, and for nonnegative maps the
+    plain step f -> g = path_f^(1/(p-1)), normalized, never lowers J
+    (D. W. Boyd, Linear Algebra Appl. 9, 1974). Hoelder's inequality bounds
+    every unit g by J(g)^p <= max over the support of mass of
+    path_f / f^(p-1), for any f > 0 there, so each step gives a lower value
+    J(f) and an upper value for free. Both the step and the upper value are
+    taken from root = ``_boyd_power(path_f, p, mass > 0)``: the upper value
+    is max(path_f)^(1/p) * max (root / f)^((p-1)/p), both maxima over the
+    support of mass, which divides no 0 by 0 and no number by an f^(p-1)
+    that underflowed.
 
-    The step mixes the last ``_ANDERSON_PAIRS`` (iterate, image) pairs
-    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) and clips to a positive
-    floor. When a mixed iterate lowers J, the history is dropped and the
-    iteration restarts from the previous plain image. The solve stops with
-    kind "exact" once upper - lower <= ``_SOLVE_GAP`` * lower, and with
-    "lower-bound" at ``_SOLVE_MAX_ITER`` steps; ``value`` is the best J,
-    ``upper`` the smallest upper value and ``residual`` their difference.
+    The step mixes the current iterate and plain image (f, g) with the last
+    ones (f0, g0) (Anderson mixing with one pair; Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011): with r = g - f and dr = r - (g0 - f0) it goes to
+    g - gamma (g - g0), gamma = <r, dr> / <dr, dr>, clipped to a positive
+    floor, or to g when dr = 0. When a mixed iterate lowers J, the solve
+    restarts from the last plain image. It stops with kind "exact" once
+    upper - lower <= ``_SOLVE_GAP`` * lower, and with "lower-bound" at
+    ``_SOLVE_MAX_ITER`` steps; ``value`` is the best J, ``upper`` the
+    smallest upper value and ``residual`` their difference.
     """
     live = mass > 0
     if not np.any(live):
         return NormEstimate(0.0, "exact", np.zeros(mass.size), None, 0, 0.0, upper=0.0)
 
     def normalize(f):
-        return f / float(f**p @ mass) ** (1.0 / p)
+        f /= float(f**p @ mass) ** (1.0 / p)
+        return f
 
     f = normalize(np.ones(mass.size))
     lower, best_f = 0.0, f
     upper = math.inf
-    prev_j, prev_g = -math.inf, f
-    history = []
+    prev_j, last = -math.inf, None  # last: the previous step's iterate and plain image
     iterations = 0
     for iterations in range(1, _SOLVE_MAX_ITER + 1):
         j, path = image(f)
-        upper = min(upper, float(np.max(path[live] / f[live] ** (p - 1.0))) ** (1.0 / p))
+        root = _boyd_power(path, p, live)
+        ratio = float(np.max(root[live] / f[live])) ** ((p - 1.0) / p)
+        upper = min(upper, float(np.max(path, where=live, initial=0.0)) ** (1.0 / p) * ratio)
         if j > lower:
             lower, best_f = j, f
         if upper - lower <= _SOLVE_GAP * lower:
             break
-        if len(history) > 1 and j < prev_j:
+        if last is not None and j < prev_j:
             # the mixed iterate lost ground: restart from the last plain image
-            history = []
-            f = prev_g
+            f, last = last[1], None
             continue
-        # the step is scale-invariant: scaling path to a maximum of 1 keeps
-        # the power finite however large 1/(p-1) is
-        g = (path / path.max()) ** (1.0 / (p - 1.0))
-        g = normalize(np.maximum(g, _FLOOR))
-        history = history[1 - _ANDERSON_PAIRS :] + [(f, g)]
-        f = g
-        if len(history) > 1:
-            fs, gs = (np.array(x) for x in zip(*history))
-            res = gs - fs
-            gamma = np.linalg.lstsq(np.diff(res, axis=0).T, res[-1], rcond=None)[0]
-            f = normalize(np.maximum(g - gamma @ np.diff(gs, axis=0), _FLOOR * g.max()))
-        prev_j, prev_g = j, g
+        g = normalize(np.maximum(root, _FLOOR, out=root))
+        mixed = None if last is None else _anderson_step(f, g, *last)
+        last, prev_j = (f, g), j
+        f = g if mixed is None else normalize(np.maximum(mixed, _FLOOR * g.max(), out=mixed))
     kind = "exact" if upper - lower <= _SOLVE_GAP * lower else "lower-bound"
     # at a closed bracket the two values may round past each other
     upper = max(upper, lower)
@@ -717,6 +742,22 @@ def _power_solve(image, mass: np.ndarray, p: float) -> NormEstimate:
         flagged=(kind != "exact"),
         upper=upper,
     )
+
+
+def _anderson_step(f, g, f0, g0):
+    """g - gamma (g - g0) in a fresh array, from the iterates f0, f and their
+    plain images g0, g, with r = g - f, dr = r - (g0 - f0) and
+    gamma = <r, dr> / <dr, dr>; None when dr = 0."""
+    r = g - f
+    dr = r - g0
+    dr += f0
+    dd = float(dr @ dr)
+    if dd == 0.0:
+        return None
+    gamma = float(r @ dr) / dd
+    mixed = np.subtract(g, g0, out=r)
+    mixed *= gamma
+    return np.subtract(g, mixed, out=mixed)
 
 
 def _cet_scores(grid: DyadicGrid, tau: np.ndarray, mass: np.ndarray, p: float) -> np.ndarray:

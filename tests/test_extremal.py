@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -873,6 +874,65 @@ def test_strong_certified_at_exponents_near_one():
         _assert_closed(est)
 
 
+@pytest.mark.parametrize("p", [12.0, 30.0])
+@pytest.mark.parametrize("cfg", [
+    dict(d=1, depth=6, sigma="uniform", tau="sparse"),
+    dict(d=2, depth=3, omega="spikes", tau="sparse"),
+])
+def test_strong_certified_at_large_exponents(cfg, p):
+    # sparse tau leaves path_f = 0 where the iterate sits at its floor, and at
+    # large p the floor's f^(p-1) underflows to 0: the upper value must come
+    # from the scaled root path^(1/(p-1)), not from path / f^(p-1), which is
+    # 0 / 0 there and would leave the bracket open
+    for seed in range(3):
+        inst = gen_instance(GeneratorConfig(**cfg, p=p, q=p), seed)
+        est = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps)
+        _assert_closed(est)
+
+
+def test_strong_certified_where_sigma_vanishes_near_p_one():
+    # sigma lives on the left half of the leaves and omega mostly on the
+    # right, so path_f is largest where sigma vanishes. Scaled by that
+    # maximum, the live part of path_f^1000 would underflow to 0: the step
+    # would lose it, and the upper value would read 0 there and certify a
+    # value below what the ascent finds. The scale is taken on sigma's support
+    g = build_grid(1, 4)
+    tau = CubeWeights(g, np.random.default_rng(0).exponential(size=g.n_cubes))
+    half = np.arange(g.n_leaves) < g.n_leaves // 2
+    sigma = Measure(g, np.where(half, 1.0, 0.0))
+    omega = Measure(g, np.where(half, 1e-3, 1.0))
+    for p in (1.001, 1.01):
+        exps = Exponents(p, p)
+        est = strong_norm_lower(tau, sigma, omega, exps)
+        _assert_closed(est)
+        ascent = _strong_ascent(tau, sigma, omega, exps, AscentOptions(seed=0))
+        assert ascent.value <= est.upper * (1 + 1e-12)
+
+
+def test_ascent_finite_near_p_one(monkeypatch):
+    # where p < q and p is near 1 the ascent raises path to the power
+    # 1/(p-1) = 1000; scaled row by row first, no candidate overflows to a
+    # NaN row, which could never improve
+    inst = gen_instance(GeneratorConfig(d=1, depth=4, p=1.001, q=2.0), 0)
+    args = (inst.tau, inst.sigma, inst.omega, inst.exps, AscentOptions(seed=0))
+    best_pool = float(_pool_images(*args)[2].max())
+    rows = []
+    project = extremal._project_lp_sphere
+
+    def recording(f, mass, p):
+        rows.append(project(f, mass, p))
+        return rows[-1]
+
+    monkeypatch.setattr(extremal, "_project_lp_sphere", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strong, _ = norm_bounds(*args)
+    # the pool's projection, then one batch of candidates per round
+    assert len(rows) == strong.iterations + 1
+    assert all(np.all(np.isfinite(r)) for r in rows)
+    assert strong.value >= best_pool
+
+
 # -- closed-form indicator scores against the dense indicator pool ---------------
 
 
@@ -1065,6 +1125,24 @@ def test_ascent_memory_bounded_at_depth_12():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("d,depth", [(1, 16), (2, 8)])
+def test_power_solver_memory_in_leaf_vectors(d, depth):
+    # the solve holds its work buffer, the current and the last iterate and
+    # plain image, the best iterate and a few temporaries: a bounded number
+    # of leaf vectors whatever the number of steps
+    inst = gen_instance(GeneratorConfig(d=d, depth=depth), 7)
+    leaf_vector = 8 * inst.grid.n_leaves
+    for p in (1.5, 3.0):
+        tracemalloc.start()
+        try:
+            est = strong_norm_lower(inst.tau, inst.sigma, inst.omega, Exponents(p, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_closed(est)
+        assert peak < 16 * leaf_vector, f"{peak / leaf_vector:.1f} leaf vectors"
 
 
 def test_embedding_memory_linear_in_cubes():
