@@ -18,7 +18,6 @@ from .constants import (
     weighted_carleson_norm,
 )
 from .extremal import (
-    AscentOptions,
     NormEstimate,
     carleson_embedding_constant,
     dense_norm_22,
@@ -122,7 +121,6 @@ __all__ = [
     "testing_constants_22",
     "weighted_carleson_norm",
     # extremal
-    "AscentOptions",
     "NormEstimate",
     "carleson_embedding_constant",
     "dense_norm_22",

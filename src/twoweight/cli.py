@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .constants import carleson_norm, compute_testing_report
-from .extremal import AscentOptions, carleson_embedding_constant, norm_bounds
+from .extremal import carleson_embedding_constant, norm_bounds
 from .grid import GridSizeError, Measure
 from .harness import (
     ConfigError,
@@ -151,10 +151,8 @@ def _cmd_testing(args) -> int:
 def _cmd_norm(args) -> int:
     _check_tol(args.tol)
     inst = _load_instance(args.instance)
-    # the pool policy of a suite row, seeded from the instance: the row's numbers
-    strong, weak = norm_bounds(
-        inst.tau, inst.sigma, inst.omega, inst.exps, AscentOptions(seed=inst.seed)
-    )
+    # the seed pool of a suite row, drawn from the instance's seed: the row's numbers
+    strong, weak = norm_bounds(inst.tau, inst.sigma, inst.omega, inst.exps, seed=inst.seed)
     payload = {"strong": strong.to_dict(), "weak": weak.to_dict()}
     if inst.exps.is_l2:
         # norm_bounds takes strong from exact_norm_22 at p = q = 2

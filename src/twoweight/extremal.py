@@ -22,14 +22,15 @@ sphere, seeded with Dirichlet-like restarts and the best cube indicators.
 The objective at every normalized cube indicator has a closed form of a few
 tree scans (``_cet_scores``; ``strengthened_local_values`` for the strong
 norm), so all cubes are ranked without building their indicators, and only
-the top ``restarts`` of them join the pool: the ascent holds
-O(restarts * n_cubes) numbers. The weak-type bound scans the same pool rows
+the top ``_RESTARTS`` of them join the pool: the ascent holds
+O(_RESTARTS * n_cubes) numbers. The weak-type bound scans the same pool rows
 and their images, which where p < q are built once for both bounds. Since
 l * omega(h > l)^(1/q) <= ||h||_{L^q(omega)} (Chebyshev), a row whose norm
 times (1 + ``_WEAK_MARGIN``), 1e-9, does not exceed the best weak value so
 far cannot beat it and is not scanned. ``norm_bounds`` is the norm stage's
-one entry point: it picks the solvers for the exponent pair, and
-``AscentOptions`` holds the one pool policy every caller shares. Every
+one entry point: it picks the solvers for the exponent pair, and every
+caller shares one pool policy, ``_RESTARTS`` rows of each kind and at most
+``_ASCENT_ROUNDS`` rounds, with only the pool's seed left to choose. Every
 estimate carries the extremal function that attains it, so values can be
 re-evaluated independently.
 """
@@ -37,7 +38,7 @@ re-evaluated independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +80,12 @@ _WEAK_MARGIN = 1e-9
 # Row norms of a pool's images: the numbers one block of rows may hold.
 _LQ_CELLS = 1 << 16
 
+# Seed pool of the lower bounds (the weak bound, and the strong bound where
+# p < q): the random restarts it holds, as many best cube indicators, and the
+# rounds the ascent may take.
+_RESTARTS = 8
+_ASCENT_ROUNDS = 120
+
 
 @dataclass
 class NormEstimate:
@@ -102,13 +109,6 @@ class NormEstimate:
             "extremal_f": None if self.extremal_f is None else self.extremal_f.tolist(),
             "extremal_g": None if self.extremal_g is None else self.extremal_g.tolist(),
         }
-
-
-@dataclass
-class AscentOptions:
-    restarts: int = 8
-    max_iter: int = 120
-    seed: int = 0
 
 
 def _t_leafmass(
@@ -250,15 +250,13 @@ def _top_cubes(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.argsort(-scores, kind="stable")[:k])
 
 
-def _seed_pool(grid: DyadicGrid, opts: AscentOptions, scores: np.ndarray) -> np.ndarray:
-    """Random restarts, then the indicators of the ``opts.restarts`` best cubes.
-
-    ``scores`` holds the objective at every cube's normalized indicator; at
-    least the best indicator is always included.
-    """
-    rng = np.random.default_rng(opts.seed)
-    restarts = rng.exponential(1.0, size=(opts.restarts, grid.n_leaves))
-    top = _top_cubes(scores, max(1, opts.restarts))
+def _seed_pool(grid: DyadicGrid, seed: int, scores: np.ndarray) -> np.ndarray:
+    """``_RESTARTS`` random restarts drawn from ``seed``, then the indicators
+    of the ``_RESTARTS`` best cubes; ``scores`` holds the objective at every
+    cube's normalized indicator."""
+    rng = np.random.default_rng(seed)
+    restarts = rng.exponential(1.0, size=(_RESTARTS, grid.n_leaves))
+    top = _top_cubes(scores, _RESTARTS)
     return np.concatenate([restarts, _indicator_rows(grid, top)], axis=0)
 
 
@@ -274,11 +272,6 @@ def _strong_scores(tau, sigma, omega, exps) -> np.ndarray:
     return np.maximum(strengthened_local_values(tau, omega, sigma, exps.dual()), 0.0)
 
 
-def _strong_pool(tau, sigma, omega, exps, opts: AscentOptions) -> np.ndarray:
-    """The seed pool shared by the strong and weak bounds, ranked by the strong score."""
-    return _seed_pool(tau.grid, opts, _strong_scores(tau, sigma, omega, exps))
-
-
 def _lq_rows(h: np.ndarray, w_lm: np.ndarray, q: float) -> np.ndarray:
     """||h_r||_{L^q(omega)} for every row h_r of ``h``, with ``w_lm`` omega's leaf masses.
 
@@ -291,12 +284,14 @@ def _lq_rows(h: np.ndarray, w_lm: np.ndarray, q: float) -> np.ndarray:
     return np.concatenate(sums) ** (1.0 / q)
 
 
-def _pool_images(tau, sigma, omega, exps, opts: AscentOptions) -> tuple:
-    """(f, h, j): the strong seed pool projected to the unit L^p(sigma) sphere,
-    its images h = T(f sigma) in one batched application, and their values
+def _pool_images(tau, sigma, omega, exps, seed: int) -> tuple:
+    """(f, h, j): the seed pool shared by the strong and weak bounds, ranked by
+    the strong score and projected to the unit L^p(sigma) sphere, its images
+    h = T(f sigma) in one batched application, and their values
     j = ||h||_{L^q(omega)}, one row each."""
     s_lm = sigma.leaf_mass
-    f = _project_lp_sphere(_strong_pool(tau, sigma, omega, exps, opts), s_lm, exps.p)
+    pool = _seed_pool(tau.grid, seed, _strong_scores(tau, sigma, omega, exps))
+    f = _project_lp_sphere(pool, s_lm, exps.p)
     h = _t_leafmass_batch(tau.grid, tau.coef, f * s_lm)
     return f, h, _lq_rows(h, omega.leaf_mass, exps.q)
 
@@ -306,16 +301,17 @@ def strong_norm_lower(
     sigma: Measure,
     omega: Measure,
     exps: Exponents,
-    opts: AscentOptions | None = None,
+    seed: int = 0,
 ) -> NormEstimate:
     """Lower bound for ||T(f sigma)||_{L^q(omega)} over the unit L^p(sigma) sphere.
 
     The exponents pick the method: the singular-value routine at p = q = 2,
     ``_power_solve`` (certified) at every other p = q, and at p < q the
-    fixed-point (Boyd) ascent ``_strong_ascent`` from ``opts.restarts``
-    Dirichlet-like restarts plus the indicators of the ``opts.restarts``
-    cubes R with the largest sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)},
-    scored in closed form for every cube.
+    fixed-point (Boyd) ascent ``_strong_ascent`` from ``_RESTARTS``
+    Dirichlet-like restarts drawn from ``seed`` plus the indicators of the
+    ``_RESTARTS`` cubes R with the largest
+    sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}, scored in closed form for
+    every cube.
     """
     if exps.is_l2:
         return exact_norm_22(tau, sigma, omega)
@@ -332,7 +328,7 @@ def strong_norm_lower(
             return j, _t_leafmass(grid, tau.coef, weighted, work)
 
         return _power_solve(image, sigma.leaf_mass, p)
-    return _strong_ascent(tau, sigma, omega, exps, opts or AscentOptions())
+    return _strong_ascent(tau, sigma, omega, exps, _pool_images(tau, sigma, omega, exps, seed))
 
 
 def norm_bounds(
@@ -340,27 +336,27 @@ def norm_bounds(
     sigma: Measure,
     omega: Measure,
     exps: Exponents,
-    opts: AscentOptions | None = None,
+    seed: int = 0,
 ) -> tuple[NormEstimate, NormEstimate]:
     """(strong, weak): the strong norm bound and the weak-type lower bound.
 
     The one entry point of the norm stage: suite rows and ``twoweight norm``
-    both call it, so the same instance and options give the same two
-    estimates. At p = q the strong norm is ``strong_norm_lower`` (certified)
-    and the weak bound ``weak_norm_lower``, computed one after the other.
+    both call it with the instance's seed, so the same instance gives the
+    same two estimates. At p = q the strong norm is ``strong_norm_lower``
+    (certified) and the weak bound ``weak_norm_lower``, computed one after
+    the other.
     Where p < q both start from the same projected pool and its images
     (``_pool_images``), so they are built once: the weak bound scans them
     before the ascent overwrites its rows in place. The two estimates are
-    those of ``_strong_ascent`` and ``weak_norm_lower`` with the same
-    options, bit for bit.
+    those of ``strong_norm_lower`` and ``weak_norm_lower`` with the same
+    seed, bit for bit.
     """
-    opts = opts or AscentOptions()
     if exps.p == exps.q:
-        strong = strong_norm_lower(tau, sigma, omega, exps, opts)
-        return strong, weak_norm_lower(tau, sigma, omega, exps, opts)
-    start = _pool_images(tau, sigma, omega, exps, opts)
+        strong = strong_norm_lower(tau, sigma, omega, exps, seed)
+        return strong, weak_norm_lower(tau, sigma, omega, exps, seed)
+    start = _pool_images(tau, sigma, omega, exps, seed)
     weak = _weak_bound(*start, omega.leaf_mass, exps.q)
-    return _strong_ascent(tau, sigma, omega, exps, opts, start), weak
+    return _strong_ascent(tau, sigma, omega, exps, start), weak
 
 
 def _strong_ascent(
@@ -368,8 +364,7 @@ def _strong_ascent(
     sigma: Measure,
     omega: Measure,
     exps: Exponents,
-    opts: AscentOptions,
-    start: tuple | None = None,
+    start: tuple,
 ) -> NormEstimate:
     """Boyd's fixed-point ascent from the strong seed pool, one candidate per row.
 
@@ -381,19 +376,19 @@ def _strong_ascent(
     at two batched operator applications. A row whose candidate fails to
     raise it is final, since its next candidate would be the same, so each
     round applies the operator to the rows that improved in the last one. The
-    loop stops at ``opts.max_iter`` or when no row improves. Every row stays
-    nonnegative, so no clipping is needed. The best row is the extremal.
-    ``start`` is the pool's (f, h, j) from ``_pool_images``, built here when
-    omitted; the ascent overwrites its arrays.
+    loop stops after ``_ASCENT_ROUNDS`` rounds or when no row improves. Every
+    row stays nonnegative, so no clipping is needed. The best row is the
+    extremal. ``start`` is the pool's (f, h, j) from ``_pool_images``; the
+    ascent overwrites its arrays.
     """
     grid = tau.grid
     p, q = exps.p, exps.q
     s_lm = sigma.leaf_mass
     w_lm = omega.leaf_mass
-    f, h, j = start if start is not None else _pool_images(tau, sigma, omega, exps, opts)
+    f, h, j = start
     live = np.arange(len(f))
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, _ASCENT_ROUNDS + 1):
         path = _t_leafmass_batch(grid, tau.coef, h[live] ** (q - 1.0) * w_lm)
         cand = _project_lp_sphere(_boyd_power(path, p, s_lm > 0), s_lm, p)
         h_cand = _t_leafmass_batch(grid, tau.coef, cand * s_lm)
@@ -414,12 +409,12 @@ def weak_norm_lower(
     sigma: Measure,
     omega: Measure,
     exps: Exponents,
-    opts: AscentOptions | None = None,
+    seed: int = 0,
 ) -> NormEstimate:
     """Lower bound for the weak-type quasinorm sup_l l * omega(T(f sigma) > l)^(1/q).
 
     The candidates f are the rows of the strong bound's seed pool, so the
-    result is at most the strong bound of the same options. For each f the
+    result is at most the strong bound of the same seed. For each f the
     supremum over l is computed exactly by scanning the distinct leaf values
     of T(f sigma), each nudged down by 2**-40 times the value scale so the
     strict inequality is unambiguous in floating point. Rows whose
@@ -427,8 +422,7 @@ def weak_norm_lower(
     ``iterations`` counts the rows that were. Where p < q ``norm_bounds``
     gives the same estimate without building the pool a second time.
     """
-    opts = opts or AscentOptions()
-    return _weak_bound(*_pool_images(tau, sigma, omega, exps, opts), omega.leaf_mass, exps.q)
+    return _weak_bound(*_pool_images(tau, sigma, omega, exps, seed), omega.leaf_mass, exps.q)
 
 
 def _weak_bound(f, h, j, w_lm, q) -> NormEstimate:

@@ -25,12 +25,7 @@ from .constants import (
     compute_testing_report,
     testing_constants_22,
 )
-from .extremal import (
-    AscentOptions,
-    NormEstimate,
-    carleson_embedding_constant,
-    norm_bounds,
-)
+from .extremal import NormEstimate, carleson_embedding_constant, norm_bounds
 from .grid import DyadicGrid, Exponents, Measure, build_grid
 from .operators import CubeWeights
 from .prooflab import audit_decomposition
@@ -238,11 +233,9 @@ class SuiteConfig:
     seed: int = 0
     eta: float = 0.25
     rho: int = 1
-    m: int = 5
     ratio_cap: float = 16.0
     threads: int = 1
     out_dir: str | None = None
-    ascent: AscentOptions | None = None
 
     def validate(self) -> None:
         for g in self.generators:
@@ -251,8 +244,6 @@ class SuiteConfig:
             raise ConfigError(f"instances per generator must be >= 0, got n={self.n}")
         check_seed(self.seed)
         check_decomposition_params(self.eta, self.rho)
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
         if not self.ratio_cap > 0:
             raise ConfigError(f"ratio cap must be > 0, got {self.ratio_cap}")
         if self.threads < 1:
@@ -301,9 +292,9 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     ``carleson_embedding_constant``), ``cet_kind`` says whether the bracket
     closed, and both ends are checked against the embedding theorem
     (``cet_violations``). ``cet_iterations`` counts the recursion's passes.
-    ``strong`` and ``weak`` come from ``extremal.norm_bounds`` with the
-    suite's ``ascent`` options, by default ``AscentOptions`` seeded from the
-    instance, as in ``twoweight norm``, so that command reproduces the row.
+    ``strong`` and ``weak`` come from ``extremal.norm_bounds`` with the seed
+    pool drawn from the instance's seed, as in ``twoweight norm``, so that
+    command reproduces the row.
     ``strong_iterations`` counts the solver iterations behind ``strong``
     (power-solver steps at p = q != 2; fixed-point (Boyd) ascent rounds where
     p < q; power iterations at p = q = 2, where ``strong`` is also C3). At
@@ -348,8 +339,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     t_norm = time.perf_counter()
     row["time_cet"] = t_norm - t_cet
 
-    opts = cfg.ascent or AscentOptions(seed=inst.seed)
-    strong, weak = norm_bounds(inst.tau, inst.sigma, inst.omega, inst.exps, opts)
+    strong, weak = norm_bounds(inst.tau, inst.sigma, inst.omega, inst.exps, seed=inst.seed)
     row["strong"] = strong.value
     row["strong_iterations"] = strong.iterations
     row["weak"] = weak.value
@@ -387,7 +377,6 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         inst.tau,
         eta=cfg.eta,
         rho=cfg.rho,
-        m=cfg.m,
         p=inst.exps.p,
     )
     row["audit_clean"] = audit.clean

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _kernels, _layout
+from . import _kernels
+from .constants import _outer_sums
 from .grid import CubeRef, DyadicGrid, Measure, lp_norm
 from .operators import CubeWeights, apply_T, apply_T_restricted, maximal
 
@@ -1053,7 +1054,9 @@ def max_principle_audit(
     on the cube the local outward part is the constant f sigma(P2) * A(P2); the
     far outward part is the sum over P strictly above P2 of
     tau_P * f sigma(P minus P2)/|P|, which regroups ring by ring into
-    down_sum(f sigma(siblings) * A(parent)) at P2, a sum of like-signed terms;
+    down_sum((f sigma(parent) - f sigma(Q)) * A(parent)) at P2, a sum of
+    like-signed terms (``constants._outer_sums`` at exponent 1) whose
+    subtractions round by at most eps * down_sum(|f sigma|(parent) * A(parent));
     and the inward part is v - D(P2) on the corridor leaves, v = T(f sigma) = D
     at the leaves. A comparison within the rounding margin, or one that fails,
     is made again with the per-cube operator call.
@@ -1066,10 +1069,9 @@ def max_principle_audit(
     def path(values):
         return _kernels.down_sum(values, grid)
 
-    reach = path(tau.coef)
+    reach, far = _outer_sums(tau, fs, 1.0)
     local = fs.cube_mass * reach
-    far = path(_sibling_mass(grid, fs.cube_mass) * _at(reach, grid.parent))
-    far_scale = path(_sibling_mass(grid, size) * _at(reach, grid.parent))
+    far_scale = path(_at(size * reach, grid.parent))
     inner = path(tau.coef * fs.cube_mass)
     inner_scale = path(tau.coef * size)[grid.leaf_start :]
 
@@ -1124,31 +1126,6 @@ def max_principle_audit(
                 if vals[leaf] < lo[i]
             ]
     return MaxPrincipleAudit(violations, checks, reevaluated)
-
-
-def _sibling_mass(grid: DyadicGrid, mass: np.ndarray) -> np.ndarray:
-    """Per cube, the summed mass of its siblings (0 at the root).
-
-    Summed directly rather than as parent minus self, so that a light ring
-    beside a heavy cube keeps its relative accuracy.
-    """
-    out = np.zeros(grid.n_cubes)
-    arity = grid.arity
-    # per child slot, the other slots in canonical order
-    others = np.array([[s for s in range(arity) if s != j] for j in range(arity)])
-    step = max(1, _LAYER_CELLS // (arity * arity))  # parents per gather, to bound its size
-    for lev in range(1, grid.depth + 1):
-        # one row per parent, its children in canonical order
-        kids = np.stack(_layout.child_slots(mass, grid.level_offsets, lev, grid.d), axis=-1)
-        rows = kids.reshape(-1, arity)
-        sums = np.empty_like(rows)
-        for lo in range(0, len(rows), step):
-            # take keeps each gathered row contiguous, so it sums in numpy's pairwise order
-            sums[lo : lo + step] = np.take(rows[lo : lo + step], others, axis=1).sum(axis=-1)
-        sums = sums.reshape(kids.shape)
-        for j, slot in enumerate(_layout.child_slots(out, grid.level_offsets, lev, grid.d)):
-            slot[...] = sums[..., j]
-    return out
 
 
 @dataclass

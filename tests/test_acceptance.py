@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
+from twoweight import extremal
 from twoweight.constants import carleson_norm, weighted_carleson_norm
 from twoweight.extremal import (
-    AscentOptions,
+    _pool_images,
     _strong_ascent,
     carleson_embedding_constant,
     dense_norm_22,
@@ -48,7 +49,7 @@ SUITE_GENERATORS = [
 ]
 
 
-SUITE_DIGEST = "2f30e6fce7a16cf7153006c12f77f6bf39b5b50d3bde5d7964e40e3a6493bd9c"
+SUITE_DIGEST = "3fe955a15c26d22371938a2604a206e66d158dc56116f99b3bbe6acd432f6bfb"
 
 
 def _suite_config():
@@ -56,7 +57,6 @@ def _suite_config():
         generators=SUITE_GENERATORS,
         n=20,
         seed=2026,
-        ascent=AscentOptions(restarts=8, max_iter=150, seed=0),
         ratio_cap=16.0,
     )
 
@@ -247,7 +247,7 @@ def test_criterion_06_operator_matches_brute_force_and_localization_split():
     assert split_worst <= 2e-15
 
 
-def test_criterion_07_exact_norm_matches_dense_oracle_and_ascent_recovers_it():
+def test_criterion_07_exact_norm_matches_dense_oracle_and_ascent_recovers_it(monkeypatch):
     # (a) exact_norm_22 vs the materialized-kernel SVD, <= 1e-8 relative, on
     #     every tested instance with <= 1024 leaves; (b) the p < q ascent,
     #     run at p = q = 2, lands within 1e-6 of the exact value on >= 95% of
@@ -266,15 +266,15 @@ def test_criterion_07_exact_norm_matches_dense_oracle_and_ascent_recovers_it():
     assert dense_worst <= 1e-8
 
     gaps = []
+    monkeypatch.setattr(extremal, "_RESTARTS", 16)
+    monkeypatch.setattr(extremal, "_ASCENT_ROUNDS", 400)
+    exps = Exponents(2.0, 2.0)
     for i in range(60):
         d = 1 + i % 2
         depth = 3 + (i // 2) % 4 if d == 1 else 2 + i % 2
         g, tau, sigma, omega, _ = _random_l2_instance(9500 + i, d, depth, style=i % 3)
         exact = exact_norm_22(tau, sigma, omega).value
-        est = _strong_ascent(
-            tau, sigma, omega, Exponents(2.0, 2.0),
-            AscentOptions(restarts=16, max_iter=400, seed=i),
-        )
+        est = _strong_ascent(tau, sigma, omega, exps, _pool_images(tau, sigma, omega, exps, i))
         gaps.append(abs(est.value - exact) / exact if exact > 0 else 0.0)
     gaps = np.asarray(gaps)
     frac = float(np.mean(gaps <= 1e-6))

@@ -9,15 +9,12 @@ import pytest
 
 from twoweight import _kernels, extremal
 from twoweight.extremal import (
-    AscentOptions,
-    NormEstimate,
     _cet_scores,
     _indicator_rows,
     _pool_images,
     _project_lp_sphere,
     _seed_pool,
     _strong_ascent,
-    _strong_pool,
     _strong_scores,
     _top_cubes,
     _weak_bound,
@@ -237,29 +234,33 @@ def test_estimate_serialization():
 # -- ascent lower bounds --------------------------------------------------------
 
 
+def _ascent(tau, sigma, omega, exps, seed):
+    """The fixed-point ascent from the seed pool drawn from ``seed``, at any exponents."""
+    return _strong_ascent(tau, sigma, omega, exps, _pool_images(tau, sigma, omega, exps, seed))
+
+
 def test_strong_routes_to_exact_at_l2():
     _, tau, sigma, omega = _random_instance(1, 3, seed=9)
     est = strong_norm_lower(tau, sigma, omega, Exponents(2.0, 2.0))
     assert est.kind == "exact"
 
 
-def test_ascent_reaches_exact_value_at_l2():
+def test_ascent_reaches_exact_value_at_l2(monkeypatch):
+    monkeypatch.setattr(extremal, "_ASCENT_ROUNDS", 200)
     for seed in range(5):
         _, tau, sigma, omega = _random_instance(1, 4, seed=20 + seed)
         exact = exact_norm_22(tau, sigma, omega).value
-        est = _strong_ascent(
-            tau, sigma, omega, Exponents(2.0, 2.0),
-            AscentOptions(restarts=8, max_iter=200, seed=seed),
-        )
+        est = _ascent(tau, sigma, omega, Exponents(2.0, 2.0), seed)
         assert est.kind == "lower-bound"
         assert est.value == pytest.approx(exact, rel=1e-8)
         assert est.value <= exact * (1 + 1e-9)
 
 
-def test_strong_extremal_reproduces_value():
+def test_strong_extremal_reproduces_value(monkeypatch):
+    monkeypatch.setattr(extremal, "_RESTARTS", 6)
     _, tau, sigma, omega = _random_instance(1, 4, seed=10)
     exps = Exponents(1.5, 2.5)
-    est = strong_norm_lower(tau, sigma, omega, exps, AscentOptions(restarts=6, seed=1))
+    est = strong_norm_lower(tau, sigma, omega, exps, 1)
     f = est.extremal_f
     assert np.all(f >= 0)
     assert lp_norm(f, sigma, exps.p) == pytest.approx(1.0, rel=1e-12)
@@ -271,16 +272,16 @@ def test_weak_below_strong_same_pool():
     for seed in range(4):
         _, tau, sigma, omega = _random_instance(1, 4, seed=30 + seed, tau_style="sparse")
         for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
-            opts = AscentOptions(restarts=8, seed=seed)
-            weak = weak_norm_lower(tau, sigma, omega, exps, opts)
-            strong = _strong_ascent(tau, sigma, omega, exps, opts)
+            weak = weak_norm_lower(tau, sigma, omega, exps, seed)
+            strong = _ascent(tau, sigma, omega, exps, seed)
             assert weak.value <= strong.value * (1 + 1e-12)
 
 
-def test_weak_scan_confirmed_by_direct_thresholding():
+def test_weak_scan_confirmed_by_direct_thresholding(monkeypatch):
+    monkeypatch.setattr(extremal, "_RESTARTS", 4)
     g, tau, sigma, omega = _random_instance(1, 4, seed=11)
     exps = Exponents(2.0, 2.0)
-    est = weak_norm_lower(tau, sigma, omega, exps, AscentOptions(restarts=4, seed=2))
+    est = weak_norm_lower(tau, sigma, omega, exps, 2)
     h = apply_T(tau, Measure.product(est.extremal_f, sigma))
     best = 0.0
     for v in np.unique(h[h > 0]):
@@ -332,7 +333,7 @@ def test_pruned_weak_bound_equals_the_scan_of_every_row(monkeypatch, p, q):
     for k, cfg in enumerate(SUITE_GENERATORS):
         for seed in range(2):
             inst = gen_instance(cfg, 700 + 10 * k + seed)
-            args = (inst.tau, inst.sigma, inst.omega, exps, AscentOptions(restarts=8, seed=seed))
+            args = (inst.tau, inst.sigma, inst.omega, exps, seed)
             f, h, _ = _pool_images(*args)
             monkeypatch.setattr(extremal, "_weak_scan", counting)
             scans.clear()
@@ -343,7 +344,7 @@ def test_pruned_weak_bound_equals_the_scan_of_every_row(monkeypatch, p, q):
             _assert_weak_matches_every_row(est, f, h, inst.omega.leaf_mass, q)
             # the norm stage's one entry point gives these estimates, bit for bit
             strong, weak = norm_bounds(*args)
-            alone = _strong_ascent(*args) if p < q else strong_norm_lower(*args)
+            alone = _ascent(*args) if p < q else strong_norm_lower(*args)
             assert (weak.value, weak.iterations) == (est.value, est.iterations)
             np.testing.assert_array_equal(weak.extremal_f, est.extremal_f)
             assert (strong.value, strong.iterations) == (alone.value, alone.iterations)
@@ -351,10 +352,11 @@ def test_pruned_weak_bound_equals_the_scan_of_every_row(monkeypatch, p, q):
     assert skipped > 0
 
 
-def test_pruned_weak_bound_ties_go_to_the_first_row():
+def test_pruned_weak_bound_ties_go_to_the_first_row(monkeypatch):
+    monkeypatch.setattr(extremal, "_RESTARTS", 3)
     g, tau, sigma, omega = _random_instance(1, 5, seed=31)
     exps = Exponents(1.5, 3.0)
-    f, h, j = _pool_images(tau, sigma, omega, exps, AscentOptions(restarts=3, seed=4))
+    f, h, j = _pool_images(tau, sigma, omega, exps, 4)
     w_lm = omega.leaf_mass
     top = int(np.argmax(j))
     # duplicates of the best row before and after it, and of the others
@@ -455,7 +457,7 @@ _STEP0 = 0.5
 _MIN_STEP = 1e-10
 
 
-def _ascend(pool, project, objective, proposals, opts: AscentOptions):
+def _ascend(pool, project, objective, proposals, max_iter):
     """Oracle: monotone ascent over restart rows, gradient steps plus fixed-point steps.
 
     ``objective(f)`` returns the row values and the rows' images, and
@@ -472,7 +474,7 @@ def _ascend(pool, project, objective, proposals, opts: AscentOptions):
     step = np.full(f.shape[0], _STEP0)
     iterations = 0
     stall = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         g, fp = proposals(f, img)
         gn = np.linalg.norm(g, axis=1)
         live = (gn > 0) & (step > _MIN_STEP)
@@ -502,7 +504,7 @@ def _ascend(pool, project, objective, proposals, opts: AscentOptions):
     return f[best], float(j[best]), iterations, float(step.max())
 
 
-def _ascent_strong(tau, sigma, omega, exps, opts):
+def _ascent_strong(tau, sigma, omega, exps, seed, max_iter):
     """Oracle: the two-candidate ascent for the strong norm, from the same seed pool."""
     grid = tau.grid
     q = exps.q
@@ -517,9 +519,9 @@ def _ascent_strong(tau, sigma, omega, exps, opts):
         path = extremal._t_leafmass_batch(grid, tau.tau, h ** (q - 1.0) * w_lm)
         return s_lm * path, path ** (1.0 / (exps.p - 1.0))
 
-    pool = _strong_pool(tau, sigma, omega, exps, opts)
+    pool = _seed_pool(grid, seed, _strong_scores(tau, sigma, omega, exps))
     return _ascend(
-        pool, lambda x: _project_lp_sphere(x, s_lm, exps.p), objective, proposals, opts
+        pool, lambda x: _project_lp_sphere(x, s_lm, exps.p), objective, proposals, max_iter
     )[1]
 
 
@@ -540,14 +542,15 @@ def _ascent_corpus():
 
 
 @pytest.mark.parametrize("p,q", [(1.5, 3.0), (1.5, 2.5), (3.0, 4.0), (2.0, 2.0), (1.5, 1.5)])
-def test_strong_ascent_reaches_two_candidate_oracle(p, q):
+def test_strong_ascent_reaches_two_candidate_oracle(monkeypatch, p, q):
     # dropping the gradient candidate loses nothing: from the same pool and
-    # options, the fixed-point ascent ends at least as high as the old ascent
+    # round cap, the fixed-point ascent ends at least as high as the old ascent
+    monkeypatch.setattr(extremal, "_RESTARTS", 6)
+    monkeypatch.setattr(extremal, "_ASCENT_ROUNDS", 80)
     exps = Exponents(p, q)
     for k, (tau, sigma, omega) in enumerate(_ascent_corpus()):
-        opts = AscentOptions(restarts=6, max_iter=80, seed=k)
-        oracle = _ascent_strong(tau, sigma, omega, exps, opts)
-        est = _strong_ascent(tau, sigma, omega, exps, opts)
+        oracle = _ascent_strong(tau, sigma, omega, exps, k, 80)
+        est = _ascent(tau, sigma, omega, exps, k)
         assert est.value >= oracle * (1 - 1e-12)
 
 
@@ -565,7 +568,7 @@ def test_strong_ascent_applies_the_operator_twice_per_iteration(monkeypatch):
     for seed in range(3):
         _, tau, sigma, omega = _random_instance(1, 5, seed=480 + seed)
         calls.clear()
-        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), AscentOptions(seed=seed))
+        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), seed)
         assert est.iterations >= 2
         assert len(calls) == 2 * est.iterations + 1
 
@@ -583,11 +586,10 @@ def test_strong_ascent_drops_rows_that_stop_improving(monkeypatch):
     for seed in range(3):
         _, tau, sigma, omega = _random_instance(1, 5, seed=480 + seed)
         rows.clear()
-        opts = AscentOptions(seed=seed)
-        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), opts)
+        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), seed)
         path, cand = rows[1::2], rows[2::2]
         assert len(rows) == 2 * est.iterations + 1 and path == cand
-        assert rows[0] == path[0] == 2 * opts.restarts
+        assert rows[0] == path[0] == 2 * extremal._RESTARTS
         assert all(a >= b >= 1 for a, b in zip(path, path[1:]))
         assert path[-1] < rows[0]
 
@@ -595,7 +597,7 @@ def test_strong_ascent_drops_rows_that_stop_improving(monkeypatch):
 # -- the embedding recursion against the old ascent, the solver and the dense SVD ---
 
 
-def _ascent_cet(tau, p, mu, opts):
+def _ascent_cet(tau, p, mu, seed, max_iter):
     """Oracle: the projected ascent that estimated the embedding constant from below."""
     grid = tau.grid
     m_lm = mu.leaf_mass
@@ -613,9 +615,9 @@ def _ascent_cet(tau, p, mu, opts):
         path = _kernels.down_sum_batch(coeff, grid)[:, grid.leaf_start :]
         return m_lm * path, path ** (1.0 / (p - 1.0))
 
-    pool = _seed_pool(grid, opts, _cet_scores(grid, tau.tau, mu.cube_mass, p))
+    pool = _seed_pool(grid, seed, _cet_scores(grid, tau.tau, mu.cube_mass, p))
     return _ascend(
-        pool, lambda x: _project_lp_sphere(x, m_lm, p), objective, proposals, opts
+        pool, lambda x: _project_lp_sphere(x, m_lm, p), objective, proposals, max_iter
     )[1]
 
 
@@ -652,14 +654,15 @@ def _assert_closed(est):
 @pytest.mark.parametrize("d,depth,style", [
     (1, 4, "random"), (1, 5, "sparse"), (1, 6, "fractional"), (2, 2, "sparse"), (2, 3, "random"),
 ])
-def test_embedding_brackets_the_ascent(d, depth, style):
+def test_embedding_brackets_the_ascent(monkeypatch, d, depth, style):
+    monkeypatch.setattr(extremal, "_RESTARTS", 6)
     for seed in range(3):
         g, tau, _, omega = _random_instance(d, depth, seed=60 + seed, tau_style=style)
         for p in (1.5, 2.0, 3.0):
             for mu in (Measure.lebesgue(g), omega):
                 est = carleson_embedding_constant(tau, p, mu=mu)
                 _assert_closed(est)
-                ascent = _ascent_cet(tau, p, mu, AscentOptions(restarts=6, max_iter=100, seed=seed))
+                ascent = _ascent_cet(tau, p, mu, seed, 100)
                 assert ascent <= est.upper * (1 + 1e-12)
                 assert est.value >= ascent * (1 - 1e-12)
 
@@ -849,12 +852,11 @@ def test_strong_certified_on_the_diagonal(p):
         _, tau, sigma, omega = _random_instance(1, 4, seed=70 + seed, tau_style=style)
         est = strong_norm_lower(tau, sigma, omega, exps)
         _assert_closed(est)
-        opts = AscentOptions(restarts=8, seed=seed)
-        ascent = _strong_ascent(tau, sigma, omega, exps, opts)
+        ascent = _ascent(tau, sigma, omega, exps, seed)
         assert ascent.kind == "lower-bound" and ascent.upper is None
         assert ascent.value <= est.upper * (1 + 1e-12)
         assert est.value >= ascent.value * (1 - 1e-12)
-        assert weak_norm_lower(tau, sigma, omega, exps, opts).value <= est.value * (1 + 1e-12)
+        assert weak_norm_lower(tau, sigma, omega, exps, seed).value <= est.value * (1 + 1e-12)
         f = est.extremal_f
         assert lp_norm(f, sigma, p) == pytest.approx(1.0, rel=1e-12)
         image = apply_T(tau, Measure.product(f, sigma))
@@ -905,7 +907,7 @@ def test_strong_certified_where_sigma_vanishes_near_p_one():
         exps = Exponents(p, p)
         est = strong_norm_lower(tau, sigma, omega, exps)
         _assert_closed(est)
-        ascent = _strong_ascent(tau, sigma, omega, exps, AscentOptions(seed=0))
+        ascent = _ascent(tau, sigma, omega, exps, 0)
         assert ascent.value <= est.upper * (1 + 1e-12)
 
 
@@ -914,7 +916,7 @@ def test_ascent_finite_near_p_one(monkeypatch):
     # 1/(p-1) = 1000; scaled row by row first, no candidate overflows to a
     # NaN row, which could never improve
     inst = gen_instance(GeneratorConfig(d=1, depth=4, p=1.001, q=2.0), 0)
-    args = (inst.tau, inst.sigma, inst.omega, inst.exps, AscentOptions(seed=0))
+    args = (inst.tau, inst.sigma, inst.omega, inst.exps, 0)
     best_pool = float(_pool_images(*args)[2].max())
     rows = []
     project = extremal._project_lp_sphere

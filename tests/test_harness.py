@@ -17,12 +17,7 @@ import pytest
 
 from twoweight import cli, extremal, harness, prooflab
 from twoweight.cli import main
-from twoweight.extremal import (
-    AscentOptions,
-    carleson_embedding_constant,
-    exact_norm_22,
-    strong_norm_lower,
-)
+from twoweight.extremal import carleson_embedding_constant, exact_norm_22, strong_norm_lower
 from twoweight.grid import Measure, build_grid
 from twoweight.harness import (
     ConfigError,
@@ -39,8 +34,6 @@ from twoweight.prooflab import WhitneyDecomposition, WhitneyLayer, audit_decompo
 
 from test_acceptance import SUITE_GENERATORS
 from test_operators import _volumes
-
-FAST_ASCENT = AscentOptions(restarts=4, max_iter=60, seed=0)
 
 
 # -- configs and generation -----------------------------------------------------
@@ -181,7 +174,6 @@ def _small_suite(**kw):
         ],
         n=3,
         seed=11,
-        ascent=FAST_ASCENT,
     )
     defaults.update(kw)
     return SuiteConfig(**defaults)
@@ -255,7 +247,6 @@ def test_suite_off_diagonal_rows():
         generators=[GeneratorConfig(d=1, depth=3, p=1.5, q=2.0)],
         n=2,
         seed=0,
-        ascent=FAST_ASCENT,
     )
     report = run_suite(cfg)
     assert report.ok
@@ -274,7 +265,6 @@ def test_suite_diagonal_rows_certified():
         ],
         n=3,
         seed=3,
-        ascent=FAST_ASCENT,
     )
     report = run_suite(cfg)
     assert report.ok and len(report.rows) == 6
@@ -299,7 +289,7 @@ def test_suite_solves_the_l2_norm_once_per_row(monkeypatch):
     # the harness may hold its own reference to the routine
     monkeypatch.setattr(harness, "exact_norm_22", counting, raising=False)
     gens = [GeneratorConfig(d=1, depth=3), GeneratorConfig(d=2, depth=2, tau="sparse")]
-    report = run_suite(SuiteConfig(generators=gens, n=3, seed=4, ascent=FAST_ASCENT))
+    report = run_suite(SuiteConfig(generators=gens, n=3, seed=4))
     assert report.ok and len(report.rows) == 6
     assert len(calls) == 6
     for row in report.rows:
@@ -318,7 +308,7 @@ def test_row_builds_one_seed_pool(monkeypatch, p, q):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(extremal, "_strong_pool", counting("pool", extremal._strong_pool))
+    monkeypatch.setattr(extremal, "_seed_pool", counting("pool", extremal._seed_pool))
     monkeypatch.setattr(extremal, "_t_leafmass_batch", counting("batch", extremal._t_leafmass_batch))
     for k, cfg in enumerate(SUITE_GENERATORS[:4]):
         inst = gen_instance(GeneratorConfig(**{**vars(cfg), "p": p, "q": q}), 60 + k)
@@ -355,7 +345,7 @@ def test_suite_flags_cet_outside_the_embedding_theorem(monkeypatch, direction):
         return est
 
     monkeypatch.setattr(harness, "carleson_embedding_constant", broken)
-    cfg = SuiteConfig(generators=[GeneratorConfig(d=1, depth=3)], n=1, seed=3, ascent=FAST_ASCENT)
+    cfg = SuiteConfig(generators=[GeneratorConfig(d=1, depth=3)], n=1, seed=3)
     report = run_suite(cfg)
     assert {v["check"] for v in report.violations} == {f"cet-{direction}"}
     assert report.rows[0]["cet_kind"] == "exact"
@@ -363,7 +353,7 @@ def test_suite_flags_cet_outside_the_embedding_theorem(monkeypatch, direction):
 
 def test_suite_rows_carry_solver_iterations():
     gens = [GeneratorConfig(d=1, depth=3, p=1.5, q=3.0), GeneratorConfig(d=1, depth=3)]
-    report = run_suite(SuiteConfig(generators=gens, n=1, seed=5, ascent=FAST_ASCENT))
+    report = run_suite(SuiteConfig(generators=gens, n=1, seed=5))
     seeds = np.random.SeedSequence(5).generate_state(2, dtype=np.uint64)
     for row, cfg, seed in zip(report.rows, gens, seeds):
         inst = gen_instance(cfg, int(seed))
@@ -371,7 +361,7 @@ def test_suite_rows_carry_solver_iterations():
         if inst.exps.is_l2:
             strong = exact_norm_22(inst.tau, inst.sigma, inst.omega)
         else:
-            strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, FAST_ASCENT)
+            strong = strong_norm_lower(inst.tau, inst.sigma, inst.omega, inst.exps, inst.seed)
         assert (row["cet"], row["cet_upper"], row["cet_kind"], row["cet_iterations"]) == (
             cet.value, cet.upper, cet.kind, cet.iterations
         )
@@ -390,7 +380,6 @@ def test_suite_config_validation():
         dict(eta=1.0),
         dict(eta=float("nan")),
         dict(rho=0),
-        dict(m=0),
         dict(ratio_cap=0.0),
         dict(ratio_cap=-1.0),
         dict(generators=[GeneratorConfig(tau="dense")]),

@@ -17,7 +17,6 @@ import pytest
 from twoweight import _kernels
 from twoweight.grid import Measure, build_grid
 from twoweight.operators import CubeWeights, apply_T, maximal
-from twoweight.prooflab import _sibling_mass
 
 
 def _same_bits(a, b):
@@ -225,15 +224,3 @@ def test_layout_child_order_matches_argsort(d, depth):
         assert np.array_equal(kids, oracle[start : start + grid.arity])
         # child order is index order: the leaf-to-root gather adds in index order
         assert np.all(np.diff(kids) > 0)
-    # the sibling masses, read through the child-slot views on every level, equal
-    # the argsort-grouped formula bit for bit
-    rng = np.random.default_rng(d)
-    mass = rng.standard_normal(grid.n_cubes) * rng.lognormal(size=grid.n_cubes)
-    expect = np.zeros(grid.n_cubes)
-    for lev in range(1, depth + 1):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        group = oracle[lo:hi].reshape(-1, grid.arity)
-        vals = mass[group]
-        for j in range(grid.arity):
-            expect[group[:, j]] = np.delete(vals, j, axis=1).sum(axis=1)
-    assert _same_bits(_sibling_mass(grid, mass), expect)

@@ -14,3 +14,5 @@ def test_every_exported_name_resolves_once():
 def test_norm_bounds_is_the_extremal_entry_point():
     assert twoweight.norm_bounds is extremal.norm_bounds
     assert not hasattr(twoweight, "ascent_bounds")
+    # the norm stage takes the pool's seed, not an options object
+    assert not hasattr(twoweight, "AscentOptions") and not hasattr(extremal, "AscentOptions")

@@ -527,14 +527,15 @@ def _audit_whitney_oracle(deco):
             if crowd > crowd_cap:
                 out.append(f"crowding k={lay.k}: {crowd} neighbors exceed cap {crowd_cap}")
     chains = {int(q): g.ancestor_indices(int(q)) for lay in deco.layers for q in lay.cubes}
+    levels = {q: g.cube(q).level for q in chains}
     for a in deco.layers:
         for b in deco.layers:
             if a.k > b.k:
                 continue
             for q in a.cubes:
-                lev_q = g.cube(int(q)).level
+                lev_q = levels[int(q)]
                 for qp in b.cubes:
-                    lev_p = g.cube(int(qp)).level
+                    lev_p = levels[int(qp)]
                     if lev_q > lev_p and chains[int(q)][lev_q - lev_p] == int(qp):
                         out.append(
                             f"nestedness cube {int(q)} in k={a.k} strictly inside "
