@@ -21,6 +21,13 @@ both read from the stored coefficient tau/|Q| (``CubeWeights.coef``):
 That is O(N * depth) time and O(N) memory for N cubes, so the constants scale
 to the full grid budget. The per-cube enumerations remain in the tests as
 oracles.
+
+Every sweep raises its sums to the power p'. Near p = 1 that power overflows
+(and small sums underflow to 0), so when an a-priori bound says the powers may
+leave the float range (``_needs_scale``), each cube's sum is taken relative to
+its own largest term, as ``extremal._boyd_power`` does for the Boyd step, and
+the constant is assembled from (scale, relative sum) pairs (``_values``).
+Elsewhere the sums are formed as they are.
 """
 
 from __future__ import annotations
@@ -42,6 +49,11 @@ WeightedCarlesonResult = namedtuple("WeightedCarlesonResult", "value argmax dege
 # 1e-15 relative on the test corpus), so cubes that test the same function
 # must not be told apart by less than this.
 _TIE_RTOL = 1e-13
+
+# log2 of the largest number, and minus log2 of the smallest positive one,
+# that a sweep's e-th powers and their sums may reach unscaled (see
+# ``_needs_scale``); floats reach 2^1023 and, in normal form, 2^-1022.
+_POWER_EXP2 = 1000.0
 
 
 def carleson_norm(tau: CubeWeights):
@@ -87,8 +99,9 @@ def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expone
     grid = tau.grid
     pc = exps.p_conj
     contrib = tau.coef * omega.cube_mass
-    power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc)
-    return _sup(grid, _values(power, omega.cube_mass, pc, exps.q_conj))
+    scaled = _needs_scale(tau, omega, sigma, pc)
+    scale, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, scaled=scaled)
+    return _sup(grid, _values(scale, power, omega.cube_mass, pc, exps.q_conj))
 
 
 def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
@@ -101,13 +114,17 @@ def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expon
     omega(R) A(R) with A = down_sum(tau/|Q|); for x outside R only the cubes
     containing both survive, giving omega(R) A(P) at their deepest common
     ancestor P. Two tree scans therefore cover every R (see ``_outer_sums``).
+    Scaled, the power is (omega(R) A(R))^p' (sigma(R) + F(R) / A(R)^p').
     """
     grid = tau.grid
     pc = exps.p_conj
-    avg, outside = _outer_sums(tau, sigma, pc)
+    scaled = _needs_scale(tau, omega, sigma, pc)
+    avg, outside = _outer_sums(tau, sigma, pc, scaled)
     w = omega.cube_mass
+    if scaled:
+        return _sup(grid, _values(w * avg, sigma.cube_mass + outside, w, pc, exps.q_conj))
     power = w**pc * (sigma.cube_mass * avg**pc + outside)
-    return _sup(grid, _values(power, w, pc, exps.q_conj))
+    return _sup(grid, _values(None, power, w, pc, exps.q_conj))
 
 
 def strengthened_local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
@@ -127,16 +144,23 @@ def strengthened_local_values(tau: CubeWeights, sigma: Measure, omega: Measure, 
     R); outside R it is the global operator's outside part. With the measures
     swapped and the dual exponents this is the strong-norm objective at each
     normalized cube indicator, sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}.
+    Scaled, the outside part is taken relative to the inside's largest term,
+    which is at least omega(R) A(R), the outside's largest.
     """
     grid = tau.grid
     pc = exps.p_conj
-    avg, outside = _outer_sums(tau, sigma, pc)
+    scaled = _needs_scale(tau, omega, sigma, pc)
+    avg, outside = _outer_sums(tau, sigma, pc, scaled)
     w = omega.cube_mass
     shift = np.zeros(grid.n_cubes)
     shift[1:] = w[1:] * avg[grid.parent[1:]]
     contrib = tau.coef * w
-    power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift) + w**pc * outside
-    return _values(power, w, pc, exps.q_conj)
+    scale, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift, scaled)
+    if scaled:
+        power += _ratio(w * avg, scale) ** pc * outside
+    else:
+        power += w**pc * outside
+    return _values(scale, power, w, pc, exps.q_conj)
 
 
 def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
@@ -155,13 +179,43 @@ def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
 def _quadratic_sweep(tau, inner: Measure, against: Measure) -> float:
     grid = tau.grid
     contrib = tau.coef * inner.cube_mass
-    sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0)
+    scaled = _needs_scale(tau, inner, against, 2.0)
+    scale, sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0, scaled=scaled)
     ok = inner.cube_mass > 0
-    return math.sqrt(float(np.max(sums[ok] / inner.cube_mass[ok], initial=0.0)))
+    ratio = sums[ok] / inner.cube_mass[ok]
+    if scale is None:
+        return math.sqrt(float(np.max(ratio, initial=0.0)))
+    return float(np.max(scale[ok] * np.sqrt(ratio), initial=0.0))
 
 
-def _inner_power_sums(grid, contrib, weight, e, shift=None):
-    """For every cube R: sum_{x in R} (shift_R + sum_{x in Q <= R} contrib_Q)^e * weight(x).
+def _needs_scale(tau: CubeWeights, mass: Measure, weight: Measure, e: float) -> bool:
+    """Whether a sweep's e-th powers may leave the float range, by an a-priori bound.
+
+    Every number a sweep raises to the power e (sums of tau/|Q|, masses of
+    ``mass``, the tested measure, and their products) is 0 or lies in
+    [lo, hi], with lo and hi the products of the bounds of
+    ``CubeWeights.coef_bounds`` and ``Measure.mass_bounds`` clipped at 1
+    from above and from below. The powers are summed against at most
+    max(1, total mass of ``weight``). They are formed unscaled when hi^e
+    times that total and lo^e stay within 2^(+-``_POWER_EXP2``). The bounds
+    are cached on their objects, so the test costs O(1) after a measure's
+    first sweep.
+    """
+    c_lo, c_hi = tau.coef_bounds
+    m_lo, m_hi = mass.mass_bounds
+    lo = min(1.0, c_lo) * min(1.0, m_lo)
+    hi = max(1.0, c_hi) * max(1.0, m_hi)
+    total = max(1.0, weight.mass_bounds[1])
+    return e * math.log2(hi) + math.log2(total) > _POWER_EXP2 or e * math.log2(lo) < -_POWER_EXP2
+
+
+def _inner_power_sums(grid, contrib, weight, e, shift=None, scaled=False):
+    """For every cube R: S_R = sum_{x in R} (shift_R + sum_{x in Q <= R} contrib_Q)^e * weight(x).
+
+    Returns (scale, sums) with S = scale^e * sums. Unscaled, scale is None and
+    sums is S. Scaled, scale_R is the largest of the bracketed sums over the
+    leaves x of R (``_subtree_top``), so each cube's largest term is its
+    weight(x): no cube's sum overflows, or underflows to 0.
 
     Walks from the leaves to the root one level per step, carrying for each
     leaf the running sum of ``contrib`` over its ancestors up to the current
@@ -169,18 +223,42 @@ def _inner_power_sums(grid, contrib, weight, e, shift=None):
     The sums are built from nonnegative terms, so nothing cancels.
     """
     out = np.empty(grid.n_cubes)
+    top = _subtree_top(grid, contrib, shift) if scaled else None
     anc = np.arange(grid.leaf_start, grid.n_cubes)
     run = np.zeros(grid.n_leaves)
     for lev in range(grid.depth, -1, -1):
         lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
         run += contrib[anc]
         t = run if shift is None else run + shift[anc]
+        if scaled:
+            t = _ratio(t, top[anc])
         out[lo:hi] = np.bincount(anc - lo, weights=t**e * weight, minlength=hi - lo)
         anc = grid.parent[anc]
-    return out
+    return top, out
 
 
-def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float):
+def _subtree_top(grid, contrib, shift=None):
+    """For every cube R: the largest over x in R of shift_R + sum_{x in Q <= R} contrib_Q.
+
+    That is shift_R + m_R with m_R = contrib_R + the largest m of R's
+    children, one pass from the leaves up.
+    """
+    m = contrib.copy()
+    off = grid.level_offsets
+    for lev in range(grid.depth - 1, -1, -1):
+        lo, hi, end = int(off[lev]), int(off[lev + 1]), int(off[lev + 2])
+        best = np.zeros(hi - lo)
+        np.maximum.at(best, grid.parent[hi:end] - lo, m[hi:end])
+        m[lo:hi] += best
+    return m if shift is None else m + shift
+
+
+def _ratio(num, den):
+    """num / den where den > 0, and 0 elsewhere."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float, scaled: bool = False):
     """A = down_sum(tau/|Q|) and F with F(R) = sum_{x not in R} A(x ^ R)^p' sigma(x).
 
     x ^ R is the deepest common ancestor. The leaves whose common ancestor
@@ -190,19 +268,37 @@ def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float):
     error, at most eps sigma(Q) A(parent Q)^p', stays at the eps level
     relative to the tested sum, which is at least sigma(Q) A(Q)^p' for every
     Q containing R (A only grows down the tree).
+
+    Scaled, F comes as F / A^p' (0 where A = 0), which is at most sigma(root),
+    from the root down: F(Q) / A(Q)^p' = (F(R) / A(R)^p' + sigma(R) -
+    sigma(Q)) * (A(R) / A(Q))^p' for Q a child of R, with A(R) <= A(Q).
     """
     grid = tau.grid
     avg = _kernels.down_sum(tau.coef, grid)
+    if scaled:
+        out = np.zeros(grid.n_cubes)
+        mass = sigma.cube_mass
+        for lev in range(1, grid.depth + 1):
+            lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
+            par = grid.parent[lo:hi]
+            out[lo:hi] = (out[par] + mass[par] - mass[lo:hi]) * _ratio(avg[par], avg[lo:hi]) ** pc
+        return avg, out
     par = grid.parent[1:]
     ring = np.zeros(grid.n_cubes)
     ring[1:] = (sigma.cube_mass[par] - sigma.cube_mass[1:]) * avg[par] ** pc
     return avg, _kernels.down_sum(ring, grid)
 
 
-def _values(power, mass, pc: float, qc: float):
-    """mass(R)^(-1/q') * power(R)^(1/p') per cube, -inf where mass(R) <= 0."""
+def _values(scale, power, mass, pc: float, qc: float):
+    """mass(R)^(-1/q') * scale(R) * power(R)^(1/p') per cube, -inf where mass(R) <= 0.
+
+    ``scale`` is None for unscaled sums (see ``_inner_power_sums``).
+    """
     ok = mass > 0
-    return np.where(ok, np.where(ok, mass, 1.0) ** (-1.0 / qc) * power ** (1.0 / pc), -np.inf)
+    root = power ** (1.0 / pc)
+    if scale is not None:
+        root *= scale
+    return np.where(ok, np.where(ok, mass, 1.0) ** (-1.0 / qc) * root, -np.inf)
 
 
 def _sup(grid, vals):

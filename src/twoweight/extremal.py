@@ -2,8 +2,10 @@
 
 At p = q = 2 the norm is the top singular value of a weighted kernel matrix
 that is never materialized: each matrix-vector product is one application of
-the dyadic operator. The strong norm at p = q != 2 is the p -> p norm of a
-nonnegative map; ``_power_solve`` brackets it between the value of its best
+the dyadic operator. ``exact_norm_22`` takes locally optimal (LOBPCG) steps,
+two applications each, and calls its value "exact" only when the singular
+pair's residual at exit is at most 1e-9 relative. The strong norm at
+p = q != 2 is the p -> p norm of a nonnegative map; ``_power_solve`` brackets it between the value of its best
 iterate and a Hoelder (Collatz-Wielandt) upper value, two operator
 applications per step. It runs Boyd's fixed-point step, mixed with the
 step before by a one-pair Anderson step, so it keeps only the last iterate
@@ -49,11 +51,12 @@ from .operators import CubeWeights
 
 DENSE_ORACLE_MAX_LEAVES = 1 << 12
 
-# Power iteration for exact_norm_22: iteration cap, relative change of the
-# value that stops it, and relative residual that makes the value "exact".
+# LOBPCG for exact_norm_22: iteration cap, relative singular-pair residual
+# that stops it and makes the value "exact", and the smallest eigenvalue of
+# the unit-diagonal Gram matrix of [x, r, p] below which p is dropped.
 _POWER_MAX_ITER = 50000
-_POWER_VALUE_TOL = 1e-14
 _POWER_RESIDUAL_TOL = 1e-9
+_GRAM_FLOOR = 1e-12
 
 # Certified power solver: iteration cap, relative bracket width that makes a
 # value "exact" (for the embedding constant too) and positivity floor
@@ -138,15 +141,22 @@ def _t_leafmass_batch(grid: DyadicGrid, coef: np.ndarray, leafmass: np.ndarray) 
 
 
 def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstimate:
-    """Top singular value of the p=q=2 form by alternating power iteration.
+    """Top singular value of the p=q=2 form by a locally optimal (LOBPCG) step.
 
-    Each half-step is one operator application; the kernel matrix is never
-    built. The Rayleigh value is nondecreasing across iterations; the residual
-    is the defect of the singular-pair equations at exit. It is taken from the
-    last step's adjoint image, so a solve makes 2 * iterations + 1
-    applications.
+    The form is A = sqrt(sigma) T sqrt(omega) between unit vectors; the kernel
+    matrix is never built. Each step maximizes the Rayleigh quotient of
+    M = A^T A over the span of the iterate x, its residual r = Mx - s^2 x and
+    the last step p (Knyazev, SIAM J. Sci. Comput. 23(2), 2001): a 3x3
+    Rayleigh-Ritz problem on the Gram matrices of [x, r, p] and of their
+    images [Ax, Ar, Ap]. A step makes two operator applications, A^T(Ax) and
+    A r; Ax and Ap follow x and p by the same linear combinations, so a solve
+    makes 2 * iterations applications. The value s = ||Ax|| never decreases.
+    The solve stops on the singular pair's residual ||A^T u - s x|| with
+    u = Ax/s (then Ax = s u exactly), and the value is "exact" only when that
+    residual is at most ``_POWER_RESIDUAL_TOL`` * s.
     """
     grid = tau.grid
+    n = grid.n_leaves
     sq_s = np.sqrt(sigma.leaf_mass)
     sq_w = np.sqrt(omega.leaf_mass)
     # the solve's buffers: the scans run in work, whose leaf part takes each
@@ -162,46 +172,93 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
         np.multiply(sq_s, u, out=leaves)
         return np.multiply(sq_w, _t_leafmass(grid, tau.coef, leaves, work), out=out)
 
-    v = sq_w.copy()
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
-        return NormEstimate(0.0, "exact", np.zeros(grid.n_leaves), np.zeros(grid.n_leaves), 0, 0.0)
-    v /= nv
-    s_prev = -1.0
-    u = np.zeros(grid.n_leaves)
-    img = np.empty(grid.n_leaves)
-    iterations = 0
+    x = sq_w.copy()
+    nx = float(np.linalg.norm(x))
+    if nx == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
+        return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 0, 0.0)
+    x /= nx
+    ax = a_fwd(x, np.empty(n))
+    r, ar, p, ap = (np.empty(n) for _ in range(4))
     for iterations in range(1, _POWER_MAX_ITER + 1):
-        s = float(np.linalg.norm(a_fwd(v, img)))
+        s = float(np.linalg.norm(ax))
         if s == 0.0:
             # the start vector is strictly positive on the omega-support, so a
             # vanishing image means the kernel is identically zero
-            return NormEstimate(
-                0.0, "exact", np.zeros(grid.n_leaves), np.zeros(grid.n_leaves), iterations, 0.0
-            )
-        np.divide(img, s, out=u)
-        np.divide(img, float(np.linalg.norm(a_adj(u, img))), out=v)
-        if abs(s - s_prev) <= _POWER_VALUE_TOL * s:
+            return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), iterations, 0.0)
+        # ||A^T u - s x|| = ||r|| / s, tested before r is normalized: r may vanish
+        a_adj(ax, r)
+        r -= np.multiply(s * s, x, out=ar)
+        nr = float(np.linalg.norm(r))
+        residual = nr / s
+        if residual <= _POWER_RESIDUAL_TOL * s or iterations == _POWER_MAX_ITER:
             break
-        s_prev = s
-    # img still holds a_adj(u), the image the last step normalized into v, so
-    # the exit value's image goes through the leaf buffer and the residual
-    # needs no further application; the extremals reuse the solve's buffers
-    s = float(u @ a_fwd(v, leaves))
-    img -= np.multiply(s, v, out=leaves)
-    residual = float(np.linalg.norm(img))
-    kind = "exact" if residual <= _POWER_RESIDUAL_TOL * max(s, 1e-300) else "lower-bound"
-    # the iteration runs on the sigma-side/omega-side transposed matrix, so u
-    # is the input singular vector: f pairs with sigma, g with omega
+        r /= nr
+        a_fwd(r, ar)
+        # the first step has no last step p
+        c0, c1, c2 = _ritz_step(s, x, r, ax, ar, p if iterations > 1 else None, ap)
+        # p <- c1 r + c2 p and x <- c0 x + p, the images alike; x is
+        # renormalized explicitly, so no drift of its norm enters s
+        if c2 is None:
+            np.multiply(r, c1, out=p)
+            np.multiply(ar, c1, out=ap)
+        else:
+            p *= c2
+            p += np.multiply(r, c1, out=r)
+            ap *= c2
+            ap += np.multiply(ar, c1, out=ar)
+        x *= c0
+        x += p
+        ax *= c0
+        ax += ap
+        nx = float(np.linalg.norm(x))
+        x /= nx
+        ax /= nx
+    kind = "exact" if residual <= _POWER_RESIDUAL_TOL * s else "lower-bound"
+    # u = Ax / s is the input singular vector: f pairs with sigma, g with
+    # omega; the extremals are written in the Ax and x buffers
+    ax /= s
     return NormEstimate(
         value=s,
         kind=kind,
-        extremal_f=_divide_live(u, sq_s),
-        extremal_g=_divide_live(v, sq_w),
+        extremal_f=_divide_live(ax, sq_s),
+        extremal_g=_divide_live(x, sq_w),
         iterations=iterations,
         residual=residual,
         flagged=(kind != "exact"),
     )
+
+
+def _ritz_step(s, x, r, ax, ar, p, ap):
+    """Coefficients (c0, c1, c2) of the top Ritz vector c0 x + c1 r + c2 p of A^T A.
+
+    x and r are unit vectors and s = ||Ax||; ``p`` is None on the first step.
+    The Gram matrices of the basis and of its images are scaled to a unit
+    basis diagonal; one ``eigh`` whitens the basis and one solves the
+    whitened problem. A basis whose Gram matrix is near-singular (p almost in
+    the span of x and r) drops p, and c2 is then None. c0 is made
+    nonnegative, so the iterate keeps its orientation.
+    """
+    xr, axar, arar = x @ r, ax @ ar, ar @ ar
+    if p is None:
+        basis = np.array([[1.0, xr], [xr, 1.0]])
+        images = np.array([[s * s, axar], [axar, arar]])
+    else:
+        xp, rp, pp = x @ p, r @ p, p @ p
+        axap, arap, apap = ax @ ap, ar @ ap, ap @ ap
+        basis = np.array([[1.0, xr, xp], [xr, 1.0, rp], [xp, rp, pp]])
+        images = np.array([[s * s, axar, axap], [axar, arar, arap], [axap, arap, apap]])
+    scale = 1.0 / np.sqrt(np.diag(basis))
+    basis *= np.outer(scale, scale)
+    images *= np.outer(scale, scale)
+    lam, vec = np.linalg.eigh(basis)
+    if len(lam) == 3 and not lam[0] > _GRAM_FLOOR:
+        basis, images, scale = basis[:2, :2], images[:2, :2], scale[:2]
+        lam, vec = np.linalg.eigh(basis)
+    white = vec / np.sqrt(lam)
+    c = scale * (white @ np.linalg.eigh(white.T @ images @ white)[1][:, -1])
+    if c[0] < 0.0:
+        c = -c
+    return c[0], c[1], (c[2] if len(c) == 3 else None)
 
 
 def _divide_live(num, den):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -299,6 +299,13 @@ class Measure:
         self.cube_mass = grid.subtree_sums(leaf_mass)
         self.cube_mass.flags.writeable = False
         self.leaf_mass = self.cube_mass[grid.leaf_start :]
+
+    @cached_property
+    def mass_bounds(self) -> tuple[float, float]:
+        """(least positive leaf mass, inf if there is none; total mass): the
+        mass of every cube of a weight is 0 or lies between the two."""
+        leaf = self.leaf_mass
+        return float(np.min(leaf, where=leaf > 0, initial=np.inf)), float(self.cube_mass[0])
 
     @classmethod
     def lebesgue(cls, grid: DyadicGrid) -> "Measure":

@@ -8,6 +8,8 @@ out-localization keeps Q containing R (both inclusive); together they satisfy
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import _kernels
@@ -65,6 +67,13 @@ class CubeWeights:
         tau = np.zeros(grid.n_cubes)
         tau[0] = value
         return cls(grid, tau, rule="root-only")
+
+    @cached_property
+    def coef_bounds(self) -> tuple[float, float]:
+        """(least positive coef, inf if there is none; sum of coef): a sum of
+        coefs over any set of cubes is 0 or lies between the two."""
+        coef = self.coef
+        return float(np.min(coef, where=coef > 0, initial=np.inf)), float(coef.sum())
 
     def __repr__(self):
         return f"CubeWeights({self.rule}, cubes={self.grid.n_cubes})"

@@ -49,7 +49,7 @@ SUITE_GENERATORS = [
 ]
 
 
-SUITE_DIGEST = "3fe955a15c26d22371938a2604a206e66d158dc56116f99b3bbe6acd432f6bfb"
+SUITE_DIGEST = "f335e1e25a2ecd3a7ad4839c490cdc08bdae17b54f652b77e30698732e437fe4"
 
 
 def _suite_config():

@@ -20,8 +20,10 @@ from twoweight.constants import (
 )
 from twoweight.constants import testing_constants_22 as quadratic_constants_22
 from twoweight.grid import Exponents, Measure, build_grid, lp_norm
+from twoweight.harness import gen_instance
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
+from test_acceptance import SUITE_GENERATORS
 from test_operators import _volumes
 
 
@@ -126,7 +128,7 @@ def test_quadratic_constants_match_local_testing():
 # cube; ties keep the first (smallest-index) cube, as the library does.
 
 
-def _oracle_testing(tau, sigma, omega, exps, image):
+def _oracle_testing(tau, sigma, omega, exps, image, norm=lp_norm):
     """sup_R omega(R)^(-1/q') ||image(omega 1_R, R)||_{L^p'(sigma)} by enumeration."""
     g = tau.grid
     pc, qc = exps.p_conj, exps.q_conj
@@ -136,7 +138,7 @@ def _oracle_testing(tau, sigma, omega, exps, image):
         if w_r <= 0:
             continue
         restricted = omega.with_leaf_mask(g.subtree_leaf_mask(r))
-        val = w_r ** (-1.0 / qc) * lp_norm(image(tau, restricted, r), sigma, pc)
+        val = w_r ** (-1.0 / qc) * norm(image(tau, restricted, r), sigma, pc)
         if val > best:
             best, arg = val, g.cube(r)
     return best, arg
@@ -248,6 +250,60 @@ def test_closed_forms_match_enumeration(d, depth, pq, tau_style):
         c1, c2 = quadratic_constants_22(tau, sigma, omega)
         assert c1 == pytest.approx(_oracle_quadratic(tau, sigma, omega), rel=1e-12, abs=0.0)
         assert c2 == pytest.approx(_oracle_quadratic(tau, omega, sigma), rel=1e-12, abs=0.0)
+
+
+def _scaled_lp_norm(f, mu, p):
+    """``lp_norm`` with |f| divided by its largest value on the support of mu
+    first, so that no power overflows, or underflows to 0."""
+    f = np.abs(np.asarray(f, dtype=np.float64))
+    top = float(np.max(f, where=mu.leaf_mass > 0, initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((f / top) ** p * mu.leaf_mass)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("q", [1.001, 2.0])
+def test_constants_near_p_one_match_scaled_oracles(q):
+    # at p = 1.001 (p' = 1001) the unscaled powers overflow on most suite
+    # inputs; every constant is finite and matches the scaled enumeration
+    exps = Exponents(1.001, q)
+    dual = exps.dual()
+    for cfg in SUITE_GENERATORS:
+        for seed in range(2):
+            inst = gen_instance(cfg, seed)
+            tau, sigma, omega = inst.tau, inst.sigma, inst.omega
+            rep = compute_testing_report(tau, sigma, omega, exps)
+            cases = [
+                ("local", (rep.loc, rep.loc_argmax), (sigma, omega, exps, _in_image)),
+                ("local_dual", (rep.loc_dual, rep.loc_dual_argmax), (omega, sigma, dual, _in_image)),
+                ("global", (rep.glo, rep.glo_argmax), (sigma, omega, exps, _out_image)),
+                ("global_dual", (rep.glo_dual, rep.glo_dual_argmax), (omega, sigma, dual, _out_image)),
+                ("strengthened", strengthened_local_testing(tau, sigma, omega, exps),
+                 (sigma, omega, exps, _full_image)),
+            ]
+            for name, got, args in cases:
+                assert math.isfinite(got[0]) and got[0] > 0.0, (name, cfg, seed)
+                _assert_matches(name, got, _oracle_testing(tau, *args, norm=_scaled_lp_norm))
+
+
+@pytest.mark.parametrize("pq,factors", [
+    ((1.001, 1.001), (1e-6, 1e6)), ((1.001, 2.0), (1e-6, 1e6)), ((2.0, 2.0), (1e-160, 1e160)),
+])
+def test_constants_scale_out_of_float_range_homogeneously(pq, factors):
+    # each factor sends every unscaled power at p' (1001, or 2) out of the
+    # float range, below or above; each constant scales with tau
+    inst = gen_instance(SUITE_GENERATORS[0], 0)
+    exps = Exponents(*pq)
+    base = compute_testing_report(inst.tau, inst.sigma, inst.omega, exps)
+    for c in factors:
+        tau = CubeWeights(inst.grid, c * inst.tau.tau)
+        rep = compute_testing_report(tau, inst.sigma, inst.omega, exps)
+        for name in ("loc", "loc_dual", "glo", "glo_dual"):
+            assert getattr(rep, name) == pytest.approx(c * getattr(base, name), rel=1e-12), name
+        if exps.is_l2:
+            got = quadratic_constants_22(tau, inst.sigma, inst.omega)
+            want = quadratic_constants_22(inst.tau, inst.sigma, inst.omega)
+            assert got == pytest.approx((c * want[0], c * want[1]), rel=1e-12)
 
 
 # -- structural properties -----------------------------------------------------

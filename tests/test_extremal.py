@@ -54,15 +54,44 @@ def _random_instance(d, depth, seed, tau_style="random"):
 # -- exact L2 norm ------------------------------------------------------------
 
 
+def _oracle_instance(d, depth, style):
+    """A random instance, or a generator's: zero-mass leaves on both sides
+    (``spikes`` with ``allow_zero_sigma``) or the rank-one ``root_only`` tau."""
+    seed = depth * 7 + d
+    if style == "zero-mass":
+        cfg = GeneratorConfig(d=d, depth=depth, sigma="spikes", omega="spikes", allow_zero_sigma=True)
+    elif style == "root_only":
+        cfg = GeneratorConfig(d=d, depth=depth, tau="root_only")
+    else:
+        return _random_instance(d, depth, seed=seed, tau_style=style)[1:]
+    inst = gen_instance(cfg, seed)
+    return inst.tau, inst.sigma, inst.omega
+
+
 @pytest.mark.parametrize("d,depth,style", [
     (1, 2, "random"), (1, 4, "random"), (1, 5, "sparse"),
     (2, 2, "random"), (2, 3, "fractional"),
+    (1, 6, "zero-mass"), (2, 3, "zero-mass"), (1, 5, "root_only"), (2, 2, "root_only"),
 ])
 def test_exact_matches_dense_oracle(d, depth, style):
-    _, tau, sigma, omega = _random_instance(d, depth, seed=depth * 7 + d, tau_style=style)
+    tau, sigma, omega = _oracle_instance(d, depth, style)
     est = exact_norm_22(tau, sigma, omega)
     assert est.kind == "exact"
-    assert est.value == pytest.approx(dense_norm_22(tau, sigma, omega), rel=1e-10)
+    assert est.value == pytest.approx(dense_norm_22(tau, sigma, omega), rel=1e-12)
+
+
+def test_exact_drops_a_dependent_step(monkeypatch):
+    # a floor no Gram matrix passes drops p at every step: the two-term step
+    # (steepest ascent with the best step size) reaches the same value
+    for style in ("random", "zero-mass"):
+        tau, sigma, omega = _oracle_instance(1, 6, style)
+        full = exact_norm_22(tau, sigma, omega)
+        monkeypatch.setattr(extremal, "_GRAM_FLOOR", 1.0)
+        est = exact_norm_22(tau, sigma, omega)
+        monkeypatch.undo()
+        assert est.kind == "exact"
+        assert est.iterations > full.iterations
+        assert est.value == pytest.approx(dense_norm_22(tau, sigma, omega), rel=1e-12)
 
 
 def test_exact_history_monotone(monkeypatch):
@@ -119,41 +148,73 @@ def test_exact_zero_measures():
     assert est.value == 0.0 and est.kind == "exact"
 
 
-def _exact_norm_22_reference(tau, sigma, omega):
-    """The power iteration of ``exact_norm_22``, with fresh arrays and a fresh
-    adjoint application for the exit residual."""
+def _exact_norm_22_reference(tau, sigma, omega, apply_t):
+    """The LOBPCG of ``exact_norm_22`` with fresh arrays at every step, T being
+    ``apply_t(leaf_masses)``: the same arithmetic in the same order, so the
+    same bits."""
     grid = tau.grid
     sq_s, sq_w = np.sqrt(sigma.leaf_mass), np.sqrt(omega.leaf_mass)
-    work = np.empty(grid.n_cubes)
     zero = np.zeros(grid.n_leaves)
 
     def fwd(v):
-        return sq_s * extremal._t_leafmass(grid, tau.coef, sq_w * v, work)
+        return sq_s * apply_t(sq_w * v)
 
     def adj(u):
-        return sq_w * extremal._t_leafmass(grid, tau.coef, sq_s * u, work)
+        return sq_w * apply_t(sq_s * u)
 
-    nv = float(np.linalg.norm(sq_w))
-    if nv == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
+    nx = float(np.linalg.norm(sq_w))
+    if nx == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
         return 0.0, zero, zero, 0, 0.0
-    v = sq_w / nv
-    s_prev = -1.0
+    x = sq_w / nx
+    ax = fwd(x)
+    p = ap = None
     for iterations in range(1, extremal._POWER_MAX_ITER + 1):
-        img = fwd(v)
-        s = float(np.linalg.norm(img))
+        s = float(np.linalg.norm(ax))
         if s == 0.0:
             return 0.0, zero, zero, iterations, 0.0
-        u = img / s
-        img = adj(u)
-        v = img / float(np.linalg.norm(img))
-        if abs(s - s_prev) <= extremal._POWER_VALUE_TOL * s:
+        r = adj(ax) - (s * s) * x
+        nr = float(np.linalg.norm(r))
+        residual = nr / s
+        if residual <= extremal._POWER_RESIDUAL_TOL * s or iterations == extremal._POWER_MAX_ITER:
             break
-        s_prev = s
-    s = float(u @ fwd(v))
-    residual = float(np.linalg.norm(adj(u) - s * v))
-    f = np.where(sq_s > 0, u / np.where(sq_s > 0, sq_s, 1.0), 0.0)
-    g = np.where(sq_w > 0, v / np.where(sq_w > 0, sq_w, 1.0), 0.0)
+        r = r / nr
+        ar = fwd(r)
+        c = _ritz_reference(s, [x, r, p], [ax, ar, ap])
+        if len(c) == 2:
+            p, ap = c[1] * r, c[1] * ar
+        else:
+            p, ap = c[2] * p + c[1] * r, c[2] * ap + c[1] * ar
+        x, ax = c[0] * x + p, c[0] * ax + ap
+        nx = float(np.linalg.norm(x))
+        x, ax = x / nx, ax / nx
+    f = np.where(sq_s > 0, (ax / s) / np.where(sq_s > 0, sq_s, 1.0), 0.0)
+    g = np.where(sq_w > 0, x / np.where(sq_w > 0, sq_w, 1.0), 0.0)
     return s, f, g, iterations, residual
+
+
+def _ritz_reference(s, vecs, imgs):
+    """Top Ritz coefficients over [x, r] or [x, r, p] (p is None on the first
+    step, and dropped where the scaled basis Gram matrix is near-singular)."""
+    if vecs[2] is None:
+        vecs, imgs = vecs[:2], imgs[:2]
+    k = len(vecs)
+    basis = np.array([[1.0 if i == j < 2 else vecs[i] @ vecs[j] for j in range(k)] for i in range(k)])
+    images = np.array([[s * s if i == j == 0 else imgs[i] @ imgs[j] for j in range(k)] for i in range(k)])
+    scale = 1.0 / np.sqrt(np.diag(basis))
+    basis = basis * np.outer(scale, scale)
+    images = images * np.outer(scale, scale)
+    lam, vec = np.linalg.eigh(basis)
+    if k == 3 and not lam[0] > extremal._GRAM_FLOOR:
+        return _ritz_reference(s, vecs[:2] + [None], imgs[:2] + [None])
+    white = vec / np.sqrt(lam)
+    c = scale * (white @ np.linalg.eigh(white.T @ images @ white)[1][:, -1])
+    return -c if c[0] < 0.0 else c
+
+
+def _library_t(tau):
+    """T through the library's in-place application, as ``exact_norm_22`` calls it."""
+    work = np.empty(tau.grid.n_cubes)
+    return lambda leafmass: extremal._t_leafmass(tau.grid, tau.coef, leafmass, work)
 
 
 def _exact_22_corpus():
@@ -166,9 +227,10 @@ def _exact_22_corpus():
 
 
 def test_exact_reuses_the_last_adjoint_image(monkeypatch):
-    # a solve makes 2 * iterations + 1 operator applications: the exit residual
-    # reads the adjoint image of the last step instead of applying it again,
-    # with the bits of a solve that does
+    # a step makes 2 operator applications, A^T(Ax) and A r, so a solve makes
+    # 2 * iterations: the exit residual reads the adjoint image of the last
+    # step instead of applying it again, with the bits of the fresh-array
+    # reference
     calls = []
     leafmass = extremal._t_leafmass
 
@@ -177,26 +239,54 @@ def test_exact_reuses_the_last_adjoint_image(monkeypatch):
         return leafmass(*args)
 
     for tau, sigma, omega in _exact_22_corpus():
-        want = _exact_norm_22_reference(tau, sigma, omega)
+        want = _exact_norm_22_reference(tau, sigma, omega, _library_t(tau))
         monkeypatch.setattr(extremal, "_t_leafmass", counting)
         calls.clear()
         est = exact_norm_22(tau, sigma, omega)
         monkeypatch.setattr(extremal, "_t_leafmass", leafmass)
-        assert est.iterations >= 2
-        assert len(calls) == 2 * est.iterations + 1
+        # the rank-one root_only kernel's start vector is already singular
+        assert est.iterations >= (1 if np.count_nonzero(tau.tau) == 1 else 2)
+        assert len(calls) == 2 * est.iterations
         got = (est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual)
         assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
     # the zero kernel: one application finds the zero image and returns
     g = build_grid(1, 3)
     tau, lebesgue = CubeWeights(g, np.zeros(g.n_cubes)), Measure.lebesgue(g)
-    want = _exact_norm_22_reference(tau, lebesgue, lebesgue)
+    want = _exact_norm_22_reference(tau, lebesgue, lebesgue, _library_t(tau))
     monkeypatch.setattr(extremal, "_t_leafmass", counting)
     calls.clear()
     est = exact_norm_22(tau, lebesgue, lebesgue)
     assert len(calls) == est.iterations == 1
     got = (est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual)
     assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
+
+def test_exact_only_when_the_pair_residual_is_small(monkeypatch):
+    # stopped after one step, the value is a Rayleigh quotient short of the
+    # norm, and its pair residual says so
+    inst = gen_instance(
+        GeneratorConfig(d=1, depth=12, sigma="uniform", omega="spikes", tau="fractional", alpha=0.3), 5
+    )
+    full = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+    monkeypatch.setattr(extremal, "_POWER_MAX_ITER", 1)
+    est = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+    assert est.kind == "lower-bound" and est.flagged
+    assert est.value < full.value * (1 - 1e-3)
+    assert est.residual > extremal._POWER_RESIDUAL_TOL * est.value
+    monkeypatch.undo()
+
+    # an "exact" value's pair satisfies both singular-pair equations,
+    # T(g omega) = s f in L^2(sigma) and T(f sigma) = s g in L^2(omega), to
+    # the residual the label claims, recomputed with fresh arrays
+    for tau, sigma, omega in [*_exact_22_corpus(), (inst.tau, inst.sigma, inst.omega)]:
+        est = exact_norm_22(tau, sigma, omega)
+        s, f, g = est.value, est.extremal_f.copy(), est.extremal_g.copy()
+        fwd = apply_T(tau, Measure.product(g, omega)) - s * f
+        adj = apply_T(tau, Measure.product(f, sigma)) - s * g
+        pair = max(lp_norm(fwd, sigma, 2.0), lp_norm(adj, omega, 2.0))
+        assert est.kind == "exact"
+        assert pair <= extremal._POWER_RESIDUAL_TOL * s, f"pair residual {pair / s:.2e}"
 
 
 def test_exact_homogeneous_in_tau():
@@ -1147,6 +1237,22 @@ def test_power_solver_memory_in_leaf_vectors(d, depth):
         assert peak < 16 * leaf_vector, f"{peak / leaf_vector:.1f} leaf vectors"
 
 
+@pytest.mark.parametrize("d,depth", [(1, 16), (2, 8)])
+def test_exact_memory_in_leaf_vectors(d, depth):
+    # the solve holds the square roots of the measures, the cube-sized work
+    # buffer and x, r, p with their images, whatever the number of steps
+    inst = gen_instance(GeneratorConfig(d=d, depth=depth), 7)
+    leaf_vector = 8 * inst.grid.n_leaves
+    tracemalloc.start()
+    try:
+        est = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.kind == "exact" and est.iterations > 2
+    assert peak < 10.5 * leaf_vector, f"{peak / leaf_vector:.2f} leaf vectors"
+
+
 def test_embedding_memory_linear_in_cubes():
     # the recursion holds a few floats per cube whatever the grid: a batch of
     # lam values never exceeds the cube budget, and nothing is cube-by-leaf
@@ -1170,33 +1276,6 @@ def _t_leafmass_alloc(grid, tau, leafmass):
     """T by the textbook formula tau_Q * mu(Q) / |Q| with fresh arrays."""
     contrib = tau * grid.subtree_sums(leafmass) / _volumes(grid)
     return _kernels.down_sum(contrib, grid)[grid.leaf_start :]
-
-
-def _safe_div(num, den):
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-
-def _exact_norm_22_alloc(tau, sigma, omega):
-    """The power iteration with fresh arrays at every step, as the oracle."""
-    grid = tau.grid
-    sq_s = np.sqrt(sigma.leaf_mass)
-    sq_w = np.sqrt(omega.leaf_mass)
-    v = sq_w.copy()
-    v /= float(np.linalg.norm(v))
-    s_prev = -1.0
-    for iterations in range(1, extremal._POWER_MAX_ITER + 1):
-        av = sq_s * _t_leafmass_alloc(grid, tau.tau, sq_w * v)
-        s = float(np.linalg.norm(av))
-        u = av / s
-        atu = sq_w * _t_leafmass_alloc(grid, tau.tau, sq_s * u)
-        v = atu / float(np.linalg.norm(atu))
-        if abs(s - s_prev) <= extremal._POWER_VALUE_TOL * s:
-            break
-        s_prev = s
-    av = sq_s * _t_leafmass_alloc(grid, tau.tau, sq_w * v)
-    s = float(u @ av)
-    residual = float(np.linalg.norm(sq_w * _t_leafmass_alloc(grid, tau.tau, sq_s * u) - s * v))
-    return s, iterations, residual, _safe_div(u, sq_s), _safe_div(v, sq_w)
 
 
 def _strong_image_alloc(tau, sigma, omega, p):
@@ -1237,7 +1316,9 @@ def test_in_place_solvers_bit_identical_to_allocating_loops(cfg):
     inst = gen_instance(GeneratorConfig(**cfg), 4)
     tau, sigma, omega = inst.tau, inst.sigma, inst.omega
     est = exact_norm_22(tau, sigma, omega)
-    value, iterations, residual, ef, eg = _exact_norm_22_alloc(tau, sigma, omega)
+    value, ef, eg, iterations, residual = _exact_norm_22_reference(
+        tau, sigma, omega, lambda leafmass: _t_leafmass_alloc(tau.grid, tau.tau, leafmass)
+    )
     assert (est.value, est.iterations, est.residual) == (value, iterations, residual)
     assert np.array_equal(est.extremal_f, ef) and np.array_equal(est.extremal_g, eg)
 

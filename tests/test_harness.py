@@ -624,6 +624,15 @@ def test_cli_verify(tmp_path, capsys):
     assert (out_dir / "aggregates.csv").exists()
 
 
+def test_cli_verify_near_p_one(capsys):
+    # at p = q = 1.001 (p' = 1001) the testing sweeps scale their powers, so
+    # no constant overflows to inf and fails testing <= norm
+    rc = main(["verify", "--n", "3", "--depth", "4", "--p", "1.001", "--q", "1.001"])
+    summary = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert summary["ok"] is True and summary["n_violations"] == 0 and summary["n_rows"] == 3
+
+
 def _fresh_run(argv):
     """(exit code, stdout) of ``twoweight`` in a process of its own."""
     env = dict(os.environ)
