@@ -25,9 +25,10 @@ oracles.
 Every sweep raises its sums to the power p'. Near p = 1 that power overflows
 (and small sums underflow to 0), so when an a-priori bound says the powers may
 leave the float range (``_needs_scale``), each cube's sum is taken relative to
-its own largest term, as ``extremal._boyd_power`` does for the Boyd step, and
-the constant is assembled from (scale, relative sum) pairs (``_values``).
-Elsewhere the sums are formed as they are.
+its own largest term on the support of the measure it is summed against, as
+``extremal._boyd_power`` does for the Boyd step, and the constant is assembled
+from (scale, relative sum) pairs (``_values``). Elsewhere the sums are formed
+as they are.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expone
     grid = tau.grid
     pc = exps.p_conj
     contrib = tau.coef * omega.cube_mass
-    scaled = _needs_scale(tau, omega, sigma, pc)
-    scale, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, scaled=scaled)
+    floor = np.zeros(grid.n_cubes) if _needs_scale(tau, omega, sigma, pc) else None
+    scale, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, floor=floor)
     return _sup(grid, _values(scale, power, omega.cube_mass, pc, exps.q_conj))
 
 
@@ -114,16 +115,22 @@ def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expon
     omega(R) A(R) with A = down_sum(tau/|Q|); for x outside R only the cubes
     containing both survive, giving omega(R) A(P) at their deepest common
     ancestor P. Two tree scans therefore cover every R (see ``_outer_sums``).
-    Scaled, the power is (omega(R) A(R))^p' (sigma(R) + F(R) / A(R)^p').
+    Scaled, the power is taken relative to the larger of A(R), where
+    sigma(R) > 0, and the outside part's own scale B(R).
     """
     grid = tau.grid
     pc = exps.p_conj
     scaled = _needs_scale(tau, omega, sigma, pc)
     avg, outside = _outer_sums(tau, sigma, pc, scaled)
     w = omega.cube_mass
+    mass = sigma.cube_mass
     if scaled:
-        return _sup(grid, _values(w * avg, sigma.cube_mass + outside, w, pc, exps.q_conj))
-    power = w**pc * (sigma.cube_mass * avg**pc + outside)
+        far, rel = outside
+        near = np.where(mass > 0, avg, 0.0)
+        top = np.maximum(near, far)
+        power = mass * _ratio(near, top) ** pc + rel * _ratio(far, top) ** pc
+        return _sup(grid, _values(w * top, power, w, pc, exps.q_conj))
+    power = w**pc * (mass * avg**pc + outside)
     return _sup(grid, _values(None, power, w, pc, exps.q_conj))
 
 
@@ -144,8 +151,8 @@ def strengthened_local_values(tau: CubeWeights, sigma: Measure, omega: Measure, 
     R); outside R it is the global operator's outside part. With the measures
     swapped and the dual exponents this is the strong-norm objective at each
     normalized cube indicator, sigma(R)^(-1/p) ||T(1_R sigma)||_{L^q(omega)}.
-    Scaled, the outside part is taken relative to the inside's largest term,
-    which is at least omega(R) A(R), the outside's largest.
+    Scaled, both parts are taken relative to the larger of the inside's
+    largest term and the outside's, omega(R) B(R) (see ``_outer_sums``).
     """
     grid = tau.grid
     pc = exps.p_conj
@@ -155,11 +162,14 @@ def strengthened_local_values(tau: CubeWeights, sigma: Measure, omega: Measure, 
     shift = np.zeros(grid.n_cubes)
     shift[1:] = w[1:] * avg[grid.parent[1:]]
     contrib = tau.coef * w
-    scale, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift, scaled)
-    if scaled:
-        power += _ratio(w * avg, scale) ** pc * outside
-    else:
+    if not scaled:
+        _, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift)
         power += w**pc * outside
+        return _values(None, power, w, pc, exps.q_conj)
+    far, rel = outside
+    far *= w
+    scale, power = _inner_power_sums(grid, contrib, sigma.leaf_mass, pc, shift, floor=far)
+    power += rel * _ratio(far, scale) ** pc
     return _values(scale, power, w, pc, exps.q_conj)
 
 
@@ -179,8 +189,8 @@ def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
 def _quadratic_sweep(tau, inner: Measure, against: Measure) -> float:
     grid = tau.grid
     contrib = tau.coef * inner.cube_mass
-    scaled = _needs_scale(tau, inner, against, 2.0)
-    scale, sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0, scaled=scaled)
+    floor = np.zeros(grid.n_cubes) if _needs_scale(tau, inner, against, 2.0) else None
+    scale, sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0, floor=floor)
     ok = inner.cube_mass > 0
     ratio = sums[ok] / inner.cube_mass[ok]
     if scale is None:
@@ -209,13 +219,15 @@ def _needs_scale(tau: CubeWeights, mass: Measure, weight: Measure, e: float) -> 
     return e * math.log2(hi) + math.log2(total) > _POWER_EXP2 or e * math.log2(lo) < -_POWER_EXP2
 
 
-def _inner_power_sums(grid, contrib, weight, e, shift=None, scaled=False):
+def _inner_power_sums(grid, contrib, weight, e, shift=None, floor=None):
     """For every cube R: S_R = sum_{x in R} (shift_R + sum_{x in Q <= R} contrib_Q)^e * weight(x).
 
-    Returns (scale, sums) with S = scale^e * sums. Unscaled, scale is None and
-    sums is S. Scaled, scale_R is the largest of the bracketed sums over the
-    leaves x of R (``_subtree_top``), so each cube's largest term is its
-    weight(x): no cube's sum overflows, or underflows to 0.
+    Returns (scale, sums) with S = scale^e * sums. Without ``floor``, scale is
+    None and sums is S. With it, scale_R is the larger of floor_R and the
+    largest bracketed sum over the leaves x of R with weight(x) > 0, so that
+    each term is at most weight(x) and, where the bracket reaches the scale,
+    equals it: no cube's sum overflows, or underflows to 0. Leaves of zero
+    weight add nothing and take no part in the scale.
 
     Walks from the leaves to the root one level per step, carrying for each
     leaf the running sum of ``contrib`` over its ancestors up to the current
@@ -223,34 +235,20 @@ def _inner_power_sums(grid, contrib, weight, e, shift=None, scaled=False):
     The sums are built from nonnegative terms, so nothing cancels.
     """
     out = np.empty(grid.n_cubes)
-    top = _subtree_top(grid, contrib, shift) if scaled else None
+    scale, live = (None, None) if floor is None else (floor.copy(), weight > 0)
     anc = np.arange(grid.leaf_start, grid.n_cubes)
     run = np.zeros(grid.n_leaves)
     for lev in range(grid.depth, -1, -1):
         lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
         run += contrib[anc]
         t = run if shift is None else run + shift[anc]
-        if scaled:
-            t = _ratio(t, top[anc])
+        if scale is not None:
+            t = np.where(live, t, 0.0)
+            np.maximum.at(scale, anc, t)
+            t = _ratio(t, scale[anc])
         out[lo:hi] = np.bincount(anc - lo, weights=t**e * weight, minlength=hi - lo)
         anc = grid.parent[anc]
-    return top, out
-
-
-def _subtree_top(grid, contrib, shift=None):
-    """For every cube R: the largest over x in R of shift_R + sum_{x in Q <= R} contrib_Q.
-
-    That is shift_R + m_R with m_R = contrib_R + the largest m of R's
-    children, one pass from the leaves up.
-    """
-    m = contrib.copy()
-    off = grid.level_offsets
-    for lev in range(grid.depth - 1, -1, -1):
-        lo, hi, end = int(off[lev]), int(off[lev + 1]), int(off[lev + 2])
-        best = np.zeros(hi - lo)
-        np.maximum.at(best, grid.parent[hi:end] - lo, m[hi:end])
-        m[lo:hi] += best
-    return m if shift is None else m + shift
+    return scale, out
 
 
 def _ratio(num, den):
@@ -269,23 +267,32 @@ def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float, scaled: bool = Fals
     relative to the tested sum, which is at least sigma(Q) A(Q)^p' for every
     Q containing R (A only grows down the tree).
 
-    Scaled, F comes as F / A^p' (0 where A = 0), which is at most sigma(root),
-    from the root down: F(Q) / A(Q)^p' = (F(R) / A(R)^p' + sigma(R) -
-    sigma(Q)) * (A(R) / A(Q))^p' for Q a child of R, with A(R) <= A(Q).
+    Scaled, F comes as the pair (B, F / B^p'), where B(R) is the largest
+    A(x ^ R) over x outside R with sigma(x) > 0: A at the deepest strict
+    ancestor whose ring is positive, and 0 with F = 0 where there is none.
+    From the root down, for Q a child of R with a positive ring, B(Q) = A(R)
+    >= B(R) and F(Q) / B(Q)^p' = ring + F(R) / B(R)^p' * (B(R) / A(R))^p';
+    otherwise Q inherits R's pair. So F / B^p' is at least the last positive
+    ring and at most sigma(root): it neither overflows nor underflows to 0.
     """
     grid = tau.grid
     avg = _kernels.down_sum(tau.coef, grid)
+    mass = sigma.cube_mass
     if scaled:
-        out = np.zeros(grid.n_cubes)
-        mass = sigma.cube_mass
+        far = np.zeros(grid.n_cubes)
+        rel = np.zeros(grid.n_cubes)
         for lev in range(1, grid.depth + 1):
             lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
             par = grid.parent[lo:hi]
-            out[lo:hi] = (out[par] + mass[par] - mass[lo:hi]) * _ratio(avg[par], avg[lo:hi]) ** pc
-        return avg, out
+            ring = mass[par] - mass[lo:hi]
+            step = ring > 0
+            far[lo:hi] = np.where(step, avg[par], far[par])
+            grown = ring + rel[par] * _ratio(far[par], avg[par]) ** pc
+            rel[lo:hi] = np.where(step, grown, rel[par])
+        return avg, (far, rel)
     par = grid.parent[1:]
     ring = np.zeros(grid.n_cubes)
-    ring[1:] = (sigma.cube_mass[par] - sigma.cube_mass[1:]) * avg[par] ** pc
+    ring[1:] = (mass[par] - mass[1:]) * avg[par] ** pc
     return avg, _kernels.down_sum(ring, grid)
 
 

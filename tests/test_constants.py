@@ -20,7 +20,7 @@ from twoweight.constants import (
 )
 from twoweight.constants import testing_constants_22 as quadratic_constants_22
 from twoweight.grid import Exponents, Measure, build_grid, lp_norm
-from twoweight.harness import gen_instance
+from twoweight.harness import GeneratorConfig, gen_instance
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
 from test_acceptance import SUITE_GENERATORS
@@ -255,35 +255,65 @@ def test_closed_forms_match_enumeration(d, depth, pq, tau_style):
 def _scaled_lp_norm(f, mu, p):
     """``lp_norm`` with |f| divided by its largest value on the support of mu
     first, so that no power overflows, or underflows to 0."""
-    f = np.abs(np.asarray(f, dtype=np.float64))
-    top = float(np.max(f, where=mu.leaf_mass > 0, initial=0.0))
+    f = np.where(mu.leaf_mass > 0, np.abs(np.asarray(f, dtype=np.float64)), 0.0)
+    top = float(np.max(f, initial=0.0))
     if top == 0.0:
         return 0.0
     return top * float(np.sum((f / top) ** p * mu.leaf_mass)) ** (1.0 / p)
 
 
+def _vanishing_instances():
+    """(tau, sigma, omega) on which sigma vanishes on whole cubes.
+
+    The first input puts sigma on the left half of the leaves and omega mostly
+    on the right, so the tested functions are largest where sigma is 0. The
+    second puts sigma on the leftmost leaf only, and omega and most of tau on
+    the right half: each tested cube has sigma(R) = 0, and its global value
+    comes from the root alone, far below its A(R). The others are ``spikes``
+    draws with zero masses allowed.
+    """
+    g = build_grid(1, 4)
+    tau = CubeWeights(g, np.random.default_rng(0).exponential(size=g.n_cubes))
+    half = np.arange(g.n_leaves) < g.n_leaves // 2
+    yield tau, Measure(g, np.where(half, 1.0, 0.0)), Measure(g, np.where(half, 1e-3, 1.0))
+    cubes = [g.cube(i) for i in range(g.n_cubes)]
+    right = np.array([c.level > 0 and 2 * c.coords[0] >= 2**c.level for c in cubes])
+    weights = _volumes(g) * np.where(right, 10.0, 0.0)
+    weights[0] = 1.0
+    tau = CubeWeights(g, weights)
+    leftmost = np.arange(g.n_leaves) == 0
+    yield tau, Measure(g, np.where(leftmost, 1.0, 0.0)), Measure(g, np.where(half, 0.0, 1.0))
+    for d, depth in ((1, 5), (2, 3)):
+        cfg = GeneratorConfig(d=d, depth=depth, sigma="spikes", omega="spikes", allow_zero_sigma=True)
+        for seed in range(3):
+            inst = gen_instance(cfg, seed)
+            yield inst.tau, inst.sigma, inst.omega
+
+
 @pytest.mark.parametrize("q", [1.001, 2.0])
 def test_constants_near_p_one_match_scaled_oracles(q):
     # at p = 1.001 (p' = 1001) the unscaled powers overflow on most suite
-    # inputs; every constant is finite and matches the scaled enumeration
+    # inputs; every constant is finite and matches the scaled enumeration,
+    # also where a measure vanishes on whole cubes, which must not set the
+    # scale: a live term far below a dead one would round to 0 against it
     exps = Exponents(1.001, q)
     dual = exps.dual()
-    for cfg in SUITE_GENERATORS:
-        for seed in range(2):
-            inst = gen_instance(cfg, seed)
-            tau, sigma, omega = inst.tau, inst.sigma, inst.omega
-            rep = compute_testing_report(tau, sigma, omega, exps)
-            cases = [
-                ("local", (rep.loc, rep.loc_argmax), (sigma, omega, exps, _in_image)),
-                ("local_dual", (rep.loc_dual, rep.loc_dual_argmax), (omega, sigma, dual, _in_image)),
-                ("global", (rep.glo, rep.glo_argmax), (sigma, omega, exps, _out_image)),
-                ("global_dual", (rep.glo_dual, rep.glo_dual_argmax), (omega, sigma, dual, _out_image)),
-                ("strengthened", strengthened_local_testing(tau, sigma, omega, exps),
-                 (sigma, omega, exps, _full_image)),
-            ]
-            for name, got, args in cases:
-                assert math.isfinite(got[0]) and got[0] > 0.0, (name, cfg, seed)
-                _assert_matches(name, got, _oracle_testing(tau, *args, norm=_scaled_lp_norm))
+    suite = [gen_instance(cfg, seed) for cfg in SUITE_GENERATORS for seed in range(2)]
+    inputs = [(i.tau, i.sigma, i.omega, True) for i in suite]
+    inputs += [(*args, False) for args in _vanishing_instances()]
+    for tau, sigma, omega, positive in inputs:
+        rep = compute_testing_report(tau, sigma, omega, exps)
+        cases = [
+            ("local", (rep.loc, rep.loc_argmax), (sigma, omega, exps, _in_image)),
+            ("local_dual", (rep.loc_dual, rep.loc_dual_argmax), (omega, sigma, dual, _in_image)),
+            ("global", (rep.glo, rep.glo_argmax), (sigma, omega, exps, _out_image)),
+            ("global_dual", (rep.glo_dual, rep.glo_dual_argmax), (omega, sigma, dual, _out_image)),
+            ("strengthened", strengthened_local_testing(tau, sigma, omega, exps),
+             (sigma, omega, exps, _full_image)),
+        ]
+        for name, got, args in cases:
+            assert math.isfinite(got[0]) and (got[0] > 0.0 or not positive), name
+            _assert_matches(name, got, _oracle_testing(tau, *args, norm=_scaled_lp_norm))
 
 
 @pytest.mark.parametrize("pq,factors", [
