@@ -19,7 +19,8 @@ row-generic indexing slows them down on small grids.
 Every kernel takes the grid whose tree it scans. A level is scanned one of
 two ways, with the same arithmetic in the same order, so both give the same
 bits. By default it is gathered through ``grid.parent`` in both directions:
-root to leaf each cube reads its parent, and leaf to root one unbuffered
+root to leaf each cube reads its parent (``_GATHER_BLOCK`` cubes to one
+gather), and leaf to root one unbuffered
 ``np.add.at`` adds the level into its parents in index order. That is
 canonical child order: in the canonical layout (``_layout``) a child at level
 ``l`` with coordinate bits ``b_k`` sits ``sum(b_k << (l * k))`` after its
@@ -34,7 +35,27 @@ measured as fast as the 2**d strided passes or faster. Every kernel takes
 ``out``: a C-contiguous float array of the result's shape that the scan runs
 in (it may be ``values`` itself, or for ``subtree_sums`` hold the leaf values
 in its leaf part), returned; without it the scan runs in a fresh array.
+
+On grids of ``PARALLEL_MIN_LEAVES`` leaves or more, ``subtree_sums``,
+``up_sum``, ``down_sum`` and ``down_max`` scan their large levels (from the
+first of ``STRIDED_MIN_CUBES`` cubes, and from level 2 at the least) as two
+tasks, one per half-tree of the canonical layout (``_layout``): a cube's
+children lie in its own half, so the two tasks touch disjoint cubes. One
+task runs on the calling thread, the other on the one thread of a private
+pool (``workers``) started on first use. The levels above run on the
+calling thread alone, before the two tasks root to leaf and after them leaf
+to root. Every entry sees the same operations in the same order as in a
+serial scan, so the bits do not depend on whether the second thread ran.
+Below the threshold, in a process that may run on one CPU only, and in a
+process that asked to run inline (``run_inline``: the suite's worker
+processes, whose siblings use the other CPUs), every task runs on the
+calling thread. A forked child drops the pool it inherited, whose thread did
+not survive the fork.
 """
+
+import concurrent.futures
+import os
+import threading
 
 import numpy as np
 
@@ -45,6 +66,100 @@ from . import _layout
 # 4096 cubes on leaf-to-root scans at every d and on root-to-leaf ones at d = 1).
 STRIDED_MIN_CUBES = 4096
 
+# Cubes gathered through one parent index at a time on a root-to-leaf level:
+# the gathered copy (256 KB) stays in cache, which was measured 5-13 %
+# faster than whole levels at d = 2 to 4 and 2**16 to 2**20 leaves, and the
+# pool's thread never holds a level-sized copy in its own malloc arena.
+_GATHER_BLOCK = 1 << 15
+
+# Leaves from which the large tree scans, the coefficient product of T and
+# exact_norm_22's passes over its leaf vectors run on two threads. A hand-off
+# to the pool's thread costs 50-100 us on a 2-vCPU VM, and every numpy call
+# of a task waits for the interpreter lock while the other task holds it.
+# Timed on one thread against two on that VM, exact_norm_22 at d = 1 took
+# 24 against 33 ms at 2**16 leaves, 86 against 84 ms at 2**18 and 206
+# against 138 ms at 2**19. The scans alone lost on two threads up to 2**18
+# at d = 1, 2, 3, were mixed at 2**19 (down_sum 2.6 against 2.4 ms,
+# subtree_sums 1.2 against 1.5 ms at d = 1) and all won at 2**20, by 20-35 %.
+PARALLEL_MIN_LEAVES = 1 << 19
+
+_pool = None  # the second thread, started on first use
+_pool_lock = threading.Lock()
+_inline = False  # set by run_inline: no task of this process leaves its thread
+
+
+def _forget_pool():
+    # a forked child holds a copy of the pool whose threads did not survive the
+    # fork, and of a lock another thread may have held: submitting to that
+    # pool would wait forever
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_inline() -> None:
+    """Run every task of this process on the calling thread from now on.
+
+    Worker processes of a suite call it: their siblings already use the
+    other CPUs.
+    """
+    global _inline
+    _inline = True
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def workers(n_leaves: int):
+    """The pool of the second thread when work on a grid of ``n_leaves``
+    leaves runs on two threads, else None: from ``PARALLEL_MIN_LEAVES``
+    leaves on, unless the process runs inline or may run on one CPU only."""
+    global _pool
+    if n_leaves < PARALLEL_MIN_LEAVES or _inline or _cpus() < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="twoweight")
+        return _pool
+
+
+def on_halves(pool, task) -> list:
+    """``[task(0), task(1)]``: with ``pool`` (``workers``), ``task(1)`` on
+    its thread while ``task(0)`` runs on the calling thread; without, in
+    order on the calling thread. Both tasks finish before an error of either
+    is raised, since both write into the same arrays. A task must not call
+    ``on_halves`` itself: the pool has one thread, which would wait on
+    itself."""
+    if pool is None:
+        return [task(0), task(1)]
+    second = pool.submit(task, 1)
+    try:
+        first = task(0)
+    finally:
+        concurrent.futures.wait([second])
+    return [first, second.result()]
+
+
+def multiply(values, factors, grid) -> None:
+    """``values *= factors`` in place, both of one entry per cube of ``grid``,
+    as two halves on two threads when the grid runs on them (``workers``)."""
+    pool = workers(grid.n_leaves)
+    if pool is None:
+        np.multiply(factors, values, out=values)
+        return
+    mid = grid.n_cubes // 2
+
+    def task(which):
+        part = slice(mid, None) if which else slice(0, mid)
+        np.multiply(factors[part], values[part], out=values[part])
+
+    on_halves(pool, task)
+
 
 def _start(values, out):
     if out is None:
@@ -54,51 +169,79 @@ def _start(values, out):
     return out
 
 
+def _first_large(grid) -> int:
+    """The first level of ``grid`` with at least ``STRIDED_MIN_CUBES`` cubes
+    (levels only grow with depth), or the level count when none has."""
+    if grid.n_leaves < STRIDED_MIN_CUBES:
+        return grid.depth + 1
+    # level l has 2**(d * l) cubes, and STRIDED_MIN_CUBES is a power of two
+    return -(-(STRIDED_MIN_CUBES.bit_length() - 1) // grid.d)
+
+
 def _first_strided(grid, root_to_leaf: bool) -> int:
     """The first level of ``grid`` scanned through strided views, or the level
-    count when none is: the first with at least ``STRIDED_MIN_CUBES`` cubes
-    (levels only grow with depth), and for a root-to-leaf scan none unless
-    d = 1."""
-    if grid.n_leaves < STRIDED_MIN_CUBES or (root_to_leaf and grid.d > 1):
-        return grid.depth + 1
-    lev = 1
-    while 1 << (grid.d * lev) < STRIDED_MIN_CUBES:
-        lev += 1
-    return lev
+    count when none is: the first large level, and for a root-to-leaf scan
+    none unless d = 1."""
+    return grid.depth + 1 if root_to_leaf and grid.d > 1 else _first_large(grid)
 
 
-def _strided_level(acc, grid, lev):
-    """The child-slot views of level ``lev`` of ``acc`` and their parent block."""
-    kids = _layout.child_slots(acc, grid.level_offsets, lev, grid.d)
-    return kids, _layout.level_block(acc, grid.level_offsets, lev - 1, grid.d)
+def _strided_level(acc, grid, lev, which=None):
+    """The child-slot views of level ``lev`` of ``acc`` and their parent
+    block, or those of half ``which`` of both levels."""
+    kids = _layout.child_slots(acc, grid.level_offsets, lev, grid.d, which)
+    return kids, _layout.level_block(acc, grid.level_offsets, lev - 1, grid.d, which)
+
+
+def _first_half_level(grid) -> int:
+    """The first level scanned as two half-tree tasks: the first large level,
+    and level 2 at the least (a half of level 1 has the root as parent)."""
+    return max(2, _first_large(grid))
+
+
+def _down(values, grid, out, op):
+    """The root-to-leaf scan of ``down_sum`` (``op`` is ``np.add``) and of
+    ``down_max`` (``np.maximum``)."""
+    out = _start(values, out)
+    pool = workers(grid.n_leaves)
+    if pool is None:
+        _down_levels(out, grid, op, range(1, grid.depth + 1), None)
+        return out
+    cut = _first_half_level(grid)
+    _down_levels(out, grid, op, range(1, cut), None)
+    large = range(cut, grid.depth + 1)
+    on_halves(pool, lambda which: _down_levels(out, grid, op, large, which))
+    return out
+
+
+def _down_levels(out, grid, op, levels, which):
+    """The given levels of a root-to-leaf scan in ``out``, or half ``which``
+    of each."""
+    split = _first_strided(grid, True)
+    offsets = grid.level_offsets.tolist()  # int arithmetic below, not numpy's
+    for lev in levels:
+        if lev >= split:
+            kids, parents = _strided_level(out, grid, lev, which)
+            for k in kids:
+                op(k, parents, out=k)
+            continue
+        lo, hi = offsets[lev], offsets[lev + 1]
+        if which is not None:
+            lo, hi = _layout.half(lo, hi, which)
+        while lo < hi:
+            top = lo + _GATHER_BLOCK if hi - lo > _GATHER_BLOCK else hi
+            seg = out[lo:top]
+            op(seg, out[grid.parent[lo:top]], out=seg)
+            lo = top
 
 
 def down_sum(values, grid, out=None):
     """Root-to-leaf prefix sums: out[i] = sum of values over ancestors of i, inclusive."""
-    out = _start(values, out)
-    split = _first_strided(grid, True)
-    for lev in range(1, split):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        out[lo:hi] += out[grid.parent[lo:hi]]
-    for lev in range(split, grid.depth + 1):
-        kids, parents = _strided_level(out, grid, lev)
-        for k in kids:
-            k += parents
-    return out
+    return _down(values, grid, out, np.add)
 
 
 def down_max(values, grid, out=None):
     """Root-to-leaf prefix maxima: out[i] = max of values over ancestors of i, inclusive."""
-    out = _start(values, out)
-    split = _first_strided(grid, True)
-    for lev in range(1, split):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        np.maximum(out[lo:hi], out[grid.parent[lo:hi]], out=out[lo:hi])
-    for lev in range(split, grid.depth + 1):
-        kids, parents = _strided_level(out, grid, lev)
-        for k in kids:
-            np.maximum(k, parents, out=k)
-    return out
+    return _down(values, grid, out, np.maximum)
 
 
 def up_sum(values, grid, out=None):
@@ -108,13 +251,41 @@ def up_sum(values, grid, out=None):
     accumulation order exactly.
     """
     acc = _start(values, out)
-    split = _first_strided(grid, False)
-    for lev in range(grid.depth, split - 1, -1):
-        kids, seg = _strided_level(acc, grid, lev)
-        for k in kids:
-            seg += k
-    _gather_up(acc, grid, split - 1)
+    _up(acc, grid, _add_children)
     return acc
+
+
+def _add_children(acc, grid, lev, which):
+    kids, seg = _strided_level(acc, grid, lev, which)
+    for k in kids:
+        seg += k
+
+
+def _write_children(acc, grid, lev, which):
+    # the strided levels of subtree_sums: each parent written as the sum of its
+    # children, the leaves' parents with +0.0 added once
+    kids, seg = _strided_level(acc, grid, lev, which)
+    np.add(kids[0], kids[1], out=seg)
+    if lev == grid.depth:
+        seg += 0.0
+    for k in kids[2:]:
+        seg += k
+
+
+def _up(acc, grid, level):
+    """A leaf-to-root scan in ``acc``: ``level(acc, grid, lev, which)`` on
+    every strided level, deepest first (with the pool, the large levels as
+    two half-tree tasks first), then the gathered levels."""
+    split = _first_strided(grid, False)
+    pool = workers(grid.n_leaves)
+    cut = grid.depth + 1
+    if pool is not None:
+        cut = _first_half_level(grid)
+        large = range(grid.depth, cut - 1, -1)
+        on_halves(pool, lambda which: [level(acc, grid, lev, which) for lev in large])
+    for lev in range(cut - 1, split - 1, -1):
+        level(acc, grid, lev, None)
+    _gather_up(acc, grid, split - 1)
 
 
 def _gather_up(acc, grid, top):
@@ -143,16 +314,8 @@ def subtree_sums(leaf_values, grid, out=None):
     """
     acc = np.empty(grid.n_cubes) if out is None else out
     acc[grid.leaf_start :] = leaf_values
-    split = _first_strided(grid, False)
-    acc[: grid.level_offsets[split - 1]] = 0.0
-    for lev in range(grid.depth, split - 1, -1):
-        kids, seg = _strided_level(acc, grid, lev)
-        np.add(kids[0], kids[1], out=seg)
-        if lev == grid.depth:
-            seg += 0.0
-        for k in kids[2:]:
-            seg += k
-    _gather_up(acc, grid, split - 1)
+    acc[: grid.level_offsets[_first_strided(grid, False) - 1]] = 0.0
+    _up(acc, grid, _write_children)
     return acc
 
 

@@ -314,9 +314,13 @@ def _sup(grid, vals):
     Returns (0.0, None) when no value is positive. Ties break to the smallest
     canonical index, where values within ``_TIE_RTOL`` of the maximum count
     as tied: two cubes whose tested functions coincide (all of the mass of R
-    sits in one child) have equal values that these sums may round apart.
+    sits in one child) have equal values that these sums may round apart. A
+    NaN among the values raises FloatingPointError: read as "no positive
+    value", it would let a check against the constant pass untested.
     """
     top = float(np.max(vals))
+    if math.isnan(top):
+        raise FloatingPointError("a per-cube testing value is NaN")
     if not top > 0.0:
         return 0.0, None
     best = int(np.argmax(vals >= top * (1.0 - _TIE_RTOL)))

@@ -4,7 +4,13 @@ At p = q = 2 the norm is the top singular value of a weighted kernel matrix
 that is never materialized: each matrix-vector product is one application of
 the dyadic operator. ``exact_norm_22`` takes locally optimal (LOBPCG) steps,
 two applications each, and calls its value "exact" only when the singular
-pair's residual at exit is at most 1e-9 relative. The strong norm at
+pair's residual at exit is at most 1e-9 relative. Between applications it
+passes over its leaf vectors in chunks of ``_CHUNK`` leaves; from
+``_kernels.PARALLEL_MIN_LEAVES`` leaves on, the two halves of the chunk list
+run on two threads, as the tree scans of each application do (inline on one
+CPU and in the suite's worker processes). The chunks' partial dots are
+summed in chunk order, so the bits do not depend on the threads, and a grid
+of one chunk gets the arithmetic of whole-vector operations. The strong norm at
 p = q != 2 is the p -> p norm of a nonnegative map; ``_power_solve`` brackets it between the value of its best
 iterate and a Hoelder (Collatz-Wielandt) upper value, two operator
 applications per step. It runs Boyd's fixed-point step, mixed with the
@@ -40,6 +46,7 @@ re-evaluated independently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +64,16 @@ DENSE_ORACLE_MAX_LEAVES = 1 << 12
 _POWER_MAX_ITER = 50000
 _POWER_RESIDUAL_TOL = 1e-9
 _GRAM_FLOOR = 1e-12
+
+# Leaves per chunk of exact_norm_22's passes over its leaf vectors: a pass
+# reads a chunk of up to eight vectors (2 MB) into a core's cache once for
+# its updates and dots. At 2**19 and 2**20 leaves on two threads, 2**15 and
+# 2**16 timed alike and 6-14 % faster than 2**14, whose more numpy calls
+# wait more often for the interpreter lock.
+_CHUNK = 1 << 15
+
+# One chunk of exact_norm_22's leaf vectors: views of the same leaves of each.
+_Chunk = namedtuple("_Chunk", "x ax r ar p ap sq_s sq_w leaves")
 
 # Certified power solver: iteration cap, relative bracket width that makes a
 # value "exact" (for the embedding constant too) and positivity floor
@@ -126,7 +143,7 @@ def _t_leafmass(
     the buffer is used again.
     """
     grid.subtree_sums(leafmass, out=work)
-    np.multiply(coef, work, out=work)
+    _kernels.multiply(work, coef, grid)
     return _kernels.down_sum(work, grid, out=work)[grid.leaf_start :]
 
 
@@ -154,66 +171,109 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     The solve stops on the singular pair's residual ||A^T u - s x|| with
     u = Ax/s (then Ax = s u exactly), and the value is "exact" only when that
     residual is at most ``_POWER_RESIDUAL_TOL`` * s.
+
+    Around its two applications and its Ritz step, a step makes five passes
+    over the leaf vectors, ``_CHUNK`` leaves at a time (``_chunked``): the
+    elementwise updates, the square-root scalings, and the partial dots of
+    the norms and the Gram matrices, which are summed in chunk order. A grid
+    of one chunk thus gets the arithmetic of whole-vector operations bit for
+    bit, and the bits never depend on whether the chunks ran on one thread
+    or two.
     """
     grid = tau.grid
     n = grid.n_leaves
     sq_s = np.sqrt(sigma.leaf_mass)
     sq_w = np.sqrt(omega.leaf_mass)
     # the solve's buffers: the scans run in work, whose leaf part takes each
-    # input measure; the vectors are updated in place
+    # input measure and then holds its image; the vectors are updated in place
     work = np.empty(grid.n_cubes)
     leaves = work[grid.leaf_start :]
-
-    def a_fwd(v, out):
-        np.multiply(sq_w, v, out=leaves)
-        return np.multiply(sq_s, _t_leafmass(grid, tau.coef, leaves, work), out=out)
-
-    def a_adj(u, out):
-        np.multiply(sq_s, u, out=leaves)
-        return np.multiply(sq_w, _t_leafmass(grid, tau.coef, leaves, work), out=out)
 
     x = sq_w.copy()
     nx = float(np.linalg.norm(x))
     if nx == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
         return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 0, 0.0)
     x /= nx
-    ax = a_fwd(x, np.empty(n))
-    r, ar, p, ap = (np.empty(n) for _ in range(4))
+    ax, r, ar, p, ap = (np.empty(n) for _ in range(5))
+    np.multiply(sq_w, x, out=leaves)
+    np.multiply(sq_s, _t_leafmass(grid, tau.coef, leaves, work), out=ax)
+    nx = None  # x is a unit vector already on the first step
+    pool = _kernels.workers(n)
+    chunks = [
+        _Chunk(*(v[lo : lo + _CHUNK] for v in (x, ax, r, ar, p, ap, sq_s, sq_w, leaves)))
+        for lo in range(0, n, _CHUNK)
+    ]
+
+    # the passes of a step over one chunk, reading the step's scalars (nx, s,
+    # nr, the Ritz coefficients) as the loop below sets them; each returns its
+    # partial dots
+    def begin(c):
+        # x and Ax renormalized, the input of A^T(Ax), and ||Ax||^2
+        xc, axc = c.x, c.ax
+        if nx is not None:
+            xc /= nx
+            axc /= nx
+        np.multiply(c.sq_s, axc, out=c.leaves)
+        return (axc.dot(axc),)
+
+    def residual(c):
+        # r = A^T(Ax) - s^2 x, and ||r||^2
+        rc = np.multiply(c.sq_w, c.leaves, out=c.r)
+        rc -= np.multiply(s * s, c.x, out=c.ar)
+        return (rc.dot(rc),)
+
+    def direction(c):
+        # r normalized, and the input of A r
+        rc = c.r
+        rc /= nr
+        np.multiply(c.sq_w, rc, out=c.leaves)
+        return ()
+
+    def gram(c):
+        # A r, and the dots of the Ritz step (p joins after the first step)
+        xc, rc, axc, pc, apc = c.x, c.r, c.ax, c.p, c.ap
+        arc = np.multiply(c.sq_s, c.leaves, out=c.ar)
+        dots = (xc @ rc, axc @ arc, arc @ arc)
+        if iterations == 1:
+            return dots
+        return dots + (xc @ pc, rc @ pc, pc @ pc, axc @ apc, arc @ apc, apc @ apc)
+
+    def update(c):
+        # p <- c1 r + c2 p and x <- c0 x + p, the images alike, and ||x||^2
+        xc, rc, pc, axc, arc, apc = c.x, c.r, c.p, c.ax, c.ar, c.ap
+        if c2 is None:
+            np.multiply(rc, c1, out=pc)
+            np.multiply(arc, c1, out=apc)
+        else:
+            pc *= c2
+            pc += np.multiply(rc, c1, out=rc)
+            apc *= c2
+            apc += np.multiply(arc, c1, out=arc)
+        xc *= c0
+        xc += pc
+        axc *= c0
+        axc += apc
+        return (xc.dot(xc),)
+
     for iterations in range(1, _POWER_MAX_ITER + 1):
-        s = float(np.linalg.norm(ax))
+        s = math.sqrt(_chunked(pool, chunks, begin)[0])
         if s == 0.0:
             # the start vector is strictly positive on the omega-support, so a
             # vanishing image means the kernel is identically zero
             return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), iterations, 0.0)
+        _t_leafmass(grid, tau.coef, leaves, work)
         # ||A^T u - s x|| = ||r|| / s, tested before r is normalized: r may vanish
-        a_adj(ax, r)
-        r -= np.multiply(s * s, x, out=ar)
-        nr = float(np.linalg.norm(r))
-        residual = nr / s
-        if residual <= _POWER_RESIDUAL_TOL * s or iterations == _POWER_MAX_ITER:
+        nr = math.sqrt(_chunked(pool, chunks, residual)[0])
+        residual_norm = nr / s
+        if residual_norm <= _POWER_RESIDUAL_TOL * s or iterations == _POWER_MAX_ITER:
             break
-        r /= nr
-        a_fwd(r, ar)
-        # the first step has no last step p
-        c0, c1, c2 = _ritz_step(s, x, r, ax, ar, p if iterations > 1 else None, ap)
-        # p <- c1 r + c2 p and x <- c0 x + p, the images alike; x is
-        # renormalized explicitly, so no drift of its norm enters s
-        if c2 is None:
-            np.multiply(r, c1, out=p)
-            np.multiply(ar, c1, out=ap)
-        else:
-            p *= c2
-            p += np.multiply(r, c1, out=r)
-            ap *= c2
-            ap += np.multiply(ar, c1, out=ar)
-        x *= c0
-        x += p
-        ax *= c0
-        ax += ap
-        nx = float(np.linalg.norm(x))
-        x /= nx
-        ax /= nx
-    kind = "exact" if residual <= _POWER_RESIDUAL_TOL * s else "lower-bound"
+        _chunked(pool, chunks, direction)
+        _t_leafmass(grid, tau.coef, leaves, work)
+        # the first step has no last step p; x is renormalized explicitly, so
+        # no drift of its norm enters s
+        c0, c1, c2 = _ritz_step(s, _chunked(pool, chunks, gram))
+        nx = math.sqrt(_chunked(pool, chunks, update)[0])
+    kind = "exact" if residual_norm <= _POWER_RESIDUAL_TOL * s else "lower-bound"
     # u = Ax / s is the input singular vector: f pairs with sigma, g with
     # omega; the extremals are written in the Ax and x buffers
     ax /= s
@@ -223,28 +283,46 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
         extremal_f=_divide_live(ax, sq_s),
         extremal_g=_divide_live(x, sq_w),
         iterations=iterations,
-        residual=residual,
+        residual=residual_norm,
         flagged=(kind != "exact"),
     )
 
 
-def _ritz_step(s, x, r, ax, ar, p, ap):
+def _chunked(pool, chunks: list, task):
+    """The partial sums that ``task(chunk)`` returns (a tuple) for every chunk
+    of ``chunks``, each summed in chunk order. With ``pool``
+    (``_kernels.workers``) the two contiguous halves of the chunk list run on
+    two threads; the sums do not change."""
+    if len(chunks) == 1:
+        return task(chunks[0])
+    mid = (len(chunks) + 1) // 2
+    halves = (chunks[:mid], chunks[mid:])
+    first, second = _kernels.on_halves(pool, lambda which: [task(c) for c in halves[which]])
+    parts = first + second
+    total = list(parts[0])
+    for part in parts[1:]:
+        for i, v in enumerate(part):
+            total[i] += v
+    return total
+
+
+def _ritz_step(s, dots):
     """Coefficients (c0, c1, c2) of the top Ritz vector c0 x + c1 r + c2 p of A^T A.
 
-    x and r are unit vectors and s = ||Ax||; ``p`` is None on the first step.
-    The Gram matrices of the basis and of its images are scaled to a unit
-    basis diagonal; one ``eigh`` whitens the basis and one solves the
+    x and r are unit vectors and s = ||Ax||; ``dots`` holds x.r, Ax.Ar and
+    Ar.Ar, then on every step after the first x.p, r.p, p.p, Ax.Ap, Ar.Ap
+    and Ap.Ap. The Gram matrices of the basis and of its images are scaled to
+    a unit basis diagonal; one ``eigh`` whitens the basis and one solves the
     whitened problem. A basis whose Gram matrix is near-singular (p almost in
     the span of x and r) drops p, and c2 is then None. c0 is made
     nonnegative, so the iterate keeps its orientation.
     """
-    xr, axar, arar = x @ r, ax @ ar, ar @ ar
-    if p is None:
+    xr, axar, arar = dots[:3]
+    if len(dots) == 3:
         basis = np.array([[1.0, xr], [xr, 1.0]])
         images = np.array([[s * s, axar], [axar, arar]])
     else:
-        xp, rp, pp = x @ p, r @ p, p @ p
-        axap, arap, apap = ax @ ap, ar @ ap, ap @ ap
+        xp, rp, pp, axap, arap, apap = dots[3:]
         basis = np.array([[1.0, xr, xp], [xr, 1.0, rp], [xp, rp, pp]])
         images = np.array([[s * s, axar, axap], [axar, arar, arap], [axap, arap, apap]])
     scale = 1.0 / np.sqrt(np.diag(basis))
@@ -347,8 +425,12 @@ def _pool_images(tau, sigma, omega, exps, seed: int) -> tuple:
     h = T(f sigma) in one batched application, and their values
     j = ||h||_{L^q(omega)}, one row each."""
     s_lm = sigma.leaf_mass
-    pool = _seed_pool(tau.grid, seed, _strong_scores(tau, sigma, omega, exps))
-    f = _project_lp_sphere(pool, s_lm, exps.p)
+    # the scores and the pool are temporaries, freed once the pool is
+    # projected: a name bound to the pool would hold its 2 * _RESTARTS leaf
+    # vectors through the batched application
+    f = _project_lp_sphere(
+        _seed_pool(tau.grid, seed, _strong_scores(tau, sigma, omega, exps)), s_lm, exps.p
+    )
     h = _t_leafmass_batch(tau.grid, tau.coef, f * s_lm)
     return f, h, _lq_rows(h, omega.leaf_mass, exps.q)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .constants import (
     carleson_norm,
     compute_testing_report,
@@ -428,9 +429,11 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
 
     With ``cfg.threads == 1`` the rows are computed in-process, one after the
     other; with more, each row is generated and computed in one of that many
-    worker processes. Either way the rows are assembled in instance order, so
-    reports are deterministic for a fixed config and seed (timing fields
-    excluded from the digest) and independent of the worker count.
+    worker processes, each of which runs its scans on its own thread only
+    (``_kernels.run_inline``): its siblings use the other CPUs. Either way
+    the rows are assembled in instance order, so reports are deterministic
+    for a fixed config and seed (timing fields excluded from the digest) and
+    independent of the worker count.
     """
     cfg.validate()
     total = cfg.n * len(cfg.generators)
@@ -442,7 +445,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         if cfg.threads == 1:
             results = list(map(_suite_row, generators, seeds, cfgs))
         else:
-            with concurrent.futures.ProcessPoolExecutor(min(cfg.threads, total)) as pool:
+            workers = min(cfg.threads, total)
+            with concurrent.futures.ProcessPoolExecutor(workers, initializer=_kernels.run_inline) as pool:
                 results = list(pool.map(_suite_row, generators, seeds, cfgs))
         for row, viol in results:
             report.rows.append(row)

@@ -372,6 +372,27 @@ def test_testing_zero_omega_gives_zero():
     assert global_testing(tau, sigma, dead, Exponents(2.0, 2.0)) == (0.0, None)
 
 
+def test_nan_per_cube_value_raises(monkeypatch):
+    # a NaN among the per-cube values must not read as "no positive value",
+    # (0.0, None), which a testing <= norm check would pass untested
+    from twoweight import constants
+
+    g, tau, sigma, omega = _random_instance(1, 3, seed=10)
+    values = constants._values
+
+    def one_nan(*args):
+        vals = values(*args)
+        vals[g.n_cubes // 2] = np.nan
+        return vals
+
+    monkeypatch.setattr(constants, "_values", one_nan)
+    for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(1.001, 1.001)):
+        with pytest.raises(FloatingPointError, match="NaN"):
+            local_testing(tau, sigma, omega, exps)
+        with pytest.raises(FloatingPointError, match="NaN"):
+            global_testing(tau, sigma, omega, exps)
+
+
 def test_report_fields_and_advisory():
     g, tau, sigma, omega = _random_instance(1, 3, seed=9)
     rep = compute_testing_report(tau, sigma, omega, Exponents(2.0, 2.0))

@@ -265,6 +265,37 @@ def test_exact_reuses_the_last_adjoint_image(monkeypatch):
     assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
+# grids of several chunks, the first with strided scans on every large level
+@pytest.mark.parametrize("cfg", [dict(d=1, depth=17), dict(d=2, depth=8, sigma="spikes")])
+def test_exact_bits_do_not_depend_on_the_threads(monkeypatch, cfg):
+    # inline, and with the chunk list's halves and the scans' half-trees on
+    # two threads: the chunks' partial dots are summed in chunk order either
+    # way, so the solve is the same bit for bit
+    inst = gen_instance(GeneratorConfig(**cfg), 3)
+    assert inst.grid.n_leaves >= 2 * extremal._CHUNK
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    on_halves = _kernels.on_halves
+    split = []
+
+    def counting(pool, task):
+        split.append(pool is not None)
+        return on_halves(pool, task)
+
+    monkeypatch.setattr(_kernels, "on_halves", counting)
+    runs = []
+    for threshold in (1 << 62, 1):
+        monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", threshold)
+        split.clear()
+        est = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+        assert est.kind == "exact" and est.iterations > 2
+        runs.append([np.asarray(x).tobytes() for x in (
+            est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual
+        )])
+        # every pass and every large scan ran on the two threads, or none did
+        assert (all(split) if threshold == 1 else not any(split)) and split
+    assert runs[0] == runs[1]
+
+
 def test_exact_only_when_the_pair_residual_is_small(monkeypatch):
     # stopped after one step, the value is a Rayleigh quotient short of the
     # norm, and its pair residual says so
@@ -1238,6 +1269,24 @@ def test_power_solver_memory_in_leaf_vectors(d, depth):
             tracemalloc.stop()
         _assert_closed(est)
         assert peak < 16 * leaf_vector, f"{peak / leaf_vector:.1f} leaf vectors"
+
+
+def test_weak_bound_memory_in_leaf_vectors():
+    # the bound holds the pool's images (2 * _RESTARTS rows of one entry per
+    # cube, about 4 * _RESTARTS leaf vectors), the projected pool and its
+    # product with sigma; the seed pool is freed once projected. A pool held
+    # through the batched application adds 2 * _RESTARTS leaf vectors, 81
+    # instead of 65 here
+    inst = gen_instance(GeneratorConfig(d=1, depth=16), 7)
+    leaf_vector = 8 * inst.grid.n_leaves
+    tracemalloc.start()
+    try:
+        est = weak_norm_lower(inst.tau, inst.sigma, inst.omega, Exponents(2.0, 2.0), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value > 0
+    assert peak < (8 * extremal._RESTARTS + 8) * leaf_vector, f"{peak / leaf_vector:.1f} leaf vectors"
 
 
 @pytest.mark.parametrize("d,depth", [(1, 16), (2, 8)])

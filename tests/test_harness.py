@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from twoweight import cli, extremal, harness, prooflab
+from twoweight import _kernels, cli, extremal, harness, prooflab
 from twoweight.cli import main
 from twoweight.extremal import carleson_embedding_constant, exact_norm_22, strong_norm_lower
 from twoweight.grid import Measure, build_grid
@@ -202,6 +202,47 @@ def test_suite_digest_reproducible_across_thread_counts():
     assert [  # full row equality, timing aside
         {k: v for k, v in row.items() if not k.startswith("time_")} for row in r1.rows
     ] == [{k: v for k, v in row.items() if not k.startswith("time_")} for row in r2.rows]
+
+
+def _start_the_kernel_pool(monkeypatch):
+    """Every grid on the kernels' two threads (a fork copies the setting),
+    and the pool of the second thread started here."""
+    monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", 1)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "_inline", False)
+    grid = build_grid(1, 13)
+    assert _kernels.workers(grid.n_leaves) is not None
+    return grid
+
+
+def test_worker_processes_started_after_the_kernel_pool(monkeypatch):
+    # the suite's worker processes are forked from a process whose kernel
+    # pool has a live thread; they run their rows inline and give the digest
+    # of the in-process run, whose scans ran on the two threads
+    _start_the_kernel_pool(monkeypatch)
+    in_process = run_suite(_small_suite(threads=1))
+    forked = run_suite(_small_suite(threads=2))
+    assert forked.digest == in_process.digest
+
+
+def _scan_on_two_threads(grid):
+    # in a forked child: the pool copied from the parent has no thread, so
+    # the scan must start a pool of its own
+    _kernels.down_sum(np.ones(grid.n_cubes), grid)
+    os._exit(0 if _kernels._pool is not None else 3)
+
+
+def test_forked_child_drops_the_kernel_pool(monkeypatch):
+    grid = _start_the_kernel_pool(monkeypatch)
+    child = multiprocessing.get_context("fork").Process(target=_scan_on_two_threads, args=(grid,))
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "the child waited on a pool thread that did not survive the fork"
+    assert child.exitcode == 0
 
 
 def test_serial_suite_starts_no_worker(monkeypatch):

@@ -11,6 +11,10 @@ its own rather than the layout's. "Bit for bit" compares the bytes
 does not.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -224,3 +228,162 @@ def test_layout_child_order_matches_argsort(d, depth):
         assert np.array_equal(kids, oracle[start : start + grid.arity])
         # child order is index order: the leaf-to-root gather adds in index order
         assert np.all(np.diff(kids) > 0)
+
+
+# -- half-tree scans on two threads ---------------------------------------------
+
+
+def _force_workers(monkeypatch, on: bool):
+    """Grids of every size on two threads (``on``) or none; the process
+    counts as one that may run on two CPUs either way."""
+    monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", 1 if on else 1 << 62)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "_inline", False)
+
+
+def _split_calls(monkeypatch):
+    """Records, per call of ``on_halves``, whether it ran a task on the pool's thread."""
+    calls = []
+    on_halves = _kernels.on_halves
+
+    def counting(pool, task):
+        calls.append(pool is not None)
+        return on_halves(pool, task)
+
+    monkeypatch.setattr(_kernels, "on_halves", counting)
+    return calls
+
+
+def _scan_outputs(grid, rng):
+    """Every split scan, on inputs with signed zeros, and the operator layer
+    over them: ``Measure``'s subtree sums, ``apply_T`` and ``maximal``, whose
+    massless cubes read -inf before the root-to-leaf maximum."""
+    vals = rng.standard_normal(grid.n_cubes)
+    vals[rng.random(grid.n_cubes) < 0.2] = -0.0
+    vals[rng.random(grid.n_cubes) < 0.1] = 0.0
+    tau = CubeWeights(grid, rng.exponential(size=grid.n_cubes) * (rng.random(grid.n_cubes) < 0.8))
+    out = {}
+    for name in ("down_sum", "down_max", "up_sum"):
+        out[name] = getattr(_kernels, name)(vals, grid)
+        in_place = vals.copy()
+        getattr(_kernels, name)(in_place, grid, out=in_place)
+        out[name + " in place"] = in_place
+    # the -inf that maximal gives massless cubes, on single cubes and on
+    # whole subtrees below the root
+    massless = np.where(rng.random(grid.n_cubes) < 0.1, -np.inf, vals)
+    for c in rng.integers(1, grid.n_cubes, 3).tolist():
+        massless[grid.subtree_cube_mask(c)] = -np.inf
+    out["down_max -inf"] = _kernels.down_max(massless, grid)
+    for i, leaf in enumerate(_signed_zero_leaves(grid, rng)):
+        out[f"subtree_sums {i}"] = _kernels.subtree_sums(leaf, grid)
+        out[f"apply_T {i}"] = apply_T(tau, Measure(grid, leaf, is_weight=False))
+        mu = Measure(grid, np.where(leaf == 0, leaf, rng.exponential(size=grid.n_leaves)))
+        if mu.total > 0:
+            out[f"maximal {i}"] = maximal(leaf, mu)
+    return out
+
+
+# above the lowered threshold: small levels on the calling thread, large ones
+# (from the first strided level) as two half-tree tasks
+@pytest.mark.parametrize("d,depth", CROSSING)
+def test_half_tree_scans_bit_identical_to_serial(monkeypatch, d, depth):
+    grid = build_grid(d, depth)
+    _force_workers(monkeypatch, False)
+    serial = _scan_outputs(grid, np.random.default_rng(30 + d))
+    _force_workers(monkeypatch, True)
+    calls = _split_calls(monkeypatch)
+    split = _scan_outputs(grid, np.random.default_rng(30 + d))
+    assert serial.keys() == split.keys()
+    for name in serial:
+        assert _same_bits(split[name], serial[name]), name
+    # every scan ran its large levels on the pool's thread
+    assert calls and all(calls)
+
+
+@pytest.mark.parametrize("d,depth", [(1, 19), (2, 10), (3, 6)])
+def test_half_tree_scans_at_the_threshold(monkeypatch, d, depth):
+    # at the real threshold: grids from PARALLEL_MIN_LEAVES leaves on split,
+    # smaller ones run inline, and the bits are the serial ones
+    grid = build_grid(d, depth)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "_inline", False)
+    on = grid.n_leaves >= _kernels.PARALLEL_MIN_LEAVES
+    assert (_kernels.workers(grid.n_leaves) is not None) == on
+    rng = np.random.default_rng(40 + d)
+    vals = rng.standard_normal(grid.n_cubes)
+    vals[rng.random(grid.n_cubes) < 0.3] = -0.0
+    leaf = vals[grid.leaf_start :].copy()
+    calls = _split_calls(monkeypatch)
+    got = [_kernels.down_sum(vals, grid), _kernels.down_max(vals, grid), _kernels.up_sum(vals, grid)]
+    got.append(_kernels.subtree_sums(leaf, grid))
+    assert calls == ([True] * 4 if on else [])
+    monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", 1 << 62)
+    want = [_kernels.down_sum(vals, grid), _kernels.down_max(vals, grid), _kernels.up_sum(vals, grid)]
+    want.append(_kernels.subtree_sums(leaf, grid))
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_one_cpu_and_inline_processes_run_on_the_calling_thread(monkeypatch):
+    n = _kernels.PARALLEL_MIN_LEAVES
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 1)
+    assert _kernels.workers(n) is None
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    assert _kernels.workers(n - 1) is None
+    assert _kernels.workers(n) is not None
+    monkeypatch.setattr(_kernels, "_inline", True)
+    assert _kernels.workers(n) is None
+
+
+def test_both_halves_finish_before_an_error_is_raised(monkeypatch):
+    # a task that fails on the calling thread still waits for the task on
+    # the pool's thread, which writes into the same arrays
+    _force_workers(monkeypatch, True)
+    pool = _kernels.workers(1)
+    done = []
+
+    def task(which):
+        if which == 0:
+            raise ZeroDivisionError
+        time.sleep(0.05)
+        done.append(which)
+
+    with pytest.raises(ZeroDivisionError):
+        _kernels.on_halves(pool, task)
+    assert done == [1]
+    with pytest.raises(ZeroDivisionError):
+        _kernels.on_halves(pool, lambda which: 1 / which)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more calling threads than CPUs, each splitting its scans on the shared
+    # pool under a short switch interval: one pool serves them all, and every
+    # result keeps the serial bits
+    grid = build_grid(2, 7)
+    rng = np.random.default_rng(50)
+    vals = rng.standard_normal(grid.n_cubes)
+    leaf = vals[grid.leaf_start :].copy()
+    _force_workers(monkeypatch, False)
+    want = (_kernels.down_sum(vals, grid), _kernels.subtree_sums(leaf, grid))
+    _force_workers(monkeypatch, True)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    same, pools = [], set()
+
+    def caller():
+        for _ in range(25):
+            pools.add(id(_kernels.workers(grid.n_leaves)))
+            got = (_kernels.down_sum(vals, grid), _kernels.subtree_sums(leaf, grid))
+            same.append(all(_same_bits(a, b) for a, b in zip(got, want)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(same) == 100 and all(same)
+    assert len(pools) == 1
