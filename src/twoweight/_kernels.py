@@ -13,8 +13,10 @@ the first level above the leaves adds +0.0 once (a parent of all -0.0
 children then reads +0.0, as from a zero-filled parent). The accumulation
 order is fixed, so results are bit-for-bit reproducible. The ``_batch``
 variants apply the same scans to every row of a (rows, n_cubes) array, with
-the same per-entry order; the 1-D kernels keep their own bodies because
-row-generic indexing slows them down on small grids.
+the same per-entry order. The leaf-to-root scans share their strided levels
+and their level loop with ``up_sum``; below those, and root to leaf, the 1-D
+kernels keep their own level bodies because row-generic indexing slows them
+down on small grids.
 
 Every kernel takes the grid whose tree it scans. A level is scanned one of
 two ways, with the same arithmetic in the same order, so both give the same
@@ -36,21 +38,29 @@ measured as fast as the 2**d strided passes or faster. Every kernel takes
 in (it may be ``values`` itself, or for ``subtree_sums`` hold the leaf values
 in its leaf part), returned; without it the scan runs in a fresh array.
 
-On grids of ``PARALLEL_MIN_LEAVES`` leaves or more, ``subtree_sums``,
-``up_sum``, ``down_sum`` and ``down_max`` scan their large levels (from the
-first of ``STRIDED_MIN_CUBES`` cubes, and from level 2 at the least) as two
-tasks, one per half-tree of the canonical layout (``_layout``): a cube's
-children lie in its own half, so the two tasks touch disjoint cubes. One
-task runs on the calling thread, the other on the one thread of a private
-pool (``workers``) started on first use. The levels above run on the
-calling thread alone, before the two tasks root to leaf and after them leaf
-to root. Every entry sees the same operations in the same order as in a
-serial scan, so the bits do not depend on whether the second thread ran.
-Below the threshold, in a process that may run on one CPU only, and in a
-process that asked to run inline (``run_inline``: the suite's worker
-processes, whose siblings use the other CPUs), every task runs on the
-calling thread. A forked child drops the pool it inherited, whose thread did
-not survive the fork.
+On grids of ``PARALLEL_MIN_LEAVES`` leaves or more, every scan, 1-D and
+batched, takes its large levels (from the first of ``STRIDED_MIN_CUBES``
+cubes, and from level 2 at the least) as two tasks, one per half-tree of the
+canonical layout (``_layout``): a cube's children lie in its own half, so the
+two tasks touch disjoint cubes. One task runs on the calling thread, the
+other on the one thread of a private pool (``workers``) started on first use.
+The levels above run on the calling thread alone, before the two tasks root
+to leaf and after them leaf to root. Elementwise passes over arrays of one
+entry per cube or leaf (``multiply``, the linear layer's products, masks
+and copies, and ``Measure``'s input checks, whose boolean reductions
+combine exactly) run through ``halves``: the two contiguous halves of the
+arrays as two tasks. Leaf-to-root scans that transform each level, the embedding
+recursion of ``extremal``, split through ``up_levels``; the testing sweeps
+(``constants``) and ``extremal.exact_norm_22``'s chunked passes use the same
+two workers. Every entry sees the same operations in the same order as on
+one thread, so the bits do not depend on whether the second thread ran.
+Tasks on the pool's thread write into arrays of the calling thread and
+allocate little, boolean masks at most: its malloc arena keeps what they
+allocated after the task. Below the threshold, in a process that may run on
+one CPU only, and in a process that asked to run inline (``run_inline``: the
+suite's worker processes, whose siblings use the other CPUs), every task
+runs on the calling thread, and a ``halves`` task once on the whole arrays. A forked child drops the pool it inherited, whose thread
+did not survive the fork.
 """
 
 import concurrent.futures
@@ -67,20 +77,26 @@ from . import _layout
 STRIDED_MIN_CUBES = 4096
 
 # Cubes gathered through one parent index at a time on a root-to-leaf level:
-# the gathered copy (256 KB) stays in cache, which was measured 5-13 %
-# faster than whole levels at d = 2 to 4 and 2**16 to 2**20 leaves, and the
-# pool's thread never holds a level-sized copy in its own malloc arena.
+# the gathered copy (256 KB, or that per row of a batch) stays in cache, which
+# was measured 5-13 % faster than whole levels at d = 2 to 4 and 2**16 to
+# 2**20 leaves, and the pool's thread never holds a level-sized copy in its
+# own malloc arena, which would keep that memory after the scan.
 _GATHER_BLOCK = 1 << 15
 
-# Leaves from which the large tree scans, the coefficient product of T and
-# exact_norm_22's passes over its leaf vectors run on two threads. A hand-off
-# to the pool's thread costs 50-100 us on a 2-vCPU VM, and every numpy call
-# of a task waits for the interpreter lock while the other task holds it.
+# Leaves from which the tree scans' large levels, the elementwise passes of
+# the linear layer (``halves``), the testing sweeps and exact_norm_22's
+# passes over its leaf vectors run on two threads. A hand-off to the pool's
+# thread costs 50-100 us on a 2-vCPU VM, and every numpy call of a task
+# waits for the interpreter lock while the other task holds it.
 # Timed on one thread against two on that VM, exact_norm_22 at d = 1 took
 # 24 against 33 ms at 2**16 leaves, 86 against 84 ms at 2**18 and 206
 # against 138 ms at 2**19. The scans alone lost on two threads up to 2**18
 # at d = 1, 2, 3, were mixed at 2**19 (down_sum 2.6 against 2.4 ms,
 # subtree_sums 1.2 against 1.5 ms at d = 1) and all won at 2**20, by 20-35 %.
+# At 2**19 leaves (d = 1) the later passes won on two threads as well:
+# apply_T took 3.1 against 2.0 ms and maximal 5.6 against 3.9 ms with only
+# their ``halves`` passes inline or split, and local_testing's sweep 183
+# against 106 ms.
 PARALLEL_MIN_LEAVES = 1 << 19
 
 _pool = None  # the second thread, started on first use
@@ -145,20 +161,26 @@ def on_halves(pool, task) -> list:
     return [first, second.result()]
 
 
-def multiply(values, factors, grid) -> None:
-    """``values *= factors`` in place, both of one entry per cube of ``grid``,
-    as two halves on two threads when the grid runs on them (``workers``)."""
-    pool = workers(grid.n_leaves)
+def halves(n_leaves: int, task, *arrays) -> list:
+    """``task(*arrays)`` for arrays of one entry per cube, or per leaf, of a
+    grid of ``n_leaves`` leaves on their last axis: on the two contiguous
+    halves of that axis, ``[0, size // 2)`` and ``[size // 2, size)``, as
+    views, on two threads (``on_halves``) when the grid runs on them
+    (``workers``); else once on the arrays themselves, on the calling thread.
+    Returns the list of the results, in range order. For elementwise tasks,
+    and for reductions whose halves combine exactly."""
+    pool = workers(n_leaves)
     if pool is None:
-        np.multiply(factors, values, out=values)
-        return
-    mid = grid.n_cubes // 2
+        return [task(*arrays)]
+    size = arrays[0].shape[-1]
+    parts = (slice(0, size // 2), slice(size // 2, size))
+    return on_halves(pool, lambda which: task(*[a[..., parts[which]] for a in arrays]))
 
-    def task(which):
-        part = slice(mid, None) if which else slice(0, mid)
-        np.multiply(factors[part], values[part], out=values[part])
 
-    on_halves(pool, task)
+def multiply(values, factors, grid) -> None:
+    """``values *= factors`` in place: ``factors`` holds one entry per cube of
+    ``grid``, and ``values`` too, on its last axis (rows of a batch)."""
+    halves(grid.n_leaves, lambda f, v: np.multiply(f, v, out=v), factors, values)
 
 
 def _start(values, out):
@@ -198,24 +220,25 @@ def _first_half_level(grid) -> int:
     return max(2, _first_large(grid))
 
 
-def _down(values, grid, out, op):
-    """The root-to-leaf scan of ``down_sum`` (``op`` is ``np.add``) and of
-    ``down_max`` (``np.maximum``)."""
-    out = _start(values, out)
+def _down(out, grid, scan, *args):
+    """A root-to-leaf scan in ``out``: ``scan(out, grid, *args, levels,
+    which)`` on the levels, from level 1 (with the pool, the large levels as
+    two half-tree tasks last), and ``out`` returned."""
     pool = workers(grid.n_leaves)
     if pool is None:
-        _down_levels(out, grid, op, range(1, grid.depth + 1), None)
+        scan(out, grid, *args, range(1, grid.depth + 1), None)
         return out
     cut = _first_half_level(grid)
-    _down_levels(out, grid, op, range(1, cut), None)
+    scan(out, grid, *args, range(1, cut), None)
     large = range(cut, grid.depth + 1)
-    on_halves(pool, lambda which: _down_levels(out, grid, op, large, which))
+    on_halves(pool, lambda which: scan(out, grid, *args, large, which))
     return out
 
 
 def _down_levels(out, grid, op, levels, which):
-    """The given levels of a root-to-leaf scan in ``out``, or half ``which``
-    of each."""
+    """The given levels of the root-to-leaf scan of ``down_sum`` (``op`` is
+    ``np.add``) or ``down_max`` (``np.maximum``) in ``out``, or half
+    ``which`` of each."""
     split = _first_strided(grid, True)
     offsets = grid.level_offsets.tolist()  # int arithmetic below, not numpy's
     for lev in levels:
@@ -236,12 +259,12 @@ def _down_levels(out, grid, op, levels, which):
 
 def down_sum(values, grid, out=None):
     """Root-to-leaf prefix sums: out[i] = sum of values over ancestors of i, inclusive."""
-    return _down(values, grid, out, np.add)
+    return _down(_start(values, out), grid, _down_levels, np.add)
 
 
 def down_max(values, grid, out=None):
     """Root-to-leaf prefix maxima: out[i] = max of values over ancestors of i, inclusive."""
-    return _down(values, grid, out, np.maximum)
+    return _down(_start(values, out), grid, _down_levels, np.maximum)
 
 
 def up_sum(values, grid, out=None):
@@ -251,7 +274,7 @@ def up_sum(values, grid, out=None):
     accumulation order exactly.
     """
     acc = _start(values, out)
-    _up(acc, grid, _add_children)
+    _up(acc, grid, _add_children, _gather_up)
     return acc
 
 
@@ -272,10 +295,11 @@ def _write_children(acc, grid, lev, which):
         seg += k
 
 
-def _up(acc, grid, level):
+def _up(acc, grid, level, gather):
     """A leaf-to-root scan in ``acc``: ``level(acc, grid, lev, which)`` on
     every strided level, deepest first (with the pool, the large levels as
-    two half-tree tasks first), then the gathered levels."""
+    two half-tree tasks first), then ``gather(acc, grid, top)`` on the
+    levels ``top`` to 1 above them."""
     split = _first_strided(grid, False)
     pool = workers(grid.n_leaves)
     cut = grid.depth + 1
@@ -285,7 +309,7 @@ def _up(acc, grid, level):
         on_halves(pool, lambda which: [level(acc, grid, lev, which) for lev in large])
     for lev in range(cut - 1, split - 1, -1):
         level(acc, grid, lev, None)
-    _gather_up(acc, grid, split - 1)
+    gather(acc, grid, split - 1)
 
 
 def _gather_up(acc, grid, top):
@@ -315,7 +339,7 @@ def subtree_sums(leaf_values, grid, out=None):
     acc = np.empty(grid.n_cubes) if out is None else out
     acc[grid.leaf_start :] = leaf_values
     acc[: grid.level_offsets[_first_strided(grid, False) - 1]] = 0.0
-    _up(acc, grid, _write_children)
+    _up(acc, grid, _write_children, _gather_up)
     return acc
 
 
@@ -324,34 +348,70 @@ def subtree_sums(leaf_values, grid, out=None):
 
 
 def down_sum_batch(values, grid, out=None):
-    out = _start(values, out)
+    return _down(_start(values, out), grid, _down_levels_batch)
+
+
+def _down_levels_batch(out, grid, levels, which):
+    """``_down_levels`` of ``np.add`` on every row, ``_GATHER_BLOCK`` cubes
+    of a gathered level to one parent gather."""
     split = _first_strided(grid, True)
-    for lev in range(1, split):
-        lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]
-        out[:, lo:hi] += out[:, grid.parent[lo:hi]]
-    for lev in range(split, grid.depth + 1):
-        kids, parents = _strided_level(out, grid, lev)
-        for k in kids:
-            k += parents
-    return out
+    offsets = grid.level_offsets.tolist()  # int arithmetic below, not numpy's
+    for lev in levels:
+        if lev >= split:
+            kids, parents = _strided_level(out, grid, lev, which)
+            for k in kids:
+                k += parents
+            continue
+        lo, hi = offsets[lev], offsets[lev + 1]
+        if which is not None:
+            lo, hi = _layout.half(lo, hi, which)
+        while lo < hi:
+            top = lo + _GATHER_BLOCK if hi - lo > _GATHER_BLOCK else hi
+            out[:, lo:top] += out[:, grid.parent[lo:top]]
+            lo = top
 
 
 def up_sum_batch(values, grid, out=None):
     acc = _start(values, out)
-    for lev in range(grid.depth, 0, -1):
-        up_level_batch(acc, grid, lev)
+    _up(acc, grid, _add_children, _gather_up_batch)
     return acc
 
 
-def up_level_batch(acc, grid, lev):
+def _gather_up_batch(acc, grid, top):
+    """``_gather_up`` on every row: the gathered steps of ``up_level_batch``,
+    with the flat row offsets formed once."""
+    row_start = np.arange(acc.shape[0])[:, None] * acc.shape[1]
+    flat = acc.reshape(-1)
+    offsets = grid.level_offsets.tolist()
+    for lev in range(top, 0, -1):
+        lo, hi = offsets[lev], offsets[lev + 1]
+        np.add.at(flat, (row_start + grid.parent[lo:hi]).ravel(), acc[:, lo:hi].flatten())
+
+
+def up_levels(grid, scan) -> None:
+    """The level loop of a leaf-to-root scan that transforms each level before
+    passing it up (the embedding recursion of ``extremal``):
+    ``scan(levels, which)`` on the levels, deepest first, with ``which``
+    None, or with the pool (``workers``) the large levels first as two
+    half-tree tasks, ``which`` 0 and 1, then the levels above. A scan that
+    adds a level into its parents through ``up_level_batch(..., which)``
+    then reads and writes only its half of each level."""
+    pool = workers(grid.n_leaves)
+    if pool is None:
+        scan(range(grid.depth, -1, -1), None)
+        return
+    cut = _first_half_level(grid)
+    on_halves(pool, lambda which: scan(range(grid.depth, cut - 1, -1), which))
+    scan(range(cut - 1, -1, -1), None)
+
+
+def up_level_batch(acc, grid, lev, which=None):
     """One step of ``up_sum_batch``: level ``lev >= 1`` of every row of the
     C-contiguous (rows, n_cubes) array ``acc`` added into its parents, in
-    canonical child order. Scans that transform each level before passing it
-    up (the embedding recursion of ``extremal``) run these steps themselves."""
+    canonical child order; or, on a level of ``up_levels``' half-tree tasks,
+    half ``which`` of it into half ``which`` of its parents."""
     if lev >= _first_strided(grid, False):
-        kids, seg = _strided_level(acc, grid, lev)
-        for k in kids:
-            seg += k
+        _add_children(acc, grid, lev, which)
         return
     # one flat np.add.at, measured faster than one on a 2-D index
     lo, hi = grid.level_offsets[lev], grid.level_offsets[lev + 1]

@@ -20,7 +20,12 @@ both read from the stored coefficient tau/|Q| (``CubeWeights.coef``):
 
 That is O(N * depth) time and O(N) memory for N cubes, so the constants scale
 to the full grid budget. The per-cube enumerations remain in the tests as
-oracles.
+oracles. From ``_kernels.PARALLEL_MIN_LEAVES`` leaves on the in-part sweep
+runs on two threads: each half of the leaves walks its own half-tree through
+levels depth...1, and the root level, whose one sum adds every leaf, follows
+on the calling thread. The weighted Carleson norm's masks and ratios run
+as two halves of the cubes (``_kernels.halves``). Every sum adds the same terms in the
+same order as on one thread, so no value or argmax moves.
 
 Every sweep raises its sums to the power p'. Near p = 1 that power overflows
 (and small sums underflow to 0), so when an a-priori bound says the powers may
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _layout
 from .grid import CubeRef, Exponents, Measure
 from .operators import CubeWeights
 
@@ -77,18 +82,31 @@ def weighted_carleson_norm(tau: CubeWeights, omega: Measure) -> WeightedCarleson
     """
     grid = tau.grid
     subtree = _kernels.up_sum(tau.tau, grid)
-    dead = (omega.cube_mass == 0) & (subtree > 0)
-    if np.any(dead):
-        first = int(np.argmax(dead))
+    mass = omega.cube_mass
+    ok = np.empty(grid.n_cubes, dtype=bool)
+    parts = _kernels.halves(grid.n_leaves, _carleson_masks, mass, subtree, ok)
+    if any(dead for dead, _ in parts):
+        first = int(np.argmax((mass == 0) & (subtree > 0)))
         return WeightedCarlesonResult(math.inf, grid.cube(first), True)
-    ok = omega.cube_mass > 0
-    if not np.any(ok):
+    if not any(live for _, live in parts):
         return WeightedCarlesonResult(0.0, None, False)
     # the ratios are taken in the subtree sums
-    np.divide(subtree, omega.cube_mass, out=subtree, where=ok)
-    np.copyto(subtree, -np.inf, where=~ok)
+    _kernels.halves(grid.n_leaves, _carleson_ratios, subtree, mass, ok)
     best = int(np.argmax(subtree))
     return WeightedCarlesonResult(float(subtree[best]), grid.cube(best), False)
+
+
+def _carleson_masks(mass, subtree, ok) -> tuple:
+    """Whether a cube is dead (massless, with tau mass under it) and whether
+    one is live (``ok``, its mass positive, written in place)."""
+    np.greater(mass, 0, out=ok)
+    return bool(np.any((mass == 0) & (subtree > 0))), bool(ok.any())
+
+
+def _carleson_ratios(subtree, mass, ok) -> None:
+    """``subtree / mass`` in place on the live cubes, -inf on the others."""
+    np.divide(subtree, mass, out=subtree, where=ok)
+    np.copyto(subtree, -np.inf, where=~ok)
 
 
 def local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
@@ -233,21 +251,78 @@ def _inner_power_sums(grid, contrib, weight, e, shift=None, floor=None):
     leaf the running sum of ``contrib`` over its ancestors up to the current
     level, so it costs O(n_leaves * (depth+1)) time and O(n_leaves) memory.
     The sums are built from nonnegative terms, so nothing cancels.
+
+    On two threads (``_kernels.workers``) each half of the leaves walks levels
+    depth...1 as its own task: its ancestors there are that half of each
+    level (``_layout``), so every cube's sum adds the same terms in the same
+    order. The root level, whose one sum adds every leaf in index order,
+    follows on the calling thread. Every buffer is allocated here, on the
+    calling thread, and filled in place, since the pool thread's malloc arena
+    would keep what it allocated: the takes use ``mode="clip"``, which numpy
+    does not buffer (the indices are in range), and a half adds its sums
+    into ``out`` with ``np.add.at``, which adds from 0 in index order as
+    ``np.bincount`` does but allocates nothing. The powers are taken by
+    ``**=``, which takes the same fast paths as ``**``; the ratio to the
+    scale is taken in ``t``, which is already +0.0 wherever the scale is 0.
     """
-    out = np.empty(grid.n_cubes)
-    scale, live = (None, None) if floor is None else (floor.copy(), weight > 0)
-    anc = np.arange(grid.leaf_start, grid.n_cubes)
-    run = np.zeros(grid.n_leaves)
-    for lev in range(grid.depth, -1, -1):
-        lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
-        run += contrib[anc]
-        t = run if shift is None else run + shift[anc]
+    n = grid.n_leaves
+    out = np.zeros(grid.n_cubes)
+    scale, dead = (None, None) if floor is None else (floor.copy(), ~(weight > 0))
+    run = np.zeros(n)
+    terms = np.empty(n)
+    den, pos = (None, None) if scale is None else (np.empty(n), np.empty(n, dtype=bool))
+    offsets = grid.level_offsets.tolist()
+    # the leaves' ancestors at the current level and the buffer of the next
+    bufs = (np.arange(grid.leaf_start, grid.n_cubes), np.empty(n, dtype=np.int64))
+
+    def level(lev, which, anc, idx):
+        # level lev of the leaves of half `which` (all with None), whose
+        # ancestors there are anc; writes theirs one level up in idx
+        lo, hi = offsets[lev], offsets[lev + 1]
+        r, t, w, no, d, ok = run, terms, weight, dead, den, pos
+        if which is not None:
+            lo, hi = _layout.half(lo, hi, which)
+            part = slice(*_layout.half(0, n, which))
+            r, t, w = r[part], t[part], w[part]
+            if scale is not None:
+                no, d, ok = no[part], d[part], ok[part]
+        r += contrib.take(anc, out=t, mode="clip")
+        if shift is None:
+            t[...] = r
+        else:
+            np.add(r, shift.take(anc, out=t, mode="clip"), out=t)
         if scale is not None:
-            t = np.where(live, t, 0.0)
+            np.copyto(t, 0.0, where=no)
             np.maximum.at(scale, anc, t)
-            t = _ratio(t, scale[anc])
-        out[lo:hi] = np.bincount(anc - lo, weights=t**e * weight, minlength=hi - lo)
-        anc = grid.parent[anc]
+            scale.take(anc, out=d, mode="clip")
+            np.divide(t, d, out=t, where=np.greater(d, 0, out=ok))
+        t **= e
+        t *= w
+        np.subtract(anc, lo, out=idx)
+        if which is None:
+            out[lo:hi] = np.bincount(idx, weights=t, minlength=hi - lo)
+        else:
+            # the same sums from 0 in the same order, added into out itself,
+            # since np.bincount would allocate them on the pool's thread
+            np.add.at(out[lo:hi], idx, t)
+        grid.parent.take(anc, out=idx, mode="clip")
+
+    def walk(which):
+        # levels depth...1 of half `which` (all with None)
+        part = slice(None) if which is None else slice(*_layout.half(0, n, which))
+        anc, idx = bufs[0][part], bufs[1][part]
+        for lev in range(grid.depth, 0, -1):
+            level(lev, which, anc, idx)
+            anc, idx = idx, anc
+
+    pool = _kernels.workers(n)
+    if pool is None:
+        walk(None)
+    else:
+        _kernels.on_halves(pool, walk)
+    # both halves took depth steps, so their root ancestors share one buffer
+    anc, idx = bufs[grid.depth % 2], bufs[1 - grid.depth % 2]
+    level(0, None, anc, idx)
     return scale, out
 
 

@@ -290,9 +290,14 @@ class Measure:
             raise ValueError(
                 f"expected {grid.n_leaves} leaf masses, got shape {leaf_mass.shape}"
             )
-        if not np.all(np.isfinite(leaf_mass)):
+        # (every mass finite, some mass negative) per half, which combine exactly
+        checks = _kernels.halves(
+            grid.n_leaves, lambda m: (np.all(np.isfinite(m)), is_weight and np.any(m < 0)), leaf_mass
+        )
+        finite, negative = zip(*checks)
+        if not all(finite):
             raise ValueError("leaf masses must be finite")
-        if is_weight and np.any(leaf_mass < 0):
+        if any(negative):
             raise ValueError("weights require nonnegative leaf masses")
         self.grid = grid
         self.is_weight = is_weight
@@ -320,7 +325,7 @@ class Measure:
         f = np.asarray(f, dtype=np.float64)
         if f.shape != weight.leaf_mass.shape:
             raise ValueError(f"expected {weight.grid.n_leaves} leaf values, got shape {f.shape}")
-        return Measure(weight.grid, f * weight.leaf_mass, is_weight=False)
+        return Measure(weight.grid, _leaf_product(f, weight, np.empty(f.size)), is_weight=False)
 
     def mass(self, cube) -> float:
         if isinstance(cube, CubeRef) and cube.is_virtual:
@@ -383,8 +388,21 @@ def cube_averages(nu: Measure) -> np.ndarray:
 
 def cube_integrals(f: GridFunction, mu: Measure) -> np.ndarray:
     """integral_Q f dmu for every cube at once."""
+    grid = mu.grid
     f = np.asarray(f, dtype=np.float64)
-    return mu.grid.subtree_sums(f * mu.leaf_mass)
+    out = np.empty(grid.n_cubes)
+    # the products are written in the leaf part of the sums' buffer
+    return grid.subtree_sums(_leaf_product(f, mu, out[grid.leaf_start :]), out=out)
+
+
+def _leaf_product(f, mu: Measure, out) -> np.ndarray:
+    """``f * mu.leaf_mass`` computed in ``out`` and returned, as two halves
+    (``_kernels.halves``); ``f`` broadcasts against the leaf masses."""
+    mass = mu.leaf_mass
+    if f.shape != mass.shape:
+        f = np.broadcast_to(f, mass.shape)
+    _kernels.halves(mu.grid.n_leaves, np.multiply, f, mass, out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,13 @@ class CubeWeights:
             raise ValueError(f"expected {grid.n_cubes} cube weights, got {tau.shape}")
         if not np.all(np.isfinite(tau)) or np.any(tau < 0):
             raise ValueError("cube weights must be finite and nonnegative")
+        self._hold(grid, tau, grid.divide_by_volume(tau), rule)
+
+    def _hold(self, grid: DyadicGrid, tau: np.ndarray, coef: np.ndarray, rule: str) -> None:
         self.grid = grid
         self.tau = tau
         self.rule = rule
-        self.coef = grid.divide_by_volume(tau)
+        self.coef = coef
         self.tau.flags.writeable = False
         self.coef.flags.writeable = False
 
@@ -58,9 +61,14 @@ class CubeWeights:
         """tau_Q = |Q|**(alpha/d), accepted for 0 < alpha < d."""
         if not 0.0 < alpha < grid.d:
             raise ValueError(f"fractional order must satisfy 0 < alpha < d, got {alpha}")
-        # numpy's vectorized power on the per-level volumes, as on one per cube
-        tau = grid.per_cube(grid.level_volumes ** (alpha / grid.d))
-        return cls(grid, tau, rule=f"fractional(alpha={alpha!r})")
+        # tau and tau/|Q| once per level, each expanded once: numpy's vectorized
+        # power and division give every cube the bits a per-cube array would,
+        # and numbers computed here need no validation or copy
+        tau = grid.level_volumes ** (alpha / grid.d)
+        weights = cls.__new__(cls)
+        coef = grid.per_cube(tau / grid.level_volumes)
+        weights._hold(grid, grid.per_cube(tau), coef, f"fractional(alpha={alpha!r})")
+        return weights
 
     @classmethod
     def root_only(cls, grid: DyadicGrid, value: float = 1.0) -> "CubeWeights":
@@ -122,9 +130,17 @@ def apply_T(tau: CubeWeights, nu: Measure) -> GridFunction:
     grid = tau.grid
     if nu.grid is not grid:
         raise ValueError("weights and measure live on different grids")
-    contrib = tau.coef * nu.cube_mass
-    path = _kernels.down_sum(contrib, grid, out=contrib)
-    return path[grid.leaf_start :].copy()
+    contrib = np.empty(grid.n_cubes)
+    _kernels.halves(grid.n_leaves, np.multiply, tau.coef, nu.cube_mass, contrib)
+    return _leaf_copy(_kernels.down_sum(contrib, grid, out=contrib), grid)
+
+
+def _leaf_copy(values, grid: DyadicGrid) -> GridFunction:
+    """The leaf part of per-cube ``values`` in a fresh array, copied as two
+    halves (``_kernels.halves``)."""
+    out = np.empty(grid.n_leaves)
+    _kernels.halves(grid.n_leaves, np.copyto, out, values[grid.leaf_start :])
+    return out
 
 
 def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunction:
@@ -175,11 +191,15 @@ def maximal(f: GridFunction, mu: Measure) -> GridFunction:
         raise UndefinedAverageError("maximal function needs mu(root) > 0")
     # the averages, the -inf of massless cubes and the scan share one array
     best = cube_integrals(np.abs(f), mu)
-    live = mu.cube_mass > 0
-    np.divide(best, mu.cube_mass, out=best, where=live)
-    np.copyto(best, -np.inf, where=~live)
-    _kernels.down_max(best, grid, out=best)
-    return best[grid.leaf_start :].copy()
+    _kernels.halves(grid.n_leaves, _averages, best, mu.cube_mass)
+    return _leaf_copy(_kernels.down_max(best, grid, out=best), grid)
+
+
+def _averages(integrals, mass) -> None:
+    """``integrals / mass`` in place where the mass is positive, -inf elsewhere."""
+    live = mass > 0
+    np.divide(integrals, mass, out=integrals, where=live)
+    np.copyto(integrals, -np.inf, where=~live)
 
 
 def linearized_maximal(f: GridFunction, mu: Measure, selection: Selection) -> GridFunction:

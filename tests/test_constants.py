@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from twoweight import constants
 from twoweight.constants import (
     carleson_norm,
     compute_testing_report,
     global_testing,
     local_testing,
     strengthened_local_testing,
+    strengthened_local_values,
     weighted_carleson_norm,
 )
 from twoweight.constants import testing_constants_22 as quadratic_constants_22
@@ -336,6 +338,77 @@ def test_constants_scale_out_of_float_range_homogeneously(pq, factors):
             assert got == pytest.approx((c * want[0], c * want[1]), rel=1e-12)
 
 
+# -- the sweeps on two threads ----------------------------------------------------
+
+
+@pytest.mark.parametrize("d,depth", [(1, 7), (2, 4), (3, 3)])
+def test_sweeps_bit_identical_on_two_threads(kernel_threads, d, depth):
+    # each half of the leaves walks its half-tree on its own thread and the
+    # root level follows: every per-cube value and constant keeps its bits,
+    # unscaled and scaled (p = 1.001), on measures that vanish on whole cubes
+    cfg = GeneratorConfig(d=d, depth=depth, sigma="spikes", omega="spikes", allow_zero_sigma=True)
+    inst = gen_instance(cfg, 3)
+    args = (inst.tau, inst.sigma, inst.omega)
+    pairs = [Exponents(2.0, 2.0), Exponents(1.5, 3.0), Exponents(1.001, 2.0)]
+    assert constants._needs_scale(inst.tau, inst.omega, inst.sigma, pairs[-1].p_conj)
+
+    def sweeps():
+        out = [quadratic_constants_22(*args)]
+        for exps in pairs:
+            out.append(strengthened_local_values(*args, exps))
+            out.append(compute_testing_report(*args, exps).to_dict())
+        return out
+
+    kernel_threads.assert_split_matches_inline(sweeps)
+
+
+def _serial_power_sums(grid, contrib, weight, e, shift=None, floor=None):
+    # the sweep as one allocating loop over every level: the arithmetic the
+    # in-place walk of constants._inner_power_sums must keep, bit for bit
+    out = np.empty(grid.n_cubes)
+    scale, live = (None, None) if floor is None else (floor.copy(), weight > 0)
+    anc = np.arange(grid.leaf_start, grid.n_cubes)
+    run = np.zeros(grid.n_leaves)
+    for lev in range(grid.depth, -1, -1):
+        lo, hi = int(grid.level_offsets[lev]), int(grid.level_offsets[lev + 1])
+        run += contrib[anc]
+        t = run if shift is None else run + shift[anc]
+        if scale is not None:
+            t = np.where(live, t, 0.0)
+            np.maximum.at(scale, anc, t)
+            t = np.divide(t, scale[anc], out=np.zeros_like(t), where=scale[anc] > 0)
+        out[lo:hi] = np.bincount(anc - lo, weights=t**e * weight, minlength=hi - lo)
+        anc = grid.parent[anc]
+    return scale, out
+
+
+@pytest.mark.parametrize("d,depth", [(1, 7), (2, 4), (3, 3)])
+def test_sweep_bits_match_the_serial_walk(kernel_threads, d, depth):
+    # unscaled and scaled, with and without a shift, at the exponents with
+    # numpy's fast paths (2, 0.5) and without, and scaled at the power of
+    # p = 1.001; zero weights, zero contributions and scales of 0 included,
+    # inline and on two threads
+    grid = build_grid(d, depth)
+    rng = np.random.default_rng(d)
+    contrib = rng.random(grid.n_cubes) * (rng.random(grid.n_cubes) < 0.7)
+    weight = rng.random(grid.n_leaves) * (rng.random(grid.n_leaves) < 0.6)
+    shift = rng.random(grid.n_cubes) * (rng.random(grid.n_cubes) < 0.5)
+    floor = rng.random(grid.n_cubes) * (rng.random(grid.n_cubes) < 0.3)
+    cases = [(e, s, f) for e in (2.0, 0.5, 3.0) for s in (None, shift) for f in (None, floor)]
+    cases += [(1001.0, s, floor) for s in (None, shift)]  # near p = 1 the sweeps scale
+    for on in (False, True):
+        kernel_threads.force(on)
+        for e, s, f in cases:
+            got = constants._inner_power_sums(grid, contrib, weight, e, s, f)
+            want = _serial_power_sums(grid, contrib, weight, e, s, f)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        if on:
+            assert kernel_threads.calls and all(kernel_threads.calls)
+        else:
+            assert not any(kernel_threads.calls)
+
+
 # -- structural properties -----------------------------------------------------
 
 
@@ -375,8 +448,6 @@ def test_testing_zero_omega_gives_zero():
 def test_nan_per_cube_value_raises(monkeypatch):
     # a NaN among the per-cube values must not read as "no positive value",
     # (0.0, None), which a testing <= norm check would pass untested
-    from twoweight import constants
-
     g, tau, sigma, omega = _random_instance(1, 3, seed=10)
     values = constants._values
 

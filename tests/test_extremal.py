@@ -267,33 +267,46 @@ def test_exact_reuses_the_last_adjoint_image(monkeypatch):
 
 # grids of several chunks, the first with strided scans on every large level
 @pytest.mark.parametrize("cfg", [dict(d=1, depth=17), dict(d=2, depth=8, sigma="spikes")])
-def test_exact_bits_do_not_depend_on_the_threads(monkeypatch, cfg):
+def test_exact_bits_do_not_depend_on_the_threads(kernel_threads, cfg):
     # inline, and with the chunk list's halves and the scans' half-trees on
     # two threads: the chunks' partial dots are summed in chunk order either
     # way, so the solve is the same bit for bit
     inst = gen_instance(GeneratorConfig(**cfg), 3)
     assert inst.grid.n_leaves >= 2 * extremal._CHUNK
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
-    on_halves = _kernels.on_halves
-    split = []
 
-    def counting(pool, task):
-        split.append(pool is not None)
-        return on_halves(pool, task)
-
-    monkeypatch.setattr(_kernels, "on_halves", counting)
-    runs = []
-    for threshold in (1 << 62, 1):
-        monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", threshold)
-        split.clear()
+    def solve():
         est = exact_norm_22(inst.tau, inst.sigma, inst.omega)
         assert est.kind == "exact" and est.iterations > 2
-        runs.append([np.asarray(x).tobytes() for x in (
-            est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual
-        )])
-        # every pass and every large scan ran on the two threads, or none did
-        assert (all(split) if threshold == 1 else not any(split)) and split
-    assert runs[0] == runs[1]
+        # the chunked passes go through on_halves, with or without the pool
+        assert kernel_threads.calls
+        return est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual
+
+    kernel_threads.assert_split_matches_inline(solve)
+
+
+@pytest.mark.parametrize(
+    "cfg", [dict(d=1, depth=7), dict(d=2, depth=4, sigma="spikes", allow_zero_sigma=True)]
+)
+def test_norm_stage_bits_do_not_depend_on_the_threads(kernel_threads, cfg):
+    # the batched applications of the seed pool, the ascent and the weak
+    # bound, with their scans' half-trees and coefficient product on two
+    # threads, the strong scores' sweeps, and the embedding recursion's
+    # passes on half-trees: the same estimates bit for bit
+    inst = gen_instance(GeneratorConfig(**cfg), 4)
+
+    def bounds():
+        out = []
+        for exps in (Exponents(1.5, 3.0), Exponents(2.0, 2.0)):
+            for est in norm_bounds(inst.tau, inst.sigma, inst.omega, exps, inst.seed):
+                out.append((est.value, est.kind, est.extremal_f, est.iterations, est.upper))
+        for p in (1.5, 3.0):
+            est = carleson_embedding_constant(inst.tau, p, inst.sigma)
+            # a bracket search, whose last pass keeps the children's sums
+            assert est.kind == "exact" and est.iterations > 1
+            out.append((est.value, est.extremal_f, est.iterations, est.upper))
+        return out
+
+    kernel_threads.assert_split_matches_inline(bounds)
 
 
 def test_exact_only_when_the_pair_residual_is_small(monkeypatch):
@@ -1182,6 +1195,24 @@ def test_top_cubes_stable_ties():
     assert _top_cubes(scores, 2).tolist() == [1, 3]
     assert _top_cubes(scores, 4).tolist() == [1, 2, 3, 5]
     assert _top_cubes(scores, 10).tolist() == list(range(6))
+
+
+def test_top_cubes_match_the_stable_sort():
+    # the partition's selection against the stable sort it replaces, on
+    # tie-heavy scores, all-equal ones, signed zeros and infinities, and NaN
+    # (which both place after every number), for k below, at and above n
+    rng = np.random.default_rng(60)
+    inputs = [np.zeros(9), np.full(9, 2.5), np.full(9, np.nan), np.array([-0.0, 0.0, -0.0, 1.0])]
+    for n in rng.integers(1, 40, 120).tolist():
+        scores = rng.integers(0, 4, n).astype(float)
+        scores[rng.random(n) < 0.2] = rng.choice([-0.0, np.inf, -np.inf, np.nan])
+        inputs.append(scores)
+    for scores in inputs:
+        n = scores.size
+        for k in sorted({1, 2, 3, 8, max(1, n - 1), n, n + 3}):
+            want = np.sort(np.argsort(-scores, kind="stable")[:k])
+            got = _top_cubes(scores, k)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (scores, k)
 
 
 def test_pool_holds_best_indicator_without_restarts():

@@ -233,27 +233,6 @@ def test_layout_child_order_matches_argsort(d, depth):
 # -- half-tree scans on two threads ---------------------------------------------
 
 
-def _force_workers(monkeypatch, on: bool):
-    """Grids of every size on two threads (``on``) or none; the process
-    counts as one that may run on two CPUs either way."""
-    monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", 1 if on else 1 << 62)
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
-    monkeypatch.setattr(_kernels, "_inline", False)
-
-
-def _split_calls(monkeypatch):
-    """Records, per call of ``on_halves``, whether it ran a task on the pool's thread."""
-    calls = []
-    on_halves = _kernels.on_halves
-
-    def counting(pool, task):
-        calls.append(pool is not None)
-        return on_halves(pool, task)
-
-    monkeypatch.setattr(_kernels, "on_halves", counting)
-    return calls
-
-
 def _scan_outputs(grid, rng):
     """Every split scan, on inputs with signed zeros, and the operator layer
     over them: ``Measure``'s subtree sums, ``apply_T`` and ``maximal``, whose
@@ -274,6 +253,17 @@ def _scan_outputs(grid, rng):
     for c in rng.integers(1, grid.n_cubes, 3).tolist():
         massless[grid.subtree_cube_mask(c)] = -np.inf
     out["down_max -inf"] = _kernels.down_max(massless, grid)
+    # the batched scans and the product of a batch with per-cube factors
+    rows = rng.standard_normal((3, grid.n_cubes))
+    rows[rng.random(rows.shape) < 0.2] = -0.0
+    for name in ("down_sum_batch", "up_sum_batch"):
+        out[name] = getattr(_kernels, name)(rows, grid)
+        in_place = rows.copy()
+        getattr(_kernels, name)(in_place, grid, out=in_place)
+        out[name + " in place"] = in_place
+    for values in (vals.copy(), rows.copy()):
+        _kernels.multiply(values, tau.coef, grid)
+        out[f"multiply {values.ndim}-D"] = values
     for i, leaf in enumerate(_signed_zero_leaves(grid, rng)):
         out[f"subtree_sums {i}"] = _kernels.subtree_sums(leaf, grid)
         out[f"apply_T {i}"] = apply_T(tau, Measure(grid, leaf, is_weight=False))
@@ -286,40 +276,65 @@ def _scan_outputs(grid, rng):
 # above the lowered threshold: small levels on the calling thread, large ones
 # (from the first strided level) as two half-tree tasks
 @pytest.mark.parametrize("d,depth", CROSSING)
-def test_half_tree_scans_bit_identical_to_serial(monkeypatch, d, depth):
+def test_half_tree_scans_bit_identical_to_serial(kernel_threads, d, depth):
+    # every scan ran its large levels on the pool's thread (inline_and_split)
     grid = build_grid(d, depth)
-    _force_workers(monkeypatch, False)
-    serial = _scan_outputs(grid, np.random.default_rng(30 + d))
-    _force_workers(monkeypatch, True)
-    calls = _split_calls(monkeypatch)
-    split = _scan_outputs(grid, np.random.default_rng(30 + d))
+    serial, split = kernel_threads.inline_and_split(
+        lambda: _scan_outputs(grid, np.random.default_rng(30 + d))
+    )
     assert serial.keys() == split.keys()
     for name in serial:
         assert _same_bits(split[name], serial[name]), name
-    # every scan ran its large levels on the pool's thread
-    assert calls and all(calls)
+
+
+def test_halves_cut_the_last_axis_in_two_on_the_pool(kernel_threads):
+    # views of two contiguous halves of every array's last axis, the second
+    # on the pool's thread, results in range order; inline, one task on the
+    # arrays themselves
+    cubes, rows = np.arange(7.0), np.arange(14.0).reshape(2, 7)
+    seen = []
+
+    def task(a, b):
+        seen.append((a.tolist(), b.tolist(), threading.current_thread() is threading.main_thread()))
+        a += 1.0
+        return a.size
+
+    kernel_threads.force(False)
+    assert _kernels.halves(1, task, cubes, rows) == [7] and not kernel_threads.calls
+    assert seen == [(list(range(7)), rows.tolist(), True)] and cubes[0] == 1.0
+    seen.clear()
+    kernel_threads.force(True)
+    assert _kernels.halves(1, task, cubes, rows) == [3, 4] and kernel_threads.calls == [True]
+    assert sorted(seen) == [
+        ([1.0, 2.0, 3.0], [[0.0, 1.0, 2.0], [7.0, 8.0, 9.0]], True),
+        ([4.0, 5.0, 6.0, 7.0], [[3.0, 4.0, 5.0, 6.0], [10.0, 11.0, 12.0, 13.0]], False),
+    ]
+    # the tasks wrote through their views
+    assert cubes.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 @pytest.mark.parametrize("d,depth", [(1, 19), (2, 10), (3, 6)])
-def test_half_tree_scans_at_the_threshold(monkeypatch, d, depth):
+def test_half_tree_scans_at_the_threshold(monkeypatch, kernel_threads, d, depth):
     # at the real threshold: grids from PARALLEL_MIN_LEAVES leaves on split,
     # smaller ones run inline, and the bits are the serial ones
     grid = build_grid(d, depth)
-    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
-    monkeypatch.setattr(_kernels, "_inline", False)
     on = grid.n_leaves >= _kernels.PARALLEL_MIN_LEAVES
     assert (_kernels.workers(grid.n_leaves) is not None) == on
     rng = np.random.default_rng(40 + d)
     vals = rng.standard_normal(grid.n_cubes)
     vals[rng.random(grid.n_cubes) < 0.3] = -0.0
     leaf = vals[grid.leaf_start :].copy()
-    calls = _split_calls(monkeypatch)
-    got = [_kernels.down_sum(vals, grid), _kernels.down_max(vals, grid), _kernels.up_sum(vals, grid)]
-    got.append(_kernels.subtree_sums(leaf, grid))
-    assert calls == ([True] * 4 if on else [])
+    rows = np.stack([vals, vals[::-1]])
+
+    def scans():
+        out = [getattr(_kernels, name)(vals, grid) for name in ("down_sum", "down_max", "up_sum")]
+        out.append(_kernels.subtree_sums(leaf, grid))
+        return out + [_kernels.down_sum_batch(rows, grid), _kernels.up_sum_batch(rows, grid)]
+
+    got = scans()
+    assert kernel_threads.calls == ([True] * 6 if on else [])
     monkeypatch.setattr(_kernels, "PARALLEL_MIN_LEAVES", 1 << 62)
-    want = [_kernels.down_sum(vals, grid), _kernels.down_max(vals, grid), _kernels.up_sum(vals, grid)]
-    want.append(_kernels.subtree_sums(leaf, grid))
+    want = scans()
     assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
@@ -334,10 +349,10 @@ def test_one_cpu_and_inline_processes_run_on_the_calling_thread(monkeypatch):
     assert _kernels.workers(n) is None
 
 
-def test_both_halves_finish_before_an_error_is_raised(monkeypatch):
+def test_both_halves_finish_before_an_error_is_raised(kernel_threads):
     # a task that fails on the calling thread still waits for the task on
     # the pool's thread, which writes into the same arrays
-    _force_workers(monkeypatch, True)
+    kernel_threads.force(True)
     pool = _kernels.workers(1)
     done = []
 
@@ -354,7 +369,7 @@ def test_both_halves_finish_before_an_error_is_raised(monkeypatch):
         _kernels.on_halves(pool, lambda which: 1 / which)
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
+def test_concurrent_callers_share_one_pool(monkeypatch, kernel_threads):
     # more calling threads than CPUs, each splitting its scans on the shared
     # pool under a short switch interval: one pool serves them all, and every
     # result keeps the serial bits
@@ -362,9 +377,9 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
     rng = np.random.default_rng(50)
     vals = rng.standard_normal(grid.n_cubes)
     leaf = vals[grid.leaf_start :].copy()
-    _force_workers(monkeypatch, False)
+    kernel_threads.force(False)
     want = (_kernels.down_sum(vals, grid), _kernels.subtree_sums(leaf, grid))
-    _force_workers(monkeypatch, True)
+    kernel_threads.force(True)
     monkeypatch.setattr(_kernels, "_pool", None)
     same, pools = [], set()
 

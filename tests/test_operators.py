@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twoweight.grid import CubeRef,Exponents, Measure, UndefinedAverageError, build_grid, lp_norm
+from twoweight import _kernels
+from twoweight.constants import carleson_norm, weighted_carleson_norm
+from twoweight.grid import (
+    CubeRef,
+    Exponents,
+    Measure,
+    UndefinedAverageError,
+    build_grid,
+    cube_averages,
+    cube_integrals,
+    lp_norm,
+)
 from twoweight.operators import (
     CubeWeights,
     Selection,
@@ -73,6 +84,77 @@ def test_fractional_rule_values():
     # tau_Q = |Q|**(1/2) in d=2: 1 at the root, 1/2 one level down
     assert tau.tau[0] == pytest.approx(1.0)
     assert tau.tau[1] == pytest.approx(0.5)
+
+
+# grids below STRIDED_MIN_CUBES leaves and above it, at d = 1, 2, 3
+@pytest.mark.parametrize("d,depth", [(1, 6), (1, 13), (2, 3), (2, 7), (3, 2), (3, 5)])
+def test_fractional_weights_match_the_constructor(d, depth):
+    # per-level tau and tau/|Q|, expanded once, have the bits of the
+    # constructor's per-cube tau and its division by the volumes
+    g = build_grid(d, depth)
+    assert (g.n_leaves >= _kernels.STRIDED_MIN_CUBES) == (depth * d > 6)
+    for alpha in (0.25 * d, 0.5 * d, 0.9 * d):
+        got = CubeWeights.fractional(g, alpha)
+        want = CubeWeights(g, g.per_cube(g.level_volumes ** (alpha / d)), got.rule)
+        assert got.rule == f"fractional(alpha={alpha!r})"
+        for a, b in ((got.tau, want.tau), (got.coef, want.coef)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+
+# -- the linear layer on two threads --------------------------------------------
+
+
+def _linear_layer(g, rng):
+    """Every pass of the linear layer that runs as two halves on two threads,
+    on a weight with whole massless subtrees and f with signed zeros; the
+    weighted Carleson norm also degenerate (a first dead cube in either
+    half) and with every cube massless, and the input checks of ``Measure``."""
+    n = g.n_leaves
+    f = rng.standard_normal(n)
+    f[rng.random(n) < 0.2] = -0.0
+    mass = np.where(rng.random(n) < 0.3, 0.0, rng.exponential(size=n))
+    for c in rng.integers(1, g.n_cubes, 3).tolist():
+        g.leaves_in(mass, c)[...] = 0.0
+    mu = Measure(g, mass)
+    tau = CubeWeights(g, rng.exponential(size=g.n_cubes) * (rng.random(g.n_cubes) < 0.8))
+    live = Measure(g, rng.exponential(size=n))
+    out = {
+        "product": Measure.product(f, mu).cube_mass,
+        "cube_integrals": cube_integrals(f, mu),
+        "cube_averages": cube_averages(mu),
+        "apply_T": apply_T(tau, Measure.product(f, mu)),
+        "maximal": maximal(f, mu),
+        "carleson": carleson_norm(tau),
+        "weighted_carleson": weighted_carleson_norm(tau, live),
+        "weighted_carleson zero": weighted_carleson_norm(
+            CubeWeights(g, np.zeros(g.n_cubes)), Measure(g, np.zeros(n))
+        ),
+    }
+    # dead cubes: a massless cube with tau mass under it, the last of the
+    # level above the leaves and then also the first of level 1, with dead
+    # leaves (second half of the cubes) and, for tau on no leaf, none
+    dead = live.leaf_mass.copy()
+    inner = CubeWeights(g, np.where(np.arange(g.n_cubes) < g.leaf_start, tau.tau, 0.0))
+    for c in (g.leaf_start - 1, 1):
+        g.leaves_in(dead, c)[...] = 0.0
+        out[f"weighted_carleson dead {c}"] = weighted_carleson_norm(tau, Measure(g, dead))
+        out[f"weighted_carleson dead {c} inner"] = weighted_carleson_norm(inner, Measure(g, dead))
+    # a bad mass in the second half, and there a NaN after a negative mass in
+    # the first: non-finite masses are reported first
+    for first, last in ((0.0, np.nan), (0.0, np.inf), (0.0, -1.0), (-1.0, np.nan)):
+        values = mass.copy()
+        values[0], values[-1] = first, last
+        with pytest.raises(ValueError) as err:
+            Measure(g, values)
+        out[f"Measure({first}, {last})"] = str(err.value)
+    return out
+
+
+@pytest.mark.parametrize("d,depth", [(1, 6), (1, 13), (2, 7), (3, 5)])
+def test_linear_layer_bit_identical_on_two_threads(kernel_threads, d, depth):
+    g = build_grid(d, depth)
+    kernel_threads.assert_split_matches_inline(lambda: _linear_layer(g, np.random.default_rng(d)))
 
 
 # -- apply_T ------------------------------------------------------------------
