@@ -13,7 +13,6 @@ from .constants import (
     compute_testing_report,
     global_testing,
     local_testing,
-    strengthened_local_testing,
     testing_constants_22,
     weighted_carleson_norm,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "compute_testing_report",
     "global_testing",
     "local_testing",
-    "strengthened_local_testing",
     "testing_constants_22",
     "weighted_carleson_norm",
     # extremal

@@ -152,16 +152,6 @@ def global_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Expon
     return _sup(grid, _values(None, power, w, pc, exps.q_conj))
 
 
-def strengthened_local_testing(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
-    """Variant with the full operator: sup_R omega(R)^(-1/q') ||T(omega 1_R)||_{L^p'(sigma)}.
-
-    Dominates the local constant term by term (the in-localization drops
-    nonnegative summands). The per-cube values are
-    ``strengthened_local_values``.
-    """
-    return _sup(tau.grid, strengthened_local_values(tau, sigma, omega, exps))
-
-
 def strengthened_local_values(tau: CubeWeights, sigma: Measure, omega: Measure, exps: Exponents):
     """omega(R)^(-1/q') ||T(omega 1_R)||_{L^p'(sigma)} for every cube R; -inf where omega(R) == 0.
 

@@ -5,7 +5,8 @@ that is never materialized: each matrix-vector product is one application of
 the dyadic operator. ``exact_norm_22`` takes locally optimal (LOBPCG) steps,
 two applications each, and calls its value "exact" only when the singular
 pair's residual at exit is at most 1e-9 relative. Between applications it
-passes over its leaf vectors in chunks of ``_CHUNK`` leaves; from
+makes three passes per step over its leaf vectors, and its set-up and exit
+three more, in chunks of ``_CHUNK`` leaves; from
 ``_kernels.PARALLEL_MIN_LEAVES`` leaves on, the two halves of the chunk list
 run on two threads, as the tree scans of each application do (inline on one
 CPU and in the suite's worker processes). The chunks' partial dots are
@@ -72,8 +73,9 @@ _GRAM_FLOOR = 1e-12
 # wait more often for the interpreter lock.
 _CHUNK = 1 << 15
 
-# One chunk of exact_norm_22's leaf vectors: views of the same leaves of each.
-_Chunk = namedtuple("_Chunk", "x ax r ar p ap sq_s sq_w leaves")
+# One chunk of exact_norm_22's leaf vectors and of the measures' leaf masses:
+# views of the same leaves of each.
+_Chunk = namedtuple("_Chunk", "x ax r ar p ap sq_s sq_w leaves s_lm w_lm")
 
 # Certified power solver: iteration cap, relative bracket width that makes a
 # value "exact" (for the embedding constant too) and positivity floor
@@ -167,124 +169,148 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     Rayleigh-Ritz problem on the Gram matrices of [x, r, p] and of their
     images [Ax, Ar, Ap]. A step makes two operator applications, A^T(Ax) and
     A r; Ax and Ap follow x and p by the same linear combinations, so a solve
-    makes 2 * iterations applications. The value s = ||Ax|| never decreases.
-    The solve stops on the singular pair's residual ||A^T u - s x|| with
-    u = Ax/s (then Ax = s u exactly), and the value is "exact" only when that
-    residual is at most ``_POWER_RESIDUAL_TOL`` * s.
+    makes 2 * iterations applications. x and r are stored unnormalized, and
+    s = ||Ax|| / ||x||. The Ritz step scales its Gram matrices to a unit
+    basis diagonal, so its coefficients apply to the stored vectors and the
+    next x is a unit vector up to rounding. Ax.Ar and Ax.Ap come from the
+    identity A^T(Ax) = r + s^2 x, as dots of the basis. The value s never
+    decreases. The solve stops on the singular pair's residual
+    ||A^T u - s x / ||x|| || = ||r|| / ||Ax||, with u = Ax / ||Ax|| (then
+    Ax / ||x|| = s u exactly). The value is "exact" only when that residual
+    is at most ``_POWER_RESIDUAL_TOL`` * s. s, the residual and the verdict
+    rest on dots of the stored vectors alone.
 
-    Around its two applications and its Ritz step, a step makes five passes
+    Around its two applications and its Ritz step, a step makes three passes
     over the leaf vectors, ``_CHUNK`` leaves at a time (``_chunked``): the
-    elementwise updates, the square-root scalings, and the partial dots of
-    the norms and the Gram matrices, which are summed in chunk order. A grid
-    of one chunk thus gets the arithmetic of whole-vector operations bit for
-    bit, and the bits never depend on whether the chunks ran on one thread
-    or two.
+    residual with the input of A r, then A r with the Gram dots, then the
+    update with the input of the next A^T(Ax) and the norms of x and Ax. The
+    square roots and the start vector are two passes more, and the exit, the
+    last residual and the extremals, one more. The chunks' partial dots are
+    summed in chunk order, so a grid of one chunk gets the arithmetic of
+    whole-vector operations bit for bit, and the bits never depend on whether
+    the chunks ran on one thread or two.
     """
     grid = tau.grid
     n = grid.n_leaves
-    sq_s = np.sqrt(sigma.leaf_mass)
-    sq_w = np.sqrt(omega.leaf_mass)
     # the solve's buffers: the scans run in work, whose leaf part takes each
     # input measure and then holds its image; the vectors are updated in place
     work = np.empty(grid.n_cubes)
     leaves = work[grid.leaf_start :]
-
-    x = sq_w.copy()
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
-        return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 0, 0.0)
-    x /= nx
-    ax, r, ar, p, ap = (np.empty(n) for _ in range(5))
-    np.multiply(sq_w, x, out=leaves)
-    np.multiply(sq_s, _t_leafmass(grid, tau.coef, leaves, work), out=ax)
-    nx = None  # x is a unit vector already on the first step
+    x, ax, r, ar, p, ap, sq_s, sq_w = (np.empty(n) for _ in range(8))
+    vectors = (x, ax, r, ar, p, ap, sq_s, sq_w, leaves, sigma.leaf_mass, omega.leaf_mass)
+    chunks = [_Chunk(*(v[lo : lo + _CHUNK] for v in vectors)) for lo in range(0, n, _CHUNK)]
     pool = _kernels.workers(n)
-    chunks = [
-        _Chunk(*(v[lo : lo + _CHUNK] for v in (x, ax, r, ar, p, ap, sq_s, sq_w, leaves)))
-        for lo in range(0, n, _CHUNK)
-    ]
 
-    # the passes of a step over one chunk, reading the step's scalars (nx, s,
-    # nr, the Ritz coefficients) as the loop below sets them; each returns its
-    # partial dots
-    def begin(c):
-        # x and Ax renormalized, the input of A^T(Ax), and ||Ax||^2
-        xc, axc = c.x, c.ax
-        if nx is not None:
-            xc /= nx
-            axc /= nx
+    # the passes over one chunk, reading the step's scalars (s2, the Ritz
+    # coefficients, the norms at exit) as the code below sets them; each
+    # returns its partial dots
+    def setup(c):
+        # the square roots, the start vector x = sqrt(omega), the input of Ax,
+        # and ||x||^2 and ||sqrt(sigma)||^2
+        np.sqrt(c.s_lm, out=c.sq_s)
+        xc = np.sqrt(c.w_lm, out=c.sq_w)
+        np.copyto(c.x, xc)
+        np.multiply(xc, xc, out=c.leaves)
+        return (xc.dot(xc), c.sq_s.dot(c.sq_s))
+
+    def start(c):
+        # Ax, the input of A^T(Ax), and ||Ax||^2
+        axc = np.multiply(c.sq_s, c.leaves, out=c.ax)
         np.multiply(c.sq_s, axc, out=c.leaves)
         return (axc.dot(axc),)
 
     def residual(c):
-        # r = A^T(Ax) - s^2 x, and ||r||^2
-        rc = np.multiply(c.sq_w, c.leaves, out=c.r)
-        rc -= np.multiply(s * s, c.x, out=c.ar)
-        return (rc.dot(rc),)
-
-    def direction(c):
-        # r normalized, and the input of A r
-        rc = c.r
-        rc /= nr
-        np.multiply(c.sq_w, rc, out=c.leaves)
-        return ()
-
-    def gram(c):
-        # A r, and the dots of the Ritz step (p joins after the first step)
-        xc, rc, axc, pc, apc = c.x, c.r, c.ax, c.p, c.ap
-        arc = np.multiply(c.sq_s, c.leaves, out=c.ar)
+        # r = A^T(Ax) - s^2 x, the input of A r, and r.r and x.r; the leaf
+        # part of work is the one scratch vector, so no other is written back
+        xc, lc = c.x, c.leaves
+        lc *= c.sq_w
+        rc = np.multiply(xc, s2, out=c.r)
+        np.subtract(lc, rc, out=rc)
+        np.multiply(c.sq_w, rc, out=lc)
         # ndarray.dot, not @: the same bits, but a 1-D @ keeps the interpreter
         # lock through its BLAS call, which .dot releases, so on two threads
-        # this pass scaled 1.09-1.37x with @ and 1.74-1.86x with .dot
-        dots = (xc.dot(rc), axc.dot(arc), arc.dot(arc))
+        # a pass scaled 1.09-1.37x with @ and 1.74-1.86x with .dot
+        return (rc.dot(rc), xc.dot(rc))
+
+    def gram(c):
+        # A r, and the dots of the Ritz step that the identity does not give
+        # (p joins after the first step)
+        arc = np.multiply(c.sq_s, c.leaves, out=c.ar)
         if iterations == 1:
-            return dots
-        return dots + (xc.dot(pc), rc.dot(pc), pc.dot(pc), axc.dot(apc), arc.dot(apc), apc.dot(apc))
+            return (arc.dot(arc),)
+        xc, rc, pc, apc = c.x, c.r, c.p, c.ap
+        return (arc.dot(arc), xc.dot(pc), rc.dot(pc), pc.dot(pc), arc.dot(apc), apc.dot(apc))
 
     def update(c):
-        # p <- c1 r + c2 p and x <- c0 x + p, the images alike, and ||x||^2
-        xc, rc, pc, axc, arc, apc = c.x, c.r, c.p, c.ax, c.ar, c.ap
+        # p <- c1 r + c2 p and x <- c0 x + p, the images alike, the input of
+        # A^T(Ax), and ||x||^2 and ||Ax||^2
+        xc, rc, pc, axc, arc, apc, lc = c.x, c.r, c.p, c.ax, c.ar, c.ap, c.leaves
         if c2 is None:
             np.multiply(rc, c1, out=pc)
             np.multiply(arc, c1, out=apc)
         else:
             pc *= c2
-            pc += np.multiply(rc, c1, out=rc)
+            pc += np.multiply(rc, c1, out=lc)
             apc *= c2
-            apc += np.multiply(arc, c1, out=arc)
+            apc += np.multiply(arc, c1, out=lc)
         xc *= c0
         xc += pc
         axc *= c0
         axc += apc
-        return (xc.dot(xc),)
+        np.multiply(c.sq_s, axc, out=lc)
+        return (xc.dot(xc), axc.dot(axc))
 
+    def finish(c):
+        # the extremals, Ax / ||Ax|| over sqrt(sigma) and x / ||x|| over
+        # sqrt(omega), written in the Ax and x buffers; off the supports x
+        # and Ax are 0 already, as sums of products with sqrt(omega) = 0 and
+        # sqrt(sigma) = 0
+        for v, sq, norm in ((c.ax, c.sq_s, na), (c.x, c.sq_w, nx)):
+            v /= norm
+            np.divide(v, sq, out=v, where=sq > 0)
+        return ()
+
+    xx, ss = _chunked(pool, chunks, setup)
+    if xx == 0.0 or ss == 0.0:
+        return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 0, 0.0)
+    _t_leafmass(grid, tau.coef, leaves, work)
+    (axax,) = _chunked(pool, chunks, start)
+    if axax == 0.0:
+        # the start vector is strictly positive on the omega-support, so a
+        # vanishing image means the kernel is identically zero
+        return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 1, 0.0)
     for iterations in range(1, _POWER_MAX_ITER + 1):
-        s = math.sqrt(_chunked(pool, chunks, begin)[0])
-        if s == 0.0:
-            # the start vector is strictly positive on the omega-support, so a
-            # vanishing image means the kernel is identically zero
-            return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), iterations, 0.0)
+        nx, na = math.sqrt(xx), math.sqrt(axax)
+        s = na / nx
+        s2 = s * s
         _t_leafmass(grid, tau.coef, leaves, work)
-        # ||A^T u - s x|| = ||r|| / s, tested before r is normalized: r may vanish
-        nr = math.sqrt(_chunked(pool, chunks, residual)[0])
-        residual_norm = nr / s
+        rr, xr = _chunked(pool, chunks, residual)
+        # tested before the Ritz step: r may vanish
+        residual_norm = math.sqrt(rr) / na
         if residual_norm <= _POWER_RESIDUAL_TOL * s or iterations == _POWER_MAX_ITER:
             break
-        _chunked(pool, chunks, direction)
         _t_leafmass(grid, tau.coef, leaves, work)
-        # the first step has no last step p; x is renormalized explicitly, so
-        # no drift of its norm enters s
-        c0, c1, c2 = _ritz_step(s, _chunked(pool, chunks, gram))
-        nx = math.sqrt(_chunked(pool, chunks, update)[0])
+        arar, *pdots = _chunked(pool, chunks, gram)
+        # Ax.Ar = A^T(Ax).r = (r + s^2 x).r, and Ax.Ap alike
+        axar = rr + s2 * xr
+        if pdots:
+            xp, rp, pp, arap, apap = pdots
+            axap = rp + s2 * xp
+            basis = [[xx, xr, xp], [xr, rr, rp], [xp, rp, pp]]
+            images = [[axax, axar, axap], [axar, arar, arap], [axap, arap, apap]]
+        else:
+            basis, images = [[xx, xr], [xr, rr]], [[axax, axar], [axar, arar]]
+        c0, c1, c2 = _ritz_step(np.array(basis), np.array(images))
+        xx, axax = _chunked(pool, chunks, update)
     kind = "exact" if residual_norm <= _POWER_RESIDUAL_TOL * s else "lower-bound"
-    # u = Ax / s is the input singular vector: f pairs with sigma, g with
-    # omega; the extremals are written in the Ax and x buffers
-    ax /= s
+    # u = Ax / ||Ax|| is the input singular vector: f pairs with sigma, g
+    # with omega
+    _chunked(pool, chunks, finish)
     return NormEstimate(
         value=s,
         kind=kind,
-        extremal_f=_divide_live(ax, sq_s),
-        extremal_g=_divide_live(x, sq_w),
+        extremal_f=ax,
+        extremal_g=x,
         iterations=iterations,
         residual=residual_norm,
         flagged=(kind != "exact"),
@@ -309,25 +335,17 @@ def _chunked(pool, chunks: list, task):
     return total
 
 
-def _ritz_step(s, dots):
+def _ritz_step(basis, images):
     """Coefficients (c0, c1, c2) of the top Ritz vector c0 x + c1 r + c2 p of A^T A.
 
-    x and r are unit vectors and s = ||Ax||; ``dots`` holds x.r, Ax.Ar and
-    Ar.Ar, then on every step after the first x.p, r.p, p.p, Ax.Ap, Ar.Ap
-    and Ap.Ap. The Gram matrices of the basis and of its images are scaled to
-    a unit basis diagonal; one ``eigh`` whitens the basis and one solves the
-    whitened problem. A basis whose Gram matrix is near-singular (p almost in
-    the span of x and r) drops p, and c2 is then None. c0 is made
-    nonnegative, so the iterate keeps its orientation.
+    ``basis`` and ``images`` are the Gram matrices of [x, r] (on the first
+    step) or [x, r, p] and of their images, as the vectors are stored. Both
+    are scaled to a unit basis diagonal; one ``eigh`` whitens the basis and
+    one solves the whitened problem, whose unit top vector makes
+    c0 x + c1 r + c2 p a unit vector. A basis whose Gram matrix is
+    near-singular (p almost in the span of x and r) drops p, and c2 is then
+    None. c0 is made nonnegative, so the iterate keeps its orientation.
     """
-    xr, axar, arar = dots[:3]
-    if len(dots) == 3:
-        basis = np.array([[1.0, xr], [xr, 1.0]])
-        images = np.array([[s * s, axar], [axar, arar]])
-    else:
-        xp, rp, pp, axap, arap, apap = dots[3:]
-        basis = np.array([[1.0, xr, xp], [xr, 1.0, rp], [xp, rp, pp]])
-        images = np.array([[s * s, axar, axap], [axar, arar, arap], [axap, arap, apap]])
     scale = 1.0 / np.sqrt(np.diag(basis))
     basis *= np.outer(scale, scale)
     images *= np.outer(scale, scale)
@@ -340,14 +358,6 @@ def _ritz_step(s, dots):
     if c[0] < 0.0:
         c = -c
     return c[0], c[1], (c[2] if len(c) == 3 else None)
-
-
-def _divide_live(num, den):
-    """num / den where den > 0 and 0 elsewhere, computed in ``num`` and returned."""
-    live = den > 0
-    np.divide(num, den, out=num, where=live)
-    np.copyto(num, 0.0, where=~live)
-    return num
 
 
 def dense_norm_22(

@@ -62,9 +62,11 @@ class KernelThreads:
 
     def assert_split_matches_inline(self, fn):
         """``inline_and_split(fn)``, and the two results the same bit for bit
-        (arrays and numbers, in any nesting of lists, tuples and dicts)."""
+        (arrays and numbers, in any nesting of lists, tuples and dicts).
+        Returns the inline result."""
         inline, split = self.inline_and_split(fn)
         assert _bits(split) == _bits(inline)
+        return inline
 
 
 @pytest.fixture

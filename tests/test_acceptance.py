@@ -49,7 +49,7 @@ SUITE_GENERATORS = [
 ]
 
 
-SUITE_DIGEST = "f335e1e25a2ecd3a7ad4839c490cdc08bdae17b54f652b77e30698732e437fe4"
+SUITE_DIGEST = "93b68f09b2d5934a90685471be61793785800111343bf790fc83b480f3cdf0a1"
 
 
 def _suite_config():

@@ -16,7 +16,6 @@ from twoweight.constants import (
     compute_testing_report,
     global_testing,
     local_testing,
-    strengthened_local_testing,
     strengthened_local_values,
     weighted_carleson_norm,
 )
@@ -27,6 +26,13 @@ from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
 from test_acceptance import SUITE_GENERATORS
 from test_operators import _volumes
+
+
+def strengthened_local_testing(tau, sigma, omega, exps):
+    """sup_R omega(R)^(-1/q') ||T(omega 1_R)||_{L^p'(sigma)} with its cube: the
+    full-operator variant of the local constant, from the library's per-cube
+    values (``strengthened_local_values``) as the library's sweeps take their sup."""
+    return constants._sup(tau.grid, strengthened_local_values(tau, sigma, omega, exps))
 
 
 def _random_instance(d, depth, seed):

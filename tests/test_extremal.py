@@ -151,7 +151,9 @@ def test_exact_zero_measures():
 def _exact_norm_22_reference(tau, sigma, omega, apply_t):
     """The LOBPCG of ``exact_norm_22`` with fresh arrays at every step, T being
     ``apply_t(leaf_masses)``: the same arithmetic in the same order, so the
-    same bits."""
+    same bits. x, r and their images are kept unnormalized, Ax.Ar and Ax.Ap
+    come from A^T(Ax) = r + s^2 x, and the Ritz coefficients apply to the
+    vectors as kept."""
     grid = tau.grid
     sq_s, sq_w = np.sqrt(sigma.leaf_mass), np.sqrt(omega.leaf_mass)
     zero = np.zeros(grid.n_leaves)
@@ -162,50 +164,49 @@ def _exact_norm_22_reference(tau, sigma, omega, apply_t):
     def adj(u):
         return sq_w * apply_t(sq_s * u)
 
-    nx = float(np.linalg.norm(sq_w))
-    if nx == 0.0 or float(np.linalg.norm(sq_s)) == 0.0:
+    x = sq_w.copy()
+    if x @ x == 0.0 or sq_s @ sq_s == 0.0:
         return 0.0, zero, zero, 0, 0.0
-    x = sq_w / nx
     ax = fwd(x)
+    if ax @ ax == 0.0:
+        return 0.0, zero, zero, 1, 0.0
     p = ap = None
     for iterations in range(1, extremal._POWER_MAX_ITER + 1):
-        s = float(np.linalg.norm(ax))
-        if s == 0.0:
-            return 0.0, zero, zero, iterations, 0.0
+        nx, na = math.sqrt(x @ x), math.sqrt(ax @ ax)
+        s = na / nx
         r = adj(ax) - (s * s) * x
-        nr = float(np.linalg.norm(r))
-        residual = nr / s
+        residual = math.sqrt(r @ r) / na
         if residual <= extremal._POWER_RESIDUAL_TOL * s or iterations == extremal._POWER_MAX_ITER:
             break
-        r = r / nr
         ar = fwd(r)
-        c = _ritz_reference(s, [x, r, p], [ax, ar, ap])
+        c = _ritz_reference(s * s, [x, r, p], [ax, ar, ap])
         if len(c) == 2:
             p, ap = c[1] * r, c[1] * ar
         else:
             p, ap = c[2] * p + c[1] * r, c[2] * ap + c[1] * ar
         x, ax = c[0] * x + p, c[0] * ax + ap
-        nx = float(np.linalg.norm(x))
-        x, ax = x / nx, ax / nx
-    f = np.where(sq_s > 0, (ax / s) / np.where(sq_s > 0, sq_s, 1.0), 0.0)
-    g = np.where(sq_w > 0, x / np.where(sq_w > 0, sq_w, 1.0), 0.0)
+    f = np.where(sq_s > 0, (ax / na) / np.where(sq_s > 0, sq_s, 1.0), 0.0)
+    g = np.where(sq_w > 0, (x / nx) / np.where(sq_w > 0, sq_w, 1.0), 0.0)
     return s, f, g, iterations, residual
 
 
-def _ritz_reference(s, vecs, imgs):
+def _ritz_reference(s2, vecs, imgs):
     """Top Ritz coefficients over [x, r] or [x, r, p] (p is None on the first
-    step, and dropped where the scaled basis Gram matrix is near-singular)."""
+    step, and dropped where the scaled basis Gram matrix is near-singular);
+    Ax.Ar and Ax.Ap are r.r + s2 x.r and r.p + s2 x.p."""
     if vecs[2] is None:
         vecs, imgs = vecs[:2], imgs[:2]
     k = len(vecs)
-    basis = np.array([[1.0 if i == j < 2 else vecs[i] @ vecs[j] for j in range(k)] for i in range(k)])
-    images = np.array([[s * s if i == j == 0 else imgs[i] @ imgs[j] for j in range(k)] for i in range(k)])
+    basis = np.array([[vecs[i] @ vecs[j] for j in range(k)] for i in range(k)])
+    images = np.array([[imgs[i] @ imgs[j] for j in range(k)] for i in range(k)])
+    for j in range(1, k):
+        images[0, j] = images[j, 0] = vecs[1] @ vecs[j] + s2 * (vecs[0] @ vecs[j])
     scale = 1.0 / np.sqrt(np.diag(basis))
     basis = basis * np.outer(scale, scale)
     images = images * np.outer(scale, scale)
     lam, vec = np.linalg.eigh(basis)
     if k == 3 and not lam[0] > extremal._GRAM_FLOOR:
-        return _ritz_reference(s, vecs[:2] + [None], imgs[:2] + [None])
+        return _ritz_reference(s2, vecs[:2] + [None], imgs[:2] + [None])
     white = vec / np.sqrt(lam)
     c = scale * (white @ np.linalg.eigh(white.T @ images @ white)[1][:, -1])
     return -c if c[0] < 0.0 else c
@@ -265,23 +266,70 @@ def test_exact_reuses_the_last_adjoint_image(monkeypatch):
     assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
-# grids of several chunks, the first with strided scans on every large level
-@pytest.mark.parametrize("cfg", [dict(d=1, depth=17), dict(d=2, depth=8, sigma="spikes")])
+def test_exact_step_makes_three_passes(monkeypatch):
+    # a full step passes over the leaf vectors three times (residual, Gram
+    # dots, update); the set-up makes two passes (square roots, then Ax) and
+    # the exit two (the last residual, then the extremals)
+    passes = []
+    chunked = extremal._chunked
+
+    def counting(pool, chunks, task):
+        passes.append(len(chunks))
+        return chunked(pool, chunks, task)
+
+    monkeypatch.setattr(extremal, "_chunked", counting)
+    corpus = [*_exact_22_corpus(), _oracle_instance(2, 8, "zero-mass")]
+    for tau, sigma, omega in corpus:
+        passes.clear()
+        est = exact_norm_22(tau, sigma, omega)
+        assert len(passes) == 3 * (est.iterations - 1) + 4
+    # the last grid's passes run over its two chunks
+    assert passes == [2] * len(passes)
+
+    # the zero kernel stops after the set-up, and zero measures after its first pass
+    g = build_grid(1, 3)
+    lebesgue = Measure.lebesgue(g)
+    for tau, sigma, want in [
+        (CubeWeights(g, np.zeros(g.n_cubes)), lebesgue, 2),
+        (CubeWeights(g, np.ones(g.n_cubes)), Measure(g, np.zeros(g.n_leaves)), 1),
+    ]:
+        passes.clear()
+        assert exact_norm_22(tau, sigma, lebesgue).value == 0.0
+        assert len(passes) == want
+
+
+# grids of several chunks, the first with strided scans on every large
+# level; the last two with measures that vanish on 7/8 of the leaves
+_SPIKES = dict(sigma="spikes", omega="spikes", allow_zero_sigma=True)
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(d=1, depth=17), dict(d=2, depth=8, sigma="spikes"),
+    dict(d=1, depth=17, **_SPIKES), dict(d=2, depth=8, **_SPIKES),
+])
 def test_exact_bits_do_not_depend_on_the_threads(kernel_threads, cfg):
     # inline, and with the chunk list's halves and the scans' half-trees on
     # two threads: the chunks' partial dots are summed in chunk order either
     # way, so the solve is the same bit for bit
     inst = gen_instance(GeneratorConfig(**cfg), 3)
+    tau, sigma, omega = inst.tau, inst.sigma, inst.omega
     assert inst.grid.n_leaves >= 2 * extremal._CHUNK
 
     def solve():
-        est = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+        est = exact_norm_22(tau, sigma, omega)
         assert est.kind == "exact" and est.iterations > 2
         # the chunked passes go through on_halves, with or without the pool
         assert kernel_threads.calls
         return est.value, est.extremal_f, est.extremal_g, est.iterations, est.residual
 
-    kernel_threads.assert_split_matches_inline(solve)
+    s, f, g, _, residual = kernel_threads.assert_split_matches_inline(solve)
+    # the pair is 0 off the supports and satisfies both singular-pair
+    # equations, recomputed with fresh arrays, to the residual it claims
+    assert np.all(f[sigma.leaf_mass == 0] == 0) and np.all(g[omega.leaf_mass == 0] == 0)
+    fwd = apply_T(tau, Measure.product(g, omega)) - s * f
+    adj = apply_T(tau, Measure.product(f, sigma)) - s * g
+    pair = max(lp_norm(fwd, sigma, 2.0), lp_norm(adj, omega, 2.0))
+    assert pair <= residual + 1e-12 * s, f"pair residual {pair / s:.2e}, claimed {residual / s:.2e}"
 
 
 @pytest.mark.parametrize(

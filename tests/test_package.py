@@ -16,3 +16,13 @@ def test_norm_bounds_is_the_extremal_entry_point():
     assert not hasattr(twoweight, "ascent_bounds")
     # the norm stage takes the pool's seed, not an options object
     assert not hasattr(twoweight, "AscentOptions") and not hasattr(extremal, "AscentOptions")
+
+
+def test_test_only_helpers_are_not_exported():
+    # the strengthened constant's sup has only test callers and lives in
+    # tests/test_constants.py; its per-cube values stay for the strong scores
+    from twoweight import constants
+
+    assert not hasattr(twoweight, "strengthened_local_testing")
+    assert not hasattr(constants, "strengthened_local_testing")
+    assert hasattr(constants, "strengthened_local_values")
