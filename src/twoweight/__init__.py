@@ -36,9 +36,6 @@ from .grid import (
     cube_averages,
     cube_integrals,
     lp_norm,
-    measure_avg,
-    parent,
-    weighted_avg,
 )
 from .harness import (
     ConfigError,
@@ -53,13 +50,8 @@ from .harness import (
 )
 from .operators import (
     CubeWeights,
-    Selection,
-    SelectionError,
     apply_T,
     apply_T_restricted,
-    bilinear_form,
-    linearized_maximal,
-    localized_two_weight_maximal,
     maximal,
 )
 from .prooflab import (
@@ -72,12 +64,10 @@ from .prooflab import (
     classify_cubes,
     corridor_sets,
     geometric_sum_audit,
-    halving_chain,
     max_principle_audit,
     neighbor_sets,
     occurrence_audit,
     principal_cubes,
-    superlevel_maximal_cubes,
     whitney_layers,
 )
 
@@ -96,18 +86,10 @@ __all__ = [
     "cube_averages",
     "cube_integrals",
     "lp_norm",
-    "measure_avg",
-    "parent",
-    "weighted_avg",
     # operators
     "CubeWeights",
-    "Selection",
-    "SelectionError",
     "apply_T",
     "apply_T_restricted",
-    "bilinear_form",
-    "linearized_maximal",
-    "localized_two_weight_maximal",
     "maximal",
     # constants
     "TestingReport",
@@ -136,12 +118,10 @@ __all__ = [
     "classify_cubes",
     "corridor_sets",
     "geometric_sum_audit",
-    "halving_chain",
     "max_principle_audit",
     "neighbor_sets",
     "occurrence_audit",
     "principal_cubes",
-    "superlevel_maximal_cubes",
     "whitney_layers",
     # harness
     "ConfigError",

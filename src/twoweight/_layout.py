@@ -85,14 +85,6 @@ def _slot_keys(d: int) -> tuple:
     )
 
 
-def child_offsets(lev, within, d):
-    """Offsets within level ``lev + 1`` of the children of the cubes at offsets
-    ``within`` (int or int array) of level ``lev``, in child order on a new axis."""
-    bits = np.array([key[1::2] for key in _slot_keys(d)], dtype=np.int64)
-    coords = decode(lev, np.asarray(within, dtype=np.int64)[..., None], d)
-    return encode(lev + 1, [(c << 1) | bits[:, k] for k, c in enumerate(coords)])
-
-
 def child_slots(values, level_offsets, lev, d, which=None):
     """Level ``lev >= 1`` of ``values`` as one view per child slot, in
     canonical child order: view ``s`` has the shape of the parent block

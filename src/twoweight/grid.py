@@ -34,7 +34,7 @@ class GridSizeError(ValueError):
 
 
 class UndefinedAverageError(ValueError):
-    """Average against a measure with zero mass on the cube."""
+    """The maximal function against a measure with no mass: mu(root) = 0."""
 
 
 GridFunction = np.ndarray
@@ -46,8 +46,8 @@ class CubeRef:
     """Reference to a dyadic cube.
 
     Real cubes have ``level >= 0`` and one coordinate per dimension. Virtual
-    ancestors of the root have ``level < 0`` and empty coordinates; they carry
-    only their height above the root.
+    ancestors of the root have ``level < 0`` and empty coordinates; their
+    level is minus their height above the root.
     """
 
     level: int
@@ -60,11 +60,6 @@ class CubeRef:
     @property
     def is_virtual(self) -> bool:
         return self.level < 0
-
-    @property
-    def height(self) -> int:
-        """Height above the root for virtual cubes (0 for the root itself)."""
-        return max(-self.level, 0)
 
 
 class DyadicGrid:
@@ -166,19 +161,6 @@ class DyadicGrid:
         within = index - int(self.level_offsets[lev])
         return CubeRef(lev, tuple(_layout.decode(lev, within, self.d)))
 
-    @property
-    def root(self) -> CubeRef:
-        return CubeRef(0, (0,) * self.d)
-
-    def children_indices(self, index: int) -> np.ndarray:
-        """The children of a cube, in canonical child order (none for a leaf)."""
-        index = self.index_of(index)
-        lev = self.level_of(index)
-        if lev >= self.depth:
-            return np.empty(0, dtype=np.int64)
-        within = index - int(self.level_offsets[lev])
-        return self.level_offsets[lev + 1] + _layout.child_offsets(lev, within, self.d)
-
     def ancestor(self, index, j):
         """The j-fold parent of a cube index, -1 above the root; ``index`` and ``j``
         are ints (giving an int) or int arrays, broadcast against each other."""
@@ -261,20 +243,6 @@ def build_grid(d: int, depth: int, max_leaves: int = DEFAULT_MAX_LEAVES) -> Dyad
     return _cached_grid(d, depth, max_leaves)
 
 
-def parent(grid: DyadicGrid, cube: CubeRef, j: int = 1) -> CubeRef:
-    """The j-fold dyadic parent; virtual once the level drops below 0."""
-    if j < 0:
-        raise ValueError("parent order must be >= 0")
-    if j == 0:
-        return cube
-    new_level = cube.level - j
-    if new_level < 0:
-        return CubeRef(new_level)
-    if cube.is_virtual:  # j > 0 but level stays >= 0: impossible from virtual
-        raise ValueError("cannot descend from a virtual cube")
-    return CubeRef(new_level, tuple(c >> j for c in cube.coords))
-
-
 class Measure:
     """Nonnegative (or, via :meth:`product`, signed) measure given by leaf masses.
 
@@ -327,19 +295,9 @@ class Measure:
             raise ValueError(f"expected {weight.grid.n_leaves} leaf values, got shape {f.shape}")
         return Measure(weight.grid, _leaf_product(f, weight, np.empty(f.size)), is_weight=False)
 
-    def mass(self, cube) -> float:
-        if isinstance(cube, CubeRef) and cube.is_virtual:
-            raise ValueError("virtual cubes carry no mass")
-        return float(self.cube_mass[self.grid.index_of(cube)])
-
     @property
     def total(self) -> float:
         return float(self.cube_mass[0])
-
-    def scaled(self, c: float) -> "Measure":
-        if self.is_weight and c < 0:
-            return Measure(self.grid, c * self.leaf_mass, is_weight=False)
-        return Measure(self.grid, c * self.leaf_mass, is_weight=self.is_weight)
 
     def with_leaf_mask(self, mask) -> "Measure":
         """Restriction: masses kept where ``mask`` is true, zero elsewhere."""
@@ -349,26 +307,6 @@ class Measure:
     def __repr__(self):
         kind = "weight" if self.is_weight else "signed"
         return f"Measure({kind}, total={self.total:.6g})"
-
-
-def measure_avg(nu: Measure, cube) -> float:
-    """E_Q nu = nu(Q)/|Q|; virtual cubes give 0 by the zero-outside-root convention."""
-    if isinstance(cube, CubeRef) and cube.is_virtual:
-        return 0.0
-    grid = nu.grid
-    i = grid.index_of(cube)
-    return float(nu.cube_mass[i] / grid.level_volumes[grid.level_of(i)])
-
-
-def weighted_avg(f: GridFunction, mu: Measure, cube) -> float:
-    """Average of f over the cube against mu. Raises when mu(Q) == 0."""
-    grid = mu.grid
-    i = grid.index_of(cube)
-    denom = float(mu.cube_mass[i])
-    if denom == 0.0:
-        raise UndefinedAverageError(f"cube {grid.cube(i)} has zero mass")
-    num = cube_integrals(f, mu)[i]
-    return float(num / denom)
 
 
 def lp_norm(f: GridFunction, mu: Measure, p: float) -> float:

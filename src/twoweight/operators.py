@@ -1,4 +1,4 @@
-"""The positive dyadic operator, its localizations, and dyadic maximal functions.
+"""The positive dyadic operator, its localizations, and the dyadic maximal function.
 
 The operator is ``T nu(x) = sum_Q tau_Q * E_Q(nu) * 1_Q(x)`` over the real
 cubes of the grid. The in-localization at R keeps the summands Q inside R, the
@@ -19,13 +19,8 @@ from .grid import (
     GridFunction,
     Measure,
     UndefinedAverageError,
-    cube_averages,
     cube_integrals,
 )
-
-
-class SelectionError(ValueError):
-    """Invalid disjoint-selection input for the linearized maximal function."""
 
 
 class CubeWeights:
@@ -87,41 +82,6 @@ class CubeWeights:
         return f"CubeWeights({self.rule}, cubes={self.grid.n_cubes})"
 
 
-class Selection:
-    """Disjoint leaf-sets E(Q) <= Q, one per chosen cube.
-
-    ``sets`` maps cube index -> array of leaf positions. Containment and
-    pairwise disjointness are validated up front.
-    """
-
-    def __init__(self, grid: DyadicGrid, sets: dict):
-        self.grid = grid
-        self.sets = {}
-        used = np.zeros(grid.n_leaves, dtype=bool)
-        for cube, leaves in sets.items():
-            i = grid.index_of(cube)
-            leaves = np.asarray(leaves, dtype=np.int64)
-            if leaves.size == 0:
-                self.sets[i] = leaves
-                continue
-            if leaves.min() < 0 or leaves.max() >= grid.n_leaves:
-                raise SelectionError("leaf positions out of range")
-            inside = grid.subtree_leaf_mask(i)
-            if not np.all(inside[leaves]):
-                raise SelectionError(f"selection for cube {grid.cube(i)} leaves its cube")
-            if np.any(used[leaves]):
-                raise SelectionError("selections overlap")
-            used[leaves] = True
-            self.sets[i] = leaves
-
-
-def _leaf_function(grid: DyadicGrid, f) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (grid.n_leaves,):
-        raise ValueError(f"expected {grid.n_leaves} leaf values, got shape {f.shape}")
-    return f
-
-
 def apply_T(tau: CubeWeights, nu: Measure) -> GridFunction:
     """Evaluate T(nu) at every leaf.
 
@@ -169,16 +129,6 @@ def apply_T_restricted(tau: CubeWeights, nu: Measure, R, mode: str) -> GridFunct
     return path[grid.leaf_start :].copy()
 
 
-def bilinear_form(
-    tau: CubeWeights, f: GridFunction, sigma: Measure, g: GridFunction, omega: Measure
-) -> float:
-    """sum_Q tau_Q * E_Q(f sigma) * E_Q(g omega) * |Q|."""
-    grid = tau.grid
-    mf = cube_integrals(_leaf_function(grid, f), sigma)
-    mg = cube_integrals(_leaf_function(grid, g), omega)
-    return float(np.sum(tau.coef * mf * mg))
-
-
 def maximal(f: GridFunction, mu: Measure) -> GridFunction:
     """Dyadic maximal function M_mu f(x) = sup over cubes containing x of E_mu_Q |f|.
 
@@ -186,7 +136,9 @@ def maximal(f: GridFunction, mu: Measure) -> GridFunction:
     sees at least one admissible cube.
     """
     grid = mu.grid
-    f = _leaf_function(grid, f)
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (grid.n_leaves,):
+        raise ValueError(f"expected {grid.n_leaves} leaf values, got shape {f.shape}")
     if mu.total <= 0:
         raise UndefinedAverageError("maximal function needs mu(root) > 0")
     # the averages, the -inf of massless cubes and the scan share one array
@@ -200,56 +152,3 @@ def _averages(integrals, mass) -> None:
     live = mass > 0
     np.divide(integrals, mass, out=integrals, where=live)
     np.copyto(integrals, -np.inf, where=~live)
-
-
-def linearized_maximal(f: GridFunction, mu: Measure, selection: Selection) -> GridFunction:
-    """L f = sum_Q 1_{E(Q)} E_mu_Q f over the disjoint selection."""
-    grid = mu.grid
-    f = _leaf_function(grid, f)
-    ints = cube_integrals(f, mu)
-    out = np.zeros(grid.n_leaves)
-    for i, leaves in selection.sets.items():
-        if leaves.size == 0:
-            continue
-        denom = float(mu.cube_mass[i])
-        if denom == 0.0:
-            raise UndefinedAverageError(
-                f"selected cube {grid.cube(i)} has zero mass but a nonempty selection"
-            )
-        out[leaves] = ints[i] / denom
-    return out
-
-
-def localized_two_weight_maximal(
-    f: GridFunction,
-    sigma: Measure,
-    omega: Measure,
-    Q0,
-    p: float,
-    *,
-    return_uncovered: bool = False,
-):
-    """sup over Q <= Q0 containing x of (omega(Q)^-1 int_Q f^p dsigma)^(1/p).
-
-    Supported on Q0 (zero outside). Leaves of Q0 not contained in any cube of
-    positive omega-mass get value 0; pass ``return_uncovered=True`` to also get
-    that diagnostic mask.
-    """
-    grid = sigma.grid
-    f = _leaf_function(grid, f)
-    if np.any(f < 0):
-        raise ValueError("the localized maximal function requires f >= 0")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    i0 = grid.index_of(Q0)
-    num = cube_integrals(f**p, sigma)
-    ok = omega.cube_mass > 0
-    cand = np.where(ok, (num / np.where(ok, omega.cube_mass, 1.0)) ** (1.0 / p), -np.inf)
-    cand = np.where(grid.subtree_cube_mask(i0), cand, -np.inf)
-    best = _kernels.down_max(cand, grid)[grid.leaf_start :]
-    in_q0 = grid.subtree_leaf_mask(i0)
-    uncovered = in_q0 & ~np.isfinite(best)
-    values = np.where(in_q0 & np.isfinite(best), best, 0.0)
-    if return_uncovered:
-        return values, uncovered
-    return values

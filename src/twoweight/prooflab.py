@@ -2,9 +2,9 @@
 
 Everything here operates on superlevel sets of v = T(f sigma): Whitney-style
 cube layers, corridor sets, the three-way cube classification, neighbor and
-occurrence counting, halving chains, principal-cube coronas, and the maximum
-principle. Constructions return their audit findings as plain strings instead
-of raising, so a suite can aggregate violations across instances; an empty
+occurrence counting, principal-cube coronas, and the maximum principle.
+Constructions return their audit findings as plain strings instead of
+raising, so a suite can aggregate violations across instances; an empty
 violation list is the expected outcome on every input.
 
 Conventions, fixed once and used consistently:
@@ -217,23 +217,6 @@ def _meets(grid: DyadicGrid, cubes: np.ndarray, u: int) -> np.ndarray:
     return grid.ancestor(cubes, np.maximum(gap, 0)) == grid.ancestor(u, np.maximum(-gap, 0))
 
 
-def superlevel_maximal_cubes(
-    grid: DyadicGrid, v, lam: float, *, require_double: bool = False
-) -> np.ndarray:
-    """Maximal dyadic cubes entirely inside {v > lam}, as sorted cube indices.
-
-    With ``require_double=True`` the list is filtered to cubes that also meet
-    {v > 2*lam}.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (grid.n_leaves,):
-        raise ValueError(f"expected {grid.n_leaves} leaf values, got shape {v.shape}")
-    keep = _maximal_mask(grid, _full_cube_mask(grid, [v > lam]))[0]
-    if require_double:
-        keep &= ~_full_cube_mask(grid, [~(v > 2 * lam)])[0]
-    return np.flatnonzero(keep).astype(np.int64)
-
-
 @dataclass
 class WhitneyLayer:
     k: int
@@ -254,9 +237,6 @@ class WhitneyDecomposition:
     fo_max: int = 0
     crowd_max: int = 0
     checks: int = 0  # comparisons made by the structural audits
-
-    def layer(self, k: int) -> WhitneyLayer | None:
-        return next((lay for lay in self.layers if lay.k == k), None)
 
     def omega_mask(self, k: int) -> np.ndarray:
         """Leaf mask of Omega_k = {v > base**k}, for any integer k."""
@@ -999,30 +979,6 @@ def carleson_of_principal(forest: PrincipalForest, p: float) -> float:
         for c in forest.cubes
     )
     return numer / denom
-
-
-def halving_chain(omega: Measure, x, q0) -> list[int]:
-    """Descending cube chain along x where the omega mass at least halves per step.
-
-    Each successor is the largest cube on x's ancestor line, strictly inside
-    the current cube, whose mass is at most half the current mass; the chain
-    stops at the leaf or when no such cube exists.
-    """
-    grid = omega.grid
-    xi = grid.index_of(x)
-    if grid.level_of(xi) != grid.depth:
-        raise ValueError("x must be a leaf cube")
-    q0i = grid.index_of(q0)
-    height = grid.depth - grid.level_of(q0i)
-    if grid.ancestor(xi, height) != q0i:
-        raise ValueError("x does not lie in the starting cube")
-    if omega.cube_mass[q0i] == 0:
-        raise ValueError("starting cube has zero mass")
-    chain = [q0i]
-    for c in grid.ancestor(xi, np.arange(height - 1, -1, -1)).tolist():  # down to the leaf
-        if omega.cube_mass[c] <= 0.5 * omega.cube_mass[chain[-1]]:
-            chain.append(c)
-    return chain
 
 
 @dataclass

@@ -55,7 +55,7 @@ def test_carleson_norm_of_volume_weights():
         tau = CubeWeights(g, _volumes(g))
         val, argmax = carleson_norm(tau)
         assert val == pytest.approx(depth + 1.0, rel=1e-14)
-        assert argmax == g.root
+        assert argmax == g.cube(0)
 
 
 def test_carleson_norm_homogeneous():
@@ -70,7 +70,7 @@ def test_carleson_argmax_no_tie_to_larger_index():
     tau = CubeWeights(g, [0.0, 1.0, 1.0])  # both halves give 1/(1/2) = 2, root gives 2
     val, argmax = carleson_norm(tau)
     assert val == pytest.approx(2.0)
-    assert argmax == g.root  # smallest canonical index wins the tie
+    assert argmax == g.cube(0)  # smallest canonical index wins the tie
 
 
 def test_weighted_carleson_matches_unweighted_for_lebesgue():
@@ -109,7 +109,7 @@ def test_root_only_weights_all_constants_one():
     for exps in (Exponents(2.0, 2.0), Exponents(1.5, 3.0)):
         loc, arg = local_testing(tau, leb, leb, exps)
         assert loc == pytest.approx(1.0, rel=1e-14)
-        assert arg == g.root
+        assert arg == g.cube(0)
         glo, _ = global_testing(tau, leb, leb, exps)
         assert glo == pytest.approx(1.0, rel=1e-14)
     c1, c2 = quadratic_constants_22(tau, leb, leb)

@@ -29,10 +29,10 @@ from twoweight.extremal import (
 from twoweight.constants import carleson_norm
 from twoweight.grid import Exponents, GridSizeError, Measure, build_grid, lp_norm
 from twoweight.harness import GeneratorConfig, gen_instance
-from twoweight.operators import CubeWeights, apply_T, bilinear_form
+from twoweight.operators import CubeWeights, apply_T
 
 from test_acceptance import SUITE_GENERATORS
-from test_operators import _volumes
+from test_operators import _bilinear_form, _volumes
 
 
 def _random_instance(d, depth, seed, tau_style="random"):
@@ -114,7 +114,7 @@ def test_exact_extremal_pair_attains_value():
     # the returned pair is unit-normalized and reproduces the value as a form
     assert lp_norm(est.extremal_f, sigma, 2.0) == pytest.approx(1.0, rel=1e-12)
     assert lp_norm(est.extremal_g, omega, 2.0) == pytest.approx(1.0, rel=1e-12)
-    form = bilinear_form(tau, est.extremal_f, sigma, est.extremal_g, omega)
+    form = _bilinear_form(tau, est.extremal_f, sigma, est.extremal_g, omega)
     assert form == pytest.approx(est.value, rel=1e-10)
     # and as an image norm
     image = apply_T(tau, Measure.product(est.extremal_f, sigma))
@@ -131,7 +131,7 @@ def test_exact_form_maximality():
         h = rng.standard_normal(g.n_leaves)
         f /= lp_norm(f, sigma, 2.0)
         h /= lp_norm(h, omega, 2.0)
-        assert bilinear_form(tau, f, sigma, h, omega) <= est.value * (1 + 1e-10)
+        assert _bilinear_form(tau, f, sigma, h, omega) <= est.value * (1 + 1e-10)
 
 
 def test_exact_zero_kernel():

@@ -14,14 +14,10 @@ from twoweight.grid import (
     Exponents,
     GridSizeError,
     Measure,
-    UndefinedAverageError,
     build_grid,
     cube_averages,
     cube_integrals,
     lp_norm,
-    measure_avg,
-    parent,
-    weighted_avg,
 )
 from twoweight.operators import CubeWeights
 
@@ -101,17 +97,6 @@ def test_index_roundtrip():
     g = build_grid(2, 2)
     for i in range(g.n_cubes):
         assert g.index_of(g.cube(i)) == i
-
-
-def test_children_partition_parent():
-    g = build_grid(2, 2)
-    for i in range(g.leaf_start):
-        kids = g.children_indices(i)
-        assert len(kids) == g.arity
-        assert all(int(g.parent[k]) == i for k in kids)
-    # level-by-level the children of one level tile the next
-    all_kids = np.concatenate([g.children_indices(i) for i in range(g.leaf_start)])
-    assert sorted(all_kids) == list(range(1, g.n_cubes))
 
 
 def test_ancestor_chain():
@@ -221,7 +206,6 @@ def test_queries_leave_the_grid_unchanged(d, depth):
         g.ancestor_indices(i)
         g.subtree_cube_mask(i)
         g.subtree_leaf_mask(i)
-        g.children_indices(i)
         g.index_of(g.cube(i))
     g.ancestor(np.arange(g.n_cubes), np.arange(g.n_cubes) % (depth + 2))
     g.leaf_ancestor_matrix()
@@ -247,10 +231,8 @@ def test_size_budget_enforced():
 
 def test_virtual_parent():
     g = build_grid(1, 1)
-    root = g.root
-    up = parent(g, root, 2)
-    assert up.is_virtual and up.level == -2
-    assert parent(g, up, 0) is up
+    up = CubeRef(-2)  # the root's two-fold parent
+    assert up.is_virtual
     with pytest.raises(ValueError):
         g.index_of(up)
 
@@ -274,7 +256,9 @@ def test_parent_collapses_coords(d, depth):
     if d * depth > 8:
         return
     for i in range(1, g.n_cubes):
-        assert g.index_of(parent(g, g.cube(i))) == int(g.parent[i])
+        cube = g.cube(i)
+        up = CubeRef(cube.level - 1, tuple(c >> 1 for c in cube.coords))
+        assert g.index_of(up) == int(g.parent[i])
 
 
 # -- measures -----------------------------------------------------------------
@@ -284,8 +268,8 @@ def test_lebesgue_masses():
     g = build_grid(2, 2)
     mu = Measure.lebesgue(g)
     assert mu.total == pytest.approx(1.0, abs=1e-15)
-    assert mu.mass(g.cube(1)) == pytest.approx(0.25, abs=1e-15)
-    assert measure_avg(mu, 0) == pytest.approx(1.0)
+    assert mu.cube_mass[1] == pytest.approx(0.25, abs=1e-15)
+    assert cube_averages(mu)[0] == pytest.approx(1.0)
 
 
 def test_mass_additivity_is_exact():
@@ -293,7 +277,7 @@ def test_mass_additivity_is_exact():
     rng = np.random.default_rng(3)
     mu = Measure(g, rng.exponential(size=g.n_leaves))
     for i in range(g.leaf_start):
-        kids = g.children_indices(i)
+        kids = np.flatnonzero(g.parent == i)
         # bit-exact because cube masses accumulate children in a fixed order
         assert mu.cube_mass[i] == mu.cube_mass[kids[0]] + mu.cube_mass[kids[1]]
 
@@ -329,30 +313,11 @@ def test_product_measure_signed():
             Measure.product(bad, w)
 
 
-def test_scaled_and_masked():
+def test_masked_restriction():
     g = build_grid(1, 2)
     mu = Measure(g, [1.0, 2.0, 3.0, 4.0])
-    assert mu.scaled(0.5).total == pytest.approx(5.0)
-    assert not mu.scaled(-1.0).is_weight
     restricted = mu.with_leaf_mask([True, False, False, True])
     assert restricted.total == pytest.approx(5.0)
-
-
-def test_measure_avg_virtual_is_zero():
-    g = build_grid(1, 1)
-    mu = Measure.lebesgue(g)
-    assert measure_avg(mu, CubeRef(-1)) == 0.0
-    with pytest.raises(ValueError):
-        mu.mass(CubeRef(-1))
-
-
-def test_weighted_avg_and_zero_mass():
-    g = build_grid(1, 2)
-    mu = Measure(g, [1.0, 1.0, 0.0, 0.0])
-    f = np.array([2.0, 4.0, 9.0, 9.0])
-    assert weighted_avg(f, mu, 1) == pytest.approx(3.0)
-    with pytest.raises(UndefinedAverageError):
-        weighted_avg(f, mu, 2)
 
 
 def test_cube_integrals_match_pointwise():

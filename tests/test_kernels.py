@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from twoweight import _kernels
+from twoweight import _kernels, _layout
 from twoweight.grid import Measure, build_grid
 from twoweight.operators import CubeWeights, apply_T, maximal
 
@@ -217,6 +217,17 @@ def test_batch_matches_single_row():
                     assert _same_bits(in_place[r], expect)
 
 
+def _slot_children(grid, i):
+    """The children of cube ``i`` in the order of the child slots that the
+    scans read (``_layout._slot_keys``): the child in slot s has coordinates
+    2 * c_k + ((s >> k) & 1)."""
+    lev = grid.level_of(i)
+    bits = np.array([key[1::2] for key in _layout._slot_keys(grid.d)], dtype=np.int64)
+    coords = _layout.decode(lev, i - int(grid.level_offsets[lev]), grid.d)
+    kids = [(c << 1) | bits[:, k] for k, c in enumerate(coords)]
+    return grid.level_offsets[lev + 1] + _layout.encode(lev + 1, kids)
+
+
 @pytest.mark.parametrize("d,depth", CROSSING)
 def test_layout_child_order_matches_argsort(d, depth):
     grid = build_grid(d, depth)
@@ -224,7 +235,7 @@ def test_layout_child_order_matches_argsort(d, depth):
     for i in range(grid.leaf_start):  # a parent's children are its group of the next level
         lev = grid.cube(i).level
         start = grid.level_offsets[lev + 1] + (i - grid.level_offsets[lev]) * grid.arity
-        kids = grid.children_indices(i)
+        kids = _slot_children(grid, i)
         assert np.array_equal(kids, oracle[start : start + grid.arity])
         # child order is index order: the leaf-to-root gather adds in index order
         assert np.all(np.diff(kids) > 0)

@@ -17,17 +17,7 @@ from twoweight.grid import (
     cube_integrals,
     lp_norm,
 )
-from twoweight.operators import (
-    CubeWeights,
-    Selection,
-    SelectionError,
-    apply_T,
-    apply_T_restricted,
-    bilinear_form,
-    linearized_maximal,
-    localized_two_weight_maximal,
-    maximal,
-)
+from twoweight.operators import CubeWeights, apply_T, apply_T_restricted, maximal
 
 
 def _volumes(g):
@@ -48,6 +38,12 @@ def _instance(d, depth, seed, tau_style="random"):
     else:
         tau = CubeWeights.root_only(g)
     return g, tau, sigma, omega, rng
+
+
+def _bilinear_form(tau, f, sigma, g, omega):
+    """Oracle for the operator's bilinear form: the symmetric cube sum
+    sum_Q tau_Q * E_Q(f sigma) * E_Q(g omega) * |Q|."""
+    return float(np.sum(tau.coef * cube_integrals(f, sigma) * cube_integrals(g, omega)))
 
 
 def _apply_T_brute(tau, nu):
@@ -187,7 +183,7 @@ def test_self_adjointness_of_bilinear_form():
     g, tau, sigma, omega, rng = _instance(2, 2, seed=3)
     f = rng.exponential(size=g.n_leaves)
     h = rng.exponential(size=g.n_leaves)
-    form = bilinear_form(tau, f, sigma, h, omega)
+    form = _bilinear_form(tau, f, sigma, h, omega)
     lhs = np.sum(apply_T(tau, Measure.product(f, sigma)) * h * omega.leaf_mass)
     rhs = np.sum(apply_T(tau, Measure.product(h, omega)) * f * sigma.leaf_mass)
     assert lhs == pytest.approx(form, rel=1e-12)
@@ -243,7 +239,7 @@ def test_restricted_mode_validation():
         apply_T_restricted(tau, sigma, 0, "sideways")
 
 
-# -- maximal functions --------------------------------------------------------
+# -- the maximal function -----------------------------------------------------
 
 
 def test_maximal_dominates_averages():
@@ -287,81 +283,6 @@ def test_maximal_lp_bound_conjugate_exponent():
             f = rng.exponential(size=g.n_leaves)
             ratio = lp_norm(maximal(f, mu), mu, p) / lp_norm(f, mu, p)
             assert ratio <= pc * (1 + 1e-10)
-
-
-def test_selection_validation():
-    g = build_grid(1, 2)
-    with pytest.raises(SelectionError):
-        Selection(g, {1: [2]})  # leaf 2 lies in the right half, not in cube 1
-    with pytest.raises(SelectionError):
-        Selection(g, {1: [0], 0: [0]})  # overlap
-    with pytest.raises(SelectionError):
-        Selection(g, {0: [7]})  # out of range
-    sel = Selection(g, {1: [0, 1], 2: []})
-    assert set(sel.sets) == {1, 2}
-
-
-def test_linearized_maximal_matches_selected_averages():
-    g = build_grid(1, 2)
-    mu = Measure(g, [1.0, 3.0, 2.0, 2.0])
-    f = np.array([4.0, 0.0, 1.0, 3.0])
-    sel = Selection(g, {1: [0], 2: [2, 3]})
-    lin = linearized_maximal(f, mu, sel)
-    assert lin[0] == pytest.approx(1.0)  # E_mu over left half = 4/4
-    assert lin[1] == 0.0
-    assert lin[2] == lin[3] == pytest.approx(2.0)  # (2+6)/4
-    # linearization never exceeds the maximal function where defined
-    assert np.all(lin <= maximal(f, mu) + 1e-12)
-
-
-def test_linearized_maximal_zero_mass_cube_raises():
-    g = build_grid(1, 2)
-    mu = Measure(g, [0.0, 0.0, 1.0, 1.0])
-    sel = Selection(g, {1: [0]})
-    with pytest.raises(UndefinedAverageError):
-        linearized_maximal(np.ones(4), mu, sel)
-
-
-def test_localized_maximal_supported_on_Q0():
-    g, _, sigma, omega, rng = _instance(1, 4, seed=11)
-    f = rng.exponential(size=g.n_leaves)
-    vals = localized_two_weight_maximal(f, sigma, omega, 1, 2.0)
-    on = g.subtree_leaf_mask(1)
-    assert np.all(vals[~on] == 0.0)
-    assert np.all(vals[on] > 0.0)
-
-
-def test_localized_maximal_brute_force_parity():
-    g, _, sigma, omega, rng = _instance(1, 3, seed=12)
-    f = rng.exponential(size=g.n_leaves)
-    p = 1.5
-    vals = localized_two_weight_maximal(f, sigma, omega, 0, p)
-    num = np.zeros(g.n_cubes)
-    for i in range(g.n_cubes):
-        mask = g.subtree_leaf_mask(i)
-        num[i] = np.sum(f[mask] ** p * sigma.leaf_mass[mask])
-    for leaf_pos in range(g.n_leaves):
-        best = 0.0
-        for i in g.ancestor_indices(g.leaf_start + leaf_pos):
-            if omega.cube_mass[i] > 0:
-                best = max(best, (num[i] / omega.cube_mass[i]) ** (1.0 / p))
-        assert vals[leaf_pos] == pytest.approx(best, rel=1e-12)
-
-
-def test_localized_maximal_uncovered_mask():
-    g = build_grid(1, 2)
-    sigma = Measure.lebesgue(g)
-    omega = Measure(g, [1.0, 1.0, 0.0, 0.0])
-    vals, uncovered = localized_two_weight_maximal(
-        np.ones(4), sigma, omega, 2, 2.0, return_uncovered=True
-    )
-    # inside the right half no cube has positive omega-mass
-    assert np.all(uncovered == np.array([False, False, True, True]))
-    assert np.all(vals == 0.0)
-    with pytest.raises(ValueError):
-        localized_two_weight_maximal(-np.ones(4), sigma, omega, 0, 2.0)
-    with pytest.raises(ValueError):
-        localized_two_weight_maximal(np.ones(4), sigma, omega, 0, 0.5)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -1,7 +1,9 @@
 """The package's public names."""
 
+import pytest
+
 import twoweight
-from twoweight import extremal
+from twoweight import extremal, grid, operators, prooflab
 
 
 def test_every_exported_name_resolves_once():
@@ -26,3 +28,32 @@ def test_test_only_helpers_are_not_exported():
     assert not hasattr(twoweight, "strengthened_local_testing")
     assert not hasattr(constants, "strengthened_local_testing")
     assert hasattr(constants, "strengthened_local_values")
+
+
+# names that no row, audit, command or benchmark ran, with the module or class
+# that defined them
+REMOVED = [
+    (operators, "bilinear_form"),
+    (operators, "linearized_maximal"),
+    (operators, "localized_two_weight_maximal"),
+    (operators, "Selection"),
+    (operators, "SelectionError"),
+    (grid, "measure_avg"),
+    (grid, "weighted_avg"),
+    (grid, "parent"),
+    (prooflab, "halving_chain"),
+    (prooflab, "superlevel_maximal_cubes"),
+    (grid.DyadicGrid, "children_indices"),
+    (grid.DyadicGrid, "root"),
+    (grid.Measure, "scaled"),
+    (grid.Measure, "mass"),
+    (grid.CubeRef, "height"),
+    (prooflab.WhitneyDecomposition, "layer"),
+]
+
+
+@pytest.mark.parametrize("owner,name", REMOVED, ids=[name for _, name in REMOVED])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(twoweight, name)
+    assert name not in twoweight.__all__

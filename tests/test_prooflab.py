@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from twoweight.grid import DyadicGrid, Measure, build_grid, parent as cube_parent, weighted_avg
+from twoweight.grid import CubeRef, DyadicGrid, Measure, build_grid, cube_integrals
 from twoweight.harness import GeneratorConfig, gen_instance, instance_f
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted, maximal
 from twoweight import _kernels, prooflab
@@ -29,12 +29,10 @@ from twoweight.prooflab import (
     classify_cubes,
     corridor_sets,
     geometric_sum_audit,
-    halving_chain,
     max_principle_audit,
     neighbor_sets,
     occurrence_audit,
     principal_cubes,
-    superlevel_maximal_cubes,
     whitney_layers,
 )
 
@@ -66,40 +64,6 @@ def _random_case(seed, d=1, depth=4, tau_style="random"):
     return g, tau, sigma, omega, f
 
 
-# -- superlevel cubes -----------------------------------------------------------
-
-
-def test_superlevel_frozen_examples():
-    g = build_grid(1, 2)
-    assert list(superlevel_maximal_cubes(g, [1, 1, 1, 1], 0.5)) == [0]
-    assert list(superlevel_maximal_cubes(g, [1, 1, 0, 0], 0.5)) == [1]
-    assert list(superlevel_maximal_cubes(g, [1, 0, 1, 0], 0.5)) == [3, 5]
-    assert list(superlevel_maximal_cubes(g, [0, 0, 0, 0], 0.5)) == []
-
-
-def test_superlevel_require_double():
-    g = build_grid(1, 2)
-    assert list(superlevel_maximal_cubes(g, [3, 1, 0, 0], 0.5, require_double=True)) == [1]
-    assert list(superlevel_maximal_cubes(g, [1, 1, 0, 0], 0.5, require_double=True)) == []
-
-
-def test_superlevel_cubes_are_maximal_and_disjoint():
-    g, tau, sigma, _, f = _random_case(0, depth=5)
-    v = apply_T(tau, Measure.product(f, sigma))
-    lam = float(np.quantile(v, 0.6))
-    cubes = superlevel_maximal_cubes(g, v, lam)
-    covered = np.zeros(g.n_leaves, dtype=np.int64)
-    for c in cubes:
-        mask = g.subtree_leaf_mask(int(c))
-        assert np.all(v[mask] > lam)  # entirely inside the superlevel set
-        covered += mask
-        par = int(g.parent[int(c)])
-        if par >= 0:  # the parent must stick out
-            assert not np.all(v[g.subtree_leaf_mask(par)] > lam)
-    assert covered.max(initial=0) <= 1
-    np.testing.assert_array_equal(covered.astype(bool), v > lam)
-
-
 # -- Whitney layers -------------------------------------------------------------
 
 
@@ -107,7 +71,7 @@ def test_whitney_frozen_two_leaf_plateau():
     g = build_grid(1, 2)
     deco = whitney_layers(g, [3.0, 3.0, 0.0, 0.0], rho=1)
     assert [lay.k for lay in deco.layers] == [1]
-    lay = deco.layer(1)
+    lay = deco.layers[0]
     assert list(lay.cubes) == [3, 4]
     assert not lay.saturated and not lay.clamped.any()
     assert deco.violations == []
@@ -374,51 +338,6 @@ def test_principal_bounds_random(seed):
         assert carleson_of_principal(forest, p) <= pc**p * (1 + 1e-9)
 
 
-# -- halving chains -------------------------------------------------------------------
-
-
-def test_halving_chain_lebesgue():
-    g = build_grid(1, 2)
-    omega = Measure.lebesgue(g)
-    # from the root along the leftmost leaf: mass halves at every level
-    assert halving_chain(omega, 3, 0) == [0, 1, 3]
-
-
-def test_halving_chain_stalls_on_point_mass():
-    g = build_grid(1, 2)
-    omega = Measure(g, [1.0, 0.0, 0.0, 0.0])
-    # every cube on the leftmost line carries the full mass: no halving step
-    assert halving_chain(omega, 3, 0) == [0]
-
-
-def test_halving_chain_validation():
-    g = build_grid(1, 2)
-    omega = Measure.lebesgue(g)
-    with pytest.raises(ValueError):
-        halving_chain(omega, 1, 0)  # not a leaf
-    with pytest.raises(ValueError):
-        halving_chain(omega, 5, 1)  # leaf 5 is in the right half, not cube 1
-    dead = Measure(g, [0.0, 0.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        halving_chain(dead, 3, 1)  # zero-mass start
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_halving_chain_steps_are_tight(seed):
-    g = build_grid(1, 5)
-    rng = np.random.default_rng(seed)
-    omega = Measure(g, rng.exponential(size=g.n_leaves))
-    leaf = g.leaf_start + int(rng.integers(g.n_leaves))
-    chain = halving_chain(omega, leaf, 0)
-    line = g.ancestor_indices(leaf)[::-1]  # root first
-    for a, b in zip(chain, chain[1:]):
-        assert omega.cube_mass[b] <= 0.5 * omega.cube_mass[a]
-        # every intermediate cube on the line must fail the halving test,
-        # so each chosen cube is the largest admissible one
-        for mid in line[line.index(a) + 1 : line.index(b)]:
-            assert omega.cube_mass[mid] > 0.5 * omega.cube_mass[a]
-
-
 # -- maximum principle and the end-to-end audit ------------------------------------------
 
 
@@ -468,6 +387,18 @@ def test_full_audit_report_fields():
 # strings and their order included.
 
 
+def _cube_parent(cube, j):
+    """The j-fold dyadic parent of a real cube, by halving its coordinates j
+    times; virtual once the level drops below 0."""
+    level = cube.level - j
+    return CubeRef(level) if level < 0 else CubeRef(level, tuple(c >> j for c in cube.coords))
+
+
+def _layer(deco, k):
+    """The first layer of ``deco`` with index k, or None."""
+    return next((lay for lay in deco.layers if lay.k == k), None)
+
+
 def _full_oracle(g, in_mask):
     return np.array([in_mask[g.subtree_leaf_mask(c)].all() for c in range(g.n_cubes)])
 
@@ -499,17 +430,17 @@ def _audit_whitney_oracle(deco):
             for c, fl in zip(lay.cubes, lay.clamped):
                 if fl:
                     continue
-                up = cube_parent(g, g.cube(int(c)), rho)
+                up = _cube_parent(g.cube(int(c)), rho)
                 if up.is_virtual or not full[g.index_of(up)]:
                     out.append(f"margin k={lay.k} cube {int(c)}: {rho}-fold parent not inside")
-                up2 = cube_parent(g, g.cube(int(c)), rho + 1)
+                up2 = _cube_parent(g.cube(int(c)), rho + 1)
                 if not up2.is_virtual and full[g.index_of(up2)]:
                     out.append(
                         f"margin k={lay.k} cube {int(c)}: {rho + 1}-fold parent fails to escape"
                     )
         parent_masks = []
         for c in lay.cubes:
-            up = cube_parent(g, g.cube(int(c)), rho)
+            up = _cube_parent(g.cube(int(c)), rho)
             parent_masks.append(
                 np.ones(g.n_leaves, dtype=bool)
                 if up.is_virtual
@@ -563,7 +494,7 @@ def _corridor_sets_oracle(deco, m):
 def _neighbor_sets_oracle(deco, q, k, m, tau=None, omega=None):
     """(neighbors, refined, violations) with one leaf mask per layer cube."""
     g = deco.grid
-    up = cube_parent(g, g.cube(q), 1)
+    up = _cube_parent(g.cube(q), 1)
     up_mask = (
         np.ones(g.n_leaves, dtype=bool) if up.is_virtual else g.subtree_leaf_mask(g.index_of(up))
     )
@@ -573,10 +504,10 @@ def _neighbor_sets_oracle(deco, q, k, m, tau=None, omega=None):
     def meeting(lay):
         return sorted(int(c) for c in lay.cubes if np.any(g.subtree_leaf_mask(int(c)) & up_mask))
 
-    neighbors = meeting(deco.layer(k))
+    neighbors = meeting(_layer(deco, k))
     if len(neighbors) > crowd_cap:
         out.append(f"neighbor count {len(neighbors)} exceeds cap {crowd_cap} at k={k}")
-    lay_hi = deco.layer(k + m)
+    lay_hi = _layer(deco, k + m)
     refined = [] if lay_hi is None else meeting(lay_hi)
     for r in refined:
         if not np.all(up_mask[g.subtree_leaf_mask(r)]):
@@ -609,7 +540,7 @@ def _classify_oracle(deco, f, sigma, omega, tau, eta=0.25, m=DEFAULT_M):
             e_mask[leaves] = True
             w_e = float(omega.leaf_mass[leaves].sum())
             w_q = float(omega.cube_mass[c])
-            up = cube_parent(g, g.cube(c), 1)
+            up = _cube_parent(g.cube(c), 1)
             dom = (
                 np.ones(g.n_leaves, dtype=bool)
                 if up.is_virtual
@@ -652,8 +583,8 @@ def _max_principle_oracle(deco, f, sigma, tau, m=DEFAULT_M, rtol=1e-9):
         thr = lay.threshold
         for c in lay.cubes:
             c = int(c)
-            up1 = cube_parent(g, g.cube(c), 1)
-            up2 = cube_parent(g, g.cube(c), 2)
+            up1 = _cube_parent(g.cube(c), 1)
+            up2 = _cube_parent(g.cube(c), 2)
             up2_mask = (
                 np.ones(g.n_leaves, dtype=bool)
                 if up2.is_virtual
@@ -713,7 +644,8 @@ def _principal_cubes_oracle(f, sigma, seeds):
     usable = [i for i in seed_idx if sigma.cube_mass[i] > 0]
     if not usable:
         return [], {}, {}, skipped, [], 0
-    avg = {i: weighted_avg(f, sigma, i) for i in usable}
+    ints = cube_integrals(f, sigma)
+    avg = {i: float(ints[i] / sigma.cube_mass[i]) for i in usable}
     strict = {i: set(g.ancestor_indices(i, include_self=False)) for i in usable}
 
     family = []
