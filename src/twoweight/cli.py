@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,6 +19,7 @@ from .constants import carleson_norm, compute_testing_report
 from .extremal import carleson_embedding_constant, norm_bounds
 from .grid import GridSizeError, Measure
 from .harness import (
+    CHECK_RTOL,
     ConfigError,
     GeneratorConfig,
     Instance,
@@ -37,7 +37,6 @@ from .prooflab import audit_decomposition, principal_cubes
 
 _FLAGS = {
     "seed": dict(type=int, default=0, help="master random seed"),
-    "tol": dict(type=float, default=1e-8, help="relative tolerance for checks"),
     "eta": dict(type=float, default=0.25, help="classification mass fraction"),
     "rho": dict(type=int, default=1, help="margin levels in the cube layers"),
     "threads": dict(type=int, default=1, help="worker processes for suites (default 1: in-process)"),
@@ -93,12 +92,6 @@ def _load_f(inst: Instance, path: str | None) -> np.ndarray:
     return f
 
 
-def _check_tol(tol: float) -> None:
-    """A negative or non-finite tolerance would turn a passing check into a failure."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tol must be a finite number >= 0, got {tol}")
-
-
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out:
@@ -127,7 +120,6 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_testing(args) -> int:
-    _check_tol(args.tol)
     inst = _load_instance(args.instance)
     rep = compute_testing_report(inst.tau, inst.sigma, inst.omega, inst.exps)
     car, car_arg = carleson_norm(inst.tau)
@@ -142,14 +134,13 @@ def _cmd_testing(args) -> int:
     payload["cet_upper"] = cet.upper
     payload["cet_kind"] = cet.kind
     _emit(payload, args.out)
-    failed = cet_violations(cet, car, inst.exps.p, args.tol)
+    failed = cet_violations(cet, car, inst.exps.p, CHECK_RTOL)
     for check, detail in failed:
         print(f"violation [{check}]: {detail}", file=sys.stderr)
     return 1 if failed else 0
 
 
 def _cmd_norm(args) -> int:
-    _check_tol(args.tol)
     inst = _load_instance(args.instance)
     # the seed pool of a suite row, drawn from the instance's seed: the row's numbers
     strong, weak = norm_bounds(inst.tau, inst.sigma, inst.omega, inst.exps, seed=inst.seed)
@@ -162,7 +153,7 @@ def _cmd_norm(args) -> int:
             entry.pop("extremal_f", None)
             entry.pop("extremal_g", None)
     _emit(payload, args.out)
-    return 0 if weak.value <= strong.value * (1 + args.tol) else 1
+    return 0 if weak.value <= strong.value * (1 + CHECK_RTOL) else 1
 
 
 def _cmd_decompose(args) -> int:
@@ -228,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     apply_p.set_defaults(func=_cmd_apply)
 
     testing = subs.add_parser("testing", help="testing constants and Carleson data")
-    _flags(testing, "tol", "out")
+    _flags(testing, "out")
     testing.add_argument("--instance", required=True)
     testing.set_defaults(func=_cmd_testing)
 
     norm = subs.add_parser("norm", help="norm estimates (certified at p=q, lower bounds otherwise)")
-    _flags(norm, "tol", "out")
+    _flags(norm, "out")
     norm.add_argument("--instance", required=True)
     norm.add_argument("--extremals", action="store_true", help="include extremal functions")
     norm.set_defaults(func=_cmd_norm)

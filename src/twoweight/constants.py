@@ -3,8 +3,9 @@
 The local testing constant tests the operator on indicators of cubes with the
 summation restricted inside the cube; the global variant restricts it outside.
 Both come with duals obtained by swapping the measure pair and conjugating the
-exponents. At p = q = 2 the quadratic indicator-testing constants coincide
-with the local constants, which the test-suite asserts as an identity.
+exponents. At p = q = 2 the quadratic indicator-testing constants C1 and C2
+are the local constants (C1 the dual one, C2 the local one), so they are read
+from the local sweeps rather than computed a second way.
 
 Every constant is a sup over all cubes R, and each is computed for all R at
 once from the tree identity T = T^in_R + T^out_R (summands inside R, and
@@ -12,9 +13,9 @@ containing R), never by evaluating the operator once per cube. With
 c_Q = tau_Q mu(Q)/|Q| for the tested measure mu and A = down_sum(tau/|Q|),
 both read from the stored coefficient tau/|Q| (``CubeWeights.coef``):
 
-* the in-parts (local constants, C1/C2, the inside of the strengthened
-  constant) are sums over x in R of (sum_{x in Q <= R} c_Q)^e, gathered level
-  by level from the leaves up (``_inner_power_sums``);
+* the in-parts (local constants, and so C1/C2, the inside of the
+  strengthened constant) are sums over x in R of (sum_{x in Q <= R} c_Q)^e,
+  gathered level by level from the leaves up (``_inner_power_sums``);
 * the out-parts equal mu(R) A at the deepest common ancestor of x and R, so
   two ``down_sum`` passes give them for every R (``_outer_sums``).
 
@@ -185,25 +186,12 @@ def testing_constants_22(tau: CubeWeights, sigma: Measure, omega: Measure):
     """The two quadratic indicator-testing constants (C1, C2).
 
     C1^2 = sup_R sigma(R)^-1 int_R [sum_{Q <= R} tau_Q 1_Q E_Q(sigma)]^2 domega
-    and C2 swaps sigma and omega. Both come from one leaf-to-root pass each
-    (``_inner_power_sums`` with exponent 2), O(n_leaves * (depth+1)); they
-    equal the corresponding local testing constants at p = q = 2.
+    and C2 swaps sigma and omega. At p = q = 2 these are the local testing
+    constants, so they are read from the local sweeps: C1 is the dual one
+    and C2 the local one of ``compute_testing_report``.
     """
-    c1 = _quadratic_sweep(tau, sigma, omega)
-    c2 = _quadratic_sweep(tau, omega, sigma)
-    return c1, c2
-
-
-def _quadratic_sweep(tau, inner: Measure, against: Measure) -> float:
-    grid = tau.grid
-    contrib = tau.coef * inner.cube_mass
-    floor = np.zeros(grid.n_cubes) if _needs_scale(tau, inner, against, 2.0) else None
-    scale, sums = _inner_power_sums(grid, contrib, against.leaf_mass, 2.0, floor=floor)
-    ok = inner.cube_mass > 0
-    ratio = sums[ok] / inner.cube_mass[ok]
-    if scale is None:
-        return math.sqrt(float(np.max(ratio, initial=0.0)))
-    return float(np.max(scale[ok] * np.sqrt(ratio), initial=0.0))
+    e22 = Exponents(2.0, 2.0)
+    return local_testing(tau, omega, sigma, e22)[0], local_testing(tau, sigma, omega, e22)[0]
 
 
 def _needs_scale(tau: CubeWeights, mass: Measure, weight: Measure, e: float) -> bool:

@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .constants import (
-    carleson_norm,
-    compute_testing_report,
-    testing_constants_22,
-)
+from .constants import carleson_norm, compute_testing_report
 from .extremal import NormEstimate, carleson_embedding_constant, norm_bounds
 from .grid import DyadicGrid, Exponents, Measure, build_grid
 from .operators import CubeWeights
@@ -33,6 +29,11 @@ from .prooflab import audit_decomposition
 
 SIGMA_STYLES = ("lognormal", "spikes", "uniform")
 TAU_STYLES = ("random", "fractional", "sparse", "root_only")
+
+# Relative slack of a row's embedding-theorem, weak <= strong and (away from
+# p = q = 2) testing <= norm checks. ``twoweight testing`` and ``twoweight
+# norm`` check at it too, so their exit codes give the instance's row verdict.
+CHECK_RTOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -286,10 +287,10 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     """One suite row with its violations.
 
     Besides ``time_total`` the row carries per-stage wall times: the testing
-    constants (report and, at p = q = 2, C1/C2), the Carleson embedding,
-    the norm estimates and the decomposition audit, which ``time_audit_*``
-    breaks down by audit stage. ``cet`` and ``cet_upper`` bracket the
-    Carleson embedding constant (the leaf-to-root recursion of
+    report (at p = q = 2 also C1 = ``local_dual`` and C2 = ``local``), the
+    Carleson embedding, the norm estimates and the decomposition audit, which
+    ``time_audit_*`` breaks down by audit stage. ``cet`` and ``cet_upper``
+    bracket the Carleson embedding constant (the leaf-to-root recursion of
     ``carleson_embedding_constant``), ``cet_kind`` says whether the bracket
     closed, and both ends are checked against the embedding theorem
     (``cet_violations``). ``cet_iterations`` counts the recursion's passes.
@@ -323,8 +324,6 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["local_dual"] = rep.loc_dual
     row["global"] = rep.glo
     row["global_dual"] = rep.glo_dual
-    if inst.exps.is_l2:
-        c1, c2 = testing_constants_22(inst.tau, inst.sigma, inst.omega)
     t_cet = time.perf_counter()
     row["time_testing"] = t_cet - t0
 
@@ -336,7 +335,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["cet_upper"] = cet.upper
     row["cet_kind"] = cet.kind
     row["cet_iterations"] = cet.iterations
-    for check, detail in cet_violations(cet, car, inst.exps.p, 1e-12):
+    for check, detail in cet_violations(cet, car, inst.exps.p, CHECK_RTOL):
         flag(check, detail)
     t_norm = time.perf_counter()
     row["time_cet"] = t_norm - t_cet
@@ -346,10 +345,11 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     row["strong_iterations"] = strong.iterations
     row["weak"] = weak.value
     row["strong_kind"] = strong.kind
-    if weak.value > strong.value * (1 + 1e-12):
+    if weak.value > strong.value * (1 + CHECK_RTOL):
         flag("weak-le-strong", f"weak={weak.value!r} exceeds strong={strong.value!r}")
 
     if inst.exps.is_l2:
+        c1, c2 = rep.loc_dual, rep.loc  # the quadratic constants at p = q = 2
         c3 = strong.value  # norm_bounds takes it from exact_norm_22 at p = q = 2
         row["c1"] = c1
         row["c2"] = c2
@@ -366,7 +366,7 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
                 flag("testing-le-norm", f"{name}={row[name]!r} exceeds C3={c3!r}")
     elif inst.exps.p == inst.exps.q:
         for name in ("local", "local_dual", "global", "global_dual"):
-            if row[name] > strong.upper * (1 + 1e-12):
+            if row[name] > strong.upper * (1 + CHECK_RTOL):
                 flag("testing-le-norm", f"{name}={row[name]!r} exceeds norm <= {strong.upper!r}")
     t_audit = time.perf_counter()
     row["time_norm"] = t_audit - t_norm

@@ -1132,13 +1132,13 @@ def audit_decomposition(
     *,
     eta: float = DEFAULT_ETA,
     rho: int = DEFAULT_RHO,
-    m: int = DEFAULT_M,
     p: float = 2.0,
 ) -> ProofLabReport:
     """Run the full decomposition pipeline on one instance and aggregate audits.
 
-    Builds v = T(f sigma), the Whitney layers, the corridors (once, for the
-    classification and the maximum principle), the classification, the
+    Builds v = T(f sigma), the Whitney layers, the corridors at m =
+    ``DEFAULT_M`` (once, for the classification, the neighbor sets and the
+    maximum principle), the classification, the
     neighbor/occurrence counts, the maximum-principle check, and a principal
     forest seeded with all layer cubes. Every violation string from every
     stage lands in one list; an empty list means the instance passes
@@ -1162,7 +1162,7 @@ def audit_decomposition(
     v = apply_T(tau, Measure.product(f, sigma))
     deco = whitney_layers(grid, v, rho)
     lap("whitney")
-    corridors = corridor_sets(deco, m)
+    corridors = corridor_sets(deco, DEFAULT_M)
     lap("corridors")
     classified = classify_cubes(corridors, f, sigma, omega, tau, eta)
     lap("classify")
@@ -1171,7 +1171,7 @@ def audit_decomposition(
     occurrence = occurrence_audit(classified)
     violations += occurrence.violations
     found, neighbor_checks, reevaluated = _layer_neighbors(
-        deco, range(len(deco.layers)), m, tau, omega
+        deco, range(len(deco.layers)), DEFAULT_M, tau, omega
     )
     violations += [text for _, text in found]
     lap("neighbors")

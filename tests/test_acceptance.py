@@ -48,7 +48,7 @@ SUITE_GENERATORS = [
 ]
 
 
-SUITE_DIGEST = "93b68f09b2d5934a90685471be61793785800111343bf790fc83b480f3cdf0a1"
+SUITE_DIGEST = "12bf36c74af53f21537033336257d8b81d8f858468b4cd8be0756ab72a742e45"
 
 
 def _suite_config():

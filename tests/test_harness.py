@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from twoweight import _kernels, cli, extremal, harness, prooflab
+from twoweight import _kernels, cli, constants, extremal, harness, prooflab
 from twoweight.cli import main
 from twoweight.extremal import carleson_embedding_constant, exact_norm_22, strong_norm_lower
 from twoweight.grid import Measure, build_grid
@@ -360,6 +360,27 @@ def test_row_builds_one_seed_pool(monkeypatch, p, q):
             assert calls["batch"] == 2 * row["strong_iterations"] + 1
 
 
+def test_l2_row_reads_c1_c2_from_the_report(monkeypatch):
+    # at p = q = 2, C1 and C2 are the local testing constants: the row takes
+    # them from its report, so it runs three in-sweeps (the report's local
+    # pair and the seed pool's strengthened values), and they are the
+    # report's bits
+    calls = []
+    sweep = constants._inner_power_sums
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "_inner_power_sums", counting)
+    for k, cfg in enumerate(SUITE_GENERATORS):
+        inst = gen_instance(cfg, 80 + k)
+        calls.clear()
+        row, violations = harness._row_for_instance(inst, SuiteConfig())
+        assert violations == [] and len(calls) == 3, cfg.tag()
+        assert (row["c1"], row["c2"]) == (row["local_dual"], row["local"]), cfg.tag()
+
+
 def test_suite_flags_testing_above_certified_norm(monkeypatch):
     def shrunk(*args, **kwargs):
         est = strong_norm_lower(*args, **kwargs)
@@ -501,7 +522,8 @@ def test_cli_malformed_f_exit_code(tmp_path, capsys, command, content):
 @pytest.mark.parametrize(
     "command,flag",
     [("gen", "--tol"), ("apply", "--seed"), ("testing", "--eta"), ("testing", "--seed"),
-     ("norm", "--rho"), ("norm", "--seed"), ("decompose", "--threads"), ("verify", "--tol")],
+     ("testing", "--tol"), ("norm", "--rho"), ("norm", "--seed"), ("norm", "--tol"),
+     ("decompose", "--threads"), ("verify", "--tol")],
 )
 def test_cli_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     argv = [command, flag, "5"]
@@ -747,8 +769,12 @@ def test_cli_out_of_range_flag_exit_code(tmp_path, capsys, command, flag, value)
 @pytest.mark.parametrize("command", ["testing", "norm"])
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_cli_tol_out_of_range_exit_code(tmp_path, capsys, command, tol):
-    assert main([command, "--instance", str(_gen_file(tmp_path)), "--tol", tol]) == 2
-    assert "config error" in capsys.readouterr().err
+    # both commands check at the row's fixed slack: a --tol, in range or not,
+    # is an unknown flag and still exits 2
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", str(_gen_file(tmp_path)), "--tol", tol])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_decompose_negative_f_exit_code(tmp_path, capsys):

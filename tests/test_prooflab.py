@@ -7,6 +7,7 @@ The oracles at the end are the per-cube definitions the tree-scan audits must
 reproduce exactly, on random and on deliberately corrupted decompositions.
 """
 
+import functools
 import json
 import math
 
@@ -387,6 +388,15 @@ def test_full_audit_report_fields():
 # strings and their order included.
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _leaf_mask(g, c):
+    """``g.subtree_leaf_mask(c)``, built once per grid and cube and read-only:
+    the oracles ask for the same masks once per layer cube they examine."""
+    mask = g.subtree_leaf_mask(c)
+    mask.flags.writeable = False
+    return mask
+
+
 def _cube_parent(cube, j):
     """The j-fold dyadic parent of a real cube, by halving its coordinates j
     times; virtual once the level drops below 0."""
@@ -400,7 +410,7 @@ def _layer(deco, k):
 
 
 def _full_oracle(g, in_mask):
-    return np.array([in_mask[g.subtree_leaf_mask(c)].all() for c in range(g.n_cubes)])
+    return np.array([in_mask[_leaf_mask(g, c)].all() for c in range(g.n_cubes)])
 
 
 def _whitney_cubes_oracle(g, in_mask, rho):
@@ -422,7 +432,7 @@ def _audit_whitney_oracle(deco):
     for lay in deco.layers:
         in_mask = deco.omega_mask(lay.k)
         full = _full_oracle(g, in_mask)
-        masks = [g.subtree_leaf_mask(int(c)) for c in lay.cubes]
+        masks = [_leaf_mask(g, int(c)) for c in lay.cubes]
         cover = np.sum(masks, axis=0) if masks else np.zeros(g.n_leaves)
         if not (np.all(cover[in_mask] == 1) and np.all(cover[~in_mask] == 0)):
             out.append(f"disjoint-cover k={lay.k}: cubes do not disjointly cover the set")
@@ -444,7 +454,7 @@ def _audit_whitney_oracle(deco):
             parent_masks.append(
                 np.ones(g.n_leaves, dtype=bool)
                 if up.is_virtual
-                else g.subtree_leaf_mask(g.index_of(up))
+                else _leaf_mask(g, g.index_of(up))
             )
         overlap = np.sum(parent_masks, axis=0) if parent_masks else np.zeros(g.n_leaves)
         if in_mask.any():
@@ -482,7 +492,7 @@ def _corridor_sets_oracle(deco, m):
         band = deco.omega_mask(lay.k + m - 1) & ~deco.omega_mask(lay.k + m)
         seen = np.zeros(g.n_leaves, dtype=np.int64)
         for c in lay.cubes:
-            mask = g.subtree_leaf_mask(int(c)) & band
+            mask = _leaf_mask(g, int(c)) & band
             seen += mask
             sets[(lay.k, int(c))] = np.flatnonzero(mask)
         target = band & deco.omega_mask(lay.k)
@@ -496,13 +506,13 @@ def _neighbor_sets_oracle(deco, q, k, m, tau=None, omega=None):
     g = deco.grid
     up = _cube_parent(g.cube(q), 1)
     up_mask = (
-        np.ones(g.n_leaves, dtype=bool) if up.is_virtual else g.subtree_leaf_mask(g.index_of(up))
+        np.ones(g.n_leaves, dtype=bool) if up.is_virtual else _leaf_mask(g, g.index_of(up))
     )
     out = []
     crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * g.d)
 
     def meeting(lay):
-        return sorted(int(c) for c in lay.cubes if np.any(g.subtree_leaf_mask(int(c)) & up_mask))
+        return sorted(int(c) for c in lay.cubes if np.any(_leaf_mask(g, int(c)) & up_mask))
 
     neighbors = meeting(_layer(deco, k))
     if len(neighbors) > crowd_cap:
@@ -510,14 +520,14 @@ def _neighbor_sets_oracle(deco, q, k, m, tau=None, omega=None):
     lay_hi = _layer(deco, k + m)
     refined = [] if lay_hi is None else meeting(lay_hi)
     for r in refined:
-        if not np.all(up_mask[g.subtree_leaf_mask(r)]):
+        if not np.all(up_mask[_leaf_mask(g, r)]):
             out.append(f"refinement cube {r} at k+m={k + m} is not inside the parent of {q}")
     if tau is not None and omega is not None and refined:
         band = deco.omega_mask(k + m - 1) & ~deco.omega_mask(k + m)
-        e_mask = g.subtree_leaf_mask(q) & band
+        e_mask = _leaf_mask(g, q) & band
         t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), up, "in")
         for r in refined:
-            vals = t_in[g.subtree_leaf_mask(r)]
+            vals = t_in[_leaf_mask(g, r)]
             if vals.size and not np.all(vals == vals[0]):
                 out.append(
                     f"refinement-constant localization not constant on refinement cube {r}"
@@ -544,7 +554,7 @@ def _classify_oracle(deco, f, sigma, omega, tau, eta=0.25, m=DEFAULT_M):
             dom = (
                 np.ones(g.n_leaves, dtype=bool)
                 if up.is_virtual
-                else g.subtree_leaf_mask(g.index_of(up))
+                else _leaf_mask(g, g.index_of(up))
             )
             t_in = apply_T_restricted(tau, omega.with_leaf_mask(e_mask), up, "in")
             integrand = f * t_in * sigma.leaf_mass
@@ -588,11 +598,11 @@ def _max_principle_oracle(deco, f, sigma, tau, m=DEFAULT_M, rtol=1e-9):
             up2_mask = (
                 np.ones(g.n_leaves, dtype=bool)
                 if up2.is_virtual
-                else g.subtree_leaf_mask(g.index_of(up2))
+                else _leaf_mask(g, g.index_of(up2))
             )
             out_local = apply_T_restricted(tau, fs.with_leaf_mask(up2_mask), up2, "out")
             out_far = apply_T(tau, fs.with_leaf_mask(~up2_mask))
-            for leaf in np.flatnonzero(g.subtree_leaf_mask(c)):
+            for leaf in np.flatnonzero(_leaf_mask(g, c)):
                 for kind, vals in (("out-local", out_local), ("out-far", out_far)):
                     if vals[leaf] > thr * (1 + rtol):
                         lhs = float(vals[leaf])
