@@ -145,9 +145,6 @@ def _cmd_norm(args) -> int:
     # the seed pool of a suite row, drawn from the instance's seed: the row's numbers
     strong, weak = norm_bounds(inst.tau, inst.sigma, inst.omega, inst.exps, seed=inst.seed)
     payload = {"strong": strong.to_dict(), "weak": weak.to_dict()}
-    if inst.exps.is_l2:
-        # norm_bounds takes strong from exact_norm_22 at p = q = 2
-        payload["exact"] = strong.to_dict()
     if not args.extremals:
         for entry in payload.values():
             entry.pop("extremal_f", None)
@@ -185,7 +182,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         eta=args.eta,
         rho=args.rho,
-        ratio_cap=args.ratio_cap,
         threads=args.threads,
         out_dir=args.out,
     )
@@ -239,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(verify, "seed", "eta", "rho", "threads", "out")
     _gen_flags(verify)
     verify.add_argument("--n", type=int, default=50, help="instances per generator")
-    verify.add_argument("--ratio-cap", type=float, default=16.0)
     verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -352,13 +352,21 @@ def _outer_sums(tau: CubeWeights, sigma: Measure, pc: float, scaled: bool = Fals
 def _values(scale, power, mass, pc: float, qc: float):
     """mass(R)^(-1/q') * scale(R) * power(R)^(1/p') per cube, -inf where mass(R) <= 0.
 
-    ``scale`` is None for unscaled sums (see ``_inner_power_sums``).
+    ``scale`` is None for unscaled sums (see ``_inner_power_sums``). Scaled,
+    the three factors are multiplied mantissa by mantissa and their exponents
+    added, so no partial product leaves the float range where the value does
+    not (a value near 2^1000 may come from a scale and a root whose product
+    overflows); in range this is the plain product bit for bit.
     """
     ok = mass > 0
     root = power ** (1.0 / pc)
-    if scale is not None:
-        root *= scale
-    return np.where(ok, np.where(ok, mass, 1.0) ** (-1.0 / qc) * root, -np.inf)
+    inv = np.where(ok, mass, 1.0) ** (-1.0 / qc)
+    if scale is None:
+        vals = inv * root
+    else:
+        (m_i, e_i), (m_r, e_r), (m_s, e_s) = np.frexp(inv), np.frexp(root), np.frexp(scale)
+        vals = np.ldexp(m_i * (m_r * m_s), e_i + e_r + e_s)
+    return np.where(ok, vals, -np.inf)
 
 
 def _sup(grid, vals):

@@ -189,9 +189,26 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     summed in chunk order, so a grid of one chunk gets the arithmetic of
     whole-vector operations bit for bit, and the bits never depend on whether
     the chunks ran on one thread or two.
+
+    The solve runs on tau * 2^m and on sigma and omega times 4^k_s and 4^k_w,
+    each near unit size, so that its dots, which reach the sixth power of the
+    value in the Gram matrices, stay in the float range at any scale of the
+    inputs: max(tau/|Q|) 2^m lies in [1/2, 1) and the total masses times 4^k
+    in [1/2, 2), so the scaled norm is at most 2 (depth + 1). The factors are
+    folded into the square roots: sqrt(sigma) and the start vector
+    sqrt(omega) are scaled to unit size, and tau's 2^m is split between the
+    square roots, so the scans carry about 2^(+-m/2). Scaling by a power of
+    two is exact and the exponents shift with the scale of the inputs, so
+    the value, the residual and the extremals scaled back are those of the
+    unscaled solve bit for bit wherever that one stays in the float range.
     """
     grid = tau.grid
     n = grid.n_leaves
+    if sigma.total == 0.0 or omega.total == 0.0:
+        return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 0, 0.0)
+    m = -math.frexp(float(tau.coef.max()))[1]
+    k_s, k_w = (-(math.frexp(mu.total)[1] // 2) for mu in (sigma, omega))
+    e_s, e_w = k_s + m // 2, k_w + m - m // 2  # sqrt(sigma) and sqrt(omega) times 2^e
     # the solve's buffers: the scans run in work, whose leaf part takes each
     # input measure and then holds its image; the vectors are updated in place
     work = np.empty(grid.n_cubes)
@@ -205,13 +222,13 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     # coefficients, the norms at exit) as the code below sets them; each
     # returns its partial dots
     def setup(c):
-        # the square roots, the start vector x = sqrt(omega), the input of Ax,
-        # and ||x||^2 and ||sqrt(sigma)||^2
-        np.sqrt(c.s_lm, out=c.sq_s)
-        xc = np.sqrt(c.w_lm, out=c.sq_w)
-        np.copyto(c.x, xc)
-        np.multiply(xc, xc, out=c.leaves)
-        return (xc.dot(xc), c.sq_s.dot(c.sq_s))
+        # the scaled square roots, the start vector x = sqrt(omega) 2^k_w, the
+        # input of Ax, and ||x||^2
+        np.ldexp(np.sqrt(c.s_lm, out=c.sq_s), e_s, out=c.sq_s)
+        xc = np.ldexp(np.sqrt(c.w_lm, out=c.x), k_w, out=c.x)
+        np.ldexp(xc, e_w - k_w, out=c.sq_w)
+        np.multiply(xc, c.sq_w, out=c.leaves)
+        return (xc.dot(xc),)
 
     def start(c):
         # Ax, the input of A^T(Ax), and ||Ax||^2
@@ -264,15 +281,13 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
         # the extremals, Ax / ||Ax|| over sqrt(sigma) and x / ||x|| over
         # sqrt(omega), written in the Ax and x buffers; off the supports x
         # and Ax are 0 already, as sums of products with sqrt(omega) = 0 and
-        # sqrt(sigma) = 0
-        for v, sq, norm in ((c.ax, c.sq_s, na), (c.x, c.sq_w, nx)):
-            v /= norm
+        # sqrt(sigma) = 0; dividing by the norms over 2^e scales them back
+        for v, sq, norm, e in ((c.ax, c.sq_s, na, e_s), (c.x, c.sq_w, nx, e_w)):
+            v /= math.ldexp(norm, -e)
             np.divide(v, sq, out=v, where=sq > 0)
         return ()
 
-    xx, ss = _chunked(pool, chunks, setup)
-    if xx == 0.0 or ss == 0.0:
-        return NormEstimate(0.0, "exact", np.zeros(n), np.zeros(n), 0, 0.0)
+    (xx,) = _chunked(pool, chunks, setup)
     _t_leafmass(grid, tau.coef, leaves, work)
     (axax,) = _chunked(pool, chunks, start)
     if axax == 0.0:
@@ -307,12 +322,12 @@ def exact_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> NormEstim
     # with omega
     _chunked(pool, chunks, finish)
     return NormEstimate(
-        value=s,
+        value=math.ldexp(s, -(e_s + e_w)),
         kind=kind,
         extremal_f=ax,
         extremal_g=x,
         iterations=iterations,
-        residual=residual_norm,
+        residual=math.ldexp(residual_norm, -(e_s + e_w)),
         flagged=(kind != "exact"),
     )
 
@@ -360,17 +375,13 @@ def _ritz_step(basis, images):
     return c[0], c[1], (c[2] if len(c) == 3 else None)
 
 
-def dense_norm_22(
-    tau: CubeWeights,
-    sigma: Measure,
-    omega: Measure,
-    max_leaves: int = DENSE_ORACLE_MAX_LEAVES,
-) -> float:
-    """Dense singular-value oracle for the p=q=2 norm (small grids only)."""
+def dense_norm_22(tau: CubeWeights, sigma: Measure, omega: Measure) -> float:
+    """Dense singular-value oracle for the p=q=2 norm (grids of at most
+    ``DENSE_ORACLE_MAX_LEAVES`` leaves)."""
     grid = tau.grid
-    if grid.n_leaves > max_leaves:
+    if grid.n_leaves > DENSE_ORACLE_MAX_LEAVES:
         raise GridSizeError(
-            f"dense oracle limited to {max_leaves} leaves, grid has {grid.n_leaves}"
+            f"dense oracle limited to {DENSE_ORACLE_MAX_LEAVES} leaves, grid has {grid.n_leaves}"
         )
     # path[Q] = sum of tau_P/|P| over ancestors P of Q, inclusive; the kernel
     # entry at a leaf pair is path[] at their deepest common ancestor

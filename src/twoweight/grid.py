@@ -26,11 +26,11 @@ import numpy as np
 
 from . import _kernels, _layout
 
-DEFAULT_MAX_LEAVES = 1 << 20
+MAX_LEAVES = 1 << 20
 
 
 class GridSizeError(ValueError):
-    """Requested grid exceeds the configured leaf budget."""
+    """Requested grid exceeds the leaf budget."""
 
 
 class UndefinedAverageError(ValueError):
@@ -75,15 +75,15 @@ class DyadicGrid:
     the deterministic bottom-up summation order, is the layout's (``_layout``).
     """
 
-    def __init__(self, d: int, depth: int, max_leaves: int = DEFAULT_MAX_LEAVES):
+    def __init__(self, d: int, depth: int):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        if d * depth >= 63 or (1 << (d * depth)) > max_leaves:
+        if d * depth >= 63 or (1 << (d * depth)) > MAX_LEAVES:
             raise GridSizeError(
                 f"grid (d={d}, depth={depth}) would have 2**{d * depth} leaves; "
-                f"budget is {max_leaves}"
+                f"budget is {MAX_LEAVES}"
             )
         self.d = d
         self.depth = depth
@@ -176,11 +176,10 @@ class DyadicGrid:
             a = np.where((step < j) & (a >= 0), self.parent[a], a)
         return int(a) if a.ndim == 0 else a
 
-    def ancestor_indices(self, index: int, include_self: bool = True) -> list:
+    def ancestor_indices(self, index: int) -> list:
         """Chain from the cube up to the root, deepest first, as a list of ints."""
         i = self.index_of(index)
-        steps = np.arange(0 if include_self else 1, self.level_of(i) + 1)
-        return self.ancestor(i, steps).tolist()
+        return self.ancestor(i, np.arange(self.level_of(i) + 1)).tolist()
 
     def subtree_cube_mask(self, index: int) -> np.ndarray:
         """Boolean mask over cubes: descendants of ``index``, inclusive.
@@ -234,13 +233,13 @@ def _box(cube: CubeRef, lev: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _cached_grid(d: int, depth: int, max_leaves: int) -> DyadicGrid:
-    return DyadicGrid(d, depth, max_leaves)
+def _cached_grid(d: int, depth: int) -> DyadicGrid:
+    return DyadicGrid(d, depth)
 
 
-def build_grid(d: int, depth: int, max_leaves: int = DEFAULT_MAX_LEAVES) -> DyadicGrid:
+def build_grid(d: int, depth: int) -> DyadicGrid:
     """Build (or fetch from cache) the grid of dimension ``d`` and depth ``depth``."""
-    return _cached_grid(d, depth, max_leaves)
+    return _cached_grid(d, depth)
 
 
 class Measure:
@@ -269,7 +268,12 @@ class Measure:
             raise ValueError("weights require nonnegative leaf masses")
         self.grid = grid
         self.is_weight = is_weight
-        self.cube_mass = grid.subtree_sums(leaf_mass)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.cube_mass = grid.subtree_sums(leaf_mass)
+        # a cube sum that overflows makes every sum above it, the total too,
+        # inf or NaN
+        if not math.isfinite(self.cube_mass[0]):
+            raise ValueError("the total mass must be finite")
         self.cube_mass.flags.writeable = False
         self.leaf_mass = self.cube_mass[grid.leaf_start :]
 

@@ -35,6 +35,10 @@ TAU_STYLES = ("random", "fractional", "sparse", "root_only")
 # norm`` check at it too, so their exit codes give the instance's row verdict.
 CHECK_RTOL = 1e-12
 
+# The largest C3/(C1+C2) a p = q = 2 row may report before its
+# "sufficiency-cap" check fires.
+RATIO_CAP = 16.0
+
 
 class ConfigError(ValueError):
     """Raised when a generator or suite configuration is invalid."""
@@ -235,7 +239,6 @@ class SuiteConfig:
     seed: int = 0
     eta: float = 0.25
     rho: int = 1
-    ratio_cap: float = 16.0
     threads: int = 1
     out_dir: str | None = None
 
@@ -246,8 +249,6 @@ class SuiteConfig:
             raise ConfigError(f"instances per generator must be >= 0, got n={self.n}")
         check_seed(self.seed)
         check_decomposition_params(self.eta, self.rho)
-        if not self.ratio_cap > 0:
-            raise ConfigError(f"ratio cap must be > 0, got {self.ratio_cap}")
         if self.threads < 1:
             raise ConfigError(f"worker processes must be >= 1, got threads={self.threads}")
 
@@ -354,13 +355,12 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
         row["c1"] = c1
         row["c2"] = c2
         row["c3"] = c3
-        if max(c1, c2) > c3 * (1 + 1e-8):
-            flag("necessity", f"max(C1,C2)={max(c1, c2)!r} exceeds C3={c3!r}")
         denom = c1 + c2
         ratio = math.inf if (denom == 0 and c3 > 0) else (c3 / denom if denom else 0.0)
         row["ratio_sufficiency"] = ratio
-        if ratio > cfg.ratio_cap:
-            flag("sufficiency-cap", f"C3/(C1+C2)={ratio!r} exceeds cap {cfg.ratio_cap}")
+        if ratio > RATIO_CAP:
+            flag("sufficiency-cap", f"C3/(C1+C2)={ratio!r} exceeds cap {RATIO_CAP}")
+        # the necessity direction max(C1, C2) <= C3: C1 and C2 are local_dual and local
         for name in ("local", "local_dual", "global", "global_dual"):
             if row[name] > c3 * (1 + 1e-8):
                 flag("testing-le-norm", f"{name}={row[name]!r} exceeds C3={c3!r}")

@@ -28,16 +28,22 @@ class CubeWeights:
 
     Also holds ``coef`` = tau_Q/|Q|, the coefficient every application of the
     operator reads. Volumes are powers of two, so tau_Q * mu(Q) / |Q| and
-    coef_Q * mu(Q) round alike unless tau_Q * mu(Q) is subnormal.
+    coef_Q * mu(Q) round alike unless tau_Q * mu(Q) is subnormal. Weights
+    whose tau_Q/|Q| overflows are rejected with the non-finite ones.
     """
 
     def __init__(self, grid: DyadicGrid, tau, rule: str = "explicit"):
         tau = np.array(tau, dtype=np.float64, copy=True)
         if tau.shape != (grid.n_cubes,):
             raise ValueError(f"expected {grid.n_cubes} cube weights, got {tau.shape}")
-        if not np.all(np.isfinite(tau)) or np.any(tau < 0):
-            raise ValueError("cube weights must be finite and nonnegative")
-        self._hold(grid, tau, grid.divide_by_volume(tau), rule)
+        if np.any(tau < 0):
+            raise ValueError("cube weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            coef = grid.divide_by_volume(tau)
+        # tau/|Q| is at least tau, so this rejects a tau that is not finite too
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("cube weights and tau/|Q| must be finite")
+        self._hold(grid, tau, coef, rule)
 
     def _hold(self, grid: DyadicGrid, tau: np.ndarray, coef: np.ndarray, rule: str) -> None:
         self.grid = grid
@@ -66,9 +72,10 @@ class CubeWeights:
         return weights
 
     @classmethod
-    def root_only(cls, grid: DyadicGrid, value: float = 1.0) -> "CubeWeights":
+    def root_only(cls, grid: DyadicGrid) -> "CubeWeights":
+        """tau = 1 on the root and 0 on every other cube."""
         tau = np.zeros(grid.n_cubes)
-        tau[0] = value
+        tau[0] = 1.0
         return cls(grid, tau, rule="root-only")
 
     @cached_property

@@ -662,16 +662,16 @@ def neighbor_sets(
     cube,
     k: int,
     m: int = DEFAULT_M,
-    tau: CubeWeights | None = None,
-    omega: Measure | None = None,
+    *,
+    tau: CubeWeights,
+    omega: Measure,
 ) -> NeighborSets:
     """Same-layer neighbors and layer-(k+m) refinements meeting the cube's parent.
 
     Audited: every refinement cube sits inside the parent; the neighbor count
-    respects the crowding cap; and, when ``tau`` and ``omega`` are supplied,
-    the inward localization of the corridor's omega mass is exactly constant
-    on every refinement cube. The violations are the cube's entry in the
-    audit of its layer (``_layer_neighbors``).
+    respects the crowding cap; and the inward localization of the corridor's
+    omega mass is exactly constant on every refinement cube. The violations
+    are the cube's entry in the audit of its layer (``_layer_neighbors``).
     """
     grid = deco.grid
     index = _layer_index(deco.layers)
@@ -692,11 +692,7 @@ def neighbor_sets(
 
 
 def _layer_neighbors(
-    deco: WhitneyDecomposition,
-    js: range,
-    m: int,
-    tau: CubeWeights | None = None,
-    omega: Measure | None = None,
+    deco: WhitneyDecomposition, js: range, m: int, tau: CubeWeights, omega: Measure
 ) -> tuple[list[tuple[int, str]], int, int]:
     """The ``neighbor_sets`` audits of every cube of the layers ``js`` at once.
 
@@ -714,7 +710,6 @@ def _layer_neighbors(
     index = _layer_index(deco.layers)
     lays = [deco.layers[j] for j in js]
     crowd_cap = 2 ** (deco.rho + 2) * 2 ** (deco.rho * grid.d)
-    localize = tau is not None and omega is not None
     layer, cubes, bounds = _entries([lay.cubes for lay in lays])
     sizes = np.diff(bounds)
     up = grid.parent[cubes]
@@ -741,16 +736,15 @@ def _layer_neighbors(
         meet, below = _meeting(grid, _counts(grid, hi_row, hi_cubes, n))
         n_refined[e] = _read(meet, row, up[e], np.diff(hi_bounds)[row])
         outside[e] = (up[e] >= 0) & (_read(below, row, grand[e], 0.0) > 0)
-        if localize:
-            ks = np.array([lays[j].k for j in chosen], dtype=np.int64)
-            band = _omega_rows(deco, ks + m - 1) & ~_omega_rows(deco, ks + m)
-            mass = np.zeros((n, grid.n_cubes))
-            np.copyto(mass[:, grid.leaf_start :], omega.leaf_mass, where=band)
-            heavy = _kernels.up_sum_batch(mass, grid, out=mass)[hi_row, hi_cubes] > 0
-            meet = _meeting(grid, _counts(grid, hi_row[heavy], hi_cubes[heavy], n))[0]
-            n_heavy = np.bincount(hi_row[heavy], minlength=n)
-            loaded[e] = _read(meet, row, up[e], n_heavy[row]) > 0
-    checks = int(cubes.size) + int(n_refined.sum()) * (2 if localize else 1)
+        ks = np.array([lays[j].k for j in chosen], dtype=np.int64)
+        band = _omega_rows(deco, ks + m - 1) & ~_omega_rows(deco, ks + m)
+        mass = np.zeros((n, grid.n_cubes))
+        np.copyto(mass[:, grid.leaf_start :], omega.leaf_mass, where=band)
+        heavy = _kernels.up_sum_batch(mass, grid, out=mass)[hi_row, hi_cubes] > 0
+        meet = _meeting(grid, _counts(grid, hi_row[heavy], hi_cubes[heavy], n))[0]
+        n_heavy = np.bincount(hi_row[heavy], minlength=n)
+        loaded[e] = _read(meet, row, up[e], n_heavy[row]) > 0
+    checks = int(cubes.size) + 2 * int(n_refined.sum())
 
     found = [
         (i, f"neighbor count {count[i]} exceeds cap {crowd_cap} at k={lays[layer[i]].k}")

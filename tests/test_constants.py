@@ -24,7 +24,7 @@ from twoweight.grid import Exponents, Measure, build_grid, lp_norm
 from twoweight.harness import GeneratorConfig, gen_instance
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
-from test_acceptance import SUITE_GENERATORS
+from test_acceptance import SUITE_GENERATORS, _suite_config
 from test_operators import _volumes
 
 
@@ -118,14 +118,22 @@ def test_root_only_weights_all_constants_one():
 
 
 def test_quadratic_constants_match_local_testing():
-    # at p = q = 2 the quadratic indicator constants ARE the local constants
-    g, tau, sigma, omega = _random_instance(1, 4, seed=2)
-    e22 = Exponents(2.0, 2.0)
-    c1, c2 = quadratic_constants_22(tau, sigma, omega)
-    loc, _ = local_testing(tau, sigma, omega, e22)
-    locd, _ = local_testing(tau, omega, sigma, e22)
-    assert c1 == pytest.approx(locd, rel=1e-10)
-    assert c2 == pytest.approx(loc, rel=1e-10)
+    # at p = q = 2 the quadratic indicator constants ARE the local constants:
+    # testing_constants_22 reads them from the local sweeps, and they match
+    # their per-cube definition on the acceptance suite's generators, the
+    # first two instances of each
+    cfg = _suite_config()
+    total = cfg.n * len(SUITE_GENERATORS)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(total, dtype=np.uint64)
+    for k, gen in enumerate(SUITE_GENERATORS):
+        for seed in seeds[k * cfg.n : k * cfg.n + 2].tolist():
+            inst = gen_instance(gen, seed)
+            c1, c2 = quadratic_constants_22(inst.tau, inst.sigma, inst.omega)
+            want = (
+                _oracle_quadratic(inst.tau, inst.sigma, inst.omega),
+                _oracle_quadratic(inst.tau, inst.omega, inst.sigma),
+            )
+            assert (c1, c2) == pytest.approx(want, rel=1e-10, abs=0.0), gen.tag()
 
 
 # -- per-cube enumeration oracles ---------------------------------------------

@@ -1,5 +1,7 @@
 """Norm estimation: exact L2 routine, dense oracle, certified power solver, embedding recursion, ascent lower bounds."""
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -49,6 +51,11 @@ def _random_instance(d, depth, seed, tau_style="random"):
     sigma = Measure(g, rng.exponential(size=g.n_leaves))
     omega = Measure(g, rng.exponential(size=g.n_leaves))
     return g, tau, sigma, omega
+
+
+def _root_tau(g, value):
+    """tau = ``value`` on the root and 0 on every other cube."""
+    return CubeWeights(g, np.where(np.arange(g.n_cubes) == 0, value, 0.0))
 
 
 # -- exact L2 norm ------------------------------------------------------------
@@ -286,12 +293,12 @@ def test_exact_step_makes_three_passes(monkeypatch):
     # the last grid's passes run over its two chunks
     assert passes == [2] * len(passes)
 
-    # the zero kernel stops after the set-up, and zero measures after its first pass
+    # the zero kernel stops after the set-up, and zero measures before it
     g = build_grid(1, 3)
     lebesgue = Measure.lebesgue(g)
     for tau, sigma, want in [
         (CubeWeights(g, np.zeros(g.n_cubes)), lebesgue, 2),
-        (CubeWeights(g, np.ones(g.n_cubes)), Measure(g, np.zeros(g.n_leaves)), 1),
+        (CubeWeights(g, np.ones(g.n_cubes)), Measure(g, np.zeros(g.n_leaves)), 0),
     ]:
         passes.clear()
         assert exact_norm_22(tau, sigma, lebesgue).value == 0.0
@@ -391,6 +398,44 @@ def test_exact_homogeneous_in_tau():
     assert v4 == pytest.approx(4.0 * v1, rel=1e-11)
 
 
+# exponents of tau * 2^m and of sigma, omega * 4^k, from about 10^-100 to 10^100
+_SCALES = (-332, 0, 332)
+
+
+def _scaled(inst, m, k_s, k_w):
+    """The instance with tau * 2^m, sigma * 4^k_s and omega * 4^k_w."""
+    g = inst.grid
+    return dataclasses.replace(
+        inst,
+        tau=CubeWeights(g, np.ldexp(inst.tau.tau, m)),
+        sigma=Measure(g, np.ldexp(inst.sigma.leaf_mass, 2 * k_s)),
+        omega=Measure(g, np.ldexp(inst.omega.leaf_mass, 2 * k_w)),
+    )
+
+
+def test_exact_scales_by_powers_of_two():
+    # the solve runs on unit-size inputs at any scale, so scaling tau by 2^m
+    # and the measures by 4^k scales the value and the residual by
+    # 2^(m + k_s + k_w) bit for bit, in as many steps, and the extremals by
+    # 2^-k_s and 2^-k_w; the last grid's passes run over two chunks
+    every = list(itertools.product(_SCALES, repeat=3))
+    cases = [(cfg, every) for cfg in SUITE_GENERATORS]
+    cases.append((GeneratorConfig(d=1, depth=16, tau="fractional", alpha=0.5), [(332, -332, 332)]))
+    for k, (cfg, scales) in enumerate(cases):
+        inst = gen_instance(cfg, 40 + k)
+        base = exact_norm_22(inst.tau, inst.sigma, inst.omega)
+        for m, k_s, k_w in scales:
+            scaled = _scaled(inst, m, k_s, k_w)
+            est = exact_norm_22(scaled.tau, scaled.sigma, scaled.omega)
+            e = m + k_s + k_w
+            assert est.kind == "exact" and est.iterations == base.iterations, cfg.tag()
+            assert (est.value, est.residual) == (
+                math.ldexp(base.value, e), math.ldexp(base.residual, e)
+            ), cfg.tag()
+            assert np.array_equal(est.extremal_f, np.ldexp(base.extremal_f, -k_s))
+            assert np.array_equal(est.extremal_g, np.ldexp(base.extremal_g, -k_w))
+
+
 def test_exact_symmetric_in_measures():
     # the form is symmetric under swapping (sigma, omega) at p = q = 2
     _, tau, sigma, omega = _random_instance(2, 2, seed=6)
@@ -399,10 +444,14 @@ def test_exact_symmetric_in_measures():
     assert a == pytest.approx(b, rel=1e-11)
 
 
-def test_dense_oracle_size_guard():
-    _, tau, sigma, omega = _random_instance(1, 3, seed=7)
+def test_dense_oracle_size_guard(monkeypatch):
+    _, tau, sigma, omega = _random_instance(1, 13, seed=7)  # 2^13 leaves, over the cap
     with pytest.raises(GridSizeError):
-        dense_norm_22(tau, sigma, omega, max_leaves=4)
+        dense_norm_22(tau, sigma, omega)
+    _, tau, sigma, omega = _random_instance(1, 3, seed=7)
+    monkeypatch.setattr(extremal, "DENSE_ORACLE_MAX_LEAVES", 4)
+    with pytest.raises(GridSizeError):
+        dense_norm_22(tau, sigma, omega)
 
 
 def test_estimate_serialization():
@@ -927,8 +976,8 @@ def test_indicator_certified_in_one_pass(monkeypatch):
     g = build_grid(1, 6)
     weighted = Measure(g, np.random.default_rng(22).exponential(size=g.n_leaves))
     cases = [
-        (CubeWeights.root_only(g, 3.0), Measure.lebesgue(g)),
-        (CubeWeights.root_only(g, 3.0), weighted),
+        (_root_tau(g, 3.0), Measure.lebesgue(g)),
+        (_root_tau(g, 3.0), weighted),
         (CubeWeights.fractional(build_grid(2, 3), 1.0), None),
         (gen_instance(GeneratorConfig(d=2, depth=3, omega="spikes", tau="sparse"), 5).tau, None),
     ]
@@ -1025,7 +1074,7 @@ def test_embedding_closed_forms_are_exact():
         assert est.value == est.upper == 0.0 and est.kind == "exact"
         for mu in (lebesgue, weighted):
             # only the root average counts: C_p^p = tau_root / mu(root), attained by constants
-            est = carleson_embedding_constant(CubeWeights.root_only(g, 3.0), p, mu=mu)
+            est = carleson_embedding_constant(_root_tau(g, 3.0), p, mu=mu)
             _assert_closed(est)
             assert est.value == pytest.approx((3.0 / mu.total) ** (1.0 / p), rel=1e-12)
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoweight import _kernels
+from twoweight import grid as grid_module
 from twoweight.grid import (
     CubeRef,
     DyadicGrid,
@@ -105,8 +106,8 @@ def test_ancestor_chain():
     chain = g.ancestor_indices(leaf)
     assert chain[0] == leaf and chain[-1] == 0
     assert len(chain) == g.depth + 1
-    assert g.ancestor_indices(leaf, include_self=False) == chain[1:]
-    assert g.ancestor_indices(0, include_self=False) == []
+    assert g.ancestor_indices(g.parent[leaf]) == chain[1:]
+    assert g.ancestor_indices(0) == [0]
     for i in range(g.n_cubes):  # the parent walk, one step at a time
         walk = [i]
         while g.parent[walk[-1]] >= 0:
@@ -221,12 +222,18 @@ def test_queries_leave_the_grid_unchanged(d, depth):
             assert obj == value
 
 
-def test_size_budget_enforced():
-    with pytest.raises(GridSizeError):
-        DyadicGrid(1, 5, max_leaves=16)  # 32 leaves over an explicit budget
-    DyadicGrid(1, 4, max_leaves=16)  # 16 exactly at the cap
+def test_size_budget_enforced(monkeypatch):
+    assert grid_module.MAX_LEAVES == 2**20
+    for d, depth in ((1, 21), (2, 11), (3, 7)):  # over 2^20 leaves
+        with pytest.raises(GridSizeError):
+            DyadicGrid(d, depth)
     with pytest.raises(GridSizeError):
         build_grid(1, 63)  # index arithmetic would overflow int64
+    # the check reads the module's budget when a grid is built
+    monkeypatch.setattr(grid_module, "MAX_LEAVES", 16)
+    with pytest.raises(GridSizeError):
+        DyadicGrid(1, 5)  # 32 leaves over the budget
+    DyadicGrid(1, 4)  # 16 exactly at the cap
 
 
 def test_virtual_parent():

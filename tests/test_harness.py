@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -33,6 +34,7 @@ from twoweight.operators import CubeWeights, apply_T
 from twoweight.prooflab import WhitneyDecomposition, WhitneyLayer, audit_decomposition
 
 from test_acceptance import SUITE_GENERATORS
+from test_extremal import _scaled
 from test_operators import _volumes
 
 
@@ -381,6 +383,69 @@ def test_l2_row_reads_c1_c2_from_the_report(monkeypatch):
         assert (row["c1"], row["c2"]) == (row["local_dual"], row["local"]), cfg.tag()
 
 
+def _l2_row_instance():
+    inst = gen_instance(GeneratorConfig(d=1, depth=4), 3)
+    row, violations = harness._row_for_instance(inst, SuiteConfig())
+    assert violations == []
+    return inst, row
+
+
+def test_l2_row_flags_ratio_above_the_cap(monkeypatch):
+    inst, row = _l2_row_instance()
+    assert 0 < row["ratio_sufficiency"] <= harness.RATIO_CAP == 16.0
+    monkeypatch.setattr(harness, "RATIO_CAP", 0.5 * row["ratio_sufficiency"])
+    again, violations = harness._row_for_instance(inst, SuiteConfig())
+    assert [v["check"] for v in violations] == ["sufficiency-cap"]
+    assert again["ratio_sufficiency"] == row["ratio_sufficiency"]
+
+
+def test_l2_row_flags_c3_below_a_local_constant(monkeypatch):
+    # necessity, max(C1, C2) <= C3, is the testing-le-norm check on local and
+    # local_dual, which are C2 and C1 bit for bit: a C3 below the larger of
+    # them fires that check, once, and no other
+    inst, row = _l2_row_instance()
+    top = max(row["local"], row["local_dual"])
+    assert max(row["c1"], row["c2"]) == top > max(row["global"], row["global_dual"])
+    shrunk_to = 0.5 * (top + max(row["global"], row["global_dual"], min(row["c1"], row["c2"])))
+
+    def shrunk(*args, **kwargs):
+        strong, weak = extremal.norm_bounds(*args, **kwargs)
+        strong.value = shrunk_to
+        weak.value = min(weak.value, shrunk_to)
+        return strong, weak
+
+    monkeypatch.setattr(harness, "norm_bounds", shrunk)
+    again, violations = harness._row_for_instance(inst, SuiteConfig())
+    assert again["c3"] == shrunk_to
+    assert [v["check"] for v in violations] == ["testing-le-norm"]
+    name = "local" if row["local"] == top else "local_dual"
+    assert violations[0]["detail"].startswith(f"{name}=")
+
+
+# (m, k_s, k_w) of tau * 2^m, sigma * 4^k_s and omega * 4^k_w: each alone at
+# about 10^-100 and 10^100, and every sign pattern that scales at most one of
+# them up. Where two are scaled up, the weak bound's pool norms h^2 omega
+# overflow (and where sigma and omega both are, the audit's pairings), which
+# CHANGES.md records.
+_ROW_SCALES = [
+    (332, 0, 0), (-332, 0, 0), (0, 332, 0), (0, -332, 0), (0, 0, 332), (0, 0, -332),
+    (-332, -332, -332), (332, -332, -332), (-332, 332, -332), (-332, -332, 332),
+]
+
+
+def test_l2_rows_at_other_scales():
+    # C3 scales by 2^(m + k_s + k_w) bit for bit, stays exact, and no check fires
+    for k, cfg in enumerate(SUITE_GENERATORS):
+        inst = gen_instance(cfg, 120 + k)
+        row, violations = harness._row_for_instance(inst, SuiteConfig())
+        assert violations == []
+        for m, k_s, k_w in _ROW_SCALES:
+            scaled = _scaled(inst, m, k_s, k_w)
+            again, violations = harness._row_for_instance(scaled, SuiteConfig())
+            assert again["c3"] == math.ldexp(row["c3"], m + k_s + k_w), cfg.tag()
+            assert again["strong_kind"] == "exact" and violations == [], cfg.tag()
+
+
 def test_suite_flags_testing_above_certified_norm(monkeypatch):
     def shrunk(*args, **kwargs):
         est = strong_norm_lower(*args, **kwargs)
@@ -442,8 +507,6 @@ def test_suite_config_validation():
         dict(eta=1.0),
         dict(eta=float("nan")),
         dict(rho=0),
-        dict(ratio_cap=0.0),
-        dict(ratio_cap=-1.0),
         dict(generators=[GeneratorConfig(tau="dense")]),
     ):
         with pytest.raises(ConfigError):
@@ -523,7 +586,7 @@ def test_cli_malformed_f_exit_code(tmp_path, capsys, command, content):
     "command,flag",
     [("gen", "--tol"), ("apply", "--seed"), ("testing", "--eta"), ("testing", "--seed"),
      ("testing", "--tol"), ("norm", "--rho"), ("norm", "--seed"), ("norm", "--tol"),
-     ("decompose", "--threads"), ("verify", "--tol")],
+     ("decompose", "--threads"), ("verify", "--tol"), ("verify", "--ratio-cap")],
 )
 def test_cli_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     argv = [command, flag, "5"]
@@ -571,7 +634,7 @@ def test_cli_norm(tmp_path, capsys):
     rc = main(["norm", "--instance", str(inst_path)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert "exact" in out  # default exponents are on the diagonal
+    assert set(out) == {"strong", "weak"}  # the exact norm at (2,2) is the strong entry
     assert out["weak"]["value"] <= out["strong"]["value"] * (1 + 1e-8)
     assert "extremal_f" not in out["strong"]
     rc = main(["norm", "--instance", str(inst_path), "--extremals"])
@@ -606,11 +669,12 @@ def test_cli_norm_prints_strict_json(tmp_path, capsys, p, q):
     assert main(["norm", "--instance", str(inst_path)]) == 0
     out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert out["weak"]["residual"] is None
+    assert set(out) == {"strong", "weak"}
     if p == q:
-        assert out["exact"] == out["strong"] and out["strong"]["kind"] == "exact"
+        assert out["strong"]["kind"] == "exact"
         assert out["strong"]["residual"] <= 1e-9 * out["strong"]["value"]
     else:
-        assert "exact" not in out and out["strong"]["residual"] is None
+        assert out["strong"]["residual"] is None
 
 
 def test_cli_decompose(tmp_path, capsys):
@@ -754,7 +818,7 @@ def test_cli_repeated_calls_match_fresh_runs(capsys):
 @pytest.mark.parametrize(
     "command,flag,value",
     [("verify", "--n", "-1"), ("verify", "--eta", "2"), ("verify", "--rho", "0"),
-     ("verify", "--ratio-cap", "-1"), ("verify", "--threads", "0"),
+     ("verify", "--threads", "0"),
      ("decompose", "--eta", "0"), ("decompose", "--rho", "0"),
      ("gen", "--seed", "-1"), ("verify", "--seed", "-1")],
 )
@@ -796,6 +860,23 @@ def test_cli_config_error_exit_code(capsys):
 def test_cli_missing_instance_file(tmp_path, capsys):
     assert main(["norm", "--instance", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["apply", "testing", "norm", "decompose"])
+@pytest.mark.parametrize("field", ["tau", "sigma", "omega"])
+def test_cli_overflowing_instance_exit_code(tmp_path, capsys, command, field):
+    # finite values whose tau/|Q| or total mass overflows are rejected when
+    # the instance is read
+    path = _gen_file(tmp_path)
+    data = json.loads(path.read_text())
+    if field == "tau":
+        data["tau"]["values"] = [1e308] * len(data["tau"]["values"])
+    else:
+        data[field] = [1e308] * len(data[field])
+    path.write_text(json.dumps(data))
+    assert main([command, "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
 
 
 def test_cli_grid_over_budget_exit_code(capsys):

@@ -1,9 +1,11 @@
 """The package's public names."""
 
+import inspect
+
 import pytest
 
 import twoweight
-from twoweight import extremal, grid, operators, prooflab
+from twoweight import extremal, grid, harness, operators, prooflab
 
 
 def test_every_exported_name_resolves_once():
@@ -41,6 +43,7 @@ REMOVED = [
     (grid, "measure_avg"),
     (grid, "weighted_avg"),
     (grid, "parent"),
+    (grid, "DEFAULT_MAX_LEAVES"),
     (prooflab, "halving_chain"),
     (prooflab, "superlevel_maximal_cubes"),
     (grid.DyadicGrid, "children_indices"),
@@ -57,3 +60,34 @@ def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(twoweight, name)
     assert name not in twoweight.__all__
+
+
+# settable values that only tests set, now constants or always on: the
+# callable, the parameter it no longer takes, and what replaced it
+REMOVED_OPTIONS = [
+    (harness.SuiteConfig, "ratio_cap", "harness.RATIO_CAP"),
+    (grid.DyadicGrid, "max_leaves", "grid.MAX_LEAVES"),
+    (grid.build_grid, "max_leaves", "grid.MAX_LEAVES"),
+    (grid._cached_grid, "max_leaves", "grid.MAX_LEAVES"),
+    (extremal.dense_norm_22, "max_leaves", "extremal.DENSE_ORACLE_MAX_LEAVES"),
+    (grid.DyadicGrid.ancestor_indices, "include_self", "the chain always starts at the cube"),
+    (operators.CubeWeights.root_only, "value", "tau = 1 at the root"),
+    (prooflab.audit_decomposition, "m", "prooflab.DEFAULT_M"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,name,replacement",
+    REMOVED_OPTIONS,
+    ids=[f"{getattr(owner, '__name__', owner)}-{name}" for owner, name, _ in REMOVED_OPTIONS],
+)
+def test_removed_options_are_gone(owner, name, replacement):
+    assert name not in inspect.signature(owner).parameters, replacement
+
+
+@pytest.mark.parametrize("audit", [prooflab.neighbor_sets, prooflab._layer_neighbors])
+def test_neighbor_audits_always_localize(audit):
+    # the localization check needs tau and omega, so neither may be left out
+    params = inspect.signature(audit).parameters
+    for name in ("tau", "omega"):
+        assert params[name].default is inspect.Parameter.empty

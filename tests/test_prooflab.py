@@ -222,7 +222,7 @@ def test_classified_json_structure():
 def test_neighbor_sets_frozen():
     g = build_grid(1, 2)
     deco = whitney_layers(g, [3.0, 3.0, 0.0, 0.0], rho=1)
-    ns = neighbor_sets(deco, 3, k=1)
+    ns = neighbor_sets(deco, 3, k=1, tau=CubeWeights.root_only(g), omega=Measure.lebesgue(g))
     assert list(ns.neighbors) == [3, 4]  # both layer cubes meet the parent (cube 1)
     assert ns.refined.size == 0  # there is no layer k+m
     assert ns.violations == []
@@ -232,7 +232,7 @@ def test_neighbor_sets_rejects_foreign_cube():
     g = build_grid(1, 2)
     deco = whitney_layers(g, [3.0, 3.0, 0.0, 0.0], rho=1)
     with pytest.raises(ValueError):
-        neighbor_sets(deco, 5, k=1)
+        neighbor_sets(deco, 5, k=1, tau=CubeWeights.root_only(g), omega=Measure.lebesgue(g))
 
 
 def test_neighbor_refinements_inside_parent():
@@ -627,7 +627,7 @@ def _occurrence_oracle(deco, entries, m):
 
 
 def _principal_violations_oracle(g, usable, avg, family, gamma):
-    strict = {c: set(g.ancestor_indices(c, include_self=False)) for c in family}
+    strict = {c: set(g.ancestor_indices(c)[1:]) for c in family}
     out = []
     for i in usable:
         gov = gamma.get(i)
@@ -656,7 +656,7 @@ def _principal_cubes_oracle(f, sigma, seeds):
         return [], {}, {}, skipped, [], 0
     ints = cube_integrals(f, sigma)
     avg = {i: float(ints[i] / sigma.cube_mass[i]) for i in usable}
-    strict = {i: set(g.ancestor_indices(i, include_self=False)) for i in usable}
+    strict = {i: set(g.ancestor_indices(i)[1:]) for i in usable}
 
     family = []
     pool = set(usable)
