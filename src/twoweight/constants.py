@@ -201,18 +201,21 @@ def _needs_scale(tau: CubeWeights, mass: Measure, weight: Measure, e: float) -> 
     ``mass``, the tested measure, and their products) is 0 or lies in
     [lo, hi], with lo and hi the products of the bounds of
     ``CubeWeights.coef_bounds`` and ``Measure.mass_bounds`` clipped at 1
-    from above and from below. The powers are summed against at most
-    max(1, total mass of ``weight``). They are formed unscaled when hi^e
-    times that total and lo^e stay within 2^(+-``_POWER_EXP2``). The bounds
-    are cached on their objects, so the test costs O(1) after a measure's
-    first sweep.
+    from above and from below. The powers are weighted by the leaf masses of
+    ``weight`` and summed, so the sums lie between lo^e times its least
+    positive mass and hi^e times its total. They are formed unscaled when
+    hi^e times max(1, total) and lo^e times min(1, least mass) stay within
+    2^(+-``_POWER_EXP2``). The bounds are cached on their objects, so the
+    test costs O(1) after a measure's first sweep.
     """
     c_lo, c_hi = tau.coef_bounds
     m_lo, m_hi = mass.mass_bounds
+    w_lo, w_hi = weight.mass_bounds
     lo = min(1.0, c_lo) * min(1.0, m_lo)
     hi = max(1.0, c_hi) * max(1.0, m_hi)
-    total = max(1.0, weight.mass_bounds[1])
-    return e * math.log2(hi) + math.log2(total) > _POWER_EXP2 or e * math.log2(lo) < -_POWER_EXP2
+    over = e * math.log2(hi) + math.log2(max(1.0, w_hi))
+    under = e * math.log2(lo) + math.log2(min(1.0, w_lo))
+    return over > _POWER_EXP2 or under < -_POWER_EXP2
 
 
 def _inner_power_sums(grid, contrib, weight, e, shift=None, floor=None):

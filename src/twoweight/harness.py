@@ -300,11 +300,12 @@ def _row_for_instance(inst: Instance, cfg: SuiteConfig) -> tuple[dict, list]:
     command reproduces the row.
     ``strong_iterations`` counts the solver iterations behind ``strong``
     (power-solver steps at p = q != 2; fixed-point (Boyd) ascent rounds where
-    p < q; LOBPCG steps at p = q = 2, where ``strong`` is also C3 and is
-    "exact" only when its singular-pair residual is at most 1e-9 relative). At
-    p = q the testing constants are checked against the norm: against C3 at
-    p = q = 2 and against the certified upper value of the strong norm
-    elsewhere.
+    p < q, up to the first round that raises the pool's best value by at most
+    1e-14 relative; LOBPCG steps at p = q = 2, where ``strong`` is also C3
+    and is "exact" only when its singular-pair residual is at most 1e-9
+    relative). At p = q the testing constants are checked against the norm:
+    against C3 at p = q = 2 and against the certified upper value of the
+    strong norm elsewhere.
     """
     t0 = time.perf_counter()
     row: dict = {

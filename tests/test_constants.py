@@ -25,6 +25,7 @@ from twoweight.harness import GeneratorConfig, gen_instance
 from twoweight.operators import CubeWeights, apply_T, apply_T_restricted
 
 from test_acceptance import SUITE_GENERATORS, _suite_config
+from test_extremal import _scale_cases, _scale_factor, _scaled
 from test_operators import _volumes
 
 
@@ -350,6 +351,27 @@ def test_constants_scale_out_of_float_range_homogeneously(pq, factors):
             got = quadratic_constants_22(tau, inst.sigma, inst.omega)
             want = quadratic_constants_22(inst.tau, inst.sigma, inst.omega)
             assert got == pytest.approx((c * want[0], c * want[1]), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pq", [(2.0, 2.0), (3.0, 3.0), (1.5, 3.0), (2.0, 4.0), (1.2, 1.5), (1.5, 2.0)]
+)
+def test_testing_report_scales_out_of_float_range(pq):
+    # tau * 2^m with sigma, omega * 4^k from about 10^-100 to 10^100: where
+    # small powers meet a small weight the sweeps scale (``_needs_scale``),
+    # so every constant scales as the norm does, within 1e-12, with no
+    # RuntimeWarning; each of the 27 scale triples is tried on one generator
+    exps = Exponents(*pq)
+    insts = [gen_instance(cfg, 40 + k) for k, cfg in enumerate(SUITE_GENERATORS)]
+    bases = [compute_testing_report(i.tau, i.sigma, i.omega, exps) for i in insts]
+    for k, (m, k_s, k_w) in _scale_cases():
+        scaled = _scaled(insts[k], m, k_s, k_w)
+        rep = compute_testing_report(scaled.tau, scaled.sigma, scaled.omega, exps)
+        c = _scale_factor(exps, m, k_s, k_w)
+        for name in ("loc", "loc_dual", "glo", "glo_dual"):
+            want = c * getattr(bases[k], name)
+            tag = (SUITE_GENERATORS[k].tag(), m, k_s, k_w, name)
+            assert getattr(rep, name) == pytest.approx(want, rel=1e-12, abs=0.0), tag
 
 
 # -- the sweeps on two threads ----------------------------------------------------

@@ -413,6 +413,20 @@ def _scaled(inst, m, k_s, k_w):
     )
 
 
+def _scale_factor(exps, m, k_s, k_w):
+    """The factor by which the norms and the testing constants scale when tau
+    is scaled by 2^m and sigma, omega by 4^k_s, 4^k_w: 2^m times sigma's
+    scale to the 1/p' and omega's to the 1/q."""
+    return 2.0 ** (m + 2 * k_s / exps.p_conj + 2 * k_w / exps.q)
+
+
+def _scale_cases():
+    """(k, (m, k_s, k_w)) for each of the 27 triples of ``_SCALES``, with k the
+    index of the suite generator it is tried on, the ten taken in turn."""
+    for i, scales in enumerate(itertools.product(_SCALES, repeat=3)):
+        yield i % len(SUITE_GENERATORS), scales
+
+
 def test_exact_scales_by_powers_of_two():
     # the solve runs on unit-size inputs at any scale, so scaling tau by 2^m
     # and the measures by 4^k scales the value and the residual by
@@ -434,6 +448,25 @@ def test_exact_scales_by_powers_of_two():
             ), cfg.tag()
             assert np.array_equal(est.extremal_f, np.ldexp(base.extremal_f, -k_s))
             assert np.array_equal(est.extremal_g, np.ldexp(base.extremal_g, -k_w))
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 4.0)])
+def test_norm_bounds_scale_out_of_float_range(p, q):
+    # where p < q every row's norm and the ascent's path are taken relative
+    # to the row's maximum, so no power leaves the float range (a
+    # RuntimeWarning fails the test) and both bounds scale by
+    # _scale_factor within 1e-12, with weak below strong
+    exps = Exponents(p, q)
+    insts = [gen_instance(cfg, 40 + k) for k, cfg in enumerate(SUITE_GENERATORS)]
+    bases = [norm_bounds(i.tau, i.sigma, i.omega, exps, k) for k, i in enumerate(insts)]
+    for k, (m, k_s, k_w) in _scale_cases():
+        scaled = _scaled(insts[k], m, k_s, k_w)
+        strong, weak = norm_bounds(scaled.tau, scaled.sigma, scaled.omega, exps, k)
+        c = _scale_factor(exps, m, k_s, k_w)
+        tag = (SUITE_GENERATORS[k].tag(), m, k_s, k_w)
+        assert strong.value == pytest.approx(c * bases[k][0].value, rel=1e-12, abs=0.0), tag
+        assert weak.value == pytest.approx(c * bases[k][1].value, rel=1e-12, abs=0.0), tag
+        assert weak.value <= strong.value, tag
 
 
 def test_exact_symmetric_in_measures():
@@ -807,25 +840,106 @@ def test_strong_ascent_applies_the_operator_twice_per_iteration(monkeypatch):
         assert len(calls) == 2 * est.iterations + 1
 
 
+def _ascent_to_exhaustion(tau, sigma, omega, exps, seed):
+    """Oracle: the ascent without its stall exit, run until no row improves
+    or for ``_ASCENT_ROUNDS`` rounds, from the pool drawn from ``seed``.
+
+    Returns (best, rows): the pool's best value before the first round and
+    after each round, and the rows each round applied the operator to. Its
+    steps are the library's, so up to the library's exit the two runs are
+    the same bit for bit.
+    """
+    grid = tau.grid
+    p, q = exps.p, exps.q
+    s_lm, c = sigma.leaf_mass, omega.leaf_mass ** (1.0 / q)
+    f, h, j = _pool_images(tau, sigma, omega, exps, seed)
+    paths = h.copy()
+    extremal._relative_rows(paths, c)
+    paths = paths ** (q - 1.0) * c
+    live = np.arange(len(f))
+    best, rows = [float(j.max())], []
+    while live.size and len(rows) < extremal._ASCENT_ROUNDS:
+        rows.append(live.size)
+        path = extremal._t_leafmass_batch(grid, tau.coef, paths[live])
+        cand = _project_lp_sphere(extremal._boyd_power(path, p, s_lm > 0), s_lm, p)
+        h_cand = extremal._t_leafmass_batch(grid, tau.coef, cand * s_lm)
+        j_cand, powers = extremal._lq_powers(h_cand, c, q)
+        up = j_cand > j[live]
+        live = live[up]
+        f[live], paths[live], j[live] = cand[up], powers[up] * c, j_cand[up]
+        best.append(float(j.max()))
+    return best, rows
+
+
+def _first_stall(best):
+    """The first round that raises the pool's best value by at most ``_ASCENT_STALL`` relative."""
+    return next(
+        k for k in range(1, len(best)) if best[k] <= best[k - 1] * (1.0 + extremal._ASCENT_STALL)
+    )
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 3.0), (2.0, 4.0), (1.2, 1.5)])
+def test_strong_ascent_stops_at_its_first_stalled_round(p, q):
+    # the stall exit ends the ascent at the first round that barely raises
+    # the pool's best value, with that round's value, in no more rounds than
+    # the run to exhaustion and at most 1e-12 below its value
+    exps = Exponents(p, q)
+    cut = 0
+    for k, cfg in enumerate(SUITE_GENERATORS):
+        for seed in range(2):
+            inst = gen_instance(cfg, 300 + 10 * k + seed)
+            args = (inst.tau, inst.sigma, inst.omega, exps)
+            best, rows = _ascent_to_exhaustion(*args, seed)
+            est = _ascent(*args, seed)
+            stall = _first_stall(best)
+            assert est.iterations == stall <= len(rows) and not est.flagged, cfg.tag()
+            assert est.value == best[stall] >= best[-1] * (1 - 1e-12), cfg.tag()
+            cut += stall < len(rows)
+    assert cut  # the exit ends some runs before exhaustion
+
+
 def test_strong_ascent_drops_rows_that_stop_improving(monkeypatch):
-    # a row whose candidate fails to raise it is final: the next round leaves it out
-    rows = []
+    # a row whose candidate fails to raise it is final: each round applies the
+    # operator to the rows that improved in the one before, and no others
+    calls = []
     batch = extremal._t_leafmass_batch
 
     def counting(grid, tau, leafmass):
-        rows.append(leafmass.shape[0])
+        calls.append(leafmass.shape[0])
         return batch(grid, tau, leafmass)
 
-    monkeypatch.setattr(extremal, "_t_leafmass_batch", counting)
-    for seed in range(3):
-        _, tau, sigma, omega = _random_instance(1, 5, seed=480 + seed)
-        rows.clear()
-        est = strong_norm_lower(tau, sigma, omega, Exponents(1.5, 3.0), seed)
-        path, cand = rows[1::2], rows[2::2]
-        assert len(rows) == 2 * est.iterations + 1 and path == cand
-        assert rows[0] == path[0] == 2 * extremal._RESTARTS
-        assert all(a >= b >= 1 for a, b in zip(path, path[1:]))
-        assert path[-1] < rows[0]
+    dropped = 0
+    for k, cfg in enumerate(SUITE_GENERATORS):
+        inst = gen_instance(cfg, 350 + k)
+        args = (inst.tau, inst.sigma, inst.omega, Exponents(1.5, 3.0))
+        rows = _ascent_to_exhaustion(*args, k)[1]
+        monkeypatch.setattr(extremal, "_t_leafmass_batch", counting)
+        calls.clear()
+        est = strong_norm_lower(*args, k)
+        monkeypatch.setattr(extremal, "_t_leafmass_batch", batch)
+        path, cand = calls[1::2], calls[2::2]
+        assert calls[0] == 2 * extremal._RESTARTS and path == cand, cfg.tag()
+        assert path == rows[: est.iterations], cfg.tag()
+        dropped += path[-1] < calls[0]
+    assert dropped  # some runs went on after dropping rows
+
+
+def test_strong_ascent_flagged_only_at_the_round_cap(monkeypatch):
+    # an ascent that reaches the cap while its best value still rises is
+    # flagged, as the certified solvers are at theirs; one that stalls is not
+    inst = gen_instance(SUITE_GENERATORS[2], 7)
+    args = (inst.tau, inst.sigma, inst.omega, Exponents(1.5, 3.0))
+    best = _ascent_to_exhaustion(*args, 7)[0]
+    stall = _first_stall(best)
+    assert stall >= 2
+    full = _ascent(*args, 7)
+    assert full.iterations == stall and not full.flagged
+    monkeypatch.setattr(extremal, "_ASCENT_ROUNDS", stall - 1)
+    capped = _ascent(*args, 7)
+    assert capped.iterations == stall - 1 and capped.flagged
+    assert capped.value == best[stall - 1]
+    monkeypatch.setattr(extremal, "_ASCENT_ROUNDS", stall)
+    assert not _ascent(*args, 7).flagged
 
 
 # -- the embedding recursion against the old ascent, the solver and the dense SVD ---

@@ -423,18 +423,20 @@ def test_l2_row_flags_c3_below_a_local_constant(monkeypatch):
 
 
 # (m, k_s, k_w) of tau * 2^m, sigma * 4^k_s and omega * 4^k_w: each alone at
-# about 10^-100 and 10^100, and every sign pattern that scales at most one of
-# them up. Where two are scaled up, the weak bound's pool norms h^2 omega
-# overflow (and where sigma and omega both are, the audit's pairings), which
-# CHANGES.md records.
+# about 10^-100 and 10^100, every sign pattern that scales at most one of
+# them up, and tau with one measure scaled down. Where sigma and omega are
+# both scaled up, the audit's pairings overflow, which CHANGES.md records.
 _ROW_SCALES = [
     (332, 0, 0), (-332, 0, 0), (0, 332, 0), (0, -332, 0), (0, 0, 332), (0, 0, -332),
     (-332, -332, -332), (332, -332, -332), (-332, 332, -332), (-332, -332, 332),
+    (-332, -332, 0), (-332, 0, -332),
 ]
 
 
 def test_l2_rows_at_other_scales():
-    # C3 scales by 2^(m + k_s + k_w) bit for bit, stays exact, and no check fires
+    # C3 scales by 2^(m + k_s + k_w) bit for bit and stays exact, the testing
+    # constants (C1 and C2 among them) scale by the same factor within 1e-12,
+    # and no check fires
     for k, cfg in enumerate(SUITE_GENERATORS):
         inst = gen_instance(cfg, 120 + k)
         row, violations = harness._row_for_instance(inst, SuiteConfig())
@@ -442,7 +444,11 @@ def test_l2_rows_at_other_scales():
         for m, k_s, k_w in _ROW_SCALES:
             scaled = _scaled(inst, m, k_s, k_w)
             again, violations = harness._row_for_instance(scaled, SuiteConfig())
-            assert again["c3"] == math.ldexp(row["c3"], m + k_s + k_w), cfg.tag()
+            e = m + k_s + k_w
+            assert again["c3"] == math.ldexp(row["c3"], e), cfg.tag()
+            for name in ("c1", "c2", "global", "global_dual"):
+                want = math.ldexp(row[name], e)
+                assert again[name] == pytest.approx(want, rel=1e-12, abs=0.0), (cfg.tag(), name)
             assert again["strong_kind"] == "exact" and violations == [], cfg.tag()
 
 
